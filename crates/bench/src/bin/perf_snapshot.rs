@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use fastmon_bench::ExperimentConfig;
-use fastmon_core::{FlowConfig, HdfTestFlow};
+use fastmon_core::{FlowConfig, HdfTestFlow, ShardFiles};
 use fastmon_netlist::generate::CircuitProfile;
 use fastmon_sim::stats::CampaignStats;
 
@@ -83,7 +83,7 @@ struct ShardProcsReport {
     report: fastmon_core::SupervisorReport,
     /// This (supervisor) process's `VmHWM` after the supervised run.
     supervisor_peak_rss_bytes: u64,
-    /// Largest `ru_maxrss` over the reaped worker children.
+    /// Largest `VmHWM` any worker reported for itself.
     children_peak_rss_bytes: u64,
 }
 
@@ -390,14 +390,21 @@ fn main() {
     }
 
     // Shard-merge parity: the same campaign partitioned into fault
-    // shards must merge to the bit-identical result. A mismatch is a
+    // shards — through the checkpointed in-process path `FASTMON_SHARDS`
+    // runs — must merge to the bit-identical result. A mismatch is a
     // determinism regression and fails the snapshot.
     let shard_report = if shards > 1 {
         let flow = HdfTestFlow::prepare(&circuit, &config.flow_config());
+        let files = ShardFiles::new(
+            std::env::temp_dir().join(format!("fastmon-snapshot-shards-{}", std::process::id())),
+        );
+        files.clear();
         let t = Instant::now();
-        match flow.try_analyze_sharded(&patterns, shards) {
+        let merged = files.run_in_process(&flow, &patterns, shards, &mut |_, _| {});
+        let analyze_secs = t.elapsed().as_secs_f64();
+        let _ = std::fs::remove_dir_all(files.dir());
+        match merged {
             Ok(merged) => {
-                let analyze_secs = t.elapsed().as_secs_f64();
                 let merged_fingerprint = merged.result_fingerprint();
                 let matches_serial = serial_fingerprint == Some(merged_fingerprint);
                 println!(
@@ -473,8 +480,7 @@ fn main() {
                 let matches_serial = serial_fingerprint == Some(merged_fingerprint);
                 let supervisor_peak_rss_bytes =
                     fastmon_bench::rss::peak_rss_self_bytes().unwrap_or(0);
-                let children_peak_rss_bytes =
-                    fastmon_bench::rss::peak_rss_children_bytes().unwrap_or(0);
+                let children_peak_rss_bytes = run.report.worker_peak_rss_bytes;
                 println!(
                     "  shard-procs: {shards} shards x {jobs} jobs in {wall_secs:.3} s, \
                      {} workers ({} respawns, {} evictions), merged fingerprint \

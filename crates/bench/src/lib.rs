@@ -25,7 +25,6 @@
 //! | `FASTMON_SHARD_RSS_BYTES` | per-worker RSS ceiling before graceful eviction | unlimited |
 //! | `FASTMON_SHARD_STALL_SECS` | heartbeat silence before a worker is killed | `60` |
 //! | `FASTMON_SHARD_RETRIES` | respawn budget per shard | `3` |
-//! | `FASTMON_SHARD_VERIFY` | set to `1` to re-run in process and assert parity | unset |
 //!
 //! The fault-simulation campaign checkpoints after every pattern band (see
 //! [`fastmon_core::CheckpointStore`]); re-running an interrupted experiment
@@ -45,8 +44,9 @@ use std::time::{Duration, Instant};
 use fastmon_atpg::TestSet;
 use fastmon_core::{
     CheckpointDir, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow,
-    ShardsupError,
+    ShardFiles, ShardsupError,
 };
+use fastmon_daemon::JobError;
 use fastmon_netlist::generate::{paper_suite, CircuitProfile};
 use fastmon_netlist::Circuit;
 
@@ -250,36 +250,26 @@ pub fn with_run<R>(
     let atpg_secs = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let analysis = if config.shards > 1 {
-        // Sharded campaign: every shard checkpoint and result file lives
-        // inside a locked per-fingerprint job directory, so a daemon's
-        // startup GC sweep skips them while this run is alive (the LOCK
-        // names this PID) instead of racing the shard writers.
+    let fresh = std::env::var("FASTMON_FRESH").is_ok_and(|v| v == "1");
+    let campaign = if config.shards > 1 {
+        // Sharded campaign: every shard file lives inside a locked
+        // per-fingerprint job directory, so a daemon's startup GC sweep
+        // skips them while this run is alive (the LOCK names this PID)
+        // instead of racing the shard writers.
         let jobs = CheckpointDir::new(checkpoint_dir().join("shard-jobs"));
-        match jobs
-            .acquire(flow.campaign_fingerprint(&patterns))
+        jobs.acquire(flow.campaign_fingerprint(&patterns))
             .map_err(|e| e.to_string())
             .and_then(|job| {
-                if std::env::var("FASTMON_FRESH").is_ok_and(|v| v == "1") {
-                    clear_shard_files(job.dir());
+                let files = ShardFiles::new(job.dir());
+                if fresh {
+                    files.clear();
                 }
                 let analysis = if config.shard_procs {
                     run_shard_procs(&flow, &patterns, config, profile, scale, job.dir())?
                 } else {
-                    flow.analyze_sharded_resumable_observed(
-                        &patterns,
-                        config.shards,
-                        job.dir(),
-                        &mut |_, _| {},
-                    )
-                    .map_err(|e| match e {
-                        e @ (FlowError::Cancelled { .. }
-                        | FlowError::Injected { .. }
-                        | FlowError::WorkerPanic { .. }) => {
-                            exit_flow_error(&profile.name, "fault simulation", &e)
-                        }
-                        e => e.to_string(),
-                    })?
+                    files
+                        .run_in_process(&flow, &patterns, config.shards, &mut |_, _| {})
+                        .map_err(|e| exit_if_fatal(&profile.name, e))?
                 };
                 if let Err(e) = job.complete() {
                     eprintln!(
@@ -288,19 +278,10 @@ pub fn with_run<R>(
                     );
                 }
                 Ok(analysis)
-            }) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!(
-                    "[bench] {}: sharded checkpointing unavailable ({e}); rerunning unsharded",
-                    profile.name
-                );
-                flow.analyze(&patterns)
-            }
-        }
+            })
     } else {
         let store = checkpoint_store(&profile.name);
-        if std::env::var("FASTMON_FRESH").is_ok_and(|v| v == "1") {
+        if fresh {
             if let Err(e) = store.clear() {
                 eprintln!(
                     "[bench] {}: cannot clear checkpoint {}: {e}",
@@ -309,25 +290,16 @@ pub fn with_run<R>(
                 );
             }
         }
-        match flow.analyze_resumable(&patterns, &store) {
-            Ok(a) => a,
-            // A cancelled campaign already flushed its last band checkpoint;
-            // resuming later is bit-identical, so do NOT fall back to an
-            // un-checkpointed rerun here.
-            Err(
-                e @ (FlowError::Cancelled { .. }
-                | FlowError::Injected { .. }
-                | FlowError::WorkerPanic { .. }),
-            ) => exit_flow_error(&profile.name, "fault simulation", &e),
-            Err(e) => {
-                eprintln!(
-                    "[bench] {}: checkpointing unavailable ({e}); rerunning without checkpoints",
-                    profile.name
-                );
-                flow.analyze(&patterns)
-            }
-        }
+        flow.analyze_resumable(&patterns, &store)
+            .map_err(|e| exit_if_fatal(&profile.name, e))
     };
+    let analysis = campaign.unwrap_or_else(|e| {
+        eprintln!(
+            "[bench] {}: checkpointing unavailable ({e}); rerunning without checkpoints",
+            profile.name
+        );
+        flow.analyze(&patterns)
+    });
     let analyze_secs = t.elapsed().as_secs_f64();
 
     let run = PreparedRun {
@@ -339,23 +311,21 @@ pub fn with_run<R>(
     f(&flow, &patterns, &analysis, &run)
 }
 
-/// Removes the `shard-*` checkpoint/result files inside a job directory
-/// (a `FASTMON_FRESH` restart) without disturbing its `LOCK`.
-fn clear_shard_files(dir: &std::path::Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry.file_name().to_string_lossy().starts_with("shard-") {
-            let _ = std::fs::remove_file(entry.path());
-        }
+/// Ends the process on a campaign error that a rerun must not paper
+/// over — cancellation (the last band checkpoint is already on disk, so
+/// resuming later is bit-identical), injected faults and contained worker
+/// panics — and renders any other error for the fallback message.
+fn exit_if_fatal(circuit: &str, e: FlowError) -> String {
+    match e {
+        FlowError::Cancelled { .. }
+        | FlowError::Injected { .. }
+        | FlowError::WorkerPanic { .. } => exit_flow_error(circuit, "fault simulation", &e),
+        e => e.to_string(),
     }
 }
 
 /// Runs the sharded campaign through the multi-process supervisor
-/// ([`shardsup::supervise`]): fatal outcomes (cancellation, injected
-/// faults) exit the process like every other campaign path, anything
-/// else degrades to a fallback-worthy message.
+/// ([`shardsup::supervise`]).
 fn run_shard_procs(
     flow: &HdfTestFlow<'_>,
     patterns: &TestSet,
@@ -364,7 +334,7 @@ fn run_shard_procs(
     scale: f64,
     dir: &std::path::Path,
 ) -> Result<DetectionAnalysis, String> {
-    match shardsup::supervise(
+    let run = shardsup::supervise(
         flow,
         patterns,
         config,
@@ -373,34 +343,22 @@ fn run_shard_procs(
         dir,
         None,
         &mut |_| {},
-    ) {
-        Ok(run) => {
-            let r = &run.report;
-            eprintln!(
-                "[bench] {}: supervised {} shards: {} workers, {} respawns, {} stalls, {} evictions",
-                profile.name,
-                config.shards,
-                r.workers_spawned,
-                r.respawns,
-                r.stalls_detected,
-                r.rss_evictions,
-            );
-            Ok(run.analysis)
-        }
-        Err(shardsup::SuperviseError::Flow(
-            e @ (FlowError::Cancelled { .. }
-            | FlowError::Injected { .. }
-            | FlowError::WorkerPanic { .. }),
-        )) => exit_flow_error(&profile.name, "supervised fault simulation", &e),
-        Err(shardsup::SuperviseError::Shardsup(ShardsupError::Cancelled { phase })) => {
-            exit_flow_error(
-                &profile.name,
-                "supervised fault simulation",
-                &FlowError::Cancelled { phase },
-            )
-        }
-        Err(e) => Err(e.to_string()),
-    }
+    )
+    .map_err(|e| match e {
+        JobError::Flow(e) => exit_if_fatal(&profile.name, e),
+        e => e.to_string(),
+    })?;
+    let r = &run.report;
+    eprintln!(
+        "[bench] {}: supervised {} shards: {} workers, {} respawns, {} stalls, {} evictions",
+        profile.name,
+        config.shards,
+        r.workers_spawned,
+        r.respawns,
+        r.stalls_detected,
+        r.rss_evictions,
+    );
+    Ok(run.analysis)
 }
 
 /// Prints a markdown table: header, alignment row, rows.

@@ -12,22 +12,16 @@
 
 /// This process's peak resident-set size in bytes (`VmHWM`), or `None`
 /// when the probe is unavailable (non-Linux, unreadable procfs).
-#[must_use]
-pub fn peak_rss_self_bytes() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        parse_vmhwm_kib(&status).map(|kib| kib * 1024)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        None
-    }
-}
+pub use fastmon_core::shardsup::peak_rss_self_bytes;
 
 /// Largest peak resident-set size in bytes over every child this process
 /// has waited on, or `None` when the probe is unavailable. On Linux the
 /// kernel reports `ru_maxrss` in KiB.
+///
+/// Each child is charged at least the parent's resident set at fork
+/// time, so the figure overstates small children of a large parent; shard
+/// workers report their own `VmHWM` instead
+/// ([`fastmon_core::SupervisorReport::worker_peak_rss_bytes`]).
 #[must_use]
 pub fn peak_rss_children_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]
@@ -38,15 +32,6 @@ pub fn peak_rss_children_bytes() -> Option<u64> {
     {
         None
     }
-}
-
-/// Extracts the `VmHWM` value (in KiB) from a `/proc/<pid>/status` dump.
-fn parse_vmhwm_kib(status: &str) -> Option<u64> {
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|v| v.parse().ok())
 }
 
 /// `bytes` as a human-readable MiB figure for log lines.
@@ -101,13 +86,6 @@ mod linux {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vmhwm_parses_from_status_dump() {
-        let status = "Name:\tfoo\nVmPeak:\t  999 kB\nVmHWM:\t  12345 kB\nVmRSS:\t 1 kB\n";
-        assert_eq!(parse_vmhwm_kib(status), Some(12345));
-        assert_eq!(parse_vmhwm_kib("Name:\tfoo\n"), None);
-    }
 
     #[cfg(target_os = "linux")]
     #[test]

@@ -3,7 +3,11 @@
 //! simulating a real (tiny) paper-suite campaign, abused with kill -9,
 //! armed failpoints, a forced stall, a forced RSS eviction and a
 //! supervisor restart mid-campaign — every merged result must be
-//! bit-identical to the clean serial baseline.
+//! bit-identical to the clean serial baseline. Two more scenarios pin the
+//! shipped-test-set protocol: workers never run ATPG, and a worker whose
+//! spec rebuilds a different campaign refuses once instead of burning
+//! its respawn budget. A last one runs a seed above 2^53 through the
+//! spec.
 //!
 //! Environment knobs (`FASTMON_SHARD_*`, `FASTMON_FAILPOINTS`) are
 //! process-global and inherited by the spawned workers, so all scenarios
@@ -15,10 +19,12 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use fastmon_atpg::TestSet;
 use fastmon_bench::shardsup::supervise;
 use fastmon_bench::ExperimentConfig;
 use fastmon_core::shardsup::send_signal;
-use fastmon_core::{HdfTestFlow, ShardsupError, SupervisorEvent};
+use fastmon_core::{FlowError, HdfTestFlow, ShardsupError, SupervisorEvent};
+use fastmon_daemon::JobError;
 use fastmon_netlist::generate::CircuitProfile;
 
 const SIGKILL: i32 = 9;
@@ -44,7 +50,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         "FASTMON_SHARD_RSS_BYTES",
         "FASTMON_SHARD_RSS_POLL_MS",
         "FASTMON_SHARD_JOBS",
-        "FASTMON_SHARD_VERIFY",
+        "FASTMON_SHARD_STRAGGLER_FACTOR",
     ] {
         std::env::remove_var(key);
     }
@@ -104,9 +110,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             },
         );
         match outcome {
-            Err(fastmon_bench::shardsup::SuperviseError::Shardsup(ShardsupError::Cancelled {
-                ..
-            })) => {}
+            Err(JobError::Flow(FlowError::Cancelled { .. })) => {}
             // A tiny campaign can legitimately finish before the third
             // heartbeat trips the token; that still exercises phase B as
             // a pure already-landed restart.
@@ -137,10 +141,9 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ---- scenario 2: two random kill -9s, verify parity in-process ------
+    // ---- scenario 2: two random kill -9s ----------------------------------
     {
         let dir = tmp("kill9");
-        std::env::set_var("FASTMON_SHARD_VERIFY", "1");
         let mut killed: Vec<usize> = Vec::new();
         let run = supervise(
             &flow,
@@ -167,18 +170,16 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             },
         )
         .expect("campaign must survive two kill -9s");
-        std::env::remove_var("FASTMON_SHARD_VERIFY");
         assert_eq!(killed.len(), 2);
         assert!(
             run.report.respawns >= 2,
             "both murdered workers must be respawned: {:?}",
             run.report
         );
-        assert_eq!(run.analysis.result_fingerprint(), golden);
         assert_eq!(
-            run.verified_against,
-            Some(golden),
-            "FASTMON_SHARD_VERIFY must compare against the in-process reference"
+            run.analysis.result_fingerprint(),
+            golden,
+            "kill9: merged fingerprint diverged from the serial try_analyze baseline"
         );
         eprintln!(
             "[chaos] kill9: shards {killed:?} murdered, report {:?}",
@@ -240,11 +241,14 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // first band boundary (after the checkpoint landed). The stall
     // watchdog must SIGKILL it; the charged respawn resumes and the
     // merged result is unchanged — the respawn counter proves the path.
+    // The healthy shards finish in milliseconds, so straggler re-dispatch
+    // is held off to leave the hung worker to the stall watchdog.
     {
         let dir = tmp("stall");
         let flag = dir.join("hang-once");
         std::env::set_var("FASTMON_SHARD_HANG", format!("0:{}", flag.display()));
         std::env::set_var("FASTMON_SHARD_STALL_SECS", "1");
+        std::env::set_var("FASTMON_SHARD_STRAGGLER_FACTOR", "1000");
         let stall_flow = HdfTestFlow::prepare(&circuit, &config.flow_config());
         let run = supervise(
             &stall_flow,
@@ -259,6 +263,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         .expect("campaign must survive a hung worker");
         std::env::remove_var("FASTMON_SHARD_HANG");
         std::env::remove_var("FASTMON_SHARD_STALL_SECS");
+        std::env::remove_var("FASTMON_SHARD_STRAGGLER_FACTOR");
         assert!(flag.exists(), "the hang injection never fired");
         assert!(
             run.report.stalls_detected >= 1,
@@ -279,15 +284,26 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // A 1-byte ceiling evicts every worker at every probe; each
     // evict/readmit cycle still banks at least one band (the worker
     // observes the cancel only after a band checkpoint), so the campaign
-    // converges without spending any respawn budget.
+    // converges without spending any respawn budget. Workers start in
+    // milliseconds and a shard of the shared test set simulates in about
+    // as long as one supervisor tick, so a worker could finish before its
+    // eviction lands; this scenario simulates the test set 16 times over
+    // to keep every worker mid-campaign when the SIGTERM arrives.
     {
         let dir = tmp("rss");
+        let mut long = TestSet::new(&circuit);
+        for _ in 0..16 {
+            for pattern in patterns.iter() {
+                long.push(pattern.clone());
+            }
+        }
+        let long_golden = flow.try_analyze(&long).unwrap().result_fingerprint();
         std::env::set_var("FASTMON_SHARD_RSS_BYTES", "1");
         std::env::set_var("FASTMON_SHARD_RSS_POLL_MS", "25");
         std::env::set_var("FASTMON_SHARD_JOBS", "1");
         let run = supervise(
             &flow,
-            &patterns,
+            &long,
             &config,
             name,
             scale,
@@ -310,8 +326,109 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             "evictions must not charge the respawn budget: {:?}",
             run.report
         );
-        assert_eq!(run.analysis.result_fingerprint(), golden);
+        assert_eq!(run.analysis.result_fingerprint(), long_golden);
         eprintln!("[chaos] rss: report {:?}", run.report);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- scenario 6: ATPG failpoints never reach a worker ---------------
+    // Workers load the shipped test set instead of regenerating it, so an
+    // ATPG failpoint armed in every first attempt has nothing to fire on:
+    // no worker fails, none is respawned, and the merge is unchanged.
+    {
+        let dir = tmp("atpg");
+        std::env::set_var("FASTMON_FAILPOINTS", "atpg_grade=panic@1;atpg_podem=err@1");
+        let run = supervise(
+            &flow,
+            &patterns,
+            &config,
+            name,
+            scale,
+            &dir,
+            Some(worker),
+            &mut |_| {},
+        )
+        .expect("workers must not run ATPG");
+        std::env::remove_var("FASTMON_FAILPOINTS");
+        assert_eq!(
+            run.report.respawns, 0,
+            "a worker ran ATPG and hit the armed failpoint: {:?}",
+            run.report
+        );
+        assert_eq!(run.report.workers_spawned, config.shards as u64);
+        assert!(
+            run.report.worker_peak_rss_bytes > 0,
+            "workers report their own peak RSS in shard_done: {:?}",
+            run.report
+        );
+        assert_eq!(run.analysis.result_fingerprint(), golden);
+        eprintln!("[chaos] atpg failpoints: report {:?}", run.report);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- scenario 7: a spec that rebuilds another campaign is refused ---
+    // The spec caps the fault sample differently from the supervisor's
+    // flow, so every worker rebuilds a campaign whose fingerprint differs
+    // from the test set's key. The first worker to notice exits 2 and the
+    // supervisor fails at once — no backoff, no respawn.
+    {
+        let dir = tmp("refused");
+        let foreign = ExperimentConfig {
+            max_faults: 1,
+            ..config.clone()
+        };
+        let mut backoffs = 0u32;
+        let outcome = supervise(
+            &flow,
+            &patterns,
+            &foreign,
+            name,
+            scale,
+            &dir,
+            Some(worker),
+            &mut |event| {
+                if matches!(event, SupervisorEvent::Backoff { .. }) {
+                    backoffs += 1;
+                }
+            },
+        );
+        match outcome {
+            Err(JobError::Shardsup(ShardsupError::ShardFailed { attempts: 1, .. })) => {}
+            other => panic!("a foreign spec must be refused after one attempt, got {other:?}"),
+        }
+        assert_eq!(backoffs, 0, "a refused shard must not be respawned");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- scenario 8: a seed above 2^53 reaches the workers exactly -----
+    // The spec carries the seed as a JSON integer; an f64 round-trip
+    // would rebuild a neighbouring seed's circuit and every worker would
+    // refuse its shard.
+    {
+        let dir = tmp("seed");
+        let big = ExperimentConfig {
+            seed: (1 << 53) + 1,
+            ..config.clone()
+        };
+        let circuit = profile.generate(big.seed).unwrap();
+        let flow = HdfTestFlow::prepare(&circuit, &big.flow_config());
+        let patterns = flow
+            .try_generate_patterns(Some(profile.pattern_budget))
+            .unwrap();
+        let golden = flow.try_analyze(&patterns).unwrap().result_fingerprint();
+        let run = supervise(
+            &flow,
+            &patterns,
+            &big,
+            name,
+            scale,
+            &dir,
+            Some(worker),
+            &mut |_| {},
+        )
+        .expect("a seed above 2^53 must survive the spec");
+        assert_eq!(run.report.respawns, 0);
+        assert_eq!(run.analysis.result_fingerprint(), golden);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

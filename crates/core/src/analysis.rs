@@ -65,92 +65,16 @@ pub struct DetectionAnalysis {
 }
 
 impl DetectionAnalysis {
-    /// Runs the campaign: every pattern is simulated fault-free once, every
-    /// candidate fault whose site actually toggles under that pattern is
-    /// re-simulated on its fanout cone, and the per-output differences are
-    /// recorded.
-    ///
-    /// `glitch_threshold` applies pessimistic pulse filtering to each
-    /// per-pattern, per-output interval set.
-    #[allow(clippy::too_many_arguments)]
-    #[must_use]
-    pub fn compute(
-        circuit: &Circuit,
-        annot: &DelayAnnotation,
-        clock: &ClockSpec,
-        configs: &ConfigSet,
-        placement: &MonitorPlacement,
-        faults: FaultList,
-        patterns: &TestSet,
-        glitch_threshold: Time,
-        threads: usize,
-    ) -> Self {
-        Self::compute_scoped(
-            circuit,
-            annot,
-            clock,
-            configs,
-            placement,
-            faults,
-            patterns,
-            glitch_threshold,
-            threads,
-            None,
-        )
-    }
-
-    /// Like [`DetectionAnalysis::compute`], but records campaign counters
-    /// into a scoped [`fastmon_obs::MetricsRegistry`] instead of the
-    /// process-wide fallback.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn compute_scoped(
-        circuit: &Circuit,
-        annot: &DelayAnnotation,
-        clock: &ClockSpec,
-        configs: &ConfigSet,
-        placement: &MonitorPlacement,
-        faults: FaultList,
-        patterns: &TestSet,
-        glitch_threshold: Time,
-        threads: usize,
-        metrics: Option<&fastmon_obs::MetricsRegistry>,
-    ) -> Self {
-        let progress = CampaignCheckpoint {
-            fingerprint: 0,
-            next_pattern: 0,
-            per_pattern: vec![Vec::new(); faults.len()],
-            raw_union: vec![DetectionRange::new(); faults.len()],
-        };
-        match Self::compute_with_progress(
-            circuit,
-            annot,
-            clock,
-            configs,
-            placement,
-            faults,
-            patterns,
-            glitch_threshold,
-            threads,
-            metrics,
-            None,
-            progress,
-            &mut |_| Ok(()),
-        ) {
-            Ok(analysis) => analysis,
-            // Unreachable without an armed failpoint schedule: the no-op
-            // checkpoint callback cannot fail, no cancel token is passed
-            // and healthy workers do not panic. Under injection, callers
-            // needing a typed error use the fallible flow entry points.
-            Err(e) => panic!("infallible campaign entry failed: {e}"),
-        }
-    }
-
-    /// The resumable campaign driver behind [`DetectionAnalysis::compute`]
-    /// and [`HdfTestFlow::analyze_resumable`](crate::HdfTestFlow):
-    /// simulation starts at `progress.next_pattern` on top of the already
-    /// accumulated raw ranges, and `on_band` runs after every completed
-    /// pattern band (this is where the flow persists a checkpoint). An
-    /// `Err` from `on_band` aborts the campaign.
+    /// The resumable campaign driver behind
+    /// [`HdfTestFlow::run`](crate::HdfTestFlow::run): every pattern is
+    /// simulated fault-free once, every candidate fault whose site
+    /// actually toggles under that pattern is re-simulated on its fanout
+    /// cone, and the per-output differences — glitch-filtered with
+    /// `glitch_threshold` — are recorded. Simulation starts at
+    /// `progress.next_pattern` on top of the already accumulated raw
+    /// ranges, and `on_band` runs after every completed pattern band
+    /// (this is where the flow persists a checkpoint). An `Err` from
+    /// `on_band` aborts the campaign.
     ///
     /// Because per-pattern results are merged in a fixed ascending pattern
     /// order, resuming from any band boundary is bit-identical to an
@@ -428,8 +352,8 @@ impl DetectionAnalysis {
     /// [`CampaignCheckpoint`]): derives the conventional and monitored
     /// observable ranges, the per-fault verdicts and the target set.
     ///
-    /// This is the (purely derived, simulation-free) tail of
-    /// [`DetectionAnalysis::compute`], exposed so a shard supervisor can
+    /// This is the (purely derived, simulation-free) tail of the
+    /// campaign, exposed so a shard supervisor can
     /// reconstruct a worker's analysis from its landed result file
     /// without re-simulating anything — the reconstruction is
     /// bit-identical because every derived field is a deterministic

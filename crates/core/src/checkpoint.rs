@@ -14,17 +14,27 @@
 //! same [`DetectionAnalysis`](crate::DetectionAnalysis) as an
 //! uninterrupted run — for any thread count on either side of the
 //! interruption.
+//!
+//! The same frame (magic, version, payload, FNV-1a checksum, atomic
+//! tmp+rename) carries the test set a shard supervisor ships to its
+//! workers (magic `FMTS`, keyed by the campaign fingerprint; see
+//! [`ShardFiles`](crate::ShardFiles)).
 
 use std::cell::Cell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use fastmon_atpg::TestPattern;
 use fastmon_faults::{DetectionRange, Interval, IntervalSet};
 
 /// Magic bytes leading every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FMCK";
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
+/// Magic bytes leading every shipped test-set file.
+const TEST_SET_MAGIC: [u8; 4] = *b"FMTS";
+/// Current test-set format version.
+const TEST_SET_VERSION: u32 = 1;
 
 /// Errors of checkpoint persistence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,31 +241,7 @@ impl CheckpointStore {
     /// fires.
     pub fn save(&self, checkpoint: &CampaignCheckpoint) -> Result<u64, CheckpointError> {
         let bytes = encode(checkpoint);
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| CheckpointError::Io {
-                    op: "create dir",
-                    message: e.to_string(),
-                })?;
-            }
-        }
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        // Failpoints fire *before* their syscall so an injected failure
-        // never leaves a half-written file behind (the real write/rename
-        // is skipped entirely); injected errors are indistinguishable from
-        // transient I/O to the retry machinery upstream.
-        fastmon_obs::failpoints::fire("checkpoint_write").map_err(injected_io("write"))?;
-        std::fs::write(&tmp, &bytes).map_err(|e| CheckpointError::Io {
-            op: "write",
-            message: e.to_string(),
-        })?;
-        fastmon_obs::failpoints::fire("checkpoint_rename").map_err(injected_io("rename"))?;
-        std::fs::rename(&tmp, &self.path).map_err(|e| CheckpointError::Io {
-            op: "rename",
-            message: e.to_string(),
-        })?;
+        write_atomic(&self.path, &bytes)?;
         if self.saves.get() == 0 {
             // Best-effort: the sidecar lets a resuming process link its
             // trace back to this run's; losing it only costs the link,
@@ -281,18 +267,7 @@ impl CheckpointStore {
     /// [`Truncated`](CheckpointError::Truncated)) when the file is not a
     /// valid current-version checkpoint.
     pub fn load(&self) -> Result<CampaignCheckpoint, CheckpointError> {
-        fastmon_obs::failpoints::fire("checkpoint_load").map_err(injected_io("read"))?;
-        let bytes = std::fs::read(&self.path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                CheckpointError::Missing
-            } else {
-                CheckpointError::Io {
-                    op: "read",
-                    message: e.to_string(),
-                }
-            }
-        })?;
-        decode(&bytes)
+        decode(&read(&self.path)?)
     }
 
     /// Removes the checkpoint file (no-op when absent).
@@ -312,6 +287,101 @@ impl CheckpointStore {
             }),
         }
     }
+
+    /// [`clear`](Self::clear) for a campaign whose results are already
+    /// safe elsewhere: a file that cannot be removed only costs disk
+    /// space, so the failure is logged to stderr, not returned.
+    pub fn discard(&self) {
+        if let Err(e) = self.clear() {
+            eprintln!(
+                "warning: could not remove finished checkpoint {}: {e}",
+                self.path.display(),
+            );
+        }
+    }
+}
+
+/// Atomically replaces `path` with `bytes`: written to `<path>.tmp`, then
+/// renamed over the destination, so a crash mid-write never leaves a
+/// half-written file behind.
+///
+/// Failpoints fire *before* their syscall so an injected failure never
+/// leaves a half-written file behind (the real write/rename is skipped
+/// entirely); injected errors are indistinguishable from transient I/O to
+/// the retry machinery upstream.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    if let Some(parent) = path.parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent).map_err(io_err("create dir"))?;
+        }
+    }
+    let mut tmp = path.to_path_buf().into_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    fastmon_obs::failpoints::fire("checkpoint_write").map_err(injected_io("write"))?;
+    std::fs::write(&tmp, bytes).map_err(io_err("write"))?;
+    fastmon_obs::failpoints::fire("checkpoint_rename").map_err(injected_io("rename"))?;
+    std::fs::rename(&tmp, path).map_err(io_err("rename"))
+}
+
+/// Extra attempts after a failed write.
+const WRITE_RETRIES: u32 = 3;
+/// Sleep before the first retry; doubled per retry up to
+/// [`WRITE_BACKOFF_CAP`].
+const WRITE_BACKOFF: std::time::Duration = std::time::Duration::from_millis(5);
+/// Longest sleep between two write attempts.
+const WRITE_BACKOFF_CAP: std::time::Duration = std::time::Duration::from_millis(250);
+
+/// Runs `write` (which replaces `path`), retrying transient I/O failures
+/// (`CheckpointError::Io` — which injected `checkpoint_write` /
+/// `checkpoint_rename` failures mimic) with capped exponential backoff.
+/// Non-I/O errors (e.g. the test-only interruption hook) are never
+/// retried. Every retry increments `robustness.checkpoint_retries`.
+pub(crate) fn write_with_retry<T>(
+    path: &Path,
+    metrics: &fastmon_obs::MetricsRegistry,
+    mut write: impl FnMut() -> Result<T, CheckpointError>,
+) -> Result<T, CheckpointError> {
+    let mut delay = WRITE_BACKOFF;
+    let mut attempt = 0u32;
+    loop {
+        match write() {
+            Ok(written) => return Ok(written),
+            Err(e @ CheckpointError::Io { .. }) if attempt < WRITE_RETRIES => {
+                attempt += 1;
+                metrics.robustness.checkpoint_retries.incr();
+                eprintln!(
+                    "warning: write attempt {attempt}/{} of {} failed ({e}); retrying in {delay:?}",
+                    WRITE_RETRIES + 1,
+                    path.display(),
+                );
+                std::thread::sleep(delay);
+                delay = (delay * 2).min(WRITE_BACKOFF_CAP);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Reads a framed file whole, behind the `checkpoint_load` failpoint; a
+/// missing file is [`CheckpointError::Missing`].
+pub(crate) fn read(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+    fastmon_obs::failpoints::fire("checkpoint_load").map_err(injected_io("read"))?;
+    read_input(path)
+}
+
+/// [`read`] without the failpoint, for a shard worker's campaign inputs
+/// (its test set): `checkpoint_load` keeps targeting checkpoint loads
+/// only, so a failpoint schedule means the same in a worker as in a
+/// serial campaign.
+pub(crate) fn read_input(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+    std::fs::read(path).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::NotFound {
+            CheckpointError::Missing
+        } else {
+            io_err("read")(e)
+        }
+    })
 }
 
 const LOCK_FILE: &str = "LOCK";
@@ -655,26 +725,67 @@ fn push_range(out: &mut Vec<u8>, dr: &DetectionRange) {
     }
 }
 
-fn encode(cp: &CampaignCheckpoint) -> Vec<u8> {
+/// Builds a framed record: `magic`, `version`, the payload `body`
+/// writes, and an FNV-1a checksum over everything before it.
+fn frame(magic: [u8; 4], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    push_u32(&mut out, CHECKPOINT_VERSION);
-    push_u64(&mut out, cp.fingerprint);
-    push_u64(&mut out, cp.next_pattern as u64);
-    push_u64(&mut out, cp.per_pattern.len() as u64);
-    for entries in &cp.per_pattern {
-        push_u64(&mut out, entries.len() as u64);
-        for (pattern, dr) in entries {
-            push_u32(&mut out, *pattern);
-            push_range(&mut out, dr);
-        }
-    }
-    for dr in &cp.raw_union {
-        push_range(&mut out, dr);
-    }
+    out.extend_from_slice(&magic);
+    push_u32(&mut out, version);
+    body(&mut out);
     let checksum = fnv1a(&out);
     push_u64(&mut out, checksum);
     out
+}
+
+fn encode(cp: &CampaignCheckpoint) -> Vec<u8> {
+    frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
+        push_u64(out, cp.fingerprint);
+        push_u64(out, cp.next_pattern as u64);
+        push_u64(out, cp.per_pattern.len() as u64);
+        for entries in &cp.per_pattern {
+            push_u64(out, entries.len() as u64);
+            for (pattern, dr) in entries {
+                push_u32(out, *pattern);
+                push_range(out, dr);
+            }
+        }
+        for dr in &cp.raw_union {
+            push_range(out, dr);
+        }
+    })
+}
+
+/// A shipped test set as stored on disk: the patterns plus the campaign
+/// fingerprint they were prepared for and their vector width.
+#[derive(Debug)]
+pub(crate) struct TestSetRecord {
+    pub fingerprint: u64,
+    pub width: usize,
+    pub patterns: Vec<TestPattern>,
+}
+
+/// Packs `bits` LSB-first, eight to a byte.
+fn push_bits(out: &mut Vec<u8>, bits: &[bool]) {
+    for chunk in bits.chunks(8) {
+        out.push(
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0u8, |byte, (i, &b)| byte | u8::from(b) << i),
+        );
+    }
+}
+
+pub(crate) fn encode_test_set(fingerprint: u64, set: &fastmon_atpg::TestSet) -> Vec<u8> {
+    frame(TEST_SET_MAGIC, TEST_SET_VERSION, |out| {
+        push_u64(out, fingerprint);
+        push_u64(out, set.sources().len() as u64);
+        push_u64(out, set.len() as u64);
+        for pattern in set.iter() {
+            push_bits(out, &pattern.launch);
+            push_bits(out, &pattern.capture);
+        }
+    })
 }
 
 struct Cursor<'a> {
@@ -683,6 +794,56 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    /// Validates the frame around `bytes` — magic, version, checksum —
+    /// and returns a cursor over its payload.
+    fn unframe(bytes: &'a [u8], magic: [u8; 4], version: u32) -> Result<Self, CheckpointError> {
+        if bytes.len() < magic.len() {
+            return Err(CheckpointError::Truncated);
+        }
+        if bytes[..magic.len()] != magic {
+            return Err(CheckpointError::BadMagic);
+        }
+        let mut cursor = Cursor {
+            data: bytes,
+            pos: magic.len(),
+        };
+        let got = cursor.u32()?;
+        if got != version {
+            return Err(CheckpointError::UnsupportedVersion {
+                got,
+                supported: version,
+            });
+        }
+        if bytes.len() < cursor.pos + 8 {
+            return Err(CheckpointError::Truncated);
+        }
+        let payload_end = bytes.len() - 8;
+        let stored = u64::from_le_bytes(
+            bytes[payload_end..]
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("slice is exactly 8 bytes")),
+        );
+        if fnv1a(&bytes[..payload_end]) != stored {
+            return Err(CheckpointError::ChecksumMismatch);
+        }
+        cursor.data = &bytes[..payload_end];
+        Ok(cursor)
+    }
+
+    /// Bytes left in the payload.
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// The payload must be consumed exactly.
+    fn finish(&self) -> Result<(), CheckpointError> {
+        if self.pos == self.data.len() {
+            Ok(())
+        } else {
+            Err(CheckpointError::Truncated)
+        }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         let end = self
             .pos
@@ -730,45 +891,23 @@ impl<'a> Cursor<'a> {
         }
         Ok(dr)
     }
+
+    /// `width` bits packed by [`push_bits`].
+    fn bits(&mut self, width: usize) -> Result<Vec<bool>, CheckpointError> {
+        let bytes = self.take(width.div_ceil(8))?;
+        Ok((0..width)
+            .map(|i| bytes[i / 8] >> (i % 8) & 1 == 1)
+            .collect())
+    }
 }
 
 fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
-    if bytes.len() < CHECKPOINT_MAGIC.len() {
-        return Err(CheckpointError::Truncated);
-    }
-    if bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let mut cursor = Cursor {
-        data: bytes,
-        pos: CHECKPOINT_MAGIC.len(),
-    };
-    let version = cursor.u32()?;
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::UnsupportedVersion {
-            got: version,
-            supported: CHECKPOINT_VERSION,
-        });
-    }
-    if bytes.len() < cursor.pos + 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let payload_end = bytes.len() - 8;
-    let stored = u64::from_le_bytes(
-        bytes[payload_end..]
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("slice is exactly 8 bytes")),
-    );
-    if fnv1a(&bytes[..payload_end]) != stored {
-        return Err(CheckpointError::ChecksumMismatch);
-    }
-    cursor.data = &bytes[..payload_end];
-
+    let mut cursor = Cursor::unframe(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     let fingerprint = cursor.u64()?;
     let next_pattern = cursor.usize()?;
     let num_faults = cursor.usize()?;
     // a fault count beyond the payload size is a corrupt length field
-    if num_faults > payload_end {
+    if num_faults > cursor.remaining() {
         return Err(CheckpointError::Truncated);
     }
     let mut per_pattern = Vec::with_capacity(num_faults);
@@ -786,14 +925,42 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
     for _ in 0..num_faults {
         raw_union.push(cursor.range()?);
     }
-    if cursor.pos != payload_end {
-        return Err(CheckpointError::Truncated);
-    }
+    cursor.finish()?;
     Ok(CampaignCheckpoint {
         fingerprint,
         next_pattern,
         per_pattern,
         raw_union,
+    })
+}
+
+pub(crate) fn decode_test_set(bytes: &[u8]) -> Result<TestSetRecord, CheckpointError> {
+    let mut cursor = Cursor::unframe(bytes, TEST_SET_MAGIC, TEST_SET_VERSION)?;
+    let fingerprint = cursor.u64()?;
+    let width = cursor.usize()?;
+    let count = cursor.usize()?;
+    // Both length fields must account for the payload exactly before
+    // anything is allocated; a zero-width set has no bits to carry.
+    let per_pattern = width.div_ceil(8) * 2;
+    let fits = match count.checked_mul(per_pattern) {
+        Some(0) => count == 0,
+        Some(bytes) => bytes == cursor.remaining(),
+        None => false,
+    };
+    if !fits {
+        return Err(CheckpointError::Truncated);
+    }
+    let mut patterns = Vec::with_capacity(count);
+    for _ in 0..count {
+        let launch = cursor.bits(width)?;
+        let capture = cursor.bits(width)?;
+        patterns.push(TestPattern { launch, capture });
+    }
+    cursor.finish()?;
+    Ok(TestSetRecord {
+        fingerprint,
+        width,
+        patterns,
     })
 }
 
@@ -1077,8 +1244,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(root);
     }
 
+    fn sample_test_set() -> fastmon_atpg::TestSet {
+        let circuit = fastmon_netlist::library::s27();
+        let mut set = fastmon_atpg::TestSet::new(&circuit);
+        let width = set.sources().len();
+        for k in 0..5 {
+            set.push(TestPattern {
+                launch: (0..width).map(|i| (i + k) % 3 == 0).collect(),
+                capture: (0..width).map(|i| (i * k) % 2 == 1).collect(),
+            });
+        }
+        set
+    }
+
     // Decoding is exposed to whatever bytes happen to be on disk; it must
-    // map *any* input to a typed error or a valid checkpoint, never panic.
+    // map *any* input to a typed error or a valid record, never panic.
     use proptest::prelude::*;
 
     proptest! {
@@ -1093,6 +1273,19 @@ mod tests {
                     prop_assert!(!e.to_string().is_empty());
                 }
             }
+            // Random bytes almost never carry a valid checksum; framing
+            // them properly drives the payload parsers themselves.
+            let test_set = frame(TEST_SET_MAGIC, TEST_SET_VERSION, |out| out.extend(&bytes));
+            for candidate in [&bytes, &test_set] {
+                match decode_test_set(candidate) {
+                    Ok(set) => prop_assert!(set.patterns.iter().all(|p| p.width() == set.width)),
+                    Err(e) => prop_assert!(!e.to_string().is_empty()),
+                }
+            }
+            let checkpoint = frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| out.extend(&bytes));
+            if let Err(e) = decode(&checkpoint) {
+                prop_assert!(!e.to_string().is_empty());
+            }
         }
 
         #[test]
@@ -1105,6 +1298,12 @@ mod tests {
             // mask + 1 keeps the XOR non-trivial (1..=255)
             bytes[pos % len] ^= mask + 1;
             if let Err(e) = decode(&bytes) {
+                prop_assert!(!e.to_string().is_empty());
+            }
+            let mut bytes = encode_test_set(7, &sample_test_set());
+            let len = bytes.len();
+            bytes[pos % len] ^= mask + 1;
+            if let Err(e) = decode_test_set(&bytes) {
                 prop_assert!(!e.to_string().is_empty());
             }
         }

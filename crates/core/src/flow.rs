@@ -7,10 +7,10 @@ use fastmon_timing::{ClockSpec, DelayAnnotation, DelayModel, Sta};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{fnv1a, CampaignCheckpoint, CheckpointError, CheckpointStore};
+use crate::checkpoint::{self, fnv1a, CampaignCheckpoint, CheckpointError, CheckpointStore};
 use crate::schedule::{select_frequencies, select_patterns, ScheduleContext};
 use crate::{
-    DetectionAnalysis, FlowConfig, FlowError, FrequencySelection, ScheduleError, Solver,
+    DetectionAnalysis, FlowConfig, FlowError, FrequencySelection, ScheduleError, ShardSpec, Solver,
     TestSchedule,
 };
 
@@ -31,10 +31,9 @@ pub struct FlowCounts {
     pub sampled: usize,
 }
 
-/// A campaign progress event surfaced by
-/// [`HdfTestFlow::analyze_resumable_observed`]. Every event corresponds
-/// to a durable on-disk state, so observers may treat each one as a
-/// crash-safe resume point.
+/// A campaign progress event surfaced to [`Campaign::observe`]. With a
+/// checkpoint store every event corresponds to a durable on-disk state,
+/// so observers may treat each one as a crash-safe resume point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignProgress {
     /// A valid same-fingerprint checkpoint was found; the campaign skips
@@ -49,13 +48,36 @@ pub enum CampaignProgress {
         /// this run's event trail to its predecessor's.
         prev_run: Option<u64>,
     },
-    /// A pattern band finished and its checkpoint reached disk.
+    /// A pattern band finished (and its checkpoint reached disk).
     BandCheckpointed {
         /// First pattern not yet simulated.
         next_pattern: usize,
         /// Total patterns in the campaign.
         total_patterns: usize,
     },
+}
+
+/// The options of one [`HdfTestFlow::run`]; the default simulates every
+/// candidate without persistence or observer. The cancellation token is
+/// the flow's own ([`HdfTestFlow::with_cancel`]).
+#[derive(Default)]
+pub struct Campaign<'a> {
+    /// Simulate only this shard's contiguous slice of the candidates
+    /// ([`ShardSpec::range`]). The per-fault results are bit-identical to
+    /// the same slice of a whole-population run;
+    /// [`DetectionAnalysis::merge`] reassembles the full analysis.
+    pub shard: Option<ShardSpec>,
+    /// Persist a checkpoint here after every pattern band, keyed by the
+    /// campaign fingerprint (combined with the shard coordinates), and
+    /// resume from a valid checkpoint of the same campaign instead of
+    /// restarting. Corrupt, truncated, version-mismatched or foreign
+    /// checkpoints are never fatal: a warning is logged and the campaign
+    /// restarts cleanly. The finished checkpoint stays on disk — it holds
+    /// the complete raw results — until the caller removes it.
+    pub checkpoint: Option<&'a CheckpointStore>,
+    /// Receives every [`CampaignProgress`] event, each after the state it
+    /// reports is durable.
+    pub observe: Option<&'a mut dyn FnMut(CampaignProgress)>,
 }
 
 /// The prepared HDF test flow of the paper (Fig. 4): circuit, delays,
@@ -415,208 +437,119 @@ impl<'c> HdfTestFlow<'c> {
 
     /// Steps ②–⑤: timing-accurate fault simulation of the candidates,
     /// detection-range construction, monitor analysis and target-set
-    /// extraction.
+    /// extraction — [`HdfTestFlow::run`] with no options.
     ///
-    /// Ignores the flow's cancellation token and failpoint injections
-    /// cause a panic; use [`HdfTestFlow::try_analyze`] or
+    /// # Panics
+    ///
+    /// Panics on any campaign error: a tripped cancellation token or an
+    /// armed failpoint. Use [`HdfTestFlow::try_analyze`] or
     /// [`HdfTestFlow::analyze_resumable`] under injection or deadlines.
     #[must_use]
     pub fn analyze(&self, patterns: &TestSet) -> DetectionAnalysis {
-        DetectionAnalysis::compute_scoped(
-            self.circuit,
-            &self.annot,
-            &self.clock,
-            &self.configs,
-            &self.placement,
-            self.candidate_faults.clone(),
-            patterns,
-            self.config.glitch_threshold,
-            self.config.effective_threads(),
-            Some(&self.metrics),
-        )
+        self.run(patterns, Campaign::default())
+            .unwrap_or_else(|e| panic!("cannot analyze: {e}"))
     }
 
     /// Fallible, cancellable variant of [`HdfTestFlow::analyze`] without
-    /// checkpoint persistence: the campaign observes the flow's
-    /// cancellation token at every pattern-band boundary and the
-    /// `campaign_band` / `sim_worker` failpoints, and worker panics are
-    /// contained into typed errors.
+    /// checkpoint persistence — [`HdfTestFlow::run`] with no options.
     ///
     /// # Errors
     ///
-    /// * [`FlowError::Cancelled`] when the token trips between bands,
-    /// * [`FlowError::Injected`] when the `campaign_band` failpoint fires,
-    /// * [`FlowError::WorkerPanic`] when a simulation worker panics.
+    /// Same as [`HdfTestFlow::run`].
     pub fn try_analyze(&self, patterns: &TestSet) -> Result<DetectionAnalysis, FlowError> {
-        let progress = CampaignCheckpoint {
-            fingerprint: 0,
-            next_pattern: 0,
-            per_pattern: vec![Vec::new(); self.candidate_faults.len()],
-            raw_union: vec![DetectionRange::new(); self.candidate_faults.len()],
-        };
-        DetectionAnalysis::compute_with_progress(
-            self.circuit,
-            &self.annot,
-            &self.clock,
-            &self.configs,
-            &self.placement,
-            self.candidate_faults.clone(),
-            patterns,
-            self.config.glitch_threshold,
-            self.config.effective_threads(),
-            Some(&self.metrics),
-            self.cancel.as_ref(),
-            progress,
-            &mut |_| Ok(()),
-        )
-        .inspect_err(|e| {
-            if matches!(e, FlowError::Cancelled { .. }) {
-                self.record_cancel_latency();
-            }
-        })
+        self.run(patterns, Campaign::default())
     }
 
     /// Crash-safe variant of [`HdfTestFlow::analyze`]: the campaign
-    /// persists a checkpoint into `store` after every pattern band, and a
-    /// valid checkpoint of the *same* campaign (matched by fingerprint)
-    /// resumes from the first unsimulated band instead of restarting.
-    ///
-    /// Corrupt, truncated, version-mismatched or foreign checkpoints are
-    /// never fatal: a warning is logged to stderr and the campaign
-    /// restarts cleanly. The checkpoint file is removed after a successful
-    /// run. Resumed results are bit-identical to an uninterrupted run for
-    /// any thread count on either side of the interruption.
+    /// checkpoints into `store` after every pattern band and resumes from
+    /// a valid checkpoint of the same campaign (see
+    /// [`Campaign::checkpoint`]). The finished checkpoint is removed.
     ///
     /// # Errors
     ///
-    /// [`FlowError::Checkpoint`] when a checkpoint cannot be *written*
-    /// (progress cannot be made durable) or when the store's test-only
-    /// interruption hook fires.
+    /// Same as [`HdfTestFlow::run`].
     pub fn analyze_resumable(
         &self,
         patterns: &TestSet,
         store: &CheckpointStore,
     ) -> Result<DetectionAnalysis, FlowError> {
-        self.analyze_resumable_observed(patterns, store, &mut |_| {})
+        let campaign = Campaign {
+            checkpoint: Some(store),
+            ..Campaign::default()
+        };
+        self.run(patterns, campaign).inspect(|_| store.discard())
     }
 
-    /// [`HdfTestFlow::analyze_resumable`] with a progress observer: the
-    /// daemon streams each [`CampaignProgress`] event to its client as a
-    /// JSONL record. The observer runs *after* the corresponding
-    /// checkpoint reached disk, so every reported band boundary is also a
-    /// durable resume point.
+    /// The campaign (steps ②–⑤) over `patterns`, shaped by `campaign`:
+    /// which slice of the candidates to simulate, where to checkpoint and
+    /// who observes progress. Every other entry point is a call of this
+    /// one.
+    ///
+    /// The campaign observes the flow's cancellation token at every
+    /// pattern-band boundary (after the band's checkpoint) and the
+    /// `campaign_band` / `sim_worker` failpoints; worker panics are
+    /// contained into typed errors. Results are bit-identical for any
+    /// thread count, shard partition and resume point.
     ///
     /// # Errors
     ///
-    /// Same as [`HdfTestFlow::analyze_resumable`].
-    pub fn analyze_resumable_observed(
+    /// * [`FlowError::Cancelled`] when the token trips between bands,
+    /// * [`FlowError::Injected`] when the `campaign_band` failpoint fires,
+    /// * [`FlowError::WorkerPanic`] when a simulation worker panics,
+    /// * [`FlowError::Checkpoint`] when a checkpoint cannot be *written*
+    ///   (progress cannot be made durable) or the store's test-only
+    ///   interruption hook fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Campaign::shard`] names a shard index that is not below
+    /// its count.
+    pub fn run(
         &self,
         patterns: &TestSet,
-        store: &CheckpointStore,
-        observe: &mut dyn FnMut(CampaignProgress),
+        campaign: Campaign<'_>,
     ) -> Result<DetectionAnalysis, FlowError> {
-        self.analyze_list_resumable_observed(
-            self.candidate_faults.clone(),
-            self.campaign_fingerprint(patterns),
-            patterns,
-            store,
-            observe,
-        )
-    }
-
-    /// The checkpointed campaign driver shared by the whole-list and
-    /// per-shard resumable entry points: `faults` is the (sub-)population
-    /// to simulate and `fingerprint` keys the checkpoint's validity. The
-    /// finished checkpoint is removed on success.
-    fn analyze_list_resumable_observed(
-        &self,
-        faults: FaultList,
-        fingerprint: u64,
-        patterns: &TestSet,
-        store: &CheckpointStore,
-        observe: &mut dyn FnMut(CampaignProgress),
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let analysis =
-            self.analyze_list_resumable_keep(faults, fingerprint, patterns, store, observe)?;
-        if let Err(e) = store.clear() {
-            eprintln!(
-                "warning: could not remove finished checkpoint {}: {e}",
-                store.path().display(),
-            );
-        }
-        Ok(analysis)
-    }
-
-    /// [`HdfTestFlow::analyze_list_resumable_observed`] minus the final
-    /// checkpoint removal — the shard-worker path lands its result file
-    /// *before* clearing the checkpoint, so a crash between the two never
-    /// loses the completed campaign.
-    fn analyze_list_resumable_keep(
-        &self,
-        faults: FaultList,
-        fingerprint: u64,
-        patterns: &TestSet,
-        store: &CheckpointStore,
-        observe: &mut dyn FnMut(CampaignProgress),
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let fresh = || CampaignCheckpoint {
-            fingerprint,
+        let Campaign {
+            shard,
+            checkpoint,
+            mut observe,
+        } = campaign;
+        let mut notify = |event| {
+            if let Some(observe) = observe.as_mut() {
+                observe(event);
+            }
+        };
+        let faults = match shard {
+            Some(spec) => self
+                .candidate_faults
+                .slice(spec.range(self.candidate_faults.len())),
+            None => self.candidate_faults.clone(),
+        };
+        let total_patterns = patterns.len();
+        let mut progress = CampaignCheckpoint {
+            fingerprint: 0,
             next_pattern: 0,
             per_pattern: vec![Vec::new(); faults.len()],
             raw_union: vec![DetectionRange::new(); faults.len()],
         };
-        let ckpt = &self.metrics.checkpoint;
-        let t_load = std::time::Instant::now();
-        let loaded = {
-            let _span = fastmon_obs::span!("checkpoint_load");
-            store.load()
-        };
-        if !matches!(loaded, Err(CheckpointError::Missing)) {
-            let load_ns = elapsed_ns(t_load);
-            ckpt.loads.incr();
-            ckpt.load_ns.add(load_ns);
-            self.metrics.latency.checkpoint_load.record(load_ns);
-        }
-        let progress = match loaded {
-            Ok(cp)
-                if cp.fingerprint == fingerprint
-                    && cp.per_pattern.len() == faults.len()
-                    && cp.next_pattern <= patterns.len() =>
-            {
-                ckpt.resumes.incr();
+        if let Some(store) = checkpoint {
+            let campaign = self.campaign_fingerprint(patterns);
+            progress.fingerprint = shard.map_or(campaign, |spec| spec.fingerprint(campaign));
+            if let Some(cp) = self.resumable_checkpoint(store, &progress, total_patterns) {
                 let prev_run = store.predecessor_run();
                 if let Some(prev) = prev_run {
                     fastmon_obs::emit_chain(prev);
                 }
-                observe(CampaignProgress::Resumed {
+                notify(CampaignProgress::Resumed {
                     next_pattern: cp.next_pattern,
-                    total_patterns: patterns.len(),
+                    total_patterns,
                     prev_run,
                 });
-                cp
+                progress = cp;
             }
-            Ok(cp) => {
-                eprintln!(
-                    "warning: ignoring checkpoint {}: {} (restarting from scratch)",
-                    store.path().display(),
-                    CheckpointError::FingerprintMismatch {
-                        got: cp.fingerprint,
-                        expected: fingerprint,
-                    },
-                );
-                fresh()
-            }
-            Err(CheckpointError::Missing) => fresh(),
-            Err(e) => {
-                eprintln!(
-                    "warning: ignoring unreadable checkpoint {}: {e} (restarting from scratch)",
-                    store.path().display(),
-                );
-                fresh()
-            }
-        };
-        let retry = RetryPolicy::from_env();
-        let analysis = DetectionAnalysis::compute_with_progress(
+        }
+        let ckpt = &self.metrics.checkpoint;
+        DetectionAnalysis::compute_with_progress(
             self.circuit,
             &self.annot,
             &self.clock,
@@ -630,19 +563,23 @@ impl<'c> HdfTestFlow<'c> {
             self.cancel.as_ref(),
             progress,
             &mut |cp| {
-                let t_save = std::time::Instant::now();
-                let bytes = {
-                    let _span = fastmon_obs::span!("checkpoint_save");
-                    save_with_retry(store, cp, &retry, &self.metrics)?
-                };
-                let save_ns = elapsed_ns(t_save);
-                ckpt.saves.incr();
-                ckpt.save_ns.add(save_ns);
-                ckpt.save_bytes.add(bytes);
-                self.metrics.latency.checkpoint_save.record(save_ns);
-                observe(CampaignProgress::BandCheckpointed {
+                if let Some(store) = checkpoint {
+                    let t_save = std::time::Instant::now();
+                    let bytes = {
+                        let _span = fastmon_obs::span!("checkpoint_save");
+                        checkpoint::write_with_retry(store.path(), &self.metrics, || {
+                            store.save(cp)
+                        })?
+                    };
+                    let save_ns = elapsed_ns(t_save);
+                    ckpt.saves.incr();
+                    ckpt.save_ns.add(save_ns);
+                    ckpt.save_bytes.add(bytes);
+                    self.metrics.latency.checkpoint_save.record(save_ns);
+                }
+                notify(CampaignProgress::BandCheckpointed {
                     next_pattern: cp.next_pattern,
-                    total_patterns: patterns.len(),
+                    total_patterns,
                 });
                 Ok(())
             },
@@ -651,367 +588,61 @@ impl<'c> HdfTestFlow<'c> {
             if matches!(e, FlowError::Cancelled { .. }) {
                 self.record_cancel_latency();
             }
-        })?;
-        Ok(analysis)
-    }
-
-    /// The contiguous candidate ranges of an `n`-way shard partition:
-    /// shard `s` owns `[s·|Φ|/n, (s+1)·|Φ|/n)`. A shard count of 0 is
-    /// treated as 1; counts above the candidate population yield trailing
-    /// empty shards (harmless to run and to merge).
-    #[must_use]
-    pub fn shard_ranges(&self, shards: usize) -> Vec<std::ops::Range<usize>> {
-        let n = self.candidate_faults.len();
-        let shards = shards.max(1);
-        (0..shards)
-            .map(|s| (s * n / shards)..((s + 1) * n / shards))
-            .collect()
-    }
-
-    /// Fallible, cancellable campaign over shard `shard` of a `shards`-way
-    /// partition of the candidates (see [`HdfTestFlow::shard_ranges`]).
-    /// The per-fault results are bit-identical to the corresponding slice
-    /// of a whole-population run; [`DetectionAnalysis::merge`] reassembles
-    /// the full analysis.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HdfTestFlow::try_analyze`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shards`.
-    pub fn try_analyze_shard(
-        &self,
-        patterns: &TestSet,
-        shard: usize,
-        shards: usize,
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let range = self.shard_ranges(shards)[shard].clone();
-        let faults = self.candidate_faults.slice(range);
-        let progress = CampaignCheckpoint {
-            fingerprint: 0,
-            next_pattern: 0,
-            per_pattern: vec![Vec::new(); faults.len()],
-            raw_union: vec![DetectionRange::new(); faults.len()],
-        };
-        DetectionAnalysis::compute_with_progress(
-            self.circuit,
-            &self.annot,
-            &self.clock,
-            &self.configs,
-            &self.placement,
-            faults,
-            patterns,
-            self.config.glitch_threshold,
-            self.config.effective_threads(),
-            Some(&self.metrics),
-            self.cancel.as_ref(),
-            progress,
-            &mut |_| Ok(()),
-        )
-        .inspect_err(|e| {
-            if matches!(e, FlowError::Cancelled { .. }) {
-                self.record_cancel_latency();
-            }
         })
     }
 
-    /// In-process sharded campaign: runs every shard of a `shards`-way
-    /// partition in order and merges the results. Bit-identical to
-    /// [`HdfTestFlow::try_analyze`] for any shard count — this is the
-    /// reference against which distributed shard execution is validated.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HdfTestFlow::try_analyze`]; [`FlowError::ShardMerge`] is
-    /// unreachable here because every shard runs against the same
-    /// `patterns`.
-    pub fn try_analyze_sharded(
+    /// The checkpoint in `store` when it continues the campaign `fresh`
+    /// starts (same fingerprint and fault count, at most
+    /// `total_patterns` simulated). Anything else — a missing, corrupt,
+    /// version-mismatched or foreign file — is never fatal: a warning is
+    /// logged to stderr and the campaign restarts cleanly.
+    fn resumable_checkpoint(
         &self,
-        patterns: &TestSet,
-        shards: usize,
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let shards = shards.max(1);
-        let mut parts = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            parts.push(self.try_analyze_shard(patterns, shard, shards)?);
+        store: &CheckpointStore,
+        fresh: &CampaignCheckpoint,
+        total_patterns: usize,
+    ) -> Option<CampaignCheckpoint> {
+        let ckpt = &self.metrics.checkpoint;
+        let t_load = std::time::Instant::now();
+        let loaded = {
+            let _span = fastmon_obs::span!("checkpoint_load");
+            store.load()
+        };
+        if !matches!(loaded, Err(CheckpointError::Missing)) {
+            let load_ns = elapsed_ns(t_load);
+            ckpt.loads.incr();
+            ckpt.load_ns.add(load_ns);
+            self.metrics.latency.checkpoint_load.record(load_ns);
         }
-        DetectionAnalysis::merge(parts)
-    }
-
-    /// Crash-safe sharded campaign: shard `i` persists its own checkpoint
-    /// `shard-<i>-of-<n>.ckpt` under `dir` and resumes independently, so a
-    /// crash only loses progress inside the interrupted shard's current
-    /// band. `observe` receives each shard's progress events tagged with
-    /// the shard index. Finished shard checkpoints are removed; the merged
-    /// result is bit-identical to [`HdfTestFlow::analyze`] for any shard
-    /// or thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HdfTestFlow::analyze_resumable`].
-    pub fn analyze_sharded_resumable_observed(
-        &self,
-        patterns: &TestSet,
-        shards: usize,
-        dir: &std::path::Path,
-        observe: &mut dyn FnMut(usize, CampaignProgress),
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let shards = shards.max(1);
-        let mut parts = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            parts.push(self.analyze_shard_resumable_observed(
-                patterns,
-                shard,
-                shards,
-                dir,
-                &mut |progress| observe(shard, progress),
-            )?);
-        }
-        DetectionAnalysis::merge(parts)
-    }
-
-    /// Fingerprint keying shard `shard` of a `shards`-way partition of
-    /// this campaign: the campaign fingerprint combined with the shard
-    /// coordinates, so a repartitioned rerun never resumes from (or
-    /// merges) a foreign slice.
-    #[must_use]
-    pub fn shard_fingerprint(&self, patterns: &TestSet, shard: usize, shards: usize) -> u64 {
-        let mut bytes = Vec::with_capacity(24);
-        bytes.extend_from_slice(&self.campaign_fingerprint(patterns).to_le_bytes());
-        bytes.extend_from_slice(&(shard as u64).to_le_bytes());
-        bytes.extend_from_slice(&(shards as u64).to_le_bytes());
-        fnv1a(&bytes)
-    }
-
-    /// Where shard `shard` of a `shards`-way campaign under `dir` keeps
-    /// its resumable checkpoint.
-    #[must_use]
-    pub fn shard_checkpoint_path(
-        dir: &std::path::Path,
-        shard: usize,
-        shards: usize,
-    ) -> std::path::PathBuf {
-        dir.join(format!("shard-{shard}-of-{shards}.ckpt"))
-    }
-
-    /// Where shard `shard` of a `shards`-way campaign under `dir` lands
-    /// its completed result file (same `FMCK` codec as the checkpoint:
-    /// atomic tmp+rename, FNV-checksummed).
-    #[must_use]
-    pub fn shard_result_path(
-        dir: &std::path::Path,
-        shard: usize,
-        shards: usize,
-    ) -> std::path::PathBuf {
-        dir.join(format!("shard-{shard}-of-{shards}.result"))
-    }
-
-    /// Whether shard `shard`'s result file under `dir` exists and
-    /// validates for this exact campaign and partition (the supervisor's
-    /// `is_complete` probe — cheap: no finalization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shards`.
-    #[must_use]
-    pub fn shard_result_landed(
-        &self,
-        patterns: &TestSet,
-        shard: usize,
-        shards: usize,
-        dir: &std::path::Path,
-    ) -> bool {
-        let fingerprint = self.shard_fingerprint(patterns, shard, shards);
-        let range = self.shard_ranges(shards)[shard].clone();
-        match CheckpointStore::new(Self::shard_result_path(dir, shard, shards)).load() {
-            Ok(cp) => {
-                cp.fingerprint == fingerprint
-                    && cp.next_pattern == patterns.len()
-                    && cp.per_pattern.len() == range.len()
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Crash-safe campaign over one shard of a `shards`-way partition:
-    /// the shard persists (and resumes from) its own
-    /// `shard-<i>-of-<n>.ckpt` under `dir`; the finished checkpoint is
-    /// removed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HdfTestFlow::analyze_resumable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shards`.
-    pub fn analyze_shard_resumable_observed(
-        &self,
-        patterns: &TestSet,
-        shard: usize,
-        shards: usize,
-        dir: &std::path::Path,
-        observe: &mut dyn FnMut(CampaignProgress),
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let fingerprint = self.shard_fingerprint(patterns, shard, shards);
-        let range = self.shard_ranges(shards)[shard].clone();
-        let store = CheckpointStore::new(Self::shard_checkpoint_path(dir, shard, shards));
-        self.analyze_list_resumable_observed(
-            self.candidate_faults.slice(range),
-            fingerprint,
-            patterns,
-            &store,
-            observe,
-        )
-    }
-
-    /// The shard-worker entry point of the multi-process supervisor: runs
-    /// shard `shard` (resuming from its checkpoint if one exists) and
-    /// lands the completed raw results as `shard-<i>-of-<n>.result` under
-    /// `dir`, returning the shard fingerprint the file is keyed by.
-    ///
-    /// Idempotent: if a valid result file for this exact shard already
-    /// exists, nothing is simulated and the fingerprint is returned
-    /// immediately — a supervisor can blindly re-dispatch a shard whose
-    /// worker died after landing. The result is landed *before* the
-    /// checkpoint is cleared, so a crash between the two steps costs
-    /// nothing on the next attempt.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HdfTestFlow::analyze_resumable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shards`.
-    pub fn run_shard_to_result(
-        &self,
-        patterns: &TestSet,
-        shard: usize,
-        shards: usize,
-        dir: &std::path::Path,
-        observe: &mut dyn FnMut(CampaignProgress),
-    ) -> Result<u64, FlowError> {
-        let fingerprint = self.shard_fingerprint(patterns, shard, shards);
-        let range = self.shard_ranges(shards)[shard].clone();
-        let result_store = CheckpointStore::new(Self::shard_result_path(dir, shard, shards));
-        if let Ok(cp) = result_store.load() {
-            if cp.fingerprint == fingerprint
-                && cp.next_pattern == patterns.len()
-                && cp.per_pattern.len() == range.len()
+        match loaded {
+            Ok(cp)
+                if cp.fingerprint == fresh.fingerprint
+                    && cp.per_pattern.len() == fresh.per_pattern.len()
+                    && cp.next_pattern <= total_patterns =>
             {
-                return Ok(fingerprint);
+                ckpt.resumes.incr();
+                Some(cp)
+            }
+            Ok(cp) => {
+                eprintln!(
+                    "warning: ignoring checkpoint {}: {} (restarting from scratch)",
+                    store.path().display(),
+                    CheckpointError::FingerprintMismatch {
+                        got: cp.fingerprint,
+                        expected: fresh.fingerprint,
+                    },
+                );
+                None
+            }
+            Err(CheckpointError::Missing) => None,
+            Err(e) => {
+                eprintln!(
+                    "warning: ignoring unreadable checkpoint {}: {e} (restarting from scratch)",
+                    store.path().display(),
+                );
+                None
             }
         }
-        let ckpt_store = CheckpointStore::new(Self::shard_checkpoint_path(dir, shard, shards));
-        let analysis = self.analyze_list_resumable_keep(
-            self.candidate_faults.slice(range),
-            fingerprint,
-            patterns,
-            &ckpt_store,
-            observe,
-        )?;
-        let result = CampaignCheckpoint {
-            fingerprint,
-            next_pattern: patterns.len(),
-            per_pattern: analysis.per_pattern,
-            raw_union: analysis.raw_union,
-        };
-        result_store.save(&result).map_err(FlowError::Checkpoint)?;
-        if let Err(e) = ckpt_store.clear() {
-            eprintln!(
-                "warning: could not remove finished shard checkpoint {}: {e}",
-                ckpt_store.path().display(),
-            );
-        }
-        Ok(fingerprint)
-    }
-
-    /// Loads and finalizes the landed result of one shard (see
-    /// [`HdfTestFlow::run_shard_to_result`]): the derived ranges and
-    /// verdicts are reconstructed from the raw results, bit-identical to
-    /// the analysis the worker computed.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::ShardResult`] when the file is missing, unreadable,
-    /// keyed by a different campaign/partition, or incomplete.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= shards`.
-    pub fn load_shard_result(
-        &self,
-        patterns: &TestSet,
-        shard: usize,
-        shards: usize,
-        dir: &std::path::Path,
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let bad = |reason: String| FlowError::ShardResult {
-            shard,
-            shards,
-            reason,
-        };
-        let fingerprint = self.shard_fingerprint(patterns, shard, shards);
-        let range = self.shard_ranges(shards)[shard].clone();
-        let store = CheckpointStore::new(Self::shard_result_path(dir, shard, shards));
-        let cp = store.load().map_err(|e| bad(e.to_string()))?;
-        if cp.fingerprint != fingerprint {
-            return Err(bad(format!(
-                "fingerprint {:016x} does not match expected {fingerprint:016x}",
-                cp.fingerprint
-            )));
-        }
-        if cp.next_pattern != patterns.len() {
-            return Err(bad(format!(
-                "incomplete: simulated {} of {} pattern(s)",
-                cp.next_pattern,
-                patterns.len()
-            )));
-        }
-        if cp.per_pattern.len() != range.len() {
-            return Err(bad(format!(
-                "fault count {} does not match the shard's {} candidate(s)",
-                cp.per_pattern.len(),
-                range.len()
-            )));
-        }
-        Ok(DetectionAnalysis::finalize(
-            self.candidate_faults.slice(range),
-            patterns.len(),
-            cp.per_pattern,
-            cp.raw_union,
-            &self.placement,
-            &self.configs,
-            &self.clock,
-        ))
-    }
-
-    /// Deterministic merge of all landed shard results under `dir` (see
-    /// [`HdfTestFlow::run_shard_to_result`]): loads every
-    /// `shard-<i>-of-<n>.result`, finalizes each, and merges — the result
-    /// fingerprint is bit-identical to [`HdfTestFlow::try_analyze`] and
-    /// [`HdfTestFlow::try_analyze_sharded`].
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::ShardResult`] when any shard's file is missing or
-    /// invalid; [`FlowError::ShardMerge`] is unreachable for files this
-    /// method accepts (completeness is validated per shard).
-    pub fn merge_shard_results(
-        &self,
-        patterns: &TestSet,
-        shards: usize,
-        dir: &std::path::Path,
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let shards = shards.max(1);
-        let mut parts = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            parts.push(self.load_shard_result(patterns, shard, shards, dir)?);
-        }
-        DetectionAnalysis::merge(parts)
     }
 
     /// Fingerprint of everything the raw campaign results depend on:
@@ -1203,72 +834,6 @@ impl<'c> HdfTestFlow<'c> {
 /// Saturating nanosecond conversion for latency counters.
 fn elapsed_ns(since: std::time::Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Capped-exponential-backoff policy for transient checkpoint I/O.
-///
-/// Tuned via `FASTMON_CHECKPOINT_RETRIES` (extra attempts after the first,
-/// default 3) and `FASTMON_CHECKPOINT_BACKOFF_MS` (initial sleep, default
-/// 5 ms, doubling per retry, capped at 250 ms). Invalid values fall back
-/// to the defaults with a warning — a bad knob must not take down a
-/// campaign.
-#[derive(Debug, Clone, Copy)]
-struct RetryPolicy {
-    retries: u32,
-    backoff: std::time::Duration,
-}
-
-impl RetryPolicy {
-    const BACKOFF_CAP: std::time::Duration = std::time::Duration::from_millis(250);
-
-    fn from_env() -> Self {
-        fn parse_env(key: &str, default: u64) -> u64 {
-            match std::env::var(key) {
-                Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("warning: ignoring invalid {key}={raw:?}");
-                    default
-                }),
-                Err(_) => default,
-            }
-        }
-        RetryPolicy {
-            retries: u32::try_from(parse_env("FASTMON_CHECKPOINT_RETRIES", 3)).unwrap_or(u32::MAX),
-            backoff: std::time::Duration::from_millis(
-                parse_env("FASTMON_CHECKPOINT_BACKOFF_MS", 5).min(250),
-            ),
-        }
-    }
-}
-
-/// Saves `cp`, retrying transient I/O failures (`CheckpointError::Io` —
-/// which injected `checkpoint_write`/`checkpoint_rename` failures mimic)
-/// with capped exponential backoff. Non-I/O errors (e.g. the test-only
-/// interruption hook) are never retried. Every retry increments
-/// `robustness.checkpoint_retries`.
-fn save_with_retry(
-    store: &CheckpointStore,
-    cp: &CampaignCheckpoint,
-    policy: &RetryPolicy,
-    metrics: &MetricsRegistry,
-) -> Result<u64, CheckpointError> {
-    let mut delay = policy.backoff;
-    let mut attempt = 0u32;
-    loop {
-        match store.save(cp) {
-            Ok(bytes) => return Ok(bytes),
-            Err(e @ CheckpointError::Io { .. }) if attempt < policy.retries => {
-                attempt += 1;
-                metrics.robustness.checkpoint_retries.incr();
-                eprintln!(
-                    "warning: checkpoint save attempt {attempt}/{} failed ({e}); retrying in {delay:?}",
-                    policy.retries.saturating_add(1),
-                );
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(RetryPolicy::BACKOFF_CAP);
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 #[cfg(test)]

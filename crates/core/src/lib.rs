@@ -55,6 +55,7 @@ mod flow;
 mod schedule;
 
 pub mod report;
+pub mod shard;
 pub mod shardsup;
 
 pub use analysis::{DetectionAnalysis, FaultVerdict};
@@ -66,9 +67,10 @@ pub use config::FlowConfig;
 pub use diagnose::{diagnose, predicted_observations, DiagnosisCandidate, Observation};
 pub use discretize::{discretize, elementary_intervals};
 pub use error::{FlowError, ScheduleError};
-pub use flow::{CampaignProgress, FlowCounts, HdfTestFlow};
+pub use flow::{Campaign, CampaignProgress, FlowCounts, HdfTestFlow};
 pub use schedule::{FrequencySelection, ScheduleEntry, Solver, TestSchedule, TestTimeModel};
+pub use shard::{ShardFiles, ShardSpec};
 pub use shardsup::{
-    parse_shard_count, ShardSpec, ShardsupError, SupervisorConfig, SupervisorEvent,
-    SupervisorReport, MAX_SHARDS,
+    parse_shard_count, ShardsupError, SupervisorConfig, SupervisorEvent, SupervisorReport,
+    MAX_SHARDS,
 };

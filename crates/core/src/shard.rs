@@ -1,0 +1,387 @@
+//! The shard file layout: how a campaign split into `n` contiguous fault
+//! shards lives in one directory. The in-process sharded campaign, the
+//! shard supervisor and its worker processes all go through
+//! [`ShardFiles`], so they agree on every path and fingerprint.
+//!
+//! ```text
+//! <dir>/shard-spec.json          the campaign spec a worker rebuilds its flow from
+//! <dir>/test-set.fmts            the prepared test set, keyed by the campaign fingerprint
+//! <dir>/shard-<i>-of-<n>.ckpt    shard i's resumable checkpoint
+//! <dir>/shard-<i>-of-<n>.result  shard i's landed raw results
+//! ```
+//!
+//! Checkpoints and results use the `FMCK` codec and the test set its
+//! `FMTS` sibling (see [`crate::CheckpointStore`]): versioned,
+//! checksummed and written atomically. The spec is plain text landed by
+//! the same atomic write. Shard files are keyed by
+//! [`ShardSpec::fingerprint`], so a repartitioned rerun never resumes or
+//! merges a foreign slice.
+
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+
+use fastmon_atpg::{AtpgError, TestSet};
+use fastmon_netlist::Circuit;
+
+use crate::checkpoint::{self, fnv1a, CampaignCheckpoint, CheckpointError, CheckpointStore};
+use crate::shardsup::{config_error, parse_shard_count, ShardsupError};
+use crate::{Campaign, CampaignProgress, DetectionAnalysis, FlowError, HdfTestFlow};
+
+/// The spec file a shard worker rebuilds its campaign from.
+pub const SPEC_FILE: &str = "shard-spec.json";
+/// The shipped test set every worker of the campaign simulates.
+pub const TEST_SET_FILE: &str = "test-set.fmts";
+
+/// A shard's `i/n` coordinates, as passed via `--shard-worker i/n`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSpec {
+    /// Zero-based shard index.
+    pub shard: usize,
+    /// Total shard count of the partition.
+    pub shards: usize,
+}
+
+impl ShardSpec {
+    /// Parses `"i/n"` with `i < n <=` [`crate::MAX_SHARDS`].
+    ///
+    /// # Errors
+    ///
+    /// [`ShardsupError::Config`] on malformed or out-of-range specs.
+    pub fn parse(raw: &str) -> Result<Self, ShardsupError> {
+        const KEY: &str = "--shard-worker";
+        let (i, n) = raw
+            .split_once('/')
+            .ok_or_else(|| config_error(KEY, raw, "expected SHARD/SHARDS"))?;
+        let shards = parse_shard_count(KEY, n)?;
+        let shard: usize = i
+            .trim()
+            .parse()
+            .map_err(|_| config_error(KEY, raw, "expected an unsigned shard index"))?;
+        if shard >= shards {
+            return Err(config_error(
+                KEY,
+                raw,
+                "shard index must be below the count",
+            ));
+        }
+        Ok(ShardSpec { shard, shards })
+    }
+
+    /// Every shard of a `shards`-way partition, in order. A count of 0
+    /// is treated as 1.
+    pub fn all(shards: usize) -> impl Iterator<Item = ShardSpec> {
+        let shards = shards.max(1);
+        (0..shards).map(move |shard| ShardSpec { shard, shards })
+    }
+
+    /// The contiguous slice of `faults` candidates this shard owns:
+    /// shard `s` owns `[s·|Φ|/n, (s+1)·|Φ|/n)`. Counts above the
+    /// candidate population yield trailing empty shards (harmless to run
+    /// and to merge).
+    #[must_use]
+    pub fn range(&self, faults: usize) -> Range<usize> {
+        (self.shard * faults / self.shards)..((self.shard + 1) * faults / self.shards)
+    }
+
+    /// The fingerprint keying this shard's checkpoint and result files:
+    /// the `campaign` fingerprint combined with the shard coordinates.
+    #[must_use]
+    pub fn fingerprint(&self, campaign: u64) -> u64 {
+        let mut bytes = Vec::with_capacity(24);
+        bytes.extend_from_slice(&campaign.to_le_bytes());
+        bytes.extend_from_slice(&(self.shard as u64).to_le_bytes());
+        bytes.extend_from_slice(&(self.shards as u64).to_le_bytes());
+        fnv1a(&bytes)
+    }
+}
+
+impl std::fmt::Display for ShardSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/{}", self.shard, self.shards)
+    }
+}
+
+/// The files of one sharded campaign directory (see the module docs).
+#[derive(Debug, Clone)]
+pub struct ShardFiles {
+    dir: PathBuf,
+}
+
+impl ShardFiles {
+    /// The layout rooted at `dir`.
+    #[must_use]
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        ShardFiles { dir: dir.into() }
+    }
+
+    /// The campaign directory.
+    #[must_use]
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Where the campaign spec lives ([`SPEC_FILE`]).
+    #[must_use]
+    pub fn spec_path(&self) -> PathBuf {
+        self.dir.join(SPEC_FILE)
+    }
+
+    /// Lands `spec` — the text a worker rebuilds `flow`'s campaign from —
+    /// atomically, so a worker racing a supervisor restart never reads a
+    /// half-written file. Transient write failures are retried like
+    /// checkpoint saves and counted in `flow`'s registry.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] when the file cannot be written.
+    pub fn land_spec(&self, flow: &HdfTestFlow<'_>, spec: &str) -> Result<(), CheckpointError> {
+        let path = self.spec_path();
+        checkpoint::write_with_retry(&path, flow.metrics(), || {
+            checkpoint::write_atomic(&path, spec.as_bytes())
+        })
+    }
+
+    /// The landed spec text.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error when the file is missing or not UTF-8.
+    pub fn read_spec(&self) -> std::io::Result<String> {
+        std::fs::read_to_string(self.spec_path())
+    }
+
+    /// Shard `spec`'s resumable checkpoint.
+    #[must_use]
+    pub fn checkpoint(&self, spec: ShardSpec) -> CheckpointStore {
+        CheckpointStore::new(self.shard_path(spec, "ckpt"))
+    }
+
+    /// Where shard `spec` lands its completed raw results.
+    #[must_use]
+    pub fn result_path(&self, spec: ShardSpec) -> PathBuf {
+        self.shard_path(spec, "result")
+    }
+
+    fn shard_path(&self, spec: ShardSpec, ext: &str) -> PathBuf {
+        self.dir
+            .join(format!("shard-{}-of-{}.{ext}", spec.shard, spec.shards))
+    }
+
+    /// Lands `patterns` as the campaign's shipped test set, keyed by
+    /// `flow`'s campaign fingerprint for them. Transient write failures
+    /// are retried like checkpoint saves.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] when the file cannot be written.
+    pub fn land_test_set(
+        &self,
+        flow: &HdfTestFlow<'_>,
+        patterns: &TestSet,
+    ) -> Result<(), CheckpointError> {
+        let bytes = checkpoint::encode_test_set(flow.campaign_fingerprint(patterns), patterns);
+        let path = self.dir.join(TEST_SET_FILE);
+        checkpoint::write_with_retry(&path, flow.metrics(), || {
+            checkpoint::write_atomic(&path, &bytes)
+        })
+    }
+
+    /// Loads the shipped test set for `circuit`, together with the
+    /// campaign fingerprint it was landed for.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Checkpoint`] when the file is missing, unreadable or
+    /// corrupt; [`FlowError::Atpg`] when its vectors do not fit
+    /// `circuit`'s sources.
+    pub fn load_test_set(&self, circuit: &Circuit) -> Result<(u64, TestSet), FlowError> {
+        let bytes = checkpoint::read_input(&self.dir.join(TEST_SET_FILE))?;
+        let record = checkpoint::decode_test_set(&bytes)?;
+        let mut set = TestSet::new(circuit);
+        if record.width != set.sources().len() {
+            return Err(AtpgError::WidthMismatch {
+                got: record.width,
+                expected: set.sources().len(),
+            }
+            .into());
+        }
+        for pattern in record.patterns {
+            set.try_push(pattern)?;
+        }
+        Ok((record.fingerprint, set))
+    }
+
+    /// Whether shard `spec`'s result has landed and validates for this
+    /// exact campaign and partition (the supervisor's completion probe —
+    /// cheap: no finalization).
+    #[must_use]
+    pub fn landed(&self, flow: &HdfTestFlow<'_>, patterns: &TestSet, spec: ShardSpec) -> bool {
+        let campaign = flow.campaign_fingerprint(patterns);
+        self.load_raw(flow, patterns, spec, campaign).is_ok()
+    }
+
+    /// Runs shard `spec` (resuming from its checkpoint if one exists) and
+    /// lands its raw results, returning the shard fingerprint the result
+    /// file is keyed by — the shard worker's whole job.
+    ///
+    /// Idempotent: a shard whose valid result already landed returns at
+    /// once, so a supervisor can blindly re-dispatch a worker that died
+    /// after landing. The result lands *before* the checkpoint is
+    /// removed, so a crash between the two loses nothing.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`HdfTestFlow::run`], plus [`FlowError::Checkpoint`] when
+    /// the result cannot be written.
+    pub fn run_to_result(
+        &self,
+        flow: &HdfTestFlow<'_>,
+        patterns: &TestSet,
+        spec: ShardSpec,
+        observe: &mut dyn FnMut(CampaignProgress),
+    ) -> Result<u64, FlowError> {
+        let campaign = flow.campaign_fingerprint(patterns);
+        let fingerprint = spec.fingerprint(campaign);
+        if self.load_raw(flow, patterns, spec, campaign).is_ok() {
+            return Ok(fingerprint);
+        }
+        let store = self.checkpoint(spec);
+        let analysis = flow.run(
+            patterns,
+            Campaign {
+                shard: Some(spec),
+                checkpoint: Some(&store),
+                observe: Some(observe),
+            },
+        )?;
+        CheckpointStore::new(self.result_path(spec)).save(&CampaignCheckpoint {
+            fingerprint,
+            next_pattern: patterns.len(),
+            per_pattern: analysis.per_pattern,
+            raw_union: analysis.raw_union,
+        })?;
+        store.discard();
+        Ok(fingerprint)
+    }
+
+    /// The crash-safe in-process sharded campaign: each shard of a
+    /// `shards`-way partition runs in turn, persisting (and resuming
+    /// from) its own checkpoint, so a crash only loses progress inside
+    /// the interrupted shard's current band. `observe` receives each
+    /// shard's progress tagged with the shard index. Finished shard
+    /// checkpoints are removed; the merged result is bit-identical to the
+    /// serial campaign for any shard or thread count.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`HdfTestFlow::run`].
+    pub fn run_in_process(
+        &self,
+        flow: &HdfTestFlow<'_>,
+        patterns: &TestSet,
+        shards: usize,
+        observe: &mut dyn FnMut(usize, CampaignProgress),
+    ) -> Result<DetectionAnalysis, FlowError> {
+        let mut parts = Vec::new();
+        for spec in ShardSpec::all(shards) {
+            let store = self.checkpoint(spec);
+            parts.push(flow.run(
+                patterns,
+                Campaign {
+                    shard: Some(spec),
+                    checkpoint: Some(&store),
+                    observe: Some(&mut |progress| observe(spec.shard, progress)),
+                },
+            )?);
+            store.discard();
+        }
+        DetectionAnalysis::merge(parts)
+    }
+
+    /// Loads every landed shard result of a `shards`-way partition,
+    /// rebuilds each shard's analysis from its raw results and merges
+    /// them. The merged fingerprint is bit-identical to the serial
+    /// campaign's.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::ShardResult`] when any shard's file is missing or
+    /// does not belong to this campaign, partition and test set.
+    pub fn merge(
+        &self,
+        flow: &HdfTestFlow<'_>,
+        patterns: &TestSet,
+        shards: usize,
+    ) -> Result<DetectionAnalysis, FlowError> {
+        let campaign = flow.campaign_fingerprint(patterns);
+        let mut parts = Vec::new();
+        for spec in ShardSpec::all(shards) {
+            let cp = self.load_raw(flow, patterns, spec, campaign)?;
+            parts.push(DetectionAnalysis::finalize(
+                flow.candidate_faults()
+                    .slice(spec.range(flow.candidate_faults().len())),
+                patterns.len(),
+                cp.per_pattern,
+                cp.raw_union,
+                flow.placement(),
+                flow.configs(),
+                flow.clock(),
+            ));
+        }
+        DetectionAnalysis::merge(parts)
+    }
+
+    /// Removes every `shard-*` file of the directory (a fresh restart),
+    /// leaving anything else — such as a job lock — in place.
+    pub fn clear(&self) {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            if entry.file_name().to_string_lossy().starts_with("shard-") {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+    }
+
+    /// Loads shard `spec`'s result file and checks that it is the
+    /// complete result of this campaign's slice.
+    fn load_raw(
+        &self,
+        flow: &HdfTestFlow<'_>,
+        patterns: &TestSet,
+        spec: ShardSpec,
+        campaign: u64,
+    ) -> Result<CampaignCheckpoint, FlowError> {
+        let bad = |reason: String| FlowError::ShardResult {
+            shard: spec.shard,
+            shards: spec.shards,
+            reason,
+        };
+        let fingerprint = spec.fingerprint(campaign);
+        let faults = spec.range(flow.candidate_faults().len()).len();
+        let cp = CheckpointStore::new(self.result_path(spec))
+            .load()
+            .map_err(|e| bad(e.to_string()))?;
+        if cp.fingerprint != fingerprint {
+            return Err(bad(format!(
+                "fingerprint {:016x} does not match expected {fingerprint:016x}",
+                cp.fingerprint
+            )));
+        }
+        if cp.next_pattern != patterns.len() {
+            return Err(bad(format!(
+                "incomplete: simulated {} of {} pattern(s)",
+                cp.next_pattern,
+                patterns.len()
+            )));
+        }
+        if cp.per_pattern.len() != faults {
+            return Err(bad(format!(
+                "fault count {} does not match the shard's {faults} candidate(s)",
+                cp.per_pattern.len(),
+            )));
+        }
+        Ok(cp)
+    }
+}

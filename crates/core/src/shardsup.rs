@@ -13,7 +13,9 @@
 //!   respawned, and resumes from its own `shard-i-of-n.ckpt`.
 //! * **Crash containment** — a child that exits nonzero, is `kill -9`'d
 //!   or OOMs is respawned with capped exponential backoff (default 3
-//!   retries) while the other shards keep running.
+//!   retries) while the other shards keep running. A child that refuses
+//!   its shard ([`EXIT_REFUSED`]: its spec does not rebuild this
+//!   campaign) fails the campaign at once — a respawn would refuse too.
 //! * **Memory enforcement** — an RSS watchdog polls each child's
 //!   `/proc/<pid>/status` `VmRSS` against `FASTMON_SHARD_RSS_BYTES` and
 //!   SIGTERMs the offender; the worker's cooperative cancellation stops
@@ -28,12 +30,15 @@
 //!   shard is re-dispatched once if it runs suspiciously long compared
 //!   to the median completed shard.
 //!
-//! Completed shards land `shard-i-of-n.result` files (same atomic
-//! tmp+rename, FNV-checksummed `FMCK` codec as checkpoints); landing is
-//! idempotent, so the supervisor itself can be killed and restarted
-//! mid-campaign and only the unfinished shards re-run. The deterministic
-//! merge ([`crate::HdfTestFlow::merge_shard_results`]) is bit-identical
-//! to the in-process serial reference.
+//! The engine is agnostic of what a worker computes: callers supply the
+//! launch and completion probes. The campaign callers lay their files
+//! out with [`crate::ShardFiles`] — completed shards land
+//! `shard-i-of-n.result` files (same atomic tmp+rename, FNV-checksummed
+//! `FMCK` codec as checkpoints); landing is idempotent, so the supervisor
+//! itself can be killed and restarted mid-campaign and only the
+//! unfinished shards re-run, and the deterministic merge
+//! ([`crate::ShardFiles::merge`]) is bit-identical to the serial
+//! campaign.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader};
@@ -52,6 +57,12 @@ pub const MAX_SHARDS: usize = 4096;
 /// deadline): progress is checkpointed and the shard is resumable. BSD
 /// `EX_TEMPFAIL`, matching `fastmon_bench::EXIT_CANCELLED`.
 pub const EXIT_EVICTED: i32 = 75;
+
+/// Exit code a worker uses to refuse its shard: the spec or the shipped
+/// test set does not rebuild the supervisor's campaign. A respawn would
+/// refuse again, so the supervisor fails the campaign at once instead of
+/// spending the shard's respawn budget.
+pub const EXIT_REFUSED: i32 = 2;
 
 /// `SIGTERM` signal number (the graceful-stop signal of the watchdog).
 pub const SIGTERM: i32 = 15;
@@ -121,7 +132,7 @@ impl std::fmt::Display for ShardsupError {
 
 impl std::error::Error for ShardsupError {}
 
-fn config_error(key: &str, value: &str, reason: impl Into<String>) -> ShardsupError {
+pub(crate) fn config_error(key: &str, value: &str, reason: impl Into<String>) -> ShardsupError {
     ShardsupError::Config {
         key: key.to_string(),
         value: value.to_string(),
@@ -158,48 +169,6 @@ fn parse_u64(key: &str, raw: &str) -> Result<u64, ShardsupError> {
     raw.trim()
         .parse()
         .map_err(|_| config_error(key, raw, "expected an unsigned integer"))
-}
-
-/// A worker's `i/n` coordinates, as passed via `--shard-worker i/n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Zero-based shard index.
-    pub shard: usize,
-    /// Total shard count of the partition.
-    pub shards: usize,
-}
-
-impl ShardSpec {
-    /// Parses `"i/n"` with `i < n <=` [`MAX_SHARDS`].
-    ///
-    /// # Errors
-    ///
-    /// [`ShardsupError::Config`] on malformed or out-of-range specs.
-    pub fn parse(raw: &str) -> Result<Self, ShardsupError> {
-        const KEY: &str = "--shard-worker";
-        let (i, n) = raw
-            .split_once('/')
-            .ok_or_else(|| config_error(KEY, raw, "expected SHARD/SHARDS"))?;
-        let shards = parse_shard_count(KEY, n)?;
-        let shard: usize = i
-            .trim()
-            .parse()
-            .map_err(|_| config_error(KEY, raw, "expected an unsigned shard index"))?;
-        if shard >= shards {
-            return Err(config_error(
-                KEY,
-                raw,
-                "shard index must be below the count",
-            ));
-        }
-        Ok(ShardSpec { shard, shards })
-    }
-}
-
-impl std::fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.shard, self.shards)
-    }
 }
 
 /// Supervisor tuning. Every knob has an environment variable (see
@@ -432,6 +401,9 @@ pub struct SupervisorReport {
     pub heartbeats_received: u64,
     /// Shards that landed a valid result.
     pub shards_completed: u64,
+    /// Largest peak resident set (`VmHWM`) any worker reported in its
+    /// `shard_done` record, in bytes.
+    pub worker_peak_rss_bytes: u64,
 }
 
 // -- child bookkeeping -------------------------------------------------
@@ -490,22 +462,36 @@ pub fn send_signal(pid: u32, sig: i32) -> bool {
 /// `/proc/<pid>/status`), `None` off Linux or for a dead pid.
 #[must_use]
 pub fn vm_rss_bytes(pid: u32) -> Option<u64> {
+    proc_status_bytes(&pid.to_string(), "VmRSS:")
+}
+
+/// This process's peak resident set in bytes (`VmHWM` of
+/// `/proc/self/status`), `None` off Linux.
+#[must_use]
+pub fn peak_rss_self_bytes() -> Option<u64> {
+    proc_status_bytes("self", "VmHWM:")
+}
+
+/// A `kB` field of `/proc/<pid>/status`, in bytes.
+fn proc_status_bytes(pid: &str, field: &str) -> Option<u64> {
     #[cfg(target_os = "linux")]
     {
         let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-        for line in status.lines() {
-            if let Some(rest) = line.strip_prefix("VmRSS:") {
-                let kib: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-                return Some(kib * 1024);
-            }
-        }
-        None
+        status_field_kib(&status, field).map(|kib| kib * 1024)
     }
     #[cfg(not(target_os = "linux"))]
     {
-        let _ = pid;
+        let _ = (pid, field);
         None
     }
+}
+
+/// The value of the `kB` line `field` (e.g. `"VmHWM:"`) in a
+/// `/proc/<pid>/status` dump, in KiB; `None` when the line is absent or
+/// malformed.
+fn status_field_kib(status: &str, field: &str) -> Option<u64> {
+    let rest = status.lines().find_map(|line| line.strip_prefix(field))?;
+    rest.trim().trim_end_matches("kB").trim().parse().ok()
 }
 
 fn render_status(status: &std::process::ExitStatus) -> String {
@@ -713,6 +699,11 @@ pub fn run(
                     if let Some(rs) = running.iter_mut().find(|rs| rs.shard == shard) {
                         rs.last_event = Instant::now();
                     }
+                    if value.get("event").and_then(Value::as_str) == Some("shard_done") {
+                        if let Some(peak) = value.get("peak_rss_bytes").and_then(Value::as_u64) {
+                            report.worker_peak_rss_bytes = report.worker_peak_rss_bytes.max(peak);
+                        }
+                    }
                     on_event(SupervisorEvent::Heartbeat { shard, line, value });
                 }
                 Err(_) => {
@@ -805,6 +796,16 @@ pub fn run(
                 pending.push_back(shard);
                 continue;
             }
+            if status.code() == Some(EXIT_REFUSED) {
+                // The worker cannot rebuild this campaign; a respawn
+                // would refuse again.
+                terminate_all(&mut running);
+                return Err(ShardsupError::ShardFailed {
+                    shard,
+                    attempts: states[shard].attempt + 1,
+                    last: render_status(&status),
+                });
+            }
             // Charged crash: nonzero exit, kill -9, OOM-kill, stall kill,
             // or a "clean" exit that landed nothing.
             states[shard].attempt += 1;
@@ -872,4 +873,33 @@ pub fn run(
     }
 
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const STATUS: &str = "Name:\tfoo\nVmPeak:\t  999 kB\nVmHWM:\t  12345 kB\nVmRSS:\t    678 kB\n";
+
+    #[test]
+    fn status_fields_parse_in_kib() {
+        assert_eq!(status_field_kib(STATUS, "VmHWM:"), Some(12345));
+        assert_eq!(status_field_kib(STATUS, "VmRSS:"), Some(678));
+        assert_eq!(status_field_kib("Name:\tfoo\n", "VmHWM:"), None);
+        assert_eq!(status_field_kib("Name:\tfoo\n", "VmRSS:"), None);
+        assert_eq!(status_field_kib("VmRSS:\t lots kB\n", "VmRSS:"), None);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn status_probes_report_bytes() {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let hwm_kib = status_field_kib(&status, "VmHWM:").unwrap();
+        let rss = vm_rss_bytes(std::process::id()).unwrap();
+        let peak = peak_rss_self_bytes().unwrap();
+        // The peak only grows between the reads, and by far less than
+        // the ×1024 a unit slip would add.
+        assert!(peak >= hwm_kib * 1024 && peak < (hwm_kib + 1024 * 1024) * 1024);
+        assert!(rss > 0 && rss <= peak);
+    }
 }

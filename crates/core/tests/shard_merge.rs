@@ -2,9 +2,15 @@
 //! fault shards and merged must be bit-identical (same
 //! `result_fingerprint`) to the single-process serial run, for any shard
 //! count, any thread count, and through the crash-safe per-shard
-//! checkpoint path.
+//! checkpoint path. Also pins the shard file layout: the partition, the
+//! shard fingerprints and the shipped test set.
 
-use fastmon_core::{DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow};
+use fastmon_atpg::{AtpgError, TestSet};
+use fastmon_core::shard::TEST_SET_FILE;
+use fastmon_core::{
+    Campaign, CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError,
+    HdfTestFlow, ShardFiles, ShardSpec,
+};
 use fastmon_netlist::generate::GeneratorConfig;
 use fastmon_netlist::Circuit;
 
@@ -17,6 +23,30 @@ fn random_circuit(seed: u64) -> Circuit {
         .depth(6)
         .generate(seed)
         .expect("valid generator config")
+}
+
+/// Shard `shard` of a `shards`-way partition, in process, without
+/// persistence.
+fn run_shard(
+    flow: &HdfTestFlow<'_>,
+    patterns: &TestSet,
+    shard: usize,
+    shards: usize,
+) -> DetectionAnalysis {
+    flow.run(
+        patterns,
+        Campaign {
+            shard: Some(ShardSpec { shard, shards }),
+            ..Campaign::default()
+        },
+    )
+    .unwrap()
+}
+
+/// Every shard of a `shards`-way partition, merged.
+fn run_sharded(flow: &HdfTestFlow<'_>, patterns: &TestSet, shards: usize) -> DetectionAnalysis {
+    DetectionAnalysis::merge((0..shards).map(|shard| run_shard(flow, patterns, shard, shards)))
+        .unwrap()
 }
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -42,7 +72,7 @@ fn sharded_runs_match_serial_for_any_shard_and_thread_count() {
         let serial = flow.try_analyze(&patterns).unwrap();
         let golden = serial.result_fingerprint();
         for shards in [1usize, 2, 4, 7] {
-            let merged = flow.try_analyze_sharded(&patterns, shards).unwrap();
+            let merged = run_sharded(&flow, &patterns, shards);
             assert_eq!(merged.num_faults(), serial.num_faults());
             assert_eq!(merged.num_patterns, serial.num_patterns);
             assert_eq!(
@@ -60,7 +90,7 @@ fn sharded_runs_match_serial_for_any_shard_and_thread_count() {
                 ..FlowConfig::default()
             },
         );
-        let merged = threaded.try_analyze_sharded(&patterns, 4).unwrap();
+        let merged = run_sharded(&threaded, &patterns, 4);
         assert_eq!(merged.result_fingerprint(), golden, "seed={seed} threads=8");
     }
 }
@@ -75,8 +105,8 @@ fn resumable_sharded_campaign_matches_and_cleans_up() {
     let dir = tmp("resume");
     std::fs::create_dir_all(&dir).unwrap();
     let mut events_per_shard = vec![0usize; 3];
-    let merged = flow
-        .analyze_sharded_resumable_observed(&patterns, 3, &dir, &mut |shard, _| {
+    let merged = ShardFiles::new(&dir)
+        .run_in_process(&flow, &patterns, 3, &mut |shard, _| {
             events_per_shard[shard] += 1;
         })
         .unwrap();
@@ -101,8 +131,8 @@ fn merge_rejects_mismatched_pattern_counts() {
     let flow = HdfTestFlow::prepare(&circuit, &FlowConfig::default());
     let p8 = flow.generate_patterns(Some(8));
     let p5 = flow.generate_patterns(Some(5));
-    let a = flow.try_analyze_shard(&p8, 0, 2).unwrap();
-    let b = flow.try_analyze_shard(&p5, 1, 2).unwrap();
+    let a = run_shard(&flow, &p8, 0, 2);
+    let b = run_shard(&flow, &p5, 1, 2);
     match DetectionAnalysis::merge([a, b]) {
         Err(FlowError::ShardMerge {
             shard,
@@ -133,29 +163,34 @@ fn landed_shard_results_merge_bit_identical_and_are_idempotent() {
     let golden = flow.try_analyze(&patterns).unwrap().result_fingerprint();
     let dir = tmp("results");
     std::fs::create_dir_all(&dir).unwrap();
-    for shard in 0..3 {
-        let fp = flow
-            .run_shard_to_result(&patterns, shard, 3, &dir, &mut |_| {})
+    let files = ShardFiles::new(&dir);
+    for spec in ShardSpec::all(3) {
+        let fp = files
+            .run_to_result(&flow, &patterns, spec, &mut |_| {})
             .unwrap();
-        assert_eq!(fp, flow.shard_fingerprint(&patterns, shard, 3));
-        assert!(flow.shard_result_landed(&patterns, shard, 3, &dir));
+        assert_eq!(fp, spec.fingerprint(flow.campaign_fingerprint(&patterns)));
+        assert!(files.landed(&flow, &patterns, spec));
         // the finished checkpoint is cleared, the result file remains
-        assert!(!HdfTestFlow::shard_checkpoint_path(&dir, shard, 3).exists());
+        assert!(!files.checkpoint(spec).path().exists());
         // re-dispatch after landing is free: nothing is re-simulated
-        let again = flow
-            .run_shard_to_result(&patterns, shard, 3, &dir, &mut |_| {})
+        let again = files
+            .run_to_result(&flow, &patterns, spec, &mut |_| {})
             .unwrap();
         assert_eq!(again, fp);
     }
-    let merged = flow.merge_shard_results(&patterns, 3, &dir).unwrap();
+    let merged = files.merge(&flow, &patterns, 3).unwrap();
     assert_eq!(
         merged.result_fingerprint(),
         golden,
         "merge of landed shard results diverged from the serial run"
     );
     // a missing shard result is a typed, shard-attributed error
-    std::fs::remove_file(HdfTestFlow::shard_result_path(&dir, 1, 3)).unwrap();
-    match flow.merge_shard_results(&patterns, 3, &dir) {
+    std::fs::remove_file(files.result_path(ShardSpec {
+        shard: 1,
+        shards: 3,
+    }))
+    .unwrap();
+    match files.merge(&flow, &patterns, 3) {
         Err(FlowError::ShardResult { shard: 1, .. }) => {}
         other => panic!("expected ShardResult error, got {other:?}"),
     }
@@ -175,6 +210,91 @@ fn merging_a_single_part_is_identity() {
     assert_eq!(merged.result_fingerprint(), golden);
 }
 
+#[test]
+fn shard_ranges_partition_the_candidates() {
+    for faults in [0usize, 1, 7, 100] {
+        for shards in [1usize, 2, 3, 8] {
+            let ranges: Vec<_> = ShardSpec::all(shards).map(|s| s.range(faults)).collect();
+            assert_eq!(ranges.len(), shards);
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges[shards - 1].end, faults);
+            for pair in ranges.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+            }
+        }
+    }
+    assert_eq!(ShardSpec::all(0).count(), 1);
+}
+
+#[test]
+fn shard_fingerprints_separate_coordinates_and_campaigns() {
+    let a = ShardSpec {
+        shard: 0,
+        shards: 2,
+    };
+    let b = ShardSpec {
+        shard: 1,
+        shards: 2,
+    };
+    let c = ShardSpec {
+        shard: 0,
+        shards: 3,
+    };
+    assert_ne!(a.fingerprint(7), b.fingerprint(7));
+    assert_ne!(a.fingerprint(7), c.fingerprint(7));
+    assert_ne!(a.fingerprint(7), a.fingerprint(8));
+}
+
+#[test]
+fn the_shipped_test_set_round_trips_bit_identically() {
+    let circuit = random_circuit(17);
+    let flow = HdfTestFlow::prepare(&circuit, &FlowConfig::default());
+    let patterns = flow.generate_patterns(Some(12));
+    assert!(!patterns.is_empty());
+    let first = ShardFiles::new(tmp("test-set-a"));
+    first.land_test_set(&flow, &patterns).unwrap();
+    let (key, loaded) = first.load_test_set(&circuit).unwrap();
+    assert_eq!(key, flow.campaign_fingerprint(&patterns));
+    assert_eq!(loaded, patterns);
+    // landing the loaded set again reproduces the file byte for byte
+    let second = ShardFiles::new(tmp("test-set-b"));
+    second.land_test_set(&flow, &loaded).unwrap();
+    let file = |files: &ShardFiles| std::fs::read(files.dir().join(TEST_SET_FILE)).unwrap();
+    assert_eq!(file(&first), file(&second));
+    // the write was atomic: no temp file is left behind
+    assert_eq!(std::fs::read_dir(first.dir()).unwrap().count(), 1);
+    // a test set is never mistaken for a checkpoint
+    assert_eq!(
+        CheckpointStore::new(first.dir().join(TEST_SET_FILE))
+            .load()
+            .unwrap_err(),
+        CheckpointError::BadMagic
+    );
+    for files in [first, second] {
+        let _ = std::fs::remove_dir_all(files.dir());
+    }
+}
+
+#[test]
+fn a_test_set_for_another_circuit_is_a_typed_error() {
+    let circuit = random_circuit(19);
+    let flow = HdfTestFlow::prepare(&circuit, &FlowConfig::default());
+    let patterns = flow.generate_patterns(Some(4));
+    let files = ShardFiles::new(tmp("foreign"));
+    files.land_test_set(&flow, &patterns).unwrap();
+    let c17 = fastmon_netlist::library::c17();
+    assert!(matches!(
+        files.load_test_set(&c17),
+        Err(FlowError::Atpg(AtpgError::WidthMismatch { .. }))
+    ));
+    std::fs::remove_file(files.dir().join(TEST_SET_FILE)).unwrap();
+    assert!(matches!(
+        files.load_test_set(&circuit),
+        Err(FlowError::Checkpoint(CheckpointError::Missing))
+    ));
+    let _ = std::fs::remove_dir_all(files.dir());
+}
+
 /// Serial golden fingerprint plus the 8 per-shard analyses, computed
 /// once — the property below exercises merge *groupings*, which are
 /// pure data-plumbing, so 128 cases stay cheap.
@@ -186,7 +306,7 @@ fn split_fixture() -> &'static (u64, Vec<DetectionAnalysis>) {
         let patterns = flow.generate_patterns(Some(6));
         let golden = flow.try_analyze(&patterns).unwrap().result_fingerprint();
         let parts = (0..8)
-            .map(|shard| flow.try_analyze_shard(&patterns, shard, 8).unwrap())
+            .map(|shard| run_shard(&flow, &patterns, shard, 8))
             .collect();
         (golden, parts)
     })

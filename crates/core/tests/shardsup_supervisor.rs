@@ -140,6 +140,68 @@ fn respawn_budget_exhaustion_fails_the_shard() {
 }
 
 #[test]
+fn refused_shard_fails_the_campaign_without_a_respawn() {
+    let metrics = MetricsRegistry::new();
+    let mut backoffs = 0u32;
+    let err = shardsup::run(
+        &fast_config(1, 1),
+        &mut |_, _| {
+            sh(&format!(
+                "echo '{}'; exit {}",
+                fastmon_obs::events::shard::error(0, 1, "fingerprint_mismatch", "foreign spec"),
+                shardsup::EXIT_REFUSED
+            ))
+        },
+        &mut |_| false,
+        &mut |e| {
+            if matches!(e, SupervisorEvent::Backoff { .. }) {
+                backoffs += 1;
+            }
+        },
+        None,
+        Some(&metrics),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ShardsupError::ShardFailed {
+                shard: 0,
+                attempts: 1,
+                ..
+            }
+        ),
+        "got {err}"
+    );
+    assert_eq!(backoffs, 0);
+    assert_eq!(metrics.shardsup.workers_spawned.get(), 1);
+    assert_eq!(metrics.shardsup.respawns.get(), 0);
+}
+
+#[test]
+fn worker_peak_rss_is_the_largest_shard_done_report() {
+    let dir = tmp("peak");
+    let report = shardsup::run(
+        &fast_config(3, 3),
+        &mut |shard, _| {
+            sh(&format!(
+                "echo '{}'; touch {}",
+                fastmon_obs::events::shard::done(shard, 3, 0, 1000 * (shard as u64 + 1)),
+                flag(&dir, shard).display()
+            ))
+        },
+        &mut |shard| flag(&dir, shard).exists(),
+        &mut |_| {},
+        None,
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.shards_completed, 3);
+    assert_eq!(report.worker_peak_rss_bytes, 3000);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn silent_worker_is_stall_killed_and_the_respawn_finishes() {
     let dir = tmp("stall");
     let mut config = fast_config(1, 1);

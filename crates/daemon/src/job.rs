@@ -15,7 +15,8 @@
 use std::path::Path;
 
 use fastmon_core::{
-    CheckpointDir, CheckpointError, FlowConfig, FlowError, HdfTestFlow, JobStore, Solver,
+    Campaign, CampaignProgress, CheckpointDir, CheckpointError, FlowConfig, FlowError, HdfTestFlow,
+    JobStore, ShardFiles, Solver,
 };
 use fastmon_netlist::{bench, generate::CircuitProfile, library, Circuit};
 use fastmon_obs::{CancelToken, Record};
@@ -202,6 +203,28 @@ pub(crate) fn build_circuit(spec: &CircuitSpec) -> Result<Circuit, JobError> {
     }
 }
 
+/// Prepares the flow `req` describes on `circuit` (synthesized delays, or
+/// the request's SDF). Shard workers rebuild their campaign through this
+/// same function, so their fingerprints match the submitting flow's.
+pub(crate) fn prepare_flow<'c>(
+    req: &JobRequest,
+    circuit: &'c Circuit,
+) -> Result<HdfTestFlow<'c>, FlowError> {
+    let config = FlowConfig {
+        seed: req.seed,
+        threads: req.threads,
+        max_faults: req.max_faults,
+        ..FlowConfig::default()
+    };
+    match &req.sdf {
+        Some(text) => {
+            let annot = fastmon_timing::sdf::parse(text, circuit, config.sigma_rel)?;
+            HdfTestFlow::try_prepare_with_annotation(circuit, &config, annot)
+        }
+        None => HdfTestFlow::try_prepare(circuit, &config),
+    }
+}
+
 fn acquire(dirs: &CheckpointDir, fingerprint: u64) -> Result<JobStore, JobError> {
     match dirs.acquire(fingerprint) {
         Ok(store) => Ok(store),
@@ -273,21 +296,7 @@ pub fn run_job(
 ) -> Result<JobOutcome, JobError> {
     on_event(JobEvent::Phase { phase: "prepare" });
     let circuit = build_circuit(&req.circuit)?;
-    let config = FlowConfig {
-        seed: req.seed,
-        threads: req.threads,
-        max_faults: req.max_faults,
-        ..FlowConfig::default()
-    };
-    let flow = match &req.sdf {
-        Some(text) => {
-            let annot = fastmon_timing::sdf::parse(text, &circuit, config.sigma_rel)
-                .map_err(FlowError::from)?;
-            HdfTestFlow::try_prepare_with_annotation(&circuit, &config, annot)?
-        }
-        None => HdfTestFlow::try_prepare(&circuit, &config)?,
-    }
-    .with_cancel(cancel.clone());
+    let flow = prepare_flow(req, &circuit)?.with_cancel(cancel.clone());
 
     let result = run_flow(&flow, req, dirs, results_dir, on_event);
     if let Some(sink) = metrics {
@@ -314,13 +323,36 @@ fn run_flow(
     on_event(JobEvent::Phase { phase: "analyze" });
     let store = acquire(dirs, fingerprint)?;
     let resumed = std::cell::Cell::new(false);
+    let mut observe = |p: CampaignProgress| match p {
+        CampaignProgress::Resumed {
+            next_pattern,
+            total_patterns,
+            prev_run,
+        } => {
+            resumed.set(true);
+            on_event(JobEvent::Resumed {
+                next_pattern,
+                total_patterns,
+                prev_run,
+            });
+        }
+        CampaignProgress::BandCheckpointed {
+            next_pattern,
+            total_patterns,
+        } => on_event(JobEvent::Band {
+            next_pattern,
+            total_patterns,
+        }),
+    };
+    // Per-shard checkpoint, result and spec files live inside the job's
+    // own (locked) checkpoint directory, so crash recovery, GC and the
+    // results landing order work exactly as in the single-shard path.
+    // The merged analysis is bit-identical to an unsharded run, so the
+    // landed result_fingerprint does not depend on the shard layout.
     let analysis = if req.shard_procs {
-        // Each shard runs as its own supervised child OS process;
-        // per-shard checkpoint and result files still live inside the
-        // job's own (locked) checkpoint directory, so GC and crash
-        // recovery see exactly the in-process layout. Children report
-        // over a pipe, so this branch streams JobEvent::Shard rows
-        // instead of Band events.
+        // Each shard runs as its own supervised child OS process; the
+        // children report over a pipe, so this branch streams
+        // JobEvent::Shard rows instead of Band events.
         let mut wrapped = |e: JobEvent| {
             if matches!(
                 e,
@@ -334,45 +366,18 @@ fn run_flow(
             on_event(e);
         };
         crate::shard::run_supervised(flow, &patterns, req, store.dir(), &mut wrapped)?
+    } else if req.shards > 1 {
+        ShardFiles::new(store.dir())
+            .run_in_process(flow, &patterns, req.shards, &mut |_, p| observe(p))?
     } else {
-        let mut observe = |p: fastmon_core::CampaignProgress| match p {
-            fastmon_core::CampaignProgress::Resumed {
-                next_pattern,
-                total_patterns,
-                prev_run,
-            } => {
-                resumed.set(true);
-                on_event(JobEvent::Resumed {
-                    next_pattern,
-                    total_patterns,
-                    prev_run,
-                });
-            }
-            fastmon_core::CampaignProgress::BandCheckpointed {
-                next_pattern,
-                total_patterns,
-            } => on_event(JobEvent::Band {
-                next_pattern,
-                total_patterns,
-            }),
+        let campaign = Campaign {
+            checkpoint: Some(store.store()),
+            observe: Some(&mut observe),
+            ..Campaign::default()
         };
-        if req.shards > 1 {
-            // Per-shard checkpoints live inside the job's own (locked)
-            // checkpoint directory, so crash recovery, GC and the
-            // results landing order work exactly as in the single-shard
-            // path. The merged analysis is bit-identical to an
-            // unsharded run, so the landed result_fingerprint does not
-            // depend on the shard count.
-            let mut sharded = |_shard: usize, p: fastmon_core::CampaignProgress| observe(p);
-            flow.analyze_sharded_resumable_observed(
-                &patterns,
-                req.shards,
-                store.dir(),
-                &mut sharded,
-            )?
-        } else {
-            flow.analyze_resumable_observed(&patterns, store.store(), &mut observe)?
-        }
+        let analysis = flow.run(&patterns, campaign)?;
+        store.store().discard();
+        analysis
     };
 
     on_event(JobEvent::Phase { phase: "schedule" });

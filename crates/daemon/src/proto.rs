@@ -557,7 +557,7 @@ mod tests {
                 circuit: CircuitSpec::Profile {
                     name: "s9234".into(),
                     scale: 0.072_951,
-                    seed: 7,
+                    seed: (1 << 53) + 1,
                 },
                 sdf: None,
                 coverage: 0.95,
@@ -580,9 +580,8 @@ mod tests {
                 deadline_secs: Some(1e9),
                 pattern_budget: None,
                 max_faults: Some(1),
-                // largest exactly-representable JSON number (the wire
-                // format is f64-backed)
-                seed: (1 << 53) - 1,
+                // integers above 2^53 survive the wire exactly
+                seed: u64::MAX,
                 threads: 0,
                 shards: fastmon_core::MAX_SHARDS,
                 shard_procs: true,

@@ -1,53 +1,71 @@
-//! Supervised multi-process shard execution for daemon jobs.
+//! Supervised multi-process shard execution: the one worker shell and the
+//! one supervised-campaign driver behind `fastmond`'s
+//! `"shard_procs":true` jobs and the experiment binaries'
+//! `FASTMON_SHARD_PROCS=1` (through `fastmon_bench::shardsup`).
 //!
-//! A job submitted with `"shard_procs":true` does not run its fault
-//! shards as in-process slices: the daemon lands the full [`JobRequest`]
-//! as `shard-spec.json` inside the job's locked checkpoint directory and
-//! re-executes its own binary once per shard (`fastmond --shard-worker
-//! i/n`), with the [`fastmon_core::shardsup`] supervisor babysitting the
-//! children — newline-JSON heartbeats over the stdout pipe, stall kills,
-//! crash respawns with capped exponential backoff, a `/proc`-based RSS
-//! watchdog with graceful eviction, and straggler re-dispatch. Each
-//! child rebuilds the identical campaign from the spec file (the
-//! [`crate::proto::to_submit_line`] round-trip pins the wire format),
-//! resumes from its own `shard-i-of-n.ckpt` and lands
-//! `shard-i-of-n.result`; the supervisor merges the landed results into
-//! an analysis that is bit-identical to the in-process run.
+//! [`supervise`] lays the campaign directory out with [`ShardFiles`]:
 //!
-//! Supervisor observations are forwarded as [`JobEvent::Shard`] rows, so
-//! the server's flight recorder and the `observe` snapshot see per-shard
-//! progress and respawn counts without touching the worker pipes.
+//! * `shard-spec.json` — the campaign as a `submit` line
+//!   ([`proto::to_submit_line`]; the round-trip through
+//!   [`proto::parse_request`] is pinned by a unit test);
+//! * `test-set.fmts` — the prepared test set, keyed by the campaign
+//!   fingerprint.
+//!
+//! It then re-executes a worker binary once per shard
+//! (`<bin> --shard-worker i/n`, with the directory in `FASTMON_SHARD_DIR`) under
+//! the [`fastmon_core::shardsup`] supervisor: newline-JSON heartbeats
+//! over the stdout pipe, stall kills, crash respawns with capped
+//! exponential backoff, a `/proc`-based RSS watchdog with graceful
+//! eviction, and straggler re-dispatch. Each worker rebuilds the circuit
+//! and flow from the spec and loads the test set — it never runs ATPG —
+//! then resumes from its own `shard-i-of-n.ckpt` and lands
+//! `shard-i-of-n.result`. The supervisor merges the landed results into
+//! an analysis bit-identical to the serial run.
+//!
+//! Worker exit codes: `0` result landed, [`EXIT_EVICTED`] cooperative
+//! stop with a resumable checkpoint, `1` error (respawned),
+//! [`EXIT_REFUSED`] the spec is unusable or rebuilds a different campaign
+//! than the test set was prepared for (the supervisor fails the campaign
+//! without respawning). Every failure is announced first by a
+//! `shard_error` record with a `kind`.
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 use fastmon_atpg::TestSet;
-use fastmon_core::shardsup::{self, EXIT_EVICTED};
+use fastmon_core::shardsup::{self, EXIT_EVICTED, EXIT_REFUSED};
 use fastmon_core::{
-    CampaignProgress, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow, ShardSpec,
-    ShardsupError, SupervisorConfig, SupervisorEvent,
+    CampaignProgress, DetectionAnalysis, FlowError, HdfTestFlow, ShardFiles, ShardSpec,
+    ShardsupError, SupervisorConfig, SupervisorEvent, SupervisorReport,
 };
 use fastmon_obs::events::shard as shard_events;
 use fastmon_obs::json::Value;
 
-use crate::job::{build_circuit, JobError, JobEvent};
+use crate::job::{build_circuit, prepare_flow, JobError, JobEvent};
 use crate::proto::{self, JobRequest, Request};
 
-/// The job spec file a supervised worker rebuilds its campaign from,
-/// landed inside the job's locked checkpoint directory (so the
-/// checkpoint GC's lock check protects it alongside the shard files).
-pub const SPEC_FILE: &str = "shard-spec.json";
-/// Directory holding the spec and the shard checkpoint/result files.
-const ENV_DIR: &str = "FASTMOND_SHARD_DIR";
-/// Overrides the worker executable (tests point it at the built
-/// `fastmond`; the default — the current executable — would re-enter the
-/// test harness instead).
+/// Names the campaign directory of a launched worker.
+const ENV_DIR: &str = "FASTMON_SHARD_DIR";
+/// Overrides the worker executable of `fastmond` jobs (tests point it at
+/// the built `fastmond`; the default — the current executable — would
+/// re-enter the test harness instead).
 pub const ENV_WORKER_BIN: &str = "FASTMOND_SHARD_WORKER_BIN";
 
+/// A supervised multi-process campaign that finished.
+#[derive(Debug)]
+pub struct SupervisedRun {
+    /// The merged analysis (bit-identical to the serial run).
+    pub analysis: DetectionAnalysis,
+    /// Supervisor counters (spawns, respawns, evictions, worker peak
+    /// RSS, ...).
+    pub report: SupervisorReport,
+}
+
 /// Routes a process that was exec'd as a shard worker into the worker
-/// loop. `fastmond`'s `main` calls this before argument parsing: when
-/// `--shard-worker i/n` is on the command line the function never
-/// returns — it runs the shard and exits.
+/// loop. Every binary that can serve as a worker calls this first in
+/// `main`: when `--shard-worker i/n` is on the command line the function
+/// never returns — it runs the shard and exits.
 pub fn maybe_run_worker() {
     let mut args = std::env::args().skip(1);
     let mut raw = None;
@@ -62,44 +80,48 @@ pub fn maybe_run_worker() {
         Ok(spec) => worker_main(spec),
         Err(e) => {
             eprintln!("[shard-worker] {e}");
-            std::process::exit(2);
+            std::process::exit(EXIT_REFUSED);
         }
     }
 }
 
-/// Emits a `shard_error` heartbeat (so the supervisor's event stream
-/// carries the reason, not just a nonzero exit) and dies.
-fn worker_fail(spec: ShardSpec, message: &str) -> ! {
-    println!("{}", shard_events::error(spec.shard, spec.shards, message));
-    let _ = std::io::Write::flush(&mut std::io::stdout());
-    eprintln!("[shard-worker {spec}] {message}");
-    std::process::exit(1);
+/// Emits a typed `shard_error` record (so the supervisor's event stream
+/// carries the reason, not just a nonzero exit) and exits with `code`.
+fn worker_exit(spec: ShardSpec, code: i32, kind: &str, message: &str) -> ! {
+    println!(
+        "{}",
+        shard_events::error(spec.shard, spec.shards, kind, message)
+    );
+    let _ = std::io::stdout().flush();
+    eprintln!("[shard-worker {spec}] {kind}: {message}");
+    std::process::exit(code);
 }
 
-fn read_spec(spec: ShardSpec, dir: &Path) -> Box<JobRequest> {
-    let path = dir.join(SPEC_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => worker_fail(spec, &format!("cannot read {}: {e}", path.display())),
-    };
+/// Refuses the shard: nothing a respawn could change.
+fn refuse(spec: ShardSpec, kind: &str, message: &str) -> ! {
+    worker_exit(spec, EXIT_REFUSED, kind, message)
+}
+
+fn read_spec(files: &ShardFiles) -> Result<Box<JobRequest>, String> {
+    let path = files.spec_path().display().to_string();
+    let text = files
+        .read_spec()
+        .map_err(|e| format!("cannot read {path}: {e}"))?;
     match proto::parse_request(text.trim()) {
-        Ok(Request::Submit(req)) => req,
-        Ok(_) => worker_fail(spec, &format!("{} is not a submit line", path.display())),
-        Err(e) => worker_fail(spec, &format!("bad spec {}: {e}", path.display())),
+        Ok(Request::Submit(req)) => Ok(req),
+        Ok(_) => Err(format!("{path} is not a submit line")),
+        Err(e) => Err(format!("bad spec {path}: {e}")),
     }
 }
 
-/// The worker process: rebuild the campaign from the landed spec, run
-/// this shard to a durable result file, stream band-granularity
-/// heartbeats on stdout. Exit codes: `0` landed, [`EXIT_EVICTED`]
-/// cooperative stop with the checkpoint resumable, `1` error, `2`
-/// unusable configuration.
+/// The worker process: rebuild the flow from the spec, load the shipped
+/// test set, run this shard to a landed result file, stream
+/// band-granularity heartbeats on stdout.
 fn worker_main(spec: ShardSpec) -> ! {
-    let ShardSpec { shard, shards } = spec;
     // Handlers go in before any expensive work: a SIGTERM that lands
-    // during circuit generation or ATPG must set the drain flag, not
-    // kill the process with the default disposition (which the
-    // supervisor would charge as a crash instead of an eviction).
+    // while the flow is prepared must set the drain flag, not kill the
+    // process with the default disposition (which the supervisor would
+    // charge as a crash instead of an eviction).
     let token = fastmon_obs::CancelToken::new();
     crate::signals::install_drain_handlers();
     {
@@ -112,55 +134,75 @@ fn worker_main(spec: ShardSpec) -> ! {
             std::thread::sleep(std::time::Duration::from_millis(25));
         });
     }
-    let Some(dir) = std::env::var_os(ENV_DIR).map(PathBuf::from) else {
-        worker_fail(spec, &format!("{ENV_DIR} is not set"));
+    let Some(dir) = std::env::var_os(ENV_DIR) else {
+        refuse(spec, "spec", &format!("{ENV_DIR} is not set"));
     };
-    let req = read_spec(spec, &dir);
-    if req.shards != shards {
-        worker_fail(
+    let files = ShardFiles::new(PathBuf::from(dir));
+    let req = read_spec(&files).unwrap_or_else(|e| refuse(spec, "spec", &e));
+    if req.shards != spec.shards {
+        refuse(
             spec,
+            "spec",
             &format!("spec says {} shards, launched as {spec}", req.shards),
         );
     }
-    let circuit = match build_circuit(&req.circuit) {
-        Ok(c) => c,
-        Err(e) => worker_fail(spec, &e.to_string()),
+    let circuit =
+        build_circuit(&req.circuit).unwrap_or_else(|e| refuse(spec, "spec", &e.to_string()));
+    let flow =
+        prepare_flow(&req, &circuit).unwrap_or_else(|e| refuse(spec, "spec", &e.to_string()));
+    let (key, patterns) = match files.load_test_set(&circuit) {
+        Ok(loaded) => loaded,
+        Err(e @ FlowError::Atpg(_)) => refuse(spec, "fingerprint_mismatch", &e.to_string()),
+        Err(e) => worker_exit(spec, 1, "test_set", &e.to_string()),
     };
-    let config = FlowConfig {
-        seed: req.seed,
-        threads: req.threads,
-        max_faults: req.max_faults,
-        ..FlowConfig::default()
-    };
-    let prepared = match &req.sdf {
-        Some(text) => fastmon_timing::sdf::parse(text, &circuit, config.sigma_rel)
-            .map_err(FlowError::from)
-            .and_then(|annot| HdfTestFlow::try_prepare_with_annotation(&circuit, &config, annot)),
-        None => HdfTestFlow::try_prepare(&circuit, &config),
-    };
-    let flow = match prepared {
-        Ok(f) => f,
-        Err(e) => worker_fail(spec, &e.to_string()),
-    };
-    let patterns = match flow.try_generate_patterns(req.pattern_budget) {
-        Ok(p) => p,
-        Err(e) => worker_fail(spec, &format!("pattern generation failed: {e}")),
-    };
+    let campaign = flow.campaign_fingerprint(&patterns);
+    if campaign != key {
+        refuse(
+            spec,
+            "fingerprint_mismatch",
+            &format!(
+                "the spec rebuilds campaign {campaign:016x}, the test set was prepared for {key:016x}"
+            ),
+        );
+    }
 
-    // The token is attached only now — after ATPG — and the campaign
-    // observes it strictly *after* each band checkpoint, so even an
-    // eviction signal that arrived before the campaign started still
-    // banks at least one band of durable progress per evict/readmit
-    // cycle. That ordering is what makes RSS eviction livelock-free.
+    // The token is attached only now — after the test set loaded — and
+    // the campaign observes it strictly *after* each band checkpoint, so
+    // even an eviction signal that arrived before the campaign started
+    // still banks at least one band of durable progress per
+    // evict/readmit cycle. That ordering is what makes RSS eviction
+    // livelock-free.
     let flow = flow.with_cancel(token);
 
+    // Chaos knob: FASTMON_SHARD_HANG="<shard>:<flag-path>" silences this
+    // worker forever at its first band boundary — once, arbitrated by
+    // `create_new` on the flag file — so tests can prove the stall
+    // watchdog kills it and the respawn resumes from the checkpoint.
+    let hang_flag = std::env::var("FASTMON_SHARD_HANG").ok().and_then(|v| {
+        let (who, path) = v.split_once(':')?;
+        (who.parse::<usize>().ok()? == spec.shard).then(|| PathBuf::from(path))
+    });
+
+    let (shard, shards) = (spec.shard, spec.shards);
     let total = patterns.len();
-    let outcome = flow.run_shard_to_result(&patterns, shard, shards, &dir, &mut |progress| {
+    let outcome = files.run_to_result(&flow, &patterns, spec, &mut |progress| {
         let line = match progress {
             CampaignProgress::Resumed { next_pattern, .. } => {
                 shard_events::resumed(shard, shards, next_pattern, total)
             }
             CampaignProgress::BandCheckpointed { next_pattern, .. } => {
+                if let Some(flag) = &hang_flag {
+                    let created = std::fs::OpenOptions::new()
+                        .write(true)
+                        .create_new(true)
+                        .open(flag)
+                        .is_ok();
+                    if created {
+                        loop {
+                            std::thread::sleep(std::time::Duration::from_secs(3600));
+                        }
+                    }
+                }
                 shard_events::heartbeat(shard, shards, next_pattern, total)
             }
         };
@@ -168,49 +210,52 @@ fn worker_main(spec: ShardSpec) -> ! {
     });
     match outcome {
         Ok(fingerprint) => {
-            println!("{}", shard_events::done(shard, shards, fingerprint));
-            let _ = std::io::Write::flush(&mut std::io::stdout());
+            let peak = shardsup::peak_rss_self_bytes().unwrap_or(0);
+            println!("{}", shard_events::done(shard, shards, fingerprint, peak));
+            let _ = std::io::stdout().flush();
             std::process::exit(0);
         }
         Err(FlowError::Cancelled { phase }) => {
             eprintln!("[shard-worker {spec}] cancelled during {phase}; checkpoint is resumable");
             std::process::exit(EXIT_EVICTED);
         }
-        Err(e) => worker_fail(spec, &e.to_string()),
+        Err(e) => worker_exit(spec, 1, "flow", &e.to_string()),
     }
 }
 
-/// Lands the job spec atomically (tmp + rename) so a worker racing a
-/// supervisor restart never reads a half-written file.
-fn write_spec(dir: &Path, req: &JobRequest) -> Result<(), JobError> {
-    let io = |e: std::io::Error| JobError::Io {
-        context: "write shard spec",
-        message: e.to_string(),
-    };
-    let path = dir.join(SPEC_FILE);
-    let tmp = dir.join(format!("{SPEC_FILE}.tmp.{}", std::process::id()));
-    std::fs::write(&tmp, format!("{}\n", proto::to_submit_line(req))).map_err(io)?;
-    std::fs::rename(&tmp, &path).map_err(io)
-}
-
-/// Runs a `"shard_procs":true` job's campaign as `req.shards` supervised
-/// child processes under the job's locked checkpoint directory and
-/// merges the landed results (bit-identical to the in-process run).
+/// Runs the campaign `req` describes — whose prepared flow and test set
+/// are `flow` and `patterns` — as `req.shards` supervised worker
+/// processes under `dir`, and merges the landed results (bit-identical
+/// to the serial run).
 ///
-/// Supervisor observations stream out as [`JobEvent::Shard`]; the
-/// supervisor inherits the flow's cancel token, so a daemon drain
-/// SIGTERMs the children and surfaces as a resumable `cancelled` job.
-/// Its counters land in the flow's registry (`robustness.shardsup.*`),
-/// which [`crate::job::run_job`] absorbs into the daemon registry.
-pub(crate) fn run_supervised(
+/// `worker_bin` is the worker executable (default: the current one,
+/// whose `main` must call [`maybe_run_worker`] first). The supervisor
+/// reads its tuning from the `FASTMON_SHARD_*` knobs, inherits the
+/// flow's cancel token and records its counters in the flow's registry
+/// (`robustness.shardsup.*`); `on_event` observes every
+/// [`SupervisorEvent`]. Workers inherit the environment except for the
+/// process deadline (the supervisor owns cancellation); respawns also
+/// lose the chaos knobs, which target first attempts only.
+///
+/// # Errors
+///
+/// [`JobError::Spec`] for unusable `FASTMON_SHARD_*` knobs,
+/// [`JobError::Flow`] when the spec or test set cannot be landed (after
+/// the checkpoint-save retries) or a landed result cannot be merged,
+/// `JobError::Flow(FlowError::Cancelled)` when the token trips (every
+/// shard checkpoint stays resumable) and [`JobError::Shardsup`] when a
+/// worker cannot be launched, refuses its shard or exhausts its respawn
+/// budget.
+pub fn supervise(
     flow: &HdfTestFlow<'_>,
     patterns: &TestSet,
     req: &JobRequest,
     dir: &Path,
-    on_event: &mut dyn FnMut(JobEvent),
-) -> Result<DetectionAnalysis, JobError> {
+    worker_bin: Option<&Path>,
+    on_event: &mut dyn FnMut(&SupervisorEvent),
+) -> Result<SupervisedRun, JobError> {
     let shards = req.shards;
-    let sup_config = SupervisorConfig::from_env(shards).map_err(|e| match e {
+    let config = SupervisorConfig::from_env(shards).map_err(|e| match e {
         // An unusable FASTMON_SHARD_* knob is a configuration problem of
         // the submission environment — typed like any other bad spec.
         ShardsupError::Config { .. } => JobError::Spec {
@@ -218,9 +263,8 @@ pub(crate) fn run_supervised(
         },
         other => JobError::Shardsup(other),
     })?;
-    write_spec(dir, req)?;
-    let exe = match std::env::var_os(ENV_WORKER_BIN).map(PathBuf::from) {
-        Some(p) => p,
+    let exe = match worker_bin {
+        Some(p) => p.to_path_buf(),
         None => std::env::current_exe().map_err(|e| {
             JobError::Shardsup(ShardsupError::Launch {
                 shard: 0,
@@ -228,12 +272,18 @@ pub(crate) fn run_supervised(
             })
         })?,
     };
+    let files = ShardFiles::new(dir);
+    files
+        .land_spec(flow, &format!("{}\n", proto::to_submit_line(req)))
+        .and_then(|()| files.land_test_set(flow, patterns))
+        .map_err(FlowError::from)?;
 
     let mut launch = |shard: usize, attempt: u32| -> std::io::Result<Child> {
         let mut cmd = Command::new(&exe);
         cmd.arg("--shard-worker")
             .arg(format!("{shard}/{shards}"))
             .env(ENV_DIR, dir)
+            .env_remove("FASTMON_DEADLINE_SECS")
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
         if attempt > 0 {
@@ -244,14 +294,43 @@ pub(crate) fn run_supervised(
         }
         cmd.spawn()
     };
-    let mut is_complete = |shard: usize| flow.shard_result_landed(patterns, shard, shards, dir);
+    let mut is_complete = |shard: usize| files.landed(flow, patterns, ShardSpec { shard, shards });
+    let report = shardsup::run(
+        &config,
+        &mut launch,
+        &mut is_complete,
+        &mut |event| on_event(&event),
+        flow.cancel_token(),
+        Some(flow.metrics()),
+    )
+    .map_err(|e| match e {
+        // A drain/deadline cancellation keeps the single-process
+        // contract: terminal status "cancelled", checkpoints resumable.
+        ShardsupError::Cancelled { phase } => JobError::Flow(FlowError::Cancelled { phase }),
+        other => JobError::Shardsup(other),
+    })?;
+    let analysis = files.merge(flow, patterns, shards)?;
+    Ok(SupervisedRun { analysis, report })
+}
 
+/// A `"shard_procs":true` job's campaign: [`supervise`] under the job's
+/// locked checkpoint directory, with supervisor observations forwarded as
+/// [`JobEvent::Shard`] rows so the flight recorder and the `observe`
+/// snapshot see per-shard progress and respawn counts.
+pub(crate) fn run_supervised(
+    flow: &HdfTestFlow<'_>,
+    patterns: &TestSet,
+    req: &JobRequest,
+    dir: &Path,
+    on_event: &mut dyn FnMut(JobEvent),
+) -> Result<DetectionAnalysis, JobError> {
+    let worker_bin = std::env::var_os(ENV_WORKER_BIN).map(PathBuf::from);
     // Per-shard accounting the observe snapshot renders: last reported
     // progress and charged respawns, carried on every forwarded event.
-    let mut respawns = vec![0u64; shards];
-    let mut progress = vec![(0u64, 0u64); shards];
-    let mut forward = |event: SupervisorEvent| {
-        let (shard, kind) = match &event {
+    let mut respawns = vec![0u64; req.shards];
+    let mut progress = vec![(0u64, 0u64); req.shards];
+    let mut forward = |event: &SupervisorEvent| {
+        let (shard, kind) = match event {
             SupervisorEvent::Spawned { shard, attempt, .. } => {
                 respawns[*shard] = u64::from(*attempt);
                 (*shard, "spawned")
@@ -286,22 +365,13 @@ pub(crate) fn run_supervised(
             total_patterns,
         });
     };
-
-    shardsup::run(
-        &sup_config,
-        &mut launch,
-        &mut is_complete,
+    supervise(
+        flow,
+        patterns,
+        req,
+        dir,
+        worker_bin.as_deref(),
         &mut forward,
-        flow.cancel_token(),
-        Some(flow.metrics()),
     )
-    .map_err(|e| match e {
-        // A drain/deadline cancellation keeps the single-shard contract:
-        // terminal status "cancelled", checkpoints resumable.
-        ShardsupError::Cancelled { phase } => JobError::Flow(FlowError::Cancelled { phase }),
-        other => JobError::Shardsup(other),
-    })?;
-
-    flow.merge_shard_results(patterns, shards, dir)
-        .map_err(JobError::Flow)
+    .map(|run| run.analysis)
 }

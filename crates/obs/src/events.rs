@@ -157,25 +157,29 @@ pub mod shard {
     }
 
     /// The worker landed its result file (fingerprint is the shard's own
-    /// checkpoint fingerprint, not the merged campaign's).
+    /// checkpoint fingerprint, not the merged campaign's) and reports its
+    /// own peak resident set (`VmHWM`, 0 when unknown).
     #[must_use]
-    pub fn done(shard: usize, shards: usize, fingerprint: u64) -> String {
+    pub fn done(shard: usize, shards: usize, fingerprint: u64, peak_rss_bytes: u64) -> String {
         Record::new()
             .str("event", "shard_done")
             .u64("shard", shard as u64)
             .u64("shards", shards as u64)
             .fingerprint("fingerprint", fingerprint)
+            .u64("peak_rss_bytes", peak_rss_bytes)
             .finish()
     }
 
     /// A typed failure the worker could still report before exiting
-    /// nonzero.
+    /// nonzero; `kind` is a stable discriminant (`spec`,
+    /// `fingerprint_mismatch`, `test_set`, `flow`).
     #[must_use]
-    pub fn error(shard: usize, shards: usize, message: &str) -> String {
+    pub fn error(shard: usize, shards: usize, kind: &str, message: &str) -> String {
         Record::new()
             .str("event", "shard_error")
             .u64("shard", shard as u64)
             .u64("shards", shards as u64)
+            .str("kind", kind)
             .str("message", message)
             .finish()
     }

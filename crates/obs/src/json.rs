@@ -4,7 +4,8 @@
 //! environment is offline.
 //!
 //! Supported: objects, arrays, strings (with `\" \\ \/ \b \f \n \r \t`
-//! and `\uXXXX` escapes), numbers (as `f64`), booleans, null. Duplicate
+//! and `\uXXXX` escapes), numbers (unsigned integers exactly as `u64`,
+//! every other number as `f64`), booleans, null. Duplicate
 //! object keys keep the last value on lookup but are preserved in order.
 
 /// A parsed JSON value.
@@ -14,7 +15,10 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// An unsigned integer literal that fits a `u64`, kept exact (an
+    /// `f64` would round integers above 2^53, such as 64-bit seeds).
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -56,6 +60,8 @@ impl Value {
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            #[allow(clippy::cast_precision_loss)]
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
@@ -65,6 +71,7 @@ impl Value {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Value::Int(n) => Some(*n),
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 1.8e19 => Some(*n as u64),
             _ => None,
@@ -144,6 +151,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     let text = std::str::from_utf8(&bytes[start..*pos])
         .map_err(|_| format!("invalid utf-8 in number at byte {start}"))?;
+    if let Ok(n) = text.parse::<u64>() {
+        return Ok(Value::Int(n));
+    }
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|_| format!("invalid number `{text}` at byte {start}"))
@@ -300,6 +310,24 @@ mod tests {
                 .and_then(|a| a[0].as_u64()),
             Some(1)
         );
+    }
+
+    #[test]
+    fn unsigned_integers_stay_exact() {
+        let v = parse(&format!(
+            "[{},{},18446744073709551616,1e3,-1]",
+            u64::MAX,
+            (1u64 << 53) + 1
+        ))
+        .unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_u64(), Some(u64::MAX));
+        assert_eq!(items[1].as_u64(), Some((1 << 53) + 1));
+        // Past u64 or not an integer literal: an f64 as before.
+        assert_eq!(items[2].as_u64(), None);
+        assert_eq!(items[3].as_u64(), Some(1000));
+        assert_eq!(items[4].as_u64(), None);
+        assert_eq!(items[4].as_f64(), Some(-1.0));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   re-simulation,
 //! * [`parallel_map`] / [`parallel_map_with`] — a work-stealing scoped-thread
 //!   pool to fan simulations out over campaign work items,
-//! * [`stats`] — process-wide campaign counters (cones simulated, nodes
+//! * [`stats`] — campaign counter snapshots (cones simulated, nodes
 //!   pruned, waveform allocations).
 //!
 //! # Example

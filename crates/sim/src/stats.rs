@@ -1,18 +1,13 @@
-//! Deprecated process-wide campaign counters.
+//! Campaign counter snapshots.
 //!
-//! The counters now live in campaign-owned
+//! The counters live in campaign-owned
 //! [`fastmon_obs::SimMetrics`]/[`fastmon_obs::MetricsRegistry`] registries
 //! (see [`SimEngine::with_metrics`](crate::SimEngine::with_metrics)):
 //! each campaign holds its own collector, so concurrent campaigns in one
-//! process attribute their work exactly — the old process-wide statics
-//! could not tell them apart.
-//!
-//! This module remains as a thin shim so existing callers compile: engines
-//! *not* given a scoped registry fall back to one process-wide
-//! [`global`] registry, which [`reset`]/[`snapshot`] (deprecated) bracket
-//! exactly like before. New code should pass a scoped registry and read
-//! it directly; the hot paths keep the same discipline either way
-//! (relaxed ordering, per-cone batch flushes).
+//! process attribute their work exactly. Engines *not* given a scoped
+//! registry fall back to one process-wide [`global`] registry. The hot
+//! paths keep the same discipline either way (relaxed ordering, per-cone
+//! batch flushes).
 
 use fastmon_obs::SimMetrics;
 
@@ -84,25 +79,6 @@ impl CampaignStats {
     }
 }
 
-/// Snapshots the process-wide fallback registry.
-#[deprecated(
-    note = "use a campaign-owned fastmon_obs::MetricsRegistry (e.g. HdfTestFlow::metrics) \
-            and CampaignStats::from_metrics instead"
-)]
-#[must_use]
-pub fn snapshot() -> CampaignStats {
-    CampaignStats::from_metrics(global())
-}
-
-/// Zeroes the process-wide fallback registry.
-#[deprecated(
-    note = "use a campaign-owned fastmon_obs::MetricsRegistry (e.g. HdfTestFlow::metrics) \
-            instead; scoped registries start at zero"
-)]
-pub fn reset() {
-    global().reset();
-}
-
 /// One cone's worth of counter deltas, flushed in a single batch.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ConeTally {
@@ -147,14 +123,5 @@ mod tests {
         assert_eq!(s.nodes_pruned_unobserved, 7);
         assert_eq!(s.waveform_allocs, 1);
         assert_eq!(s.waveform_reuses, 4);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn global_shim_still_brackets_work() {
-        reset();
-        ConeTally::default().flush_simulated(global());
-        let s = snapshot();
-        assert!(s.cones_simulated >= 1);
     }
 }
