@@ -178,6 +178,57 @@ fn eval_node(
     v
 }
 
+/// One from-scratch 5-valued evaluation of every node in topological
+/// order: the fixed point that incremental implication must reach.
+fn evaluate(
+    circuit: &Circuit,
+    assignment: &[Option<bool>],
+    source_pos: &[usize],
+    fault: Option<StuckAtFault>,
+) -> Vec<V5> {
+    let mut values = vec![V5::X; circuit.len()];
+    let mut ins = Vec::new();
+    for &id in circuit.topo_order() {
+        values[id.index()] = eval_node(
+            circuit, id, &values, &mut ins, assignment, source_pos, fault,
+        );
+    }
+    values
+}
+
+/// Pending gate evaluations of the event-driven implication, one bucket
+/// per logic level.
+///
+/// A combinational gate's level exceeds every fanin's, so draining the
+/// buckets in level order evaluates each queued gate once, after all of its
+/// fanins have settled.
+struct EventQueue {
+    buckets: Vec<Vec<NodeId>>,
+    queued: Vec<bool>,
+    /// One past the highest level that may hold a pending node.
+    top: usize,
+}
+
+impl EventQueue {
+    fn new(circuit: &Circuit) -> Self {
+        EventQueue {
+            buckets: vec![Vec::new(); circuit.max_level() as usize + 1],
+            queued: vec![false; circuit.len()],
+            top: 0,
+        }
+    }
+
+    fn push(&mut self, circuit: &Circuit, id: NodeId) {
+        let queued = &mut self.queued[id.index()];
+        if !*queued {
+            *queued = true;
+            let level = circuit.level(id) as usize;
+            self.buckets[level].push(id);
+            self.top = self.top.max(level + 1);
+        }
+    }
+}
+
 /// Single-pass fanin closure of `seed` over the topological order,
 /// through **every** node kind — exactly the set of nodes the original
 /// whole-circuit X-path scan could ever mark reachable (that scan reads
@@ -355,42 +406,28 @@ struct Learned {
 }
 
 impl Learned {
+    /// `baseline` is the all-X, fault-free evaluation of `circuit`.
     fn build(
         circuit: &Circuit,
         sources: &[NodeId],
         source_pos: &[usize],
-        cones: &mut [Option<Box<[NodeId]>>],
+        baseline: &[V5],
         marks: &mut ConeMarks,
     ) -> Self {
         let n = circuit.len();
-        let mut values = vec![V5::X; n];
+        let mut values = baseline.to_vec();
         let mut ins = Vec::new();
         let mut assignment: Vec<Option<bool>> = vec![None; sources.len()];
-        for &id in circuit.topo_order() {
-            values[id.index()] = eval_node(
-                circuit,
-                id,
-                &values,
-                &mut ins,
-                &assignment,
-                source_pos,
-                None,
-            );
-        }
         let as_binary = |v: V5| if v.is_binary() { v.good() } else { None };
         let mut constant: Vec<Option<bool>> = values.iter().map(|&v| as_binary(v)).collect();
-        let baseline = values.clone();
 
         let mut implications: Vec<Vec<(u32, bool, bool)>> = vec![Vec::new(); n];
         let mut total = 0usize;
         // node → value implied by `s = false`, valid for the current source
         let mut low_pass: Vec<Option<bool>> = vec![None; n];
-        let mut cone_buf: Vec<NodeId> = Vec::new();
+        let mut cone: Vec<NodeId> = Vec::new();
         for (k, &s) in sources.iter().enumerate() {
-            let cone = cones[s.index()].get_or_insert_with(|| {
-                circuit.fanout_cone_into(s, marks, &mut cone_buf);
-                cone_buf.as_slice().into()
-            });
+            circuit.fanout_cone_into(s, marks, &mut cone);
             for v in [false, true] {
                 assignment[k] = Some(v);
                 for &id in cone.iter() {
@@ -445,20 +482,25 @@ impl Learned {
 
 /// Reusable PODEM search engine.
 ///
-/// All per-circuit state — source ordering, the 5-valued value array, the
-/// X-path scratch and lazily cached fanout cones — lives in the engine and
-/// is shared across faults, so a generation loop that targets thousands of
-/// faults allocates once instead of per call. More importantly, the three
-/// inner loops of the search are **cone-bounded**:
+/// All per-circuit state — source ordering, the 5-valued value array and
+/// its all-X baseline, the implication queue, the X-path scratch and the
+/// lazily cached fault-site cones — lives in the engine and is shared
+/// across faults, so a generation loop that targets thousands of faults
+/// allocates once instead of per call. More importantly, the three inner
+/// loops of the search are **bounded**:
 ///
-/// * forward implication after a decision re-simulates only the fanout
-///   cone of the source that changed (values outside it cannot move);
+/// * forward implication is event-driven (selective trace): a gate is
+///   re-evaluated only when one of its fanins changed value, level by
+///   level, and a run starts from the cached all-X baseline instead of a
+///   whole-circuit pass;
 /// * the D-frontier scan walks the fault site's fanout cone instead of
 ///   every combinational node (fault effects cannot exist elsewhere);
 /// * the X-path check walks a cached fanin closure of the fault site.
 ///
-/// Every bound is exact — the restricted walks visit the same candidates
-/// in the same (topological) order as the original whole-circuit walks.
+/// Every bound is exact — implication reaches the same unique fixed point
+/// as a full topological sweep, and the restricted walks visit the same
+/// candidates in the same (topological) order as the original
+/// whole-circuit walks.
 ///
 /// The *order* in which candidates are tried is testability-guided:
 /// [SCOAP-style](Testability) controllability/observability costs pick the
@@ -474,12 +516,19 @@ pub struct PodemEngine<'c> {
     circuit: &'c Circuit,
     sources: Vec<NodeId>,
     source_pos: Vec<usize>,
+    /// Always the evaluation of `assignment` under the current goal's
+    /// fault, once `queue` is drained.
     values: Vec<V5>,
+    /// `values` under the empty assignment and no fault.
+    baseline: Vec<V5>,
     assignment: Vec<Option<bool>>,
+    queue: EventQueue,
+    /// Gate evaluations done by implication in the current run.
+    implications: u64,
     ins: Vec<V5>,
     reach: Vec<bool>,
-    /// Combinational fanout cones (forward implication + D-frontier),
-    /// lazily built per node and reused across runs.
+    /// Combinational fanout cones of fault sites (D-frontier scan),
+    /// lazily built and reused across runs.
     cones: Vec<Option<Box<[NodeId]>>>,
     /// Through-anything fanin closures for the X-path check.
     xcones: Vec<Option<Box<[NodeId]>>>,
@@ -509,11 +558,9 @@ impl<'c> PodemEngine<'c> {
             source_pos[s.index()] = k;
         }
         let n = sources.len();
-        let mut cones: Vec<Option<Box<[NodeId]>>> = vec![None; circuit.len()];
+        let baseline = evaluate(circuit, &vec![None; n], &source_pos, None);
         let mut cone_marks = ConeMarks::new();
-        // the learning pass also pre-warms every source's forward cone,
-        // which the search's incremental implication reuses
-        let learned = Learned::build(circuit, &sources, &source_pos, &mut cones, &mut cone_marks);
+        let learned = Learned::build(circuit, &sources, &source_pos, &baseline, &mut cone_marks);
         let mut op_driver = vec![false; circuit.len()];
         for op in circuit.observe_points() {
             op_driver[op.driver.index()] = true;
@@ -522,11 +569,14 @@ impl<'c> PodemEngine<'c> {
             circuit,
             sources,
             source_pos,
-            values: vec![V5::X; circuit.len()],
+            values: baseline.clone(),
+            baseline,
             assignment: vec![None; n],
+            queue: EventQueue::new(circuit),
+            implications: 0,
             ins: Vec::new(),
             reach: vec![false; circuit.len()],
-            cones,
+            cones: vec![None; circuit.len()],
             xcones: vec![None; circuit.len()],
             testability: Testability::build(circuit),
             learned,
@@ -591,15 +641,18 @@ impl<'c> PodemEngine<'c> {
         metrics: Option<&fastmon_obs::AtpgMetrics>,
     ) -> PodemOutcome {
         self.assignment.fill(None);
+        self.values.copy_from_slice(&self.baseline);
         self.backtracks_left = max_backtracks;
+        self.implications = 0;
         if let Some(f) = goal.fault() {
             self.ensure_cones(f.node);
+            self.queue.push(self.circuit, f.node);
         }
         let (contradiction, necessities) = self.apply_learned(goal);
+        self.propagate(goal.fault());
         let outcome = if contradiction {
             PodemOutcome::Untestable
         } else {
-            self.forward_full(goal);
             match self.search(goal) {
                 Tri::Success => PodemOutcome::Test(self.assignment.clone()),
                 Tri::Fail => PodemOutcome::Untestable,
@@ -610,6 +663,7 @@ impl<'c> PodemEngine<'c> {
             m.podem_calls.incr();
             m.podem_backtracks
                 .add(u64::from(max_backtracks - self.backtracks_left));
+            m.podem_implications.add(self.implications);
             m.podem_necessity_assignments.add(necessities);
             if contradiction {
                 m.podem_learned_untestable.incr();
@@ -627,7 +681,7 @@ impl<'c> PodemEngine<'c> {
     /// without any search); otherwise pre-assigns each source whose value
     /// would force a requirement to the wrong constant — those assignments
     /// are *necessary*, so exhausting the remaining space still proves
-    /// untestability.
+    /// untestability. Every pre-assigned source is queued for implication.
     fn apply_learned(&mut self, goal: Goal) -> (bool, u64) {
         let mut necessities = 0u64;
         for (node, value) in goal.requirements().into_iter().flatten() {
@@ -650,6 +704,7 @@ impl<'c> PodemEngine<'c> {
                     Some(_) => {}
                     None => {
                         self.assignment[k as usize] = Some(need);
+                        self.queue.push(self.circuit, self.sources[k as usize]);
                         necessities += 1;
                     }
                 }
@@ -671,56 +726,50 @@ impl<'c> PodemEngine<'c> {
         }
     }
 
-    /// Caches the forward-implication cone of a source.
-    fn ensure_source_cone(&mut self, node: NodeId) {
-        let idx = node.index();
-        if self.cones[idx].is_none() {
-            self.circuit
-                .fanout_cone_into(node, &mut self.cone_marks, &mut self.cone_buf);
-            self.cones[idx] = Some(self.cone_buf.as_slice().into());
+    /// Event-driven forward implication: drains the queue in level order,
+    /// re-evaluating each queued node and queueing the combinational
+    /// fanouts of every node whose value changed. Nodes that are not queued
+    /// keep their value, so `values` settles on the same fixed point as a
+    /// whole-circuit sweep.
+    fn propagate(&mut self, fault: Option<StuckAtFault>) {
+        let circuit = self.circuit;
+        let mut level = 0;
+        while level < self.queue.top {
+            let mut bucket = std::mem::take(&mut self.queue.buckets[level]);
+            self.implications += bucket.len() as u64;
+            for &id in &bucket {
+                let i = id.index();
+                self.queue.queued[i] = false;
+                let v = eval_node(
+                    circuit,
+                    id,
+                    &self.values,
+                    &mut self.ins,
+                    &self.assignment,
+                    &self.source_pos,
+                    fault,
+                );
+                if v != self.values[i] {
+                    self.values[i] = v;
+                    for &fo in circuit.fanouts(id) {
+                        if circuit.kind(fo).is_combinational() {
+                            self.queue.push(circuit, fo);
+                        }
+                    }
+                }
+            }
+            bucket.clear();
+            self.queue.buckets[level] = bucket;
+            level += 1;
         }
+        self.queue.top = 0;
     }
 
-    /// Full forward 5-valued implication — every node, used once per run
-    /// to (re)initialise `values` from the empty assignment.
-    fn forward_full(&mut self, goal: Goal) {
-        let fault = goal.fault();
-        for &id in self.circuit.topo_order() {
-            let v = eval_node(
-                self.circuit,
-                id,
-                &self.values,
-                &mut self.ins,
-                &self.assignment,
-                &self.source_pos,
-                fault,
-            );
-            self.values[id.index()] = v;
-        }
-    }
-
-    /// Incremental forward implication after flipping one source: only the
-    /// nodes in that source's fanout cone can change, and the cone list is
-    /// topologically ordered, so one bounded sweep reaches the same fixed
-    /// point as a whole-circuit pass.
-    fn forward_cone(&mut self, seed: NodeId, goal: Goal) {
-        let fault = goal.fault();
-        let Some(cone) = self.cones[seed.index()].as_deref() else {
-            // unreachable: callers cache the cone first; fall back safely
-            return self.forward_full(goal);
-        };
-        for &id in cone {
-            let v = eval_node(
-                self.circuit,
-                id,
-                &self.values,
-                &mut self.ins,
-                &self.assignment,
-                &self.source_pos,
-                fault,
-            );
-            self.values[id.index()] = v;
-        }
+    /// Sets source `k` to `value` and implies the change forward.
+    fn assign(&mut self, k: usize, value: Option<bool>, fault: Option<StuckAtFault>) {
+        self.assignment[k] = value;
+        self.queue.push(self.circuit, self.sources[k]);
+        self.propagate(fault);
     }
 
     fn success(&self, goal: Goal) -> bool {
@@ -1003,11 +1052,8 @@ impl<'c> PodemEngine<'c> {
             return Tri::Fail;
         };
         let (src, first) = self.backtrace(obj_node, obj_value);
-        let src_node = self.sources[src];
-        self.ensure_source_cone(src_node);
         for value in [first, !first] {
-            self.assignment[src] = Some(value);
-            self.forward_cone(src_node, goal);
+            self.assign(src, Some(value), goal.fault());
             match self.search(goal) {
                 Tri::Success => return Tri::Success,
                 Tri::Abort => return Tri::Abort,
@@ -1019,8 +1065,7 @@ impl<'c> PodemEngine<'c> {
                 }
             }
         }
-        self.assignment[src] = None;
-        self.forward_cone(src_node, goal);
+        self.assign(src, None, goal.fault());
         Tri::Fail
     }
 }
@@ -1029,6 +1074,18 @@ impl<'c> PodemEngine<'c> {
 mod tests {
     use super::*;
     use fastmon_netlist::{library, CircuitBuilder};
+
+    /// Good-machine steady state with don't-cares filled with 0.
+    fn steady(circuit: &Circuit, assignment: &[Option<bool>]) -> Vec<bool> {
+        let sources = TestSet::source_order(circuit);
+        circuit.eval_steady(|id| {
+            sources
+                .iter()
+                .position(|&s| s == id)
+                .and_then(|k| assignment[k])
+                .unwrap_or(false)
+        })
+    }
 
     fn check_detects(circuit: &Circuit, fault: &StuckAtFault, assignment: &[Option<bool>]) {
         // verify: good vs faulty steady simulation differ at an observation
@@ -1139,17 +1196,7 @@ mod tests {
         let g11 = c.find("G11").unwrap();
         for target in [false, true] {
             match justify(&c, g11, target, 10_000) {
-                PodemOutcome::Test(t) => {
-                    let sources = TestSet::source_order(&c);
-                    let vals = c.eval_steady(|id| {
-                        sources
-                            .iter()
-                            .position(|&s| s == id)
-                            .and_then(|k| t[k])
-                            .unwrap_or(false)
-                    });
-                    assert_eq!(vals[g11.index()], target);
-                }
+                PodemOutcome::Test(t) => assert_eq!(steady(&c, &t)[g11.index()], target),
                 other => panic!("justify G11={target} failed: {other:?}"),
             }
         }
@@ -1166,6 +1213,109 @@ mod tests {
         let z = c.find("z").unwrap();
         assert_eq!(justify(&c, z, true, 1000), PodemOutcome::Untestable);
         assert!(matches!(justify(&c, z, false, 1000), PodemOutcome::Test(_)));
+    }
+
+    /// What every run must leave behind: `values` is the from-scratch
+    /// evaluation of the (possibly partial) assignment, nothing is queued,
+    /// and a fresh engine answers the same.
+    fn assert_settled(
+        engine: &PodemEngine,
+        fault: Option<StuckAtFault>,
+        outcome: &PodemOutcome,
+        fresh: &PodemOutcome,
+    ) {
+        let expected = evaluate(
+            engine.circuit,
+            &engine.assignment,
+            &engine.source_pos,
+            fault,
+        );
+        let drift = (0..expected.len()).find(|&i| engine.values[i] != expected[i]);
+        assert_eq!(drift, None, "{fault:?}: implication drifted at this node");
+        assert_eq!(engine.queue.top, 0);
+        assert!(engine.queue.buckets.iter().all(Vec::is_empty));
+        assert!(!engine.queue.queued.contains(&true));
+        assert_eq!(outcome, fresh, "{fault:?}: reused engine diverged");
+    }
+
+    /// One engine reused across every transition fault, driven the way
+    /// `generate` drives it (justify, then podem) plus a side objective.
+    #[test]
+    fn implication_matches_full_resimulation() {
+        let syn400 = fastmon_netlist::generate::GeneratorConfig::new("syn")
+            .gates(400)
+            .flip_flops(24)
+            .inputs(12)
+            .outputs(6)
+            .depth(12)
+            .generate(3)
+            .unwrap();
+        // gates that are binary under the all-X baseline: a fault there is
+        // active before any decision
+        let mut b = CircuitBuilder::new("consts");
+        b.add("a", GateKind::Input, &[]);
+        b.add("b", GateKind::Input, &[]);
+        b.add("zero", GateKind::Const0, &[]);
+        b.add("one", GateKind::Const1, &[]);
+        b.add("lo", GateKind::And, &["a", "zero"]);
+        b.add("hi", GateKind::Or, &["b", "one"]);
+        b.add("x", GateKind::Xor, &["lo", "b"]);
+        b.add("y", GateKind::Nand, &["hi", "a"]);
+        b.mark_output("x");
+        b.mark_output("y");
+        let mut circuits = vec![library::s27(), b.finish().unwrap(), syn400];
+        let s9234 = fastmon_netlist::generate::CircuitProfile::named("s9234")
+            .unwrap()
+            .scaled(0.05);
+        for seed in 1..=3 {
+            circuits.push(s9234.generate(seed).unwrap());
+        }
+        let (mut tests, mut aborts) = (0, 0);
+        for c in &circuits {
+            let mut engine = PodemEngine::new(c);
+            let gates: Vec<NodeId> = c.combinational_nodes().collect();
+            for (i, tf) in crate::transition_faults(c).iter().enumerate() {
+                let fault = StuckAtFault {
+                    node: tf.gate,
+                    stuck_at: tf.initial_value(),
+                };
+                let (side_node, side_value) = (gates[(7 * i + 3) % gates.len()], i % 4 < 2);
+                // alternate a tiny budget, which leaves aborted runs with
+                // partial assignments, with one that mostly completes
+                let limit = if i % 2 == 0 { 2 } else { 32 };
+                let launch = engine.justify(tf.gate, tf.initial_value(), limit);
+                let fresh = PodemEngine::new(c).justify(tf.gate, tf.initial_value(), limit);
+                assert_settled(&engine, None, &launch, &fresh);
+                if let PodemOutcome::Test(t) = &launch {
+                    assert_eq!(steady(c, t)[tf.gate.index()], tf.initial_value());
+                }
+
+                let capture = engine.podem(&fault, limit);
+                let fresh = PodemEngine::new(c).podem(&fault, limit);
+                assert_settled(&engine, Some(fault), &capture, &fresh);
+                if let PodemOutcome::Test(t) = &capture {
+                    check_detects(c, &fault, t);
+                }
+
+                let both = engine.podem_with_side_objective(&fault, side_node, side_value, limit);
+                let fresh = PodemEngine::new(c)
+                    .podem_with_side_objective(&fault, side_node, side_value, limit);
+                assert_settled(&engine, Some(fault), &both, &fresh);
+                if let PodemOutcome::Test(t) = &both {
+                    check_detects(c, &fault, t);
+                    assert_eq!(steady(c, t)[side_node.index()], side_value);
+                }
+
+                for outcome in [launch, capture, both] {
+                    match outcome {
+                        PodemOutcome::Test(_) => tests += 1,
+                        PodemOutcome::Aborted => aborts += 1,
+                        PodemOutcome::Untestable => {}
+                    }
+                }
+            }
+        }
+        assert!(tests > 0 && aborts > 0, "{tests} tests, {aborts} aborts");
     }
 
     #[test]

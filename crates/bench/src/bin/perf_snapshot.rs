@@ -676,6 +676,14 @@ impl AtpgReport {
             get("matrix_builds"),
             get("matrix_rebuilds_avoided"),
         );
+        let _ = writeln!(
+            s,
+            "  PODEM: {} calls, {} backtracks, {} implication evaluations, {} aborts",
+            get("podem_calls"),
+            get("podem_backtracks"),
+            get("podem_implications"),
+            get("podem_aborts"),
+        );
         s
     }
 }

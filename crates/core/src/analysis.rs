@@ -6,9 +6,7 @@ use fastmon_monitor::{
     at_speed_monitor_detectable, shifted_detection, ConfigSet, MonitorConfig, MonitorPlacement,
 };
 use fastmon_netlist::{Circuit, NodeId};
-use fastmon_sim::{
-    try_parallel_map_with, ConeScratch, FaultScreen, ScreenScratch, SimEngine, SpareBank,
-};
+use fastmon_sim::{try_parallel_map_with, ConeScratch, FaultScreen, ScreenScratch, SimEngine};
 use fastmon_timing::{ClockSpec, DelayAnnotation, Time};
 
 use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
@@ -203,13 +201,12 @@ impl DetectionAnalysis {
             }
         };
 
-        // Campaign-lifetime worker state: scratch buffers live in a pool
-        // that outlasts the per-band thread spawns, and recycled waveform
-        // transition buffers move through a shared bank at work-item
-        // granularity, so `waveform_allocs` tracks the concurrent peak
-        // instead of growing with bands × workers.
+        // Campaign-lifetime worker state: scratch buffers, including each
+        // worker's recycled waveform transition buffers, live in a pool
+        // that outlasts the per-band thread spawns, so `waveform_allocs`
+        // tracks the number of workers instead of growing with bands ×
+        // workers.
         let worker_pool: Mutex<Vec<BandWorker>> = Mutex::new(Vec::new());
-        let bank = SpareBank::new();
 
         let mut band_start = progress.next_pattern.min(num_patterns);
         while band_start < num_patterns {
@@ -238,7 +235,6 @@ impl DetectionAnalysis {
                         panic!("{injected}");
                     }
                     let w = lease.get();
-                    bank.withdraw(&mut w.scratch);
                     let base = &bases[item / num_chunks];
                     let chunk = item % num_chunks;
                     let lo = chunk * groups.len() / num_chunks;
@@ -282,7 +278,6 @@ impl DetectionAnalysis {
                             }
                         }
                     }
-                    bank.deposit(&mut w.scratch);
                     found
                 },
             )

@@ -8,8 +8,8 @@
 //!    same verdicts, detection ranges and target set. The band loop's
 //!    fixed `(pattern, chunk)` merge order guarantees this by
 //!    construction; this test keeps it true.
-//! 2. **Allocation flatness**: the per-worker scratch pool and spare bank
-//!    keep `waveform_allocs` within 2× of the single-thread figure at any
+//! 2. **Allocation flatness**: the per-worker scratch pool keeps
+//!    `waveform_allocs` within 2× of the single-thread figure at any
 //!    thread count (plus a small per-worker additive slack for hosts with
 //!    real parallelism, where each worker legitimately owns one scratch
 //!    set). The pre-rework engine allocated per *band*, which doubled the

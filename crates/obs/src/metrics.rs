@@ -134,6 +134,9 @@ metric_section! {
         podem_calls,
         /// PODEM decision backtracks across all invocations.
         podem_backtracks,
+        /// Gate evaluations done by PODEM's event-driven forward
+        /// implication across all invocations.
+        podem_implications,
         /// PODEM invocations aborted at the backtrack limit.
         podem_aborts,
         /// PODEM invocations answered `Untestable` straight from the

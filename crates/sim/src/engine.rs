@@ -513,61 +513,6 @@ impl ConeScratch {
     }
 }
 
-/// A campaign-wide pool of recycled waveform transition buffers.
-///
-/// Per-worker [`ConeScratch`] pools warm up independently: with `t`
-/// workers the campaign allocates roughly `t ×` the single-thread buffer
-/// count even though only one worker runs at a time on a loaded machine.
-/// The bank centralizes the buffers between work items — a worker
-/// [`withdraw`](SpareBank::withdraw)s the pool at item start and
-/// [`deposit`](SpareBank::deposit)s it back when the item ends — so total
-/// fresh allocations track the *concurrent* peak, which keeps
-/// `waveform_allocs` nearly flat across thread counts.
-///
-/// Lock poisoning (a worker panicking mid-item) simply forfeits the pooled
-/// buffers: the bank is an optimization, never load-bearing.
-#[derive(Debug, Default)]
-pub struct SpareBank(std::sync::Mutex<Vec<Vec<Time>>>);
-
-impl SpareBank {
-    /// An empty bank.
-    #[must_use]
-    pub fn new() -> Self {
-        SpareBank::default()
-    }
-
-    /// Moves every pooled buffer of `scratch` into the bank.
-    pub fn deposit(&self, scratch: &mut ConeScratch) {
-        if scratch.spare.is_empty() {
-            return;
-        }
-        if let Ok(mut bank) = self.0.lock() {
-            // In the steady state one side is always empty, so the
-            // exchange is a pointer swap; copying the handle list per
-            // work item dominated the campaign's multi-chunk runs.
-            if bank.is_empty() {
-                std::mem::swap(&mut *bank, &mut scratch.spare);
-            } else {
-                bank.append(&mut scratch.spare);
-            }
-        }
-    }
-
-    /// Moves every banked buffer into `scratch`'s pool.
-    pub fn withdraw(&self, scratch: &mut ConeScratch) {
-        if let Ok(mut bank) = self.0.lock() {
-            if bank.is_empty() {
-                return;
-            }
-            if scratch.spare.is_empty() {
-                std::mem::swap(&mut *bank, &mut scratch.spare);
-            } else {
-                scratch.spare.append(&mut bank);
-            }
-        }
-    }
-}
-
 impl<'c> SimEngine<'c> {
     /// Like [`SimEngine::response_diff`], but with a precomputed
     /// [`ConePlan`] and reusable [`ConeScratch`], and with effect-driven

@@ -48,7 +48,7 @@ mod waveform;
 pub mod stats;
 pub mod vcd;
 
-pub use engine::{ConePlan, ConeScratch, FaultyCone, PlanScratch, SimEngine, SimResult, SpareBank};
+pub use engine::{ConePlan, ConeScratch, FaultyCone, PlanScratch, SimEngine, SimResult};
 pub use parallel::{parallel_map, parallel_map_with, try_parallel_map_with, WorkerPanic};
 pub use screen::{has_polarity_transition, FaultScreen, ScreenGroup, ScreenScratch};
 pub use stimulus::Stimulus;
