@@ -9,7 +9,7 @@ use fastmon_netlist::{Circuit, NodeId};
 use fastmon_sim::{try_parallel_map_with, ConeScratch, FaultScreen, ScreenScratch, SimEngine};
 use fastmon_timing::{ClockSpec, DelayAnnotation, Time};
 
-use crate::checkpoint::{CampaignCheckpoint, CheckpointError};
+use crate::checkpoint::{ByteSink as _, CampaignCheckpoint, CheckpointError, Fnv1a};
 use crate::error::FlowError;
 
 /// Per-fault detectability verdict after fault simulation and monitor
@@ -497,54 +497,32 @@ impl DetectionAnalysis {
     /// shipping the full result across a socket.
     #[must_use]
     pub fn result_fingerprint(&self) -> u64 {
-        let mut bytes = Vec::new();
-        let push_u64 = |bytes: &mut Vec<u8>, v: u64| bytes.extend_from_slice(&v.to_le_bytes());
-        let push_f64 = |bytes: &mut Vec<u8>, v: f64| {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        };
-        let push_set = |bytes: &mut Vec<u8>, set: &IntervalSet| {
-            let ivs: Vec<_> = set.iter().collect();
-            push_u64(bytes, ivs.len() as u64);
-            for iv in ivs {
-                push_f64(bytes, iv.start);
-                push_f64(bytes, iv.end);
-            }
-        };
-        let push_range = |bytes: &mut Vec<u8>, dr: &DetectionRange| {
-            let outputs: Vec<_> = dr.iter().collect();
-            push_u64(bytes, outputs.len() as u64);
-            for (op, set) in outputs {
-                push_u64(bytes, op as u64);
-                push_set(bytes, set);
-            }
-        };
-        push_u64(&mut bytes, self.faults.len() as u64);
-        push_u64(&mut bytes, self.num_patterns as u64);
+        let mut hash = Fnv1a::new();
+        hash.put_u64(self.faults.len() as u64);
+        hash.put_u64(self.num_patterns as u64);
         for entries in &self.per_pattern {
-            push_u64(&mut bytes, entries.len() as u64);
+            hash.put_u64(entries.len() as u64);
             for (pattern, dr) in entries {
-                push_u64(&mut bytes, u64::from(*pattern));
-                push_range(&mut bytes, dr);
+                hash.put_u64(u64::from(*pattern));
+                hash.put_range(dr);
             }
         }
         for dr in &self.raw_union {
-            push_range(&mut bytes, dr);
+            hash.put_range(dr);
         }
         for set in self.conv_range.iter().chain(self.fast_range.iter()) {
-            push_set(&mut bytes, set);
+            hash.put_set(set);
         }
         for v in &self.verdicts {
-            bytes.push(
-                u8::from(v.detected_conv)
-                    | u8::from(v.detected_prop) << 1
-                    | u8::from(v.at_speed_monitor) << 2,
-            );
+            hash.put(&[u8::from(v.detected_conv)
+                | u8::from(v.detected_prop) << 1
+                | u8::from(v.at_speed_monitor) << 2]);
         }
-        push_u64(&mut bytes, self.targets.len() as u64);
+        hash.put_u64(self.targets.len() as u64);
         for &t in &self.targets {
-            push_u64(&mut bytes, t as u64);
+            hash.put_u64(t as u64);
         }
-        crate::checkpoint::fnv1a(&bytes)
+        hash.finish()
     }
 
     /// Count of faults detected by conventional FAST.

@@ -2,12 +2,34 @@
 //!
 //! [`DetectionAnalysis`](crate::DetectionAnalysis)'s banded campaign can
 //! persist its progress after every pattern band through a
-//! [`CheckpointStore`]. The on-disk format is a small versioned binary
-//! record (magic `FMCK`, format version, campaign fingerprint, raw
-//! per-pattern detection ranges) protected by an FNV-1a checksum, and every
-//! save is atomic: the record is written to a sibling `.tmp` file and
-//! renamed over the destination, so a crash mid-write never leaves a
-//! half-written checkpoint behind.
+//! [`CheckpointStore`]. Every save is atomic: the file is written to a
+//! sibling `.tmp` file and renamed over the destination, so a crash
+//! mid-write never leaves a half-written checkpoint behind.
+//!
+//! The on-disk format (version 2) is band-major, all integers
+//! little-endian:
+//!
+//! ```text
+//! "FMCK"  version: u32 = 2  fingerprint: u64  faults: u64
+//! per save, one band record:
+//!     entries: u64, then per entry  fault: u32  pattern: u32  range
+//! next_pattern: u64
+//! checksum: u64          FNV-1a over every byte before it
+//! ```
+//!
+//! A band record holds only the `(fault, pattern, raw range)` entries the
+//! campaign added since the previous save, fault by fault, so a save
+//! encodes and hashes just its own band: a [`CheckpointStore`] remembers
+//! the running checksum and per-fault entry counts of the file it wrote
+//! last and copies that file's header and band records into the new one.
+//! Encoding is linear in the campaign, not quadratic in the band count.
+//! Each save still rewrites the whole file under one checksum, so a torn
+//! or bit-flipped file fails to load as a whole instead of losing a tail
+//! silently. The per-fault raw unions are not stored: loading rebuilds
+//! them by merging each fault's entries in pattern order, which is the
+//! order the campaign merges them in. A version-1 file fails to load with
+//! [`CheckpointError::UnsupportedVersion`], and the campaign restarts
+//! cleanly.
 //!
 //! Resuming is bit-exact: the campaign merges per-pattern results in a
 //! fixed pattern order, so restarting from any band boundary yields the
@@ -20,7 +42,7 @@
 //! workers (magic `FMTS`, keyed by the campaign fingerprint; see
 //! [`ShardFiles`](crate::ShardFiles)).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -30,7 +52,7 @@ use fastmon_faults::{DetectionRange, Interval, IntervalSet};
 /// Magic bytes leading every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FMCK";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 /// Magic bytes leading every shipped test-set file.
 const TEST_SET_MAGIC: [u8; 4] = *b"FMTS";
 /// Current test-set format version.
@@ -63,6 +85,14 @@ pub enum CheckpointError {
     ChecksumMismatch,
     /// The file ends before the record does.
     Truncated,
+    /// The checksum matches but the payload holds something no campaign
+    /// writes: a fault index at or beyond the fault count, a pattern at
+    /// or beyond `next_pattern`, or a fault's entries out of ascending
+    /// pattern order.
+    Malformed {
+        /// What is wrong, with the offending values.
+        reason: String,
+    },
     /// The checkpoint belongs to a different campaign (circuit, fault
     /// list, patterns or clock differ).
     FingerprintMismatch {
@@ -106,6 +136,9 @@ impl fmt::Display for CheckpointError {
                 write!(f, "checkpoint checksum mismatch (corrupt file)")
             }
             CheckpointError::Truncated => write!(f, "checkpoint file is truncated"),
+            CheckpointError::Malformed { reason } => {
+                write!(f, "checkpoint file is malformed: {reason}")
+            }
             CheckpointError::FingerprintMismatch { got, expected } => {
                 write!(
                     f,
@@ -130,6 +163,12 @@ impl std::error::Error for CheckpointError {}
 
 /// The persisted mid-campaign state: everything the banded fault-simulation
 /// loop has accumulated up to (but not including) pattern `next_pattern`.
+///
+/// Only the fingerprint, `next_pattern` and the per-pattern entries reach
+/// the file; [`CheckpointStore::load`] rebuilds `raw_union` from the
+/// entries, so a saved checkpoint loads back equal only when its
+/// `raw_union` is what the campaign keeps there: each fault's entries
+/// merged in pattern order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     /// Fingerprint of the campaign inputs (circuit, faults, patterns,
@@ -138,13 +177,39 @@ pub struct CampaignCheckpoint {
     /// First pattern index that has *not* been simulated yet.
     pub next_pattern: usize,
     /// Per fault: `(pattern, raw detection range)` entries accumulated so
-    /// far, ascending by pattern.
+    /// far, strictly ascending by pattern and all below `next_pattern`.
     pub per_pattern: Vec<Vec<(u32, DetectionRange)>>,
-    /// Per fault: union of the accumulated raw ranges.
+    /// Per fault: union of the accumulated raw ranges, merged in pattern
+    /// order.
     pub raw_union: Vec<DetectionRange>,
 }
 
+/// What one [`CheckpointStore::save`] cost, in bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SavedBytes {
+    /// Bytes written to disk: the whole file.
+    pub written: u64,
+    /// Bytes this save encoded and hashed: its band record and the
+    /// trailer, plus the header when the file was encoded from scratch.
+    pub encoded: u64,
+}
+
 /// Persists campaign checkpoints to one file, atomically.
+///
+/// A save that extends the store's last one — the same fingerprint and
+/// fault count, a `next_pattern` no lower and no fault's entry list
+/// shorter — encodes and hashes only the entries added since, as one band
+/// record. The new file is the last file minus its trailer, copied
+/// kernel-side where the platform allows, then that record and a new
+/// trailer. The store keeps no copy of the file in memory: it remembers
+/// the last file's length, running checksum and trailer, and copies from
+/// the file only while its length and trailer still match. Any other
+/// save — a store's first, one for another campaign or for an earlier
+/// point of this one, or one whose file was removed or replaced
+/// meanwhile — is encoded from scratch. So a campaign of `b` bands
+/// encodes each entry once instead of about `b / 2` times, while every
+/// save still writes the whole file. The entries already saved must be
+/// unchanged, which holds for the campaign: it only appends.
 ///
 /// # Example
 ///
@@ -170,6 +235,9 @@ pub struct CheckpointStore {
     path: PathBuf,
     interrupt_after: Option<usize>,
     saves: Cell<usize>,
+    /// What the last successful save wrote, for the next save that
+    /// extends it.
+    last: RefCell<Option<LastSave>>,
 }
 
 /// Maps an [`fastmon_obs::InjectedFailure`] into the same
@@ -191,6 +259,7 @@ impl CheckpointStore {
             path: path.into(),
             interrupt_after: None,
             saves: Cell::new(0),
+            last: RefCell::new(None),
         }
     }
 
@@ -230,8 +299,9 @@ impl CheckpointStore {
     }
 
     /// Atomically persists `checkpoint` (write to `<path>.tmp`, then
-    /// rename) and returns the number of bytes written (used by the
-    /// campaign's checkpoint-latency telemetry).
+    /// rename) and returns the bytes it wrote and encoded (used by the
+    /// campaign's checkpoint telemetry). A failed save leaves the store
+    /// as it was, so a retry writes the same file.
     ///
     /// # Errors
     ///
@@ -239,9 +309,43 @@ impl CheckpointStore {
     /// [`CheckpointError::Interrupted`] when the
     /// [`with_interrupt_after`](Self::with_interrupt_after) test hook
     /// fires.
-    pub fn save(&self, checkpoint: &CampaignCheckpoint) -> Result<u64, CheckpointError> {
-        let bytes = encode(checkpoint);
-        write_atomic(&self.path, &bytes)?;
+    pub fn save(&self, checkpoint: &CampaignCheckpoint) -> Result<SavedBytes, CheckpointError> {
+        let mut last = self.last.borrow_mut();
+        // Keep the file's header and band records when the checkpoint
+        // extends the last save and the file is still that save's.
+        let kept = last
+            .take()
+            .filter(|state| state.extended_by(checkpoint))
+            .and_then(|state| Some((state.reopen(&self.path)?, state)));
+        let (file, header, mut state) = match kept {
+            Some((file, state)) => (Some(file), Vec::new(), state),
+            None => {
+                let (state, header) = LastSave::header(checkpoint);
+                (None, header, state)
+            }
+        };
+        let band = state.band(checkpoint);
+        let bytes = SavedBytes {
+            written: state.prefix_len + band.bytes.len() as u64,
+            encoded: (header.len() + band.bytes.len()) as u64,
+        };
+        let prefix_len = state.prefix_len;
+        let write = write_atomic(&self.path, |out| {
+            use std::io::{Read as _, Write as _};
+            if let Some(file) = &file {
+                // a kernel-side copy where the platform has one
+                if std::io::copy(&mut file.take(prefix_len), out)? != prefix_len {
+                    return Err(std::io::ErrorKind::UnexpectedEof.into());
+                }
+            }
+            out.write_all(&header)?;
+            out.write_all(&band.bytes)
+        });
+        if write.is_ok() {
+            state.commit(checkpoint, &band);
+        }
+        *last = Some(state);
+        write?;
         if self.saves.get() == 0 {
             // Best-effort: the sidecar lets a resuming process link its
             // trace back to this run's; losing it only costs the link,
@@ -252,11 +356,12 @@ impl CheckpointStore {
         self.saves.set(saves);
         match self.interrupt_after {
             Some(n) if saves >= n => Err(CheckpointError::Interrupted { bands: saves }),
-            _ => Ok(bytes.len() as u64),
+            _ => Ok(bytes),
         }
     }
 
-    /// Loads and validates the checkpoint.
+    /// Loads and validates the checkpoint, rebuilding each fault's
+    /// `raw_union` by merging its entries in pattern order.
     ///
     /// # Errors
     ///
@@ -264,7 +369,8 @@ impl CheckpointStore {
     /// errors ([`BadMagic`](CheckpointError::BadMagic),
     /// [`UnsupportedVersion`](CheckpointError::UnsupportedVersion),
     /// [`ChecksumMismatch`](CheckpointError::ChecksumMismatch),
-    /// [`Truncated`](CheckpointError::Truncated)) when the file is not a
+    /// [`Truncated`](CheckpointError::Truncated),
+    /// [`Malformed`](CheckpointError::Malformed)) when the file is not a
     /// valid current-version checkpoint.
     pub fn load(&self) -> Result<CampaignCheckpoint, CheckpointError> {
         decode(&read(&self.path)?)
@@ -301,15 +407,18 @@ impl CheckpointStore {
     }
 }
 
-/// Atomically replaces `path` with `bytes`: written to `<path>.tmp`, then
-/// renamed over the destination, so a crash mid-write never leaves a
-/// half-written file behind.
+/// Atomically replaces `path` with what `write` writes: written to
+/// `<path>.tmp`, then renamed over the destination, so a crash mid-write
+/// never leaves a half-written file behind.
 ///
 /// Failpoints fire *before* their syscall so an injected failure never
 /// leaves a half-written file behind (the real write/rename is skipped
 /// entirely); injected errors are indistinguishable from transient I/O to
 /// the retry machinery upstream.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+pub(crate) fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), CheckpointError> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(io_err("create dir"))?;
@@ -319,7 +428,9 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointEr
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     fastmon_obs::failpoints::fire("checkpoint_write").map_err(injected_io("write"))?;
-    std::fs::write(&tmp, bytes).map_err(io_err("write"))?;
+    std::fs::File::create(&tmp)
+        .and_then(|mut file| write(&mut file))
+        .map_err(io_err("write"))?;
     fastmon_obs::failpoints::fire("checkpoint_rename").map_err(injected_io("rename"))?;
     std::fs::rename(&tmp, path).map_err(io_err("rename"))
 }
@@ -687,41 +798,109 @@ impl Drop for JobStore {
     }
 }
 
-/// 64-bit FNV-1a over `bytes`, used both as the file checksum and (by the
-/// flow) as the campaign fingerprint hasher.
+/// Streaming 64-bit FNV-1a: bytes fed in any split hash to the same value
+/// as [`fnv1a`] over their concatenation. It computes the checkpoint
+/// checksum, which a [`CheckpointStore`] keeps running across its saves,
+/// and the campaign and result fingerprints.
+///
+/// ```
+/// use fastmon_core::{fnv1a, Fnv1a};
+///
+/// let mut hash = Fnv1a::new();
+/// hash.write(b"band ");
+/// hash.write(b"record");
+/// assert_eq!(hash.finish(), fnv1a(b"band record"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A hasher that has seen no bytes.
+    #[must_use]
+    pub const fn new() -> Self {
+        Fnv1a(Self::OFFSET_BASIS)
+    }
+
+    /// Feeds `bytes`.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// The hash of every byte fed so far.
+    #[must_use]
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// 64-bit FNV-1a over `bytes`: [`Fnv1a`] in one call.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a::new();
+    hash.write(bytes);
+    hash.finish()
+}
+
+/// Where the little-endian fields of the file formats and fingerprints
+/// go: a buffer being encoded, or an [`Fnv1a`] hashing the same byte
+/// stream without building it.
+pub(crate) trait ByteSink {
+    /// Appends raw bytes.
+    fn put(&mut self, bytes: &[u8]);
+
+    fn put_u32(&mut self, v: u32) {
+        self.put(&v.to_le_bytes());
     }
-    hash
-}
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+    fn put_u64(&mut self, v: u64) {
+        self.put(&v.to_le_bytes());
+    }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+    fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
 
-fn push_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn push_range(out: &mut Vec<u8>, dr: &DetectionRange) {
-    let outputs: Vec<(usize, &IntervalSet)> = dr.iter().collect();
-    push_u64(out, outputs.len() as u64);
-    for (op, set) in outputs {
-        push_u64(out, op as u64);
-        let ivs: Vec<&Interval> = set.iter().collect();
-        push_u64(out, ivs.len() as u64);
-        for iv in ivs {
-            push_f64(out, iv.start);
-            push_f64(out, iv.end);
+    /// An interval set: its interval count, then each start and end.
+    fn put_set(&mut self, set: &IntervalSet) {
+        self.put_u64(set.len() as u64);
+        for iv in set.iter() {
+            self.put_f64(iv.start);
+            self.put_f64(iv.end);
         }
+    }
+
+    /// A detection range: its output count, then each output index and
+    /// interval set.
+    fn put_range(&mut self, dr: &DetectionRange) {
+        self.put_u64(dr.iter().count() as u64);
+        for (op, set) in dr.iter() {
+            self.put_u64(op as u64);
+            self.put_set(set);
+        }
+    }
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl ByteSink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        self.write(bytes);
     }
 }
 
@@ -729,30 +908,134 @@ fn push_range(out: &mut Vec<u8>, dr: &DetectionRange) {
 /// writes, and an FNV-1a checksum over everything before it.
 fn frame(magic: [u8; 4], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&magic);
-    push_u32(&mut out, version);
+    out.put(&magic);
+    out.put_u32(version);
     body(&mut out);
     let checksum = fnv1a(&out);
-    push_u64(&mut out, checksum);
+    out.put_u64(checksum);
     out
 }
 
-fn encode(cp: &CampaignCheckpoint) -> Vec<u8> {
-    frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
-        push_u64(out, cp.fingerprint);
-        push_u64(out, cp.next_pattern as u64);
-        push_u64(out, cp.per_pattern.len() as u64);
-        for entries in &cp.per_pattern {
-            push_u64(out, entries.len() as u64);
-            for (pattern, dr) in entries {
-                push_u32(out, *pattern);
-                push_range(out, dr);
+/// Length of a checkpoint's trailer: `next_pattern` and the checksum.
+const TRAILER_LEN: u64 = 16;
+
+/// What a store's last save wrote: enough to append the next band to the
+/// file without encoding its header and band records again.
+#[derive(Debug)]
+struct LastSave {
+    fingerprint: u64,
+    next_pattern: usize,
+    /// Per fault: how many of its entries the file holds.
+    counts: Vec<usize>,
+    /// Length of the file's header and band records: all but the trailer.
+    prefix_len: u64,
+    /// FNV-1a state after the prefix.
+    hash: Fnv1a,
+    /// The file's trailer, which tells this save's file from any other.
+    trailer: [u8; TRAILER_LEN as usize],
+}
+
+/// The bytes one save adds after the prefix: its band record, then the
+/// trailer.
+struct Band {
+    bytes: Vec<u8>,
+    /// Length of the band record, which later saves keep.
+    record: usize,
+    /// FNV-1a state after the band record.
+    hash: Fnv1a,
+}
+
+impl LastSave {
+    /// The header of `cp`'s file, and the state of a file holding just
+    /// that header.
+    fn header(cp: &CampaignCheckpoint) -> (Self, Vec<u8>) {
+        let mut header = Vec::new();
+        header.put(&CHECKPOINT_MAGIC);
+        header.put_u32(CHECKPOINT_VERSION);
+        header.put_u64(cp.fingerprint);
+        header.put_u64(cp.per_pattern.len() as u64);
+        let mut hash = Fnv1a::new();
+        hash.write(&header);
+        let state = LastSave {
+            fingerprint: cp.fingerprint,
+            next_pattern: 0,
+            counts: vec![0; cp.per_pattern.len()],
+            prefix_len: header.len() as u64,
+            hash,
+            trailer: [0; TRAILER_LEN as usize],
+        };
+        (state, header)
+    }
+
+    /// Whether `cp` only appends to the checkpoint saved last.
+    fn extended_by(&self, cp: &CampaignCheckpoint) -> bool {
+        cp.fingerprint == self.fingerprint
+            && cp.next_pattern >= self.next_pattern
+            && cp.per_pattern.len() == self.counts.len()
+            && cp
+                .per_pattern
+                .iter()
+                .zip(&self.counts)
+                .all(|(entries, &saved)| entries.len() >= saved)
+    }
+
+    /// The file at `path`, positioned at its start, when it is still the
+    /// one the last save wrote: its length and trailer match. Anything
+    /// else — a removed file, or one another writer replaced — is `None`.
+    fn reopen(&self, path: &Path) -> Option<std::fs::File> {
+        use std::io::{Read as _, Seek as _, SeekFrom};
+        let mut file = std::fs::File::open(path).ok()?;
+        if file.metadata().ok()?.len() != self.prefix_len + TRAILER_LEN {
+            return None;
+        }
+        let mut trailer = [0; TRAILER_LEN as usize];
+        file.seek(SeekFrom::Start(self.prefix_len)).ok()?;
+        file.read_exact(&mut trailer).ok()?;
+        file.rewind().ok()?;
+        (trailer == self.trailer).then_some(file)
+    }
+
+    /// Encodes the entries of `cp` that the file lacks, fault by fault,
+    /// as one band record, followed by `cp`'s trailer.
+    fn band(&self, cp: &CampaignCheckpoint) -> Band {
+        // entry count, filled in once known
+        let mut bytes = vec![0; 8];
+        let mut entries = 0u64;
+        for (fault, (list, &saved)) in cp.per_pattern.iter().zip(&self.counts).enumerate() {
+            let fault =
+                u32::try_from(fault).unwrap_or_else(|_| unreachable!("fault count fits u32"));
+            for (pattern, dr) in &list[saved..] {
+                bytes.put_u32(fault);
+                bytes.put_u32(*pattern);
+                bytes.put_range(dr);
+                entries += 1;
             }
         }
-        for dr in &cp.raw_union {
-            push_range(out, dr);
+        bytes[..8].copy_from_slice(&entries.to_le_bytes());
+        let record = bytes.len();
+        let mut hash = self.hash;
+        hash.write(&bytes);
+        bytes.put_u64(cp.next_pattern as u64);
+        let mut checksum = hash;
+        checksum.write(&bytes[record..]);
+        bytes.put_u64(checksum.finish());
+        Band {
+            bytes,
+            record,
+            hash,
         }
-    })
+    }
+
+    /// Records that `band`, encoded for `cp`, now ends the file.
+    fn commit(&mut self, cp: &CampaignCheckpoint, band: &Band) {
+        self.prefix_len += band.record as u64;
+        self.hash = band.hash;
+        self.trailer.copy_from_slice(&band.bytes[band.record..]);
+        self.next_pattern = cp.next_pattern;
+        for (saved, entries) in self.counts.iter_mut().zip(&cp.per_pattern) {
+            *saved = entries.len();
+        }
+    }
 }
 
 /// A shipped test set as stored on disk: the patterns plus the campaign
@@ -778,9 +1061,9 @@ fn push_bits(out: &mut Vec<u8>, bits: &[bool]) {
 
 pub(crate) fn encode_test_set(fingerprint: u64, set: &fastmon_atpg::TestSet) -> Vec<u8> {
     frame(TEST_SET_MAGIC, TEST_SET_VERSION, |out| {
-        push_u64(out, fingerprint);
-        push_u64(out, set.sources().len() as u64);
-        push_u64(out, set.len() as u64);
+        out.put_u64(fingerprint);
+        out.put_u64(set.sources().len() as u64);
+        out.put_u64(set.len() as u64);
         for pattern in set.iter() {
             push_bits(out, &pattern.launch);
             push_bits(out, &pattern.capture);
@@ -871,6 +1154,23 @@ impl<'a> Cursor<'a> {
         usize::try_from(self.u64()?).map_err(|_| CheckpointError::Truncated)
     }
 
+    /// Takes the payload's last eight bytes off its end, as a `usize`.
+    fn pop_usize(&mut self) -> Result<usize, CheckpointError> {
+        let end = self
+            .data
+            .len()
+            .checked_sub(8)
+            .filter(|&end| end >= self.pos)
+            .ok_or(CheckpointError::Truncated)?;
+        let mut tail = Cursor {
+            data: &self.data[end..],
+            pos: 0,
+        };
+        let value = tail.usize()?;
+        self.data = &self.data[..end];
+        Ok(value)
+    }
+
     fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -904,34 +1204,65 @@ impl<'a> Cursor<'a> {
 fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
     let mut cursor = Cursor::unframe(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     let fingerprint = cursor.u64()?;
-    let next_pattern = cursor.usize()?;
     let num_faults = cursor.usize()?;
-    // a fault count beyond the payload size is a corrupt length field
-    if num_faults > cursor.remaining() {
-        return Err(CheckpointError::Truncated);
+    let next_pattern = cursor.pop_usize()?;
+    let malformed = |reason: String| CheckpointError::Malformed { reason };
+    // No payload bytes are spent on faults without entries, so the count
+    // is bounded only by the u32 fault index of the band records, and the
+    // allocation is fallible: an absurd count fails here, never aborts.
+    if u32::try_from(num_faults).is_err() {
+        return Err(malformed(format!("fault count {num_faults} exceeds u32")));
     }
-    let mut per_pattern = Vec::with_capacity(num_faults);
-    for _ in 0..num_faults {
-        let n = cursor.u64()?;
-        let mut entries = Vec::new();
-        for _ in 0..n {
+    let mut per_pattern: Vec<Vec<(u32, DetectionRange)>> = Vec::new();
+    per_pattern
+        .try_reserve_exact(num_faults)
+        .map_err(|_| malformed(format!("fault count {num_faults} cannot be allocated")))?;
+    per_pattern.resize_with(num_faults, Vec::new);
+    while cursor.remaining() > 0 {
+        let entries = cursor.u64()?;
+        for _ in 0..entries {
+            let fault = cursor.u32()?;
             let pattern = cursor.u32()?;
-            let dr = cursor.range()?;
-            entries.push((pattern, dr));
+            let list = per_pattern.get_mut(fault as usize).ok_or_else(|| {
+                malformed(format!(
+                    "fault {fault} is not below the fault count {num_faults}"
+                ))
+            })?;
+            if pattern as usize >= next_pattern {
+                return Err(malformed(format!(
+                    "fault {fault}: pattern {pattern} is not below next_pattern {next_pattern}"
+                )));
+            }
+            if let Some(&(previous, _)) = list.last() {
+                if pattern <= previous {
+                    return Err(malformed(format!(
+                        "fault {fault}: pattern {pattern} does not follow pattern {previous}"
+                    )));
+                }
+            }
+            list.push((pattern, cursor.range()?));
         }
-        per_pattern.push(entries);
     }
-    let mut raw_union = Vec::with_capacity(num_faults);
-    for _ in 0..num_faults {
-        raw_union.push(cursor.range()?);
-    }
-    cursor.finish()?;
+    let raw_union = per_pattern
+        .iter()
+        .map(|entries| union_of(entries))
+        .collect();
     Ok(CampaignCheckpoint {
         fingerprint,
         next_pattern,
         per_pattern,
         raw_union,
     })
+}
+
+/// The union of a fault's raw ranges, merged in the campaign's own order:
+/// entry by entry, ascending by pattern.
+fn union_of(entries: &[(u32, DetectionRange)]) -> DetectionRange {
+    let mut union = DetectionRange::new();
+    for (_, dr) in entries {
+        union.merge(dr);
+    }
+    union
 }
 
 pub(crate) fn decode_test_set(bytes: &[u8]) -> Result<TestSetRecord, CheckpointError> {
@@ -968,6 +1299,12 @@ pub(crate) fn decode_test_set(bytes: &[u8]) -> Result<TestSetRecord, CheckpointE
 mod tests {
     use super::*;
 
+    /// The file a store's first save of `cp` writes.
+    fn encode(cp: &CampaignCheckpoint) -> Vec<u8> {
+        let (state, header) = LastSave::header(cp);
+        [header, state.band(cp).bytes].concat()
+    }
+
     fn sample() -> CampaignCheckpoint {
         let mut dr = DetectionRange::new();
         let mut set = IntervalSet::new();
@@ -978,11 +1315,13 @@ mod tests {
         let mut set2 = IntervalSet::new();
         set2.insert(Interval::new(0.25, 0.75));
         dr2.push(0, set2);
+        let mut union = dr.clone();
+        union.merge(&dr2);
         CampaignCheckpoint {
             fingerprint: 0xdead_beef_1234_5678,
             next_pattern: 6,
-            per_pattern: vec![vec![(1, dr.clone()), (5, dr2.clone())], Vec::new()],
-            raw_union: vec![dr, dr2],
+            per_pattern: vec![vec![(1, dr), (5, dr2)], Vec::new()],
+            raw_union: vec![union, DetectionRange::new()],
         }
     }
 
@@ -1061,6 +1400,195 @@ mod tests {
         // the interrupted save still reached the disk
         assert_eq!(store.load().unwrap(), cp);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A campaign's progress once patterns `0..next_pattern` are
+    /// simulated, as the banded loop builds it: pattern `p` detects fault
+    /// `f` unless `p + f` is a multiple of 3.
+    fn progress(faults: usize, next_pattern: u32) -> CampaignCheckpoint {
+        let per_pattern: Vec<Vec<(u32, DetectionRange)>> = (0..faults)
+            .map(|f| {
+                (0..next_pattern)
+                    .filter(|&p| !(p as usize + f).is_multiple_of(3))
+                    .map(|p| {
+                        let start = f64::from(p) + 0.25 * f as f64;
+                        let mut dr = DetectionRange::new();
+                        dr.push(
+                            (p as usize + f) % 2,
+                            IntervalSet::from_intervals([Interval::new(start, start + 0.5)]),
+                        );
+                        (p, dr)
+                    })
+                    .collect()
+            })
+            .collect();
+        CampaignCheckpoint {
+            fingerprint: 0x5eed,
+            next_pattern: next_pattern as usize,
+            raw_union: per_pattern.iter().map(|e| union_of(e)).collect(),
+            per_pattern,
+        }
+    }
+
+    #[test]
+    fn saves_encode_only_what_extends_the_last_save() {
+        let dir = fresh_root("extend");
+        let path = dir.join("c.ckpt");
+        let store = CheckpointStore::new(&path);
+
+        // Band by band through one store: after the first save, each
+        // save encodes just its band record and the trailer.
+        let first = store.save(&progress(3, 2)).unwrap();
+        assert_eq!(first.encoded, first.written);
+        let mut previous = first;
+        for next_pattern in [4, 6, 8] {
+            let cp = progress(3, next_pattern);
+            let saved = store.save(&cp).unwrap();
+            assert_eq!(store.load().unwrap(), cp);
+            assert_eq!(saved.written, std::fs::metadata(&path).unwrap().len());
+            assert_eq!(
+                saved.written,
+                previous.written - TRAILER_LEN + saved.encoded
+            );
+            previous = saved;
+        }
+
+        // A checkpoint that does not extend the last save is encoded from
+        // scratch: a shorter entry list at the same next pattern, another
+        // fingerprint, another fault count, an earlier next pattern.
+        let mut shorter = progress(3, 8);
+        shorter.per_pattern[1].pop();
+        shorter.raw_union[1] = union_of(&shorter.per_pattern[1]);
+        let other_fingerprint = CampaignCheckpoint {
+            fingerprint: 0xfeed,
+            ..progress(3, 8)
+        };
+        let later = CampaignCheckpoint {
+            next_pattern: 9,
+            ..progress(3, 8)
+        };
+        for (last, cp) in [
+            (progress(3, 8), shorter),
+            (progress(3, 8), other_fingerprint),
+            (progress(3, 8), progress(4, 8)),
+            (later, progress(3, 8)),
+        ] {
+            store.save(&last).unwrap();
+            let saved = store.save(&cp).unwrap();
+            assert_eq!(saved.encoded, saved.written);
+            assert_eq!(store.load().unwrap(), cp);
+        }
+
+        // So is a save that extends the last one when the file it would
+        // copy from was removed, or replaced by another writer's file of
+        // the same length.
+        store.save(&progress(3, 6)).unwrap();
+        store.clear().unwrap();
+        let saved = store.save(&progress(3, 8)).unwrap();
+        assert_eq!(saved.encoded, saved.written);
+        assert_eq!(store.load().unwrap(), progress(3, 8));
+        let mine = store.save(&progress(3, 6)).unwrap();
+        let theirs = CheckpointStore::new(&path)
+            .save(&CampaignCheckpoint {
+                fingerprint: 0xfeed,
+                ..progress(3, 6)
+            })
+            .unwrap();
+        assert_eq!(mine.written, theirs.written);
+        let saved = store.save(&progress(3, 8)).unwrap();
+        assert_eq!(saved.encoded, saved.written);
+        assert_eq!(store.load().unwrap(), progress(3, 8));
+
+        // A failed write leaves the store as it was: the file on disk
+        // keeps the last save, and the retry encodes only the new band,
+        // writing the same file an undisturbed store writes. (A directory
+        // squatting on the temp path fails the write without arming the
+        // process-wide failpoints, which other tests share.)
+        let tmp = dir.join("c.ckpt.tmp");
+        store.save(&progress(4, 4)).unwrap();
+        std::fs::create_dir(&tmp).unwrap();
+        let err = store.save(&progress(4, 6)).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Io { op: "write", .. }),
+            "{err:?}"
+        );
+        assert_eq!(store.load().unwrap(), progress(4, 4));
+        std::fs::remove_dir(&tmp).unwrap();
+        let retried = store.save(&progress(4, 6)).unwrap();
+        assert!(retried.encoded < retried.written);
+        assert_eq!(store.load().unwrap(), progress(4, 6));
+        let undisturbed = CheckpointStore::new(dir.join("u.ckpt"));
+        undisturbed.save(&progress(4, 4)).unwrap();
+        undisturbed.save(&progress(4, 6)).unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(undisturbed.path()).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A checkpoint file around hand-written band records: one
+    /// `(fault, pattern)` list per record, every range the same.
+    fn framed(faults: u64, next_pattern: u64, records: &[&[(u32, u32)]]) -> Vec<u8> {
+        let range = &progress(1, 2).per_pattern[0][0].1;
+        frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
+            out.put_u64(0xf00d);
+            out.put_u64(faults);
+            for record in records {
+                out.put_u64(record.len() as u64);
+                for &(fault, pattern) in *record {
+                    out.put_u32(fault);
+                    out.put_u32(pattern);
+                    out.put_range(range);
+                }
+            }
+            out.put_u64(next_pattern);
+        })
+    }
+
+    fn malformed_reason(bytes: &[u8]) -> String {
+        match decode(bytes) {
+            Err(CheckpointError::Malformed { reason }) => reason,
+            other => panic!("expected a malformed-record error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn hand_framed_band_records_decode() {
+        let cp = decode(&framed(2, 4, &[&[(0, 1), (1, 0)], &[], &[(0, 3)]])).unwrap();
+        let patterns: Vec<Vec<u32>> = cp
+            .per_pattern
+            .iter()
+            .map(|entries| entries.iter().map(|(p, _)| *p).collect())
+            .collect();
+        assert_eq!(patterns, vec![vec![1, 3], vec![0]]);
+        assert_eq!(cp.next_pattern, 4);
+    }
+
+    #[test]
+    fn fault_index_beyond_the_fault_count_is_malformed() {
+        let reason = malformed_reason(&framed(2, 4, &[&[(0, 1)], &[(2, 3)]]));
+        assert!(reason.contains("fault count 2"), "{reason}");
+    }
+
+    #[test]
+    fn pattern_at_or_beyond_next_pattern_is_malformed() {
+        let reason = malformed_reason(&framed(2, 4, &[&[(1, 4)]]));
+        assert!(reason.contains("next_pattern 4"), "{reason}");
+    }
+
+    #[test]
+    fn entries_out_of_pattern_order_are_malformed() {
+        // within one record, across two records, and a repeated pattern
+        let records: [&[&[(u32, u32)]]; 3] = [
+            &[&[(0, 2), (0, 1)]],
+            &[&[(1, 2)], &[(1, 1)]],
+            &[&[(0, 3)], &[(0, 3)]],
+        ];
+        for records in records {
+            let reason = malformed_reason(&framed(2, 4, records));
+            assert!(reason.contains("does not follow"), "{reason}");
+        }
     }
 
     fn fresh_root(tag: &str) -> PathBuf {
@@ -1264,7 +1792,9 @@ mod tests {
     proptest! {
         #[test]
         fn decoding_arbitrary_bytes_never_panics(
-            bytes in proptest::collection::vec(any::<u8>(), 0..512)
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+            faults in 0u64..5,
+            next_pattern in 0u64..12,
         ) {
             match decode(&bytes) {
                 Ok(cp) => prop_assert!(cp.per_pattern.len() == cp.raw_union.len()),
@@ -1285,6 +1815,55 @@ mod tests {
             let checkpoint = frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| out.extend(&bytes));
             if let Err(e) = decode(&checkpoint) {
                 prop_assert!(!e.to_string().is_empty());
+            }
+            // The same bytes as band records, behind a plausible header
+            // and trailer, drive the record parser and its entry checks.
+            let records = frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
+                out.put_u64(7);
+                out.put_u64(faults);
+                out.extend(&bytes);
+                out.put_u64(next_pattern);
+            });
+            match decode(&records) {
+                Ok(cp) => {
+                    prop_assert_eq!(cp.per_pattern.len() as u64, faults);
+                    for (entries, union) in cp.per_pattern.iter().zip(&cp.raw_union) {
+                        prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+                        prop_assert!(entries.iter().all(|(p, _)| u64::from(*p) < next_pattern));
+                        prop_assert_eq!(union, &union_of(entries));
+                    }
+                }
+                Err(e) => prop_assert!(!e.to_string().is_empty()),
+            }
+        }
+
+        #[test]
+        fn band_records_decode_iff_every_entry_is_valid(
+            entries in proptest::collection::vec((0u32..4, 0u32..8), 0..12),
+            split in 0usize..12,
+        ) {
+            // three faults, six patterns; the entries as one record or two
+            let split = split.min(entries.len());
+            let bytes = framed(3, 6, &[&entries[..split], &entries[split..]]);
+            let mut last = [None; 3];
+            let valid = entries.iter().all(|&(fault, pattern)| {
+                let Some(previous) = last.get_mut(fault as usize) else {
+                    return false;
+                };
+                let follows = previous.is_none_or(|p| pattern > p);
+                *previous = Some(pattern);
+                pattern < 6 && follows
+            });
+            match decode(&bytes) {
+                Ok(cp) => {
+                    prop_assert!(valid, "accepted {entries:?}");
+                    let decoded: usize = cp.per_pattern.iter().map(Vec::len).sum();
+                    prop_assert_eq!(decoded, entries.len());
+                }
+                Err(e) => {
+                    prop_assert!(!valid, "rejected {entries:?}: {e}");
+                    prop_assert!(matches!(e, CheckpointError::Malformed { .. }), "{e:?}");
+                }
             }
         }
 

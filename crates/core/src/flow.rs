@@ -7,7 +7,9 @@ use fastmon_timing::{ClockSpec, DelayAnnotation, DelayModel, Sta};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-use crate::checkpoint::{self, fnv1a, CampaignCheckpoint, CheckpointError, CheckpointStore};
+use crate::checkpoint::{
+    self, ByteSink as _, CampaignCheckpoint, CheckpointError, CheckpointStore, Fnv1a,
+};
 use crate::schedule::{select_frequencies, select_patterns, ScheduleContext};
 use crate::{
     DetectionAnalysis, FlowConfig, FlowError, FrequencySelection, ScheduleError, ShardSpec, Solver,
@@ -574,7 +576,8 @@ impl<'c> HdfTestFlow<'c> {
                     let save_ns = elapsed_ns(t_save);
                     ckpt.saves.incr();
                     ckpt.save_ns.add(save_ns);
-                    ckpt.save_bytes.add(bytes);
+                    ckpt.save_bytes.add(bytes.written);
+                    ckpt.encoded_bytes.add(bytes.encoded);
                     self.metrics.latency.checkpoint_save.record(save_ns);
                 }
                 notify(CampaignProgress::BandCheckpointed {
@@ -656,42 +659,38 @@ impl<'c> HdfTestFlow<'c> {
     /// resubmitted identical job resumes instead of restarting.
     #[must_use]
     pub fn campaign_fingerprint(&self, patterns: &TestSet) -> u64 {
-        let mut bytes = Vec::new();
-        let push_u64 = |bytes: &mut Vec<u8>, v: u64| bytes.extend_from_slice(&v.to_le_bytes());
-        let push_f64 = |bytes: &mut Vec<u8>, v: f64| {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        };
-        bytes.extend_from_slice(self.circuit.name().as_bytes());
-        push_u64(&mut bytes, self.circuit.len() as u64);
+        let mut hash = Fnv1a::new();
+        hash.put(self.circuit.name().as_bytes());
+        hash.put_u64(self.circuit.len() as u64);
         for (id, _) in self.circuit.iter() {
-            push_f64(&mut bytes, self.annot.rise(id));
-            push_f64(&mut bytes, self.annot.fall(id));
-            push_f64(&mut bytes, self.annot.sigma(id));
+            hash.put_f64(self.annot.rise(id));
+            hash.put_f64(self.annot.fall(id));
+            hash.put_f64(self.annot.sigma(id));
         }
-        push_u64(&mut bytes, self.candidate_faults.len() as u64);
+        hash.put_u64(self.candidate_faults.len() as u64);
         for (_, fault) in self.candidate_faults.iter() {
             let (tag, node, pin) = match fault.site {
                 PinRef::Output(n) => (0u8, n.index() as u64, 0u64),
                 PinRef::Input(n, k) => (1u8, n.index() as u64, u64::from(k)),
             };
-            bytes.push(tag);
-            push_u64(&mut bytes, node);
-            push_u64(&mut bytes, pin);
-            bytes.push(match fault.polarity {
+            hash.put(&[tag]);
+            hash.put_u64(node);
+            hash.put_u64(pin);
+            hash.put(&[match fault.polarity {
                 Polarity::SlowToRise => 0,
                 Polarity::SlowToFall => 1,
-            });
-            push_f64(&mut bytes, fault.delta);
+            }]);
+            hash.put_f64(fault.delta);
         }
-        push_u64(&mut bytes, patterns.len() as u64);
+        hash.put_u64(patterns.len() as u64);
         for pattern in patterns.iter() {
             for &b in pattern.launch.iter().chain(pattern.capture.iter()) {
-                bytes.push(u8::from(b));
+                hash.put(&[u8::from(b)]);
             }
         }
-        push_f64(&mut bytes, self.clock.t_nom);
-        push_f64(&mut bytes, self.config.glitch_threshold);
-        fnv1a(&bytes)
+        hash.put_f64(self.clock.t_nom);
+        hash.put_f64(self.config.glitch_threshold);
+        hash.finish()
     }
 
     /// Step ⑥ (full coverage): two-step schedule optimization with the

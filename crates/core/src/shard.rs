@@ -17,13 +17,16 @@
 //! [`ShardSpec::fingerprint`], so a repartitioned rerun never resumes or
 //! merges a foreign slice.
 
+use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use fastmon_atpg::{AtpgError, TestSet};
 use fastmon_netlist::Circuit;
 
-use crate::checkpoint::{self, fnv1a, CampaignCheckpoint, CheckpointError, CheckpointStore};
+use crate::checkpoint::{
+    self, ByteSink as _, CampaignCheckpoint, CheckpointError, CheckpointStore, Fnv1a,
+};
 use crate::shardsup::{config_error, parse_shard_count, ShardsupError};
 use crate::{Campaign, CampaignProgress, DetectionAnalysis, FlowError, HdfTestFlow};
 
@@ -87,11 +90,11 @@ impl ShardSpec {
     /// the `campaign` fingerprint combined with the shard coordinates.
     #[must_use]
     pub fn fingerprint(&self, campaign: u64) -> u64 {
-        let mut bytes = Vec::with_capacity(24);
-        bytes.extend_from_slice(&campaign.to_le_bytes());
-        bytes.extend_from_slice(&(self.shard as u64).to_le_bytes());
-        bytes.extend_from_slice(&(self.shards as u64).to_le_bytes());
-        fnv1a(&bytes)
+        let mut hash = Fnv1a::new();
+        hash.put_u64(campaign);
+        hash.put_u64(self.shard as u64);
+        hash.put_u64(self.shards as u64);
+        hash.finish()
     }
 }
 
@@ -137,7 +140,7 @@ impl ShardFiles {
     pub fn land_spec(&self, flow: &HdfTestFlow<'_>, spec: &str) -> Result<(), CheckpointError> {
         let path = self.spec_path();
         checkpoint::write_with_retry(&path, flow.metrics(), || {
-            checkpoint::write_atomic(&path, spec.as_bytes())
+            checkpoint::write_atomic(&path, |file| file.write_all(spec.as_bytes()))
         })
     }
 
@@ -182,7 +185,7 @@ impl ShardFiles {
         let bytes = checkpoint::encode_test_set(flow.campaign_fingerprint(patterns), patterns);
         let path = self.dir.join(TEST_SET_FILE);
         checkpoint::write_with_retry(&path, flow.metrics(), || {
-            checkpoint::write_atomic(&path, &bytes)
+            checkpoint::write_atomic(&path, |file| file.write_all(&bytes))
         })
     }
 

@@ -3,7 +3,8 @@
 //! results bit-identical to an uninterrupted run.
 
 use fastmon_core::{
-    CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow,
+    Campaign, CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError,
+    HdfTestFlow,
 };
 use fastmon_netlist::generate::paper_suite;
 use fastmon_netlist::{library, Circuit};
@@ -118,5 +119,99 @@ fn resume_is_thread_count_invariant() {
         .analyze_resumable(&patterns, &CheckpointStore::new(&path))
         .expect("resume completes");
     assert_identical(&resumed, &baseline);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The s9234 stand-in at 5 % scale, 150 faults: enough patterns for
+/// several bands.
+fn stand_in_flow(circuit: &Circuit, threads: usize) -> HdfTestFlow<'_> {
+    let config = FlowConfig {
+        threads,
+        max_faults: Some(150),
+        ..FlowConfig::default()
+    };
+    HdfTestFlow::prepare(circuit, &config)
+}
+
+fn stand_in() -> Circuit {
+    paper_suite()
+        .into_iter()
+        .find(|p| p.name == "s9234")
+        .expect("s9234 profile exists")
+        .scaled(0.05)
+        .generate(7)
+        .expect("profile generates")
+}
+
+#[test]
+fn twice_interrupted_campaign_resumes_bit_identically() {
+    // Interrupted after one band; the resume is interrupted again two
+    // saves later, the second of which extends the file the first wrote;
+    // the next resume runs to completion.
+    let circuit = stand_in();
+    for threads in [1, 2] {
+        let flow = stand_in_flow(&circuit, threads);
+        let patterns = flow.generate_patterns(None);
+        let baseline = flow.analyze(&patterns);
+        let dir = scratch(&format!("twice-{threads}"));
+        let path = dir.join("twice.fmck");
+        for bands in [1, 2] {
+            let err = flow
+                .analyze_resumable(
+                    &patterns,
+                    &CheckpointStore::new(&path).with_interrupt_after(bands),
+                )
+                .expect_err("interruption hook must abort the campaign");
+            assert!(
+                matches!(
+                    err,
+                    FlowError::Checkpoint(CheckpointError::Interrupted { bands: b }) if b == bands
+                ),
+                "got {err:?}"
+            );
+        }
+        let saves = flow.metrics().checkpoint.saves.get();
+        let resumed = flow
+            .analyze_resumable(&patterns, &CheckpointStore::new(&path))
+            .expect("resume completes");
+        assert!(
+            flow.metrics().checkpoint.saves.get() > saves,
+            "threads={threads}: no band was left for the last resume"
+        );
+        assert_eq!(flow.metrics().checkpoint.resumes.get(), 2);
+        assert_identical(&resumed, &baseline);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Linear-encoding gate: a save encodes only its own band, so a whole
+/// checkpointed campaign encodes its final file once, plus per save a
+/// band record's entry count and the rewritten trailer (24 bytes).
+/// Encoding every save from scratch would cost about half the band
+/// count times the final file.
+#[test]
+fn checkpoint_encoding_is_linear_in_the_campaign() {
+    const PER_SAVE: u64 = 32;
+    let circuit = stand_in();
+    let flow = stand_in_flow(&circuit, 2);
+    let patterns = flow.generate_patterns(None);
+    let dir = scratch("linear");
+    let path = dir.join("linear.fmck");
+    let store = CheckpointStore::new(&path);
+    let campaign = Campaign {
+        checkpoint: Some(&store),
+        ..Campaign::default()
+    };
+    flow.run(&patterns, campaign).expect("campaign completes");
+    let ckpt = &flow.metrics().checkpoint;
+    let saves = ckpt.saves.get();
+    let file = std::fs::metadata(&path).expect("checkpoint stays").len();
+    let encoded = ckpt.encoded_bytes.get();
+    assert!(saves >= 4, "only {saves} band(s)");
+    assert!(
+        encoded <= file + PER_SAVE * saves,
+        "{saves} saves encoded {encoded} bytes for a {file}-byte file"
+    );
+    assert!(ckpt.save_bytes.get() >= encoded);
     std::fs::remove_dir_all(&dir).ok();
 }
