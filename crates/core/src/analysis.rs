@@ -201,11 +201,14 @@ impl DetectionAnalysis {
             }
         };
 
-        // Campaign-lifetime worker state: scratch buffers, including each
-        // worker's recycled waveform transition buffers, live in a pool
-        // that outlasts the per-band thread spawns, so `waveform_allocs`
-        // tracks the number of workers instead of growing with bands ×
-        // workers.
+        // Campaign-lifetime worker state: each worker's scratch, including
+        // its pool of transition buffers, lives in `worker_pool`, which
+        // outlasts the per-band thread spawns. Every cone walk returns all
+        // the buffers it took, so a worker's buffer pool stops growing at
+        // the largest set one walk holds at once, and `waveform_allocs`
+        // (buffers created because a pool was empty) is about that size
+        // times the number of workers, not a count that grows with bands
+        // or cones.
         let worker_pool: Mutex<Vec<BandWorker>> = Mutex::new(Vec::new());
 
         let mut band_start = progress.next_pattern.min(num_patterns);

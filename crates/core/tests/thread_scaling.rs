@@ -8,12 +8,16 @@
 //!    same verdicts, detection ranges and target set. The band loop's
 //!    fixed `(pattern, chunk)` merge order guarantees this by
 //!    construction; this test keeps it true.
-//! 2. **Allocation flatness**: the per-worker scratch pool keeps
-//!    `waveform_allocs` within 2× of the single-thread figure at any
-//!    thread count (plus a small per-worker additive slack for hosts with
-//!    real parallelism, where each worker legitimately owns one scratch
-//!    set). The pre-rework engine allocated per *band*, which doubled the
-//!    count from 1 to 4 threads on the p89k profile.
+//! 2. **Allocation flatness**: `waveform_allocs` counts the transition
+//!    buffers the cone walk created because its worker's pool was empty
+//!    (not heap allocations; `alloc_budget.rs` counts those). Every walk
+//!    returns all its buffers, so each worker's pool stops at the largest
+//!    set one walk holds at once, and the count stays within 2× of the
+//!    single-thread figure at any thread count (plus a small per-worker
+//!    additive slack for hosts with real parallelism, where each worker
+//!    legitimately owns one scratch set). The pre-rework engine allocated
+//!    per *band*, which doubled the count from 1 to 4 threads on the p89k
+//!    profile.
 
 use fastmon_core::{FlowConfig, HdfTestFlow};
 use fastmon_netlist::generate::CircuitProfile;

@@ -8,9 +8,9 @@
 //! cone), so the bookkeeping stays invisible in profiles.
 //!
 //! Because every campaign owns its registry, concurrent campaigns in one
-//! process attribute their work correctly — the process-wide counters in
-//! `fastmon_sim::stats` (now deprecated shims over a global registry) could
-//! not distinguish them.
+//! process attribute their work correctly — the one process-wide fallback
+//! registry in `fastmon_sim::stats`, which engines built without a scoped
+//! registry share, could not distinguish them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,9 +105,12 @@ metric_section! {
         /// `nodes_pruned_unobserved` is legitimately 0 on fully observable
         /// netlists.
         cone_plans_built,
-        /// Waveform transition buffers allocated fresh in the hot loop.
+        /// Transition buffers the cone walk created because its scratch
+        /// pool was empty: seed-gate, delayed-pin and cone-gate buffers,
+        /// masked cones included. Not a heap-allocation count: a pooled
+        /// buffer that grows reallocates without moving this counter.
         waveform_allocs,
-        /// Waveform transition buffers recycled from the scratch pool.
+        /// Transition buffers the cone walk took from its scratch pool.
         waveform_reuses,
         /// Word-parallel screen traversals (one per 64-fault group per
         /// pattern).

@@ -4,13 +4,25 @@ use fastmon_obs::SimMetrics;
 use fastmon_timing::{DelayAnnotation, Time};
 
 use crate::stats;
-use crate::waveform::{eval_gate, eval_gate_into, filter_pulses_in_place, EvalScratch};
-use crate::{Stimulus, Waveform};
+use crate::waveform::{eval_gate_into, filter_pulses_in_place, EvalScratch};
+use crate::{Stimulus, WaveRef, Waveform};
 
-/// Fault-free waveforms of every net for one stimulus.
+/// Fault-free waveforms of every net for one stimulus, in one flat arena.
+///
+/// # Layout
+///
+/// Every node's transition instants sit back to back in one `Vec<Time>`,
+/// in the topological order the nodes were simulated in. Per node id there
+/// is a `[start, end)` span into that buffer (two `u32`s) and an initial
+/// value (a `bool`). A node therefore costs 9 bytes plus 8 bytes per
+/// transition, and a whole pattern is three heap buffers; an owned
+/// [`Waveform`] per node cost a 32-byte header plus a heap buffer of its
+/// own. [`SimResult::wave`] lends a node's waveform as a [`WaveRef`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
-    waves: Vec<Waveform>,
+    transitions: Vec<Time>,
+    spans: Vec<(u32, u32)>,
+    initial: Vec<bool>,
 }
 
 impl SimResult {
@@ -20,18 +32,34 @@ impl SimResult {
     ///
     /// Panics if `id` is out of range.
     #[must_use]
-    pub fn wave(&self, id: NodeId) -> &Waveform {
-        &self.waves[id.index()]
+    pub fn wave(&self, id: NodeId) -> WaveRef<'_> {
+        let (start, end) = self.spans[id.index()];
+        WaveRef {
+            initial: self.initial[id.index()],
+            transitions: &self.transitions[start as usize..end as usize],
+        }
     }
 
     /// The latest transition time over all nets (settling time of the
     /// launch), or 0 for a fully static stimulus.
     #[must_use]
     pub fn settle_time(&self) -> Time {
-        self.waves
+        self.spans
             .iter()
-            .filter_map(Waveform::last_transition)
+            .filter(|&&(start, end)| end > start)
+            .map(|&(_, end)| self.transitions[end as usize - 1])
             .fold(0.0, f64::max)
+    }
+
+    /// Appends node `id`'s waveform to the arena.
+    fn push(&mut self, id: NodeId, initial: bool, transitions: &[Time]) {
+        let offset = |len: usize| {
+            u32::try_from(len).unwrap_or_else(|_| unreachable!("a pattern's transitions fit u32"))
+        };
+        let start = offset(self.transitions.len());
+        self.transitions.extend_from_slice(transitions);
+        self.spans[id.index()] = (start, offset(self.transitions.len()));
+        self.initial[id.index()] = initial;
     }
 }
 
@@ -88,7 +116,8 @@ pub struct SimEngine<'c> {
     /// pessimistic pulse filtering happens on detection ranges instead)
     inertial: Option<f64>,
     /// campaign-scoped counters; `None` falls back to the process-wide
-    /// [`stats::global`] registry (the deprecated-shim path)
+    /// [`stats::global`] registry that every engine built without a scoped
+    /// one shares
     metrics: Option<&'c SimMetrics>,
 }
 
@@ -145,20 +174,30 @@ impl<'c> SimEngine<'c> {
         self
     }
 
-    /// Evaluates one gate's output waveform, applying the optional
-    /// inertial filter.
-    fn eval_node(&self, id: NodeId, inputs: &[&Waveform]) -> Waveform {
+    /// Evaluates gate `id` from the input waveforms `input` yields into
+    /// `out`, applying the optional inertial filter; returns the output's
+    /// initial value.
+    fn eval_node<'w>(
+        &self,
+        id: NodeId,
+        input: impl Fn(usize) -> WaveRef<'w>,
+        eval: &mut EvalScratch,
+        out: &mut Vec<Time>,
+    ) -> bool {
         let node = self.circuit.node(id);
-        let wave = eval_gate(
+        let initial = eval_gate_into(
             node.kind(),
-            inputs,
+            node.fanins().len(),
+            input,
             self.annot.rise(id),
             self.annot.fall(id),
+            eval,
+            out,
         );
-        match self.inertial {
-            Some(fraction) => wave.filter_pulses(fraction * self.annot.min_delay(id)),
-            None => wave,
+        if let Some(fraction) = self.inertial {
+            filter_pulses_in_place(out, fraction * self.annot.min_delay(id));
         }
+        initial
     }
 
     /// The simulated circuit.
@@ -170,52 +209,86 @@ impl<'c> SimEngine<'c> {
     /// Fault-free simulation of a two-vector stimulus: every source steps
     /// from its launch to its capture value at `t = 0`, and all nets settle
     /// through the annotated transport delays.
+    ///
+    /// Every gate is evaluated into one reused output buffer and copied
+    /// onto the result's arena, so a pattern costs a few allocations, not
+    /// one per gate.
     #[must_use]
     pub fn simulate(&self, stim: &Stimulus) -> SimResult {
-        let mut waves: Vec<Waveform> = Vec::with_capacity(self.circuit.len());
-        // waves indexed by NodeId; fill placeholder first because topo order
-        // is not id order
-        waves.resize(self.circuit.len(), Waveform::constant(false));
+        let n = self.circuit.len();
+        let mut result = SimResult {
+            transitions: Vec::with_capacity(n),
+            spans: vec![(0, 0); n],
+            initial: vec![false; n],
+        };
+        let mut eval = EvalScratch::new();
+        let mut out: Vec<Time> = Vec::new();
         for &id in self.circuit.topo_order() {
             let node = self.circuit.node(id);
-            let wave = match node.kind() {
+            let initial = match node.kind() {
                 GateKind::Input | GateKind::Dff => {
-                    Waveform::step(stim.launch(id), stim.capture(id), 0.0)
+                    let launch = stim.launch(id);
+                    out.clear();
+                    if launch != stim.capture(id) {
+                        out.push(0.0);
+                    }
+                    launch
                 }
-                GateKind::Const0 => Waveform::constant(false),
-                GateKind::Const1 => Waveform::constant(true),
+                GateKind::Const0 | GateKind::Const1 => {
+                    out.clear();
+                    node.kind() == GateKind::Const1
+                }
                 _ => {
-                    let inputs: Vec<&Waveform> =
-                        node.fanins().iter().map(|&fi| &waves[fi.index()]).collect();
-                    self.eval_node(id, &inputs)
+                    let fanins = node.fanins();
+                    self.eval_node(id, |k| result.wave(fanins[k]), &mut eval, &mut out)
                 }
             };
-            waves[id.index()] = wave;
+            result.push(id, initial, &out);
         }
-        SimResult { waves }
+        result
     }
 
     /// Computes the faulty waveform of the fault's seed gate (the gate
-    /// carrying the faulted pin) from the fault-free result.
-    fn seed_wave(&self, base: &SimResult, fault: &SmallDelayFault) -> Waveform {
+    /// carrying the faulted pin) from the fault-free result into `out`,
+    /// returning its initial value. An input-pin fault's delayed pin
+    /// waveform is built in `pin`; an output-pin fault leaves `pin`
+    /// untouched.
+    fn seed_wave_into(
+        &self,
+        base: &SimResult,
+        fault: &SmallDelayFault,
+        eval: &mut EvalScratch,
+        pin: &mut Vec<Time>,
+        out: &mut Vec<Time>,
+    ) -> bool {
         let seed = fault.site.node();
         match fault.site {
-            PinRef::Output(_) => base
-                .wave(seed)
-                .delayed_polarity(fault.delta, fault.polarity),
+            PinRef::Output(_) => {
+                let wave = base.wave(seed);
+                wave.delayed_polarity_into(fault.delta, fault.polarity, out);
+                wave.initial()
+            }
             PinRef::Input(_, k) => {
-                let node = self.circuit.node(seed);
+                let fanins = self.circuit.node(seed).fanins();
                 let k = k as usize;
-                let delayed_pin = base
-                    .wave(node.fanins()[k])
-                    .delayed_polarity(fault.delta, fault.polarity);
-                let inputs: Vec<&Waveform> = node
-                    .fanins()
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &fi)| if j == k { &delayed_pin } else { base.wave(fi) })
-                    .collect();
-                self.eval_node(seed, &inputs)
+                let fault_free_pin = base.wave(fanins[k]);
+                fault_free_pin.delayed_polarity_into(fault.delta, fault.polarity, pin);
+                let delayed = WaveRef {
+                    initial: fault_free_pin.initial(),
+                    transitions: pin,
+                };
+                self.eval_node(
+                    seed,
+                    |j| {
+                        if j == k {
+                            delayed
+                        } else {
+                            base.wave(fanins[j])
+                        }
+                    },
+                    eval,
+                    out,
+                )
             }
         }
     }
@@ -227,6 +300,7 @@ impl<'c> SimEngine<'c> {
         let seed = fault.site.node();
         let cone = self.circuit.fanout_cone(seed);
         let mut waves: Vec<Waveform> = Vec::with_capacity(cone.len());
+        let mut eval = EvalScratch::new();
         // dense lookup: position of a node in the cone (+1), 0 = not in cone
         let mut pos = vec![0u32; self.circuit.len()];
         for (i, &id) in cone.iter().enumerate() {
@@ -235,26 +309,28 @@ impl<'c> SimEngine<'c> {
         }
 
         for (i, &id) in cone.iter().enumerate() {
-            let node = self.circuit.node(id);
-            let wave = if i == 0 {
+            let mut buf = Vec::new();
+            let initial = if i == 0 {
                 // the seed gate carries the fault
-                self.seed_wave(base, fault)
+                self.seed_wave_into(base, fault, &mut eval, &mut Vec::new(), &mut buf)
             } else {
-                let inputs: Vec<&Waveform> = node
-                    .fanins()
-                    .iter()
-                    .map(|&fi| {
+                let fanins = self.circuit.node(id).fanins();
+                self.eval_node(
+                    id,
+                    |k| {
+                        let fi = fanins[k];
                         let p = pos[fi.index()];
                         if p > 0 && (p as usize - 1) < waves.len() {
-                            &waves[p as usize - 1]
+                            waves[p as usize - 1].view()
                         } else {
                             base.wave(fi)
                         }
-                    })
-                    .collect();
-                self.eval_node(id, &inputs)
+                    },
+                    &mut eval,
+                    &mut buf,
+                )
             };
-            waves.push(wave);
+            waves.push(Waveform::with_transitions(initial, buf));
         }
         FaultyCone::new(cone, waves)
     }
@@ -280,7 +356,7 @@ impl<'c> SimEngine<'c> {
             let Some(faulty_wave) = faulty.wave(op.driver) else {
                 continue;
             };
-            let diff = base.wave(op.driver).diff(faulty_wave, horizon);
+            let diff = base.wave(op.driver).diff(faulty_wave.view(), horizon);
             if !diff.is_empty() {
                 out.push((op_index, diff));
             }
@@ -480,8 +556,12 @@ impl PlanScratch {
 /// Reusable per-thread buffers for [`SimEngine::response_diff_planned`].
 ///
 /// Holds the dense cone-position map, the per-cone waveform slots, the
-/// gate-evaluation scratch and a pool of recycled transition buffers, so a
-/// steady-state campaign performs no per-gate heap allocation.
+/// gate-evaluation scratch and a pool of recycled transition buffers. Every
+/// buffer a cone walk fills (the seed gate's faulty waveform, an input-pin
+/// fault's delayed pin and each changed cone gate's waveform) comes from
+/// the pool and goes back to it when the walk ends, so the pool holds as
+/// many buffers as the largest set one walk needed at once: at most the
+/// plan's cone length plus one.
 #[derive(Debug)]
 pub struct ConeScratch {
     /// cone position + 1 per node, 0 = not in current cone
@@ -513,6 +593,21 @@ impl ConeScratch {
     }
 }
 
+/// Takes a transition buffer from the pool, counting a miss as an
+/// allocation and a hit as a reuse.
+fn take_buffer(spare: &mut Vec<Vec<Time>>, tally: &mut stats::ConeTally) -> Vec<Time> {
+    match spare.pop() {
+        Some(buf) => {
+            tally.waveform_reuses += 1;
+            buf
+        }
+        None => {
+            tally.waveform_allocs += 1;
+            Vec::new()
+        }
+    }
+}
+
 impl<'c> SimEngine<'c> {
     /// Like [`SimEngine::response_diff`], but with a precomputed
     /// [`ConePlan`] and reusable [`ConeScratch`], and with effect-driven
@@ -537,11 +632,13 @@ impl<'c> SimEngine<'c> {
         out
     }
 
-    /// Allocation-free variant of [`SimEngine::response_diff_planned`]: the
-    /// result lands in `out` (cleared first), cone waveforms recycle
-    /// transition buffers from the scratch pool, and propagation stops as
-    /// soon as every remaining cone gate is known to see only fault-free
-    /// inputs (the influence horizon of the changed set has passed).
+    /// Buffer-reusing variant of [`SimEngine::response_diff_planned`]: the
+    /// result lands in `out` (cleared first), every waveform the walk
+    /// builds takes its transition buffer from the scratch pool and
+    /// returns it, also when the fault is masked at its own gate, and
+    /// propagation stops as soon as every remaining cone gate is known to
+    /// see only fault-free inputs (the influence horizon of the changed
+    /// set has passed).
     ///
     /// # Panics
     ///
@@ -561,12 +658,6 @@ impl<'c> SimEngine<'c> {
         if plan.ops.is_empty() {
             return; // the seed reaches no observation point
         }
-        let seed_wave = self.seed_wave(base, fault);
-        if &seed_wave == base.wave(plan.seed) {
-            self.metrics().cones_masked.incr();
-            return; // fault fully masked at its own gate
-        }
-
         let mut tally = stats::ConeTally::default();
         let ConeScratch {
             pos,
@@ -574,8 +665,24 @@ impl<'c> SimEngine<'c> {
             eval,
             spare,
         } = scratch;
+        let mut seed_buf = take_buffer(spare, &mut tally);
+        let seed_initial = if let PinRef::Input(..) = fault.site {
+            let mut pin = take_buffer(spare, &mut tally);
+            let initial = self.seed_wave_into(base, fault, eval, &mut pin, &mut seed_buf);
+            spare.push(pin);
+            initial
+        } else {
+            self.seed_wave_into(base, fault, eval, &mut Vec::new(), &mut seed_buf)
+        };
+        let fault_free = base.wave(plan.seed);
+        if seed_initial == fault_free.initial() && seed_buf == fault_free.transitions() {
+            spare.push(seed_buf);
+            tally.flush_masked(self.metrics());
+            return; // fault fully masked at its own gate
+        }
+
         waves.clear();
-        waves.push(Some(seed_wave));
+        waves.push(Some(Waveform::with_transitions(seed_initial, seed_buf)));
         pos[plan.seed.index()] = 1;
         // the furthest cone slot any changed node feeds; once the loop
         // passes it, every remaining gate sees only fault-free inputs
@@ -586,48 +693,30 @@ impl<'c> SimEngine<'c> {
                 tally.nodes_converged += (plan.cone.len() - i) as u64;
                 break;
             }
-            let node = self.circuit.node(id);
-            let fanins = node.fanins();
+            let fanins = self.circuit.node(id).fanins();
             let changed_input = fanins.iter().any(|&fi| {
                 let p = pos[fi.index()];
                 p > 0 && waves[p as usize - 1].is_some()
             });
             let wave = if changed_input {
-                let mut buf = match spare.pop() {
-                    Some(b) => {
-                        tally.waveform_reuses += 1;
-                        b
-                    }
-                    None => {
-                        tally.waveform_allocs += 1;
-                        Vec::new()
-                    }
-                };
-                let initial = eval_gate_into(
-                    node.kind(),
-                    fanins.len(),
+                let mut buf = take_buffer(spare, &mut tally);
+                let initial = self.eval_node(
+                    id,
                     |k| {
                         let fi = fanins[k];
-                        let p = pos[fi.index()];
-                        if p > 0 {
-                            waves[p as usize - 1]
+                        match pos[fi.index()] {
+                            0 => base.wave(fi),
+                            p => waves[p as usize - 1]
                                 .as_ref()
-                                .unwrap_or_else(|| base.wave(fi))
-                        } else {
-                            base.wave(fi)
+                                .map_or_else(|| base.wave(fi), Waveform::view),
                         }
                     },
-                    self.annot.rise(id),
-                    self.annot.fall(id),
                     eval,
                     &mut buf,
                 );
-                if let Some(fraction) = self.inertial {
-                    filter_pulses_in_place(&mut buf, fraction * self.annot.min_delay(id));
-                }
                 tally.nodes_evaluated += 1;
                 let fault_free = base.wave(id);
-                if initial == fault_free.initial() && buf.as_slice() == fault_free.transitions() {
+                if initial == fault_free.initial() && buf == fault_free.transitions() {
                     spare.push(buf); // converged back to fault-free
                     None
                 } else {
@@ -651,7 +740,7 @@ impl<'c> SimEngine<'c> {
                 continue;
             }
             if let Some(faulty) = &waves[p as usize - 1] {
-                let diff = base.wave(driver).diff(faulty, horizon);
+                let diff = base.wave(driver).diff(faulty.view(), horizon);
                 if !diff.is_empty() {
                     out.push((op_index, diff));
                 }
@@ -998,6 +1087,104 @@ mod tests {
                 assert_eq!(expect, got, "{fault}");
             }
         }
+    }
+
+    #[test]
+    fn spare_pool_is_bounded_by_one_cone() {
+        // every buffer a walk takes goes back to the pool, so the pool
+        // settles at the largest set one walk holds at once instead of
+        // growing with the number of cones simulated
+        let c = fastmon_netlist::generate::GeneratorConfig::new("pool")
+            .gates(200)
+            .flip_flops(12)
+            .inputs(8)
+            .outputs(4)
+            .depth(8)
+            .generate(5)
+            .unwrap();
+        let annot = DelayAnnotation::nominal(&c, &fastmon_timing::DelayModel::nangate45_like());
+        let metrics = SimMetrics::new();
+        let engine = SimEngine::new(&c, &annot).with_metrics(&metrics);
+        let faults = fastmon_faults::FaultList::sized(&c, |_| 17.0);
+        let plans: Vec<Option<ConePlan>> = c
+            .node_ids()
+            .map(|id| {
+                c.node(id)
+                    .kind()
+                    .is_combinational()
+                    .then(|| ConePlan::new(&c, id))
+            })
+            .collect();
+        let longest = plans
+            .iter()
+            .flatten()
+            .map(|p| p.cone().len())
+            .max()
+            .unwrap();
+        let bases: Vec<SimResult> = (0..4u64)
+            .map(|seed| {
+                engine.simulate(&Stimulus::from_fn(&c, |id| {
+                    (
+                        (id.index() as u64 + seed).is_multiple_of(3),
+                        (id.index() as u64 + seed).is_multiple_of(2),
+                    )
+                }))
+            })
+            .collect();
+        let mut scratch = ConeScratch::new(&c);
+        let mut first_pass = None;
+        for pass in 0..3 {
+            for base in &bases {
+                for (_, fault) in faults.iter() {
+                    let plan = plans[fault.site.node().index()].as_ref().unwrap();
+                    let _ = engine.response_diff_planned(base, fault, plan, &mut scratch, 1e6);
+                }
+            }
+            let pooled = scratch.spare_buffers();
+            assert!(
+                pooled <= longest + 2,
+                "pass {pass}: {pooled} pooled buffers, longest cone {longest}"
+            );
+            match first_pass {
+                None => first_pass = Some(pooled),
+                Some(first) => assert_eq!(pooled, first, "pass {pass}: the pool grew"),
+            }
+        }
+        assert!(
+            metrics.cones_simulated.get() > (longest as u64 + 2) * 3,
+            "too few cones simulated for the bound to mean anything"
+        );
+    }
+
+    #[test]
+    fn masked_cones_count_their_seed_buffers() {
+        // with no transition at all, both faults are masked at their own
+        // gate; the seed buffer, and the input-pin fault's delayed pin,
+        // still come from the pool, are counted, and go back to it
+        let mut b = CircuitBuilder::new("masked");
+        b.add("a", GateKind::Input, &[]);
+        b.add("n1", GateKind::Buf, &["a"]);
+        b.mark_output("n1");
+        let c = b.finish().unwrap();
+        let (annot, ()) = unit_engine(&c);
+        let metrics = SimMetrics::new();
+        let engine = SimEngine::new(&c, &annot).with_metrics(&metrics);
+        let base = engine.simulate(&Stimulus::from_fn(&c, |_| (false, false)));
+        let n1 = c.find("n1").unwrap();
+        let plan = ConePlan::new(&c, n1);
+        let mut scratch = ConeScratch::new(&c);
+        for site in [PinRef::Output(n1), PinRef::Input(n1, 0)] {
+            let fault = SmallDelayFault::new(site, Polarity::SlowToRise, 0.5);
+            let diffs = engine.response_diff_planned(&base, &fault, &plan, &mut scratch, 100.0);
+            assert!(diffs.is_empty());
+        }
+        assert_eq!(metrics.cones_masked.get(), 2);
+        assert_eq!(metrics.cones_simulated.get(), 0);
+        // the output fault creates its seed buffer; the input fault reuses
+        // it and creates its pin buffer
+        assert_eq!(metrics.waveform_allocs.get(), 2);
+        assert_eq!(metrics.waveform_reuses.get(), 1);
+        assert_eq!(scratch.spare_buffers(), 2);
     }
 
     #[test]

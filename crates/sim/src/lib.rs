@@ -9,14 +9,15 @@
 //!
 //! * [`Waveform`] — initial value plus sorted transition times, with
 //!   transport-delay shifting, polarity-selective delays (fault injection)
-//!   and pulse-annihilation normalization,
+//!   and pulse-annihilation normalization; [`WaveRef`] is its borrowed,
+//!   `Copy` view,
 //! * [`Stimulus`] — a two-vector (launch/capture) input assignment,
-//! * [`SimEngine`] — full-circuit simulation and cone-restricted faulty
-//!   re-simulation,
+//! * [`SimEngine`] — full-circuit simulation into a flat per-pattern
+//!   arena ([`SimResult`]) and cone-restricted faulty re-simulation,
 //! * [`parallel_map`] / [`parallel_map_with`] — a work-stealing scoped-thread
 //!   pool to fan simulations out over campaign work items,
 //! * [`stats`] — campaign counter snapshots (cones simulated, nodes
-//!   pruned, waveform allocations).
+//!   pruned, cone-walk buffers created and reused).
 //!
 //! # Example
 //!
@@ -52,4 +53,4 @@ pub use engine::{ConePlan, ConeScratch, FaultyCone, PlanScratch, SimEngine, SimR
 pub use parallel::{parallel_map, parallel_map_with, try_parallel_map_with, WorkerPanic};
 pub use screen::{has_polarity_transition, FaultScreen, ScreenGroup, ScreenScratch};
 pub use stimulus::Stimulus;
-pub use waveform::{eval_gate, eval_gate_into, EvalScratch, Waveform};
+pub use waveform::{eval_gate, eval_gate_into, EvalScratch, WaveRef, Waveform};

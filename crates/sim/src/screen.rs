@@ -41,7 +41,7 @@ use fastmon_obs::SimMetrics;
 
 use crate::engine::{ConePlan, SimResult};
 use crate::stats;
-use crate::Waveform;
+use crate::WaveRef;
 
 /// Whether the waveform carries a transition the polarity affects.
 ///
@@ -49,7 +49,7 @@ use crate::Waveform;
 /// only delay rising transitions, so a site waveform without one is
 /// untouched by the fault.
 #[must_use]
-pub fn has_polarity_transition(wave: &Waveform, polarity: Polarity) -> bool {
+pub fn has_polarity_transition(wave: WaveRef<'_>, polarity: Polarity) -> bool {
     let mut value = wave.initial();
     for _ in wave.transitions() {
         value = !value;
@@ -490,7 +490,7 @@ impl FaultScreen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConeScratch, SimEngine, Stimulus};
+    use crate::{ConeScratch, SimEngine, Stimulus, Waveform};
     use fastmon_faults::FaultList;
     use fastmon_netlist::generate::GeneratorConfig;
     use fastmon_netlist::library;
@@ -499,12 +499,12 @@ mod tests {
     #[test]
     fn polarity_transition_check() {
         let w = Waveform::with_transitions(false, vec![1.0]); // rising only
-        assert!(has_polarity_transition(&w, Polarity::SlowToRise));
-        assert!(!has_polarity_transition(&w, Polarity::SlowToFall));
+        assert!(has_polarity_transition(w.view(), Polarity::SlowToRise));
+        assert!(!has_polarity_transition(w.view(), Polarity::SlowToFall));
         let w = Waveform::with_transitions(false, vec![1.0, 2.0]); // rise+fall
-        assert!(has_polarity_transition(&w, Polarity::SlowToFall));
+        assert!(has_polarity_transition(w.view(), Polarity::SlowToFall));
         assert!(!has_polarity_transition(
-            &Waveform::constant(true),
+            Waveform::constant(true).view(),
             Polarity::SlowToRise
         ));
     }

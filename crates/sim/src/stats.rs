@@ -37,9 +37,13 @@ pub struct CampaignStats {
     pub nodes_pruned_unobserved: u64,
     /// Cone propagation plans built (one per distinct fault gate).
     pub cone_plans_built: u64,
-    /// Waveform transition buffers allocated fresh in the hot loop.
+    /// Transition buffers the cone walk created because its scratch pool
+    /// was empty: seed-gate, delayed-pin and cone-gate buffers, masked
+    /// cones included. This is not a heap-allocation count: a pooled
+    /// buffer that has to grow reallocates without moving it, and
+    /// fault-free simulation is not counted at all.
     pub waveform_allocs: u64,
-    /// Waveform transition buffers recycled from the scratch pool.
+    /// Transition buffers the cone walk took from its scratch pool.
     pub waveform_reuses: u64,
     /// Word-parallel screen traversals (one per 64-fault group per
     /// pattern).
@@ -94,6 +98,17 @@ impl ConeTally {
         m.cones_simulated.incr();
         m.nodes_evaluated.add(self.nodes_evaluated);
         m.nodes_converged.add(self.nodes_converged);
+        self.flush_buffers(m);
+    }
+
+    /// Publishes a cone masked at its own gate: only its seed (and
+    /// delayed-pin) buffers were taken.
+    pub(crate) fn flush_masked(self, m: &SimMetrics) {
+        m.cones_masked.incr();
+        self.flush_buffers(m);
+    }
+
+    fn flush_buffers(self, m: &SimMetrics) {
         m.waveform_allocs.add(self.waveform_allocs);
         m.waveform_reuses.add(self.waveform_reuses);
     }

@@ -69,6 +69,17 @@ impl Waveform {
         }
     }
 
+    /// A borrowed view of this waveform, the form every reader of
+    /// waveforms (gate evaluation, `diff`, the screen, the monitor guard)
+    /// takes.
+    #[must_use]
+    pub fn view(&self) -> WaveRef<'_> {
+        WaveRef {
+            initial: self.initial,
+            transitions: &self.transitions,
+        }
+    }
+
     /// The value before the first transition.
     #[must_use]
     pub fn initial(&self) -> bool {
@@ -78,7 +89,7 @@ impl Waveform {
     /// The value after the last transition.
     #[must_use]
     pub fn final_value(&self) -> bool {
-        self.initial ^ (self.transitions.len() % 2 == 1)
+        self.view().final_value()
     }
 
     /// The toggle instants.
@@ -103,8 +114,7 @@ impl Waveform {
     /// The signal value at time `t` (a capture at `t` samples this value).
     #[must_use]
     pub fn value_at(&self, t: Time) -> bool {
-        let toggles = self.transitions.partition_point(|&x| x <= t);
-        self.initial ^ (toggles % 2 == 1)
+        self.view().value_at(t)
     }
 
     /// Time of the last transition, or `None` for constant signals.
@@ -122,39 +132,10 @@ impl Waveform {
         }
     }
 
-    /// The waveform with transitions of one polarity delayed by `d` — the
-    /// effect of a small delay fault of that polarity at this signal.
-    ///
-    /// If a delayed edge overtakes the following opposite edge, both
-    /// annihilate (the pulse is swallowed by the slow transition), which is
-    /// the standard lumped-delay-fault pulse behaviour.
+    /// [`WaveRef::delayed_polarity`] of this waveform.
     #[must_use]
     pub fn delayed_polarity(&self, d: Time, polarity: Polarity) -> Self {
-        if d == 0.0 || self.transitions.is_empty() {
-            return self.clone();
-        }
-        let mut out: Vec<Time> = Vec::with_capacity(self.transitions.len());
-        let mut value = self.initial;
-        for &t in &self.transitions {
-            let new_value = !value;
-            value = new_value;
-            let shifted = if polarity.affects(new_value) {
-                t + d
-            } else {
-                t
-            };
-            match out.last() {
-                Some(&last) if shifted <= last => {
-                    // the delayed edge crossed the previous one: both vanish
-                    out.pop();
-                }
-                _ => out.push(shifted),
-            }
-        }
-        Waveform {
-            initial: self.initial,
-            transitions: out,
-        }
+        self.view().delayed_polarity(d, polarity)
     }
 
     /// The waveform with every pulse narrower than `min_width` removed —
@@ -196,6 +177,107 @@ impl Waveform {
         }
     }
 
+    /// [`WaveRef::diff`] of this waveform against `other`.
+    #[must_use]
+    pub fn diff(&self, other: &Waveform, horizon: Time) -> IntervalSet {
+        self.view().diff(other.view(), horizon)
+    }
+}
+
+/// A borrowed waveform: an initial value and a strictly increasing slice
+/// of toggle instants, with the semantics of [`Waveform`].
+///
+/// It is two words and a flag, and `Copy`. A fault-free
+/// [`SimResult`](crate::SimResult) hands out one per node from its flat
+/// arena; an owned [`Waveform`] lends one through [`Waveform::view`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WaveRef<'a> {
+    pub(crate) initial: bool,
+    pub(crate) transitions: &'a [Time],
+}
+
+impl<'a> WaveRef<'a> {
+    /// The value before the first transition.
+    #[must_use]
+    pub fn initial(self) -> bool {
+        self.initial
+    }
+
+    /// The value after the last transition.
+    #[must_use]
+    pub fn final_value(self) -> bool {
+        self.initial ^ (self.transitions.len() % 2 == 1)
+    }
+
+    /// The toggle instants.
+    #[must_use]
+    pub fn transitions(self) -> &'a [Time] {
+        self.transitions
+    }
+
+    /// Returns `true` if the signal never toggles.
+    #[must_use]
+    pub fn is_constant(self) -> bool {
+        self.transitions.is_empty()
+    }
+
+    /// The signal value at time `t` (a capture at `t` samples this value).
+    #[must_use]
+    pub fn value_at(self, t: Time) -> bool {
+        let toggles = self.transitions.partition_point(|&x| x <= t);
+        self.initial ^ (toggles % 2 == 1)
+    }
+
+    /// Time of the last transition, or `None` for constant signals.
+    #[must_use]
+    pub fn last_transition(self) -> Option<Time> {
+        self.transitions.last().copied()
+    }
+
+    /// The waveform with transitions of one polarity delayed by `d` — the
+    /// effect of a small delay fault of that polarity at this signal.
+    ///
+    /// If a delayed edge overtakes the following opposite edge, both
+    /// annihilate (the pulse is swallowed by the slow transition), which is
+    /// the standard lumped-delay-fault pulse behaviour.
+    #[must_use]
+    pub fn delayed_polarity(self, d: Time, polarity: Polarity) -> Waveform {
+        let mut transitions = Vec::with_capacity(self.transitions.len());
+        self.delayed_polarity_into(d, polarity, &mut transitions);
+        Waveform {
+            initial: self.initial,
+            transitions,
+        }
+    }
+
+    /// [`WaveRef::delayed_polarity`] into a caller's buffer: the delayed
+    /// transitions land in `out` (cleared first); the initial value is
+    /// this waveform's.
+    pub fn delayed_polarity_into(self, d: Time, polarity: Polarity, out: &mut Vec<Time>) {
+        out.clear();
+        if d == 0.0 {
+            out.extend_from_slice(self.transitions);
+            return;
+        }
+        let mut value = self.initial;
+        for &t in self.transitions {
+            let new_value = !value;
+            value = new_value;
+            let shifted = if polarity.affects(new_value) {
+                t + d
+            } else {
+                t
+            };
+            match out.last() {
+                Some(&last) if shifted <= last => {
+                    // the delayed edge crossed the previous one: both vanish
+                    out.pop();
+                }
+                _ => out.push(shifted),
+            }
+        }
+    }
+
     /// The times at which `self` and `other` carry different values, as a
     /// set of half-open intervals — the XOR of the two waveforms
     /// (Sec. III-B of the paper: detection ranges are computed by XOR-ing
@@ -204,7 +286,7 @@ impl Waveform {
     /// A trailing difference (different final values) is closed at
     /// `horizon`.
     #[must_use]
-    pub fn diff(&self, other: &Waveform, horizon: Time) -> IntervalSet {
+    pub fn diff(self, other: WaveRef<'_>, horizon: Time) -> IntervalSet {
         let mut out = IntervalSet::new();
         let mut va = self.initial;
         let mut vb = other.initial;
@@ -214,8 +296,8 @@ impl Waveform {
             None
         };
         let (mut i, mut j) = (0usize, 0usize);
-        let a = &self.transitions;
-        let b = &other.transitions;
+        let a = self.transitions;
+        let b = other.transitions;
         while i < a.len() || j < b.len() {
             let ta = a.get(i).copied().unwrap_or(f64::INFINITY);
             let tb = b.get(j).copied().unwrap_or(f64::INFINITY);
@@ -287,7 +369,7 @@ pub fn eval_gate(
     let initial = eval_gate_into(
         kind,
         inputs.len(),
-        |k| inputs[k],
+        |k| inputs[k].view(),
         rise_delay,
         fall_delay,
         &mut scratch,
@@ -304,8 +386,9 @@ pub fn eval_gate(
 /// the output transitions land in `out` (cleared first). Returns the
 /// output's initial value.
 ///
-/// Campaign hot loops call this with recycled `out` buffers so steady-state
-/// fault simulation performs no per-gate heap allocation.
+/// Fault-free simulation calls this with one reused `out` buffer per
+/// pattern, and the campaign's cone walk with buffers from its pool, so
+/// neither allocates per gate.
 pub fn eval_gate_into<'a, F>(
     kind: fastmon_netlist::GateKind,
     num_inputs: usize,
@@ -316,7 +399,7 @@ pub fn eval_gate_into<'a, F>(
     out: &mut Vec<Time>,
 ) -> bool
 where
-    F: Fn(usize) -> &'a Waveform,
+    F: Fn(usize) -> WaveRef<'a>,
 {
     scratch.values.clear();
     scratch.cursors.clear();
@@ -485,7 +568,15 @@ mod tests {
         let mut out = vec![99.0]; // stale contents must be cleared
         for kind in [GateKind::And, GateKind::Nand, GateKind::Xor, GateKind::Nor] {
             let expect = eval_gate(kind, &inputs, 1.5, 0.5);
-            let initial = eval_gate_into(kind, 2, |k| inputs[k], 1.5, 0.5, &mut scratch, &mut out);
+            let initial = eval_gate_into(
+                kind,
+                2,
+                |k| inputs[k].view(),
+                1.5,
+                0.5,
+                &mut scratch,
+                &mut out,
+            );
             assert_eq!(initial, expect.initial(), "{kind}");
             assert_eq!(out, expect.transitions(), "{kind}");
         }
