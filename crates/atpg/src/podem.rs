@@ -1,4 +1,4 @@
-use fastmon_netlist::{Circuit, ConeMarks, GateKind, NodeId};
+use fastmon_netlist::{Circuit, ConeMarks, GateKind, LevelQueue, NodeId};
 
 use crate::logic5::{eval5, V5};
 use crate::TestSet;
@@ -194,39 +194,6 @@ fn evaluate(
         );
     }
     values
-}
-
-/// Pending gate evaluations of the event-driven implication, one bucket
-/// per logic level.
-///
-/// A combinational gate's level exceeds every fanin's, so draining the
-/// buckets in level order evaluates each queued gate once, after all of its
-/// fanins have settled.
-struct EventQueue {
-    buckets: Vec<Vec<NodeId>>,
-    queued: Vec<bool>,
-    /// One past the highest level that may hold a pending node.
-    top: usize,
-}
-
-impl EventQueue {
-    fn new(circuit: &Circuit) -> Self {
-        EventQueue {
-            buckets: vec![Vec::new(); circuit.max_level() as usize + 1],
-            queued: vec![false; circuit.len()],
-            top: 0,
-        }
-    }
-
-    fn push(&mut self, circuit: &Circuit, id: NodeId) {
-        let queued = &mut self.queued[id.index()];
-        if !*queued {
-            *queued = true;
-            let level = circuit.level(id) as usize;
-            self.buckets[level].push(id);
-            self.top = self.top.max(level + 1);
-        }
-    }
 }
 
 /// Single-pass fanin closure of `seed` over the topological order,
@@ -522,7 +489,10 @@ pub struct PodemEngine<'c> {
     /// `values` under the empty assignment and no fault.
     baseline: Vec<V5>,
     assignment: Vec<Option<bool>>,
-    queue: EventQueue,
+    /// Pending gate evaluations of the event-driven implication.
+    queue: LevelQueue,
+    /// The level being implied.
+    level: Vec<NodeId>,
     /// Gate evaluations done by implication in the current run.
     implications: u64,
     ins: Vec<V5>,
@@ -572,7 +542,8 @@ impl<'c> PodemEngine<'c> {
             values: baseline.clone(),
             baseline,
             assignment: vec![None; n],
-            queue: EventQueue::new(circuit),
+            queue: LevelQueue::new(),
+            level: Vec::new(),
             implications: 0,
             ins: Vec::new(),
             reach: vec![false; circuit.len()],
@@ -733,13 +704,10 @@ impl<'c> PodemEngine<'c> {
     /// whole-circuit sweep.
     fn propagate(&mut self, fault: Option<StuckAtFault>) {
         let circuit = self.circuit;
-        let mut level = 0;
-        while level < self.queue.top {
-            let mut bucket = std::mem::take(&mut self.queue.buckets[level]);
-            self.implications += bucket.len() as u64;
-            for &id in &bucket {
+        while self.queue.pop_level(&mut self.level) {
+            self.implications += self.level.len() as u64;
+            for &id in &self.level {
                 let i = id.index();
-                self.queue.queued[i] = false;
                 let v = eval_node(
                     circuit,
                     id,
@@ -758,11 +726,7 @@ impl<'c> PodemEngine<'c> {
                     }
                 }
             }
-            bucket.clear();
-            self.queue.buckets[level] = bucket;
-            level += 1;
         }
-        self.queue.top = 0;
     }
 
     /// Sets source `k` to `value` and implies the change forward.
@@ -1232,9 +1196,7 @@ mod tests {
         );
         let drift = (0..expected.len()).find(|&i| engine.values[i] != expected[i]);
         assert_eq!(drift, None, "{fault:?}: implication drifted at this node");
-        assert_eq!(engine.queue.top, 0);
-        assert!(engine.queue.buckets.iter().all(Vec::is_empty));
-        assert!(!engine.queue.queued.contains(&true));
+        assert!(engine.queue.is_empty());
         assert_eq!(outcome, fresh, "{fault:?}: reused engine diverged");
     }
 

@@ -349,15 +349,13 @@ fn main() {
         let snap = CampaignStats::from_metrics(&flow.metrics().sim);
         println!(
             "  threads={threads}: analyze {analyze_secs:.3} s, {} targets, \
-             {} cones simulated, {} masked, {} screened out, {} nodes evaluated, \
-             {} converged-skipped, {} screen-visited, {} pruned, {} allocs / {} reuses",
+             {} cones simulated, {} masked, {} nodes evaluated, \
+             {} converged-skipped, {} pruned, {} allocs / {} reuses",
             analysis.targets.len(),
             snap.cones_simulated,
             snap.cones_masked,
-            snap.faults_screened_out,
             snap.nodes_evaluated,
             snap.nodes_converged,
-            snap.screen_nodes_visited,
             snap.nodes_pruned_unobserved,
             snap.waveform_allocs,
             snap.waveform_reuses,
@@ -787,17 +785,6 @@ fn render_json(
         let _ = writeln!(s, "      \"cone_plans_built\": {},", st.cone_plans_built);
         let _ = writeln!(s, "      \"waveform_allocs\": {},", st.waveform_allocs);
         let _ = writeln!(s, "      \"waveform_reuses\": {},", st.waveform_reuses);
-        let _ = writeln!(s, "      \"screen_walks\": {},", st.screen_walks);
-        let _ = writeln!(
-            s,
-            "      \"screen_nodes_visited\": {},",
-            st.screen_nodes_visited
-        );
-        let _ = writeln!(
-            s,
-            "      \"faults_screened_out\": {},",
-            st.faults_screened_out
-        );
         let _ = writeln!(s, "      \"fault_classes\": {},", st.fault_classes);
         let _ = writeln!(s, "      \"faults_collapsed\": {}", st.faults_collapsed);
         let _ = writeln!(s, "    }}{sep}");

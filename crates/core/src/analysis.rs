@@ -6,7 +6,7 @@ use fastmon_monitor::{
     at_speed_monitor_detectable, shifted_detection, ConfigSet, MonitorConfig, MonitorPlacement,
 };
 use fastmon_netlist::{Circuit, NodeId};
-use fastmon_sim::{try_parallel_map_with, ConeScratch, FaultScreen, ScreenScratch, SimEngine};
+use fastmon_sim::{try_parallel_map_with, ConeScratch, SimEngine};
 use fastmon_timing::{ClockSpec, DelayAnnotation, Time};
 
 use crate::checkpoint::{ByteSink as _, CampaignCheckpoint, CheckpointError, Fnv1a};
@@ -119,19 +119,20 @@ impl DetectionAnalysis {
             m.fault_classes.add(classes.num_classes() as u64);
             m.faults_collapsed.add(classes.collapsed_away() as u64);
         }
-        // group representative faults by seed gate so each gate's fanout
-        // cone is planned once and shared across all its pin/polarity
-        // faults and patterns
-        let mut by_gate: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        // plan each seed gate's fanout cone once, shared by all its
+        // representative pin/polarity faults and every pattern: `reps`
+        // pairs each representative with its gate's entry in `gates`
+        let mut gates: Vec<NodeId> = Vec::new();
+        let mut reps: Vec<(usize, usize)> = Vec::new();
         for (fid, fault) in faults.iter() {
             if !classes.is_representative(fid.index()) {
                 continue;
             }
             let gate = fault.site.node();
-            match by_gate.last_mut() {
-                Some((g, list)) if *g == gate => list.push(fid.index()),
-                _ => by_gate.push((gate, vec![fid.index()])),
+            if gates.last() != Some(&gate) {
+                gates.push(gate);
             }
+            reps.push((fid.index(), gates.len() - 1));
         }
         let threads = threads.max(1);
         // Oversubscription guard: requesting more workers than the machine
@@ -144,32 +145,29 @@ impl DetectionAnalysis {
                 .unwrap_or(threads),
         );
         let plans: Vec<fastmon_sim::ConePlan> = fastmon_sim::parallel_map_with(
-            by_gate.len(),
+            gates.len(),
             workers,
             fastmon_sim::PlanScratch::new,
             |scratch, g| {
-                fastmon_sim::ConePlan::new_with_scratch(circuit, by_gate[g].0, sim_metrics, scratch)
+                fastmon_sim::ConePlan::new_with_scratch(circuit, gates[g], sim_metrics, scratch)
             },
         );
-        // word-parallel screen: 64 faults share one union-cone traversal
-        // per pattern; only survivors pay for an exact timing walk
-        let screen = FaultScreen::build(circuit, &faults, &by_gate, &plans);
-        let groups = screen.groups();
 
-        // Two-axis fan-out: work items are (pattern, group-chunk) pairs, so
-        // even a handful of patterns keeps every thread busy and the
-        // work-stealing pool rebalances wildly uneven cone sizes. Patterns
-        // are processed in bands so the shared fault-free results stay
-        // memory-bounded: within a band, each pattern is simulated
-        // fault-free exactly once and read by all its group chunks.
+        // Two-axis fan-out: work items are (pattern, chunk of
+        // representative faults) pairs, so even a handful of patterns
+        // keeps every thread busy and the work-stealing pool rebalances
+        // wildly uneven cone sizes. Patterns are processed in bands so the
+        // shared fault-free results stay memory-bounded: within a band,
+        // each pattern is simulated fault-free exactly once and read by
+        // all its chunks.
         let num_patterns = patterns.len();
-        // The chunk partition exists to load-balance screen groups across
-        // *real* workers; on a host where the campaign runs serially it is
-        // pure per-item overhead, so it is sized from the effective worker
+        // The chunk partition exists to load-balance faults across *real*
+        // workers; on a host where the campaign runs serially it is pure
+        // per-item overhead, so it is sized from the effective worker
         // count, not the requested thread count. The fixed-order merge
         // below keeps results bit-identical for any chunk count.
         let num_chunks = if workers > 1 {
-            groups.len().clamp(1, workers * 2)
+            reps.len().clamp(1, workers * 2)
         } else {
             1
         };
@@ -218,7 +216,7 @@ impl DetectionAnalysis {
             let t_band = std::time::Instant::now();
             let band_len = band_size.min(num_patterns - band_start);
             // fault-free responses of the band, computed once, shared
-            // read-only by every gate chunk
+            // read-only by every fault chunk
             let bases = try_parallel_map_with(
                 band_len,
                 workers,
@@ -240,47 +238,36 @@ impl DetectionAnalysis {
                     let w = lease.get();
                     let base = &bases[item / num_chunks];
                     let chunk = item % num_chunks;
-                    let lo = chunk * groups.len() / num_chunks;
-                    let hi = (chunk + 1) * groups.len() / num_chunks;
+                    let lo = chunk * reps.len() / num_chunks;
+                    let hi = (chunk + 1) * reps.len() / num_chunks;
                     let mut found: Vec<(u32, DetectionRange)> = Vec::new();
-                    for group in &groups[lo..hi] {
-                        // word-parallel screen: one union-cone traversal
-                        // decides for all 64 faults whether an exact walk
-                        // can possibly detect anything
-                        let word = screen.screen(group, base, &mut w.screen_scratch, sim_metrics);
-                        if word == 0 {
+                    for &(fidx, entry) in &reps[lo..hi] {
+                        let fault = faults.fault(fastmon_faults::FaultId::from_index(fidx));
+                        engine.response_diff_planned_into(
+                            base,
+                            fault,
+                            &plans[entry],
+                            &mut w.scratch,
+                            clock.t_nom,
+                            &mut w.diffs,
+                        );
+                        if w.diffs.is_empty() {
                             continue;
                         }
-                        for (fidx, entry, bit) in group.members() {
-                            if word & (1 << bit) == 0 {
-                                continue;
-                            }
-                            let fault = faults.fault(fastmon_faults::FaultId::from_index(fidx));
-                            engine.response_diff_planned_into(
-                                base,
-                                fault,
-                                &plans[entry],
-                                &mut w.scratch,
-                                clock.t_nom,
-                                &mut w.diffs,
-                            );
-                            if w.diffs.is_empty() {
-                                continue;
-                            }
-                            let mut dr = DetectionRange::new();
-                            for (op, set) in w.diffs.drain(..) {
-                                let filtered = set
-                                    .clipped(0.0, clock.t_nom)
-                                    .filter_glitches(glitch_threshold);
-                                dr.push(op, filtered);
-                            }
-                            if !dr.is_empty() {
-                                let fidx = u32::try_from(fidx)
-                                    .unwrap_or_else(|_| unreachable!("fault count fits u32"));
-                                found.push((fidx, dr));
-                            }
+                        let mut dr = DetectionRange::new();
+                        for (op, set) in w.diffs.drain(..) {
+                            let filtered = set
+                                .clipped(0.0, clock.t_nom)
+                                .filter_glitches(glitch_threshold);
+                            dr.push(op, filtered);
+                        }
+                        if !dr.is_empty() {
+                            let fidx = u32::try_from(fidx)
+                                .unwrap_or_else(|_| unreachable!("fault count fits u32"));
+                            found.push((fidx, dr));
                         }
                     }
+                    engine.publish_cone_counters(&mut w.scratch);
                     found
                 },
             )
@@ -541,11 +528,10 @@ impl DetectionAnalysis {
     }
 }
 
-/// Per-worker campaign scratch: the cone re-simulation buffers, the
-/// word-screen mask buffers and the per-fault diff accumulator.
+/// Per-worker campaign scratch: the cone re-simulation buffers and the
+/// per-fault diff accumulator.
 struct BandWorker {
     scratch: ConeScratch,
-    screen_scratch: ScreenScratch,
     diffs: Vec<(usize, IntervalSet)>,
 }
 
@@ -553,7 +539,6 @@ impl BandWorker {
     fn new(circuit: &Circuit) -> Self {
         BandWorker {
             scratch: ConeScratch::new(circuit),
-            screen_scratch: ScreenScratch::new(),
             diffs: Vec::new(),
         }
     }

@@ -415,6 +415,10 @@ struct RunningShard {
     started: Instant,
     last_event: Instant,
     last_rss_poll: Instant,
+    /// A `shard_heartbeat` record arrived this tick: a band checkpoint
+    /// has just ended, so the RSS watchdog probes now instead of waiting
+    /// out its interval.
+    band_ended: bool,
     /// SIGTERMed by the RSS watchdog; an `EXIT_EVICTED` exit is expected
     /// and uncharged.
     evicting: bool,
@@ -662,6 +666,7 @@ pub fn run(
                 started: now,
                 last_event: now,
                 last_rss_poll: now,
+                band_ended: false,
                 evicting: false,
                 stall_killed: false,
                 redispatch_killed: false,
@@ -696,10 +701,12 @@ pub fn run(
                     if let Some(s) = shardsup {
                         s.heartbeats_received.incr();
                     }
+                    let event = value.get("event").and_then(Value::as_str);
                     if let Some(rs) = running.iter_mut().find(|rs| rs.shard == shard) {
                         rs.last_event = Instant::now();
+                        rs.band_ended |= event == Some("shard_heartbeat");
                     }
-                    if value.get("event").and_then(Value::as_str) == Some("shard_done") {
+                    if event == Some("shard_done") {
                         if let Some(peak) = value.get("peak_rss_bytes").and_then(Value::as_u64) {
                             report.worker_peak_rss_bytes = report.worker_peak_rss_bytes.max(peak);
                         }
@@ -748,11 +755,16 @@ pub fn run(
                     });
                 }
                 // RSS watchdog: SIGTERM over the ceiling; the worker
-                // checkpoints at the next band boundary and exits 75.
+                // checkpoints at the next band boundary and exits 75. It
+                // probes every `rss_poll_interval` and on the tick that
+                // delivers a band heartbeat, so a worker whose bands are
+                // shorter than the interval is still probed between bands.
+                let band_ended = std::mem::take(&mut rs.band_ended);
                 if let Some(limit) = config.rss_limit_bytes {
                     if !rs.evicting
                         && !rs.stall_killed
-                        && now.duration_since(rs.last_rss_poll) >= config.rss_poll_interval
+                        && (band_ended
+                            || now.duration_since(rs.last_rss_poll) >= config.rss_poll_interval)
                     {
                         rs.last_rss_poll = now;
                         if let Some(rss) = vm_rss_bytes(rs.pid) {

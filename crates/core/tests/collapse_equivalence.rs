@@ -2,7 +2,7 @@
 //! simulates only one representative per equivalence class and fans the
 //! results back, so every fault's per-pattern detection ranges must equal
 //! an independent fault-by-fault re-simulation through the slow
-//! (unplanned, uncollapsed, unscreened) path — bitwise, not approximately.
+//! (unplanned, uncollapsed) path — bitwise, not approximately.
 
 use fastmon_core::{FlowConfig, HdfTestFlow};
 use fastmon_faults::{DetectionRange, FaultClasses};
@@ -43,7 +43,7 @@ fn collapsed_campaign_matches_slow_path_per_fault() {
         );
 
         // slow-path oracle: every fault against every pattern, no cone
-        // plans, no screening, no collapsing
+        // plans, no collapsing
         let engine = SimEngine::new(&circuit, flow.annotation());
         let t_nom = flow.clock().t_nom;
         let glitch = config.glitch_threshold;

@@ -2,16 +2,18 @@
 //! generated circuits, random delay-variation seeds, random two-vector
 //! patterns and random glitch thresholds, `DetectionAnalysis` must report
 //! exactly the per-pattern detection ranges and raw unions of the naive
-//! whole-circuit reference simulator in `support`, at 1 and 2 threads.
+//! whole-circuit reference simulator in `support`, at 1 and 2 threads,
+//! and both as one campaign and as 3 in-process fault shards merged with
+//! `DetectionAnalysis::merge`.
 //!
-//! The campaign's cone plans, convergence early exit, word-parallel
-//! screen, pooled scratch and fault collapsing are all absent from the
-//! reference, so a disagreement pins a bug in one of them.
+//! The campaign's cone plans, event-driven cone walk, observer tables,
+//! pooled scratch, fault collapsing and shard partition are all absent
+//! from the reference, so a disagreement pins a bug in one of them.
 
 mod support;
 
 use fastmon_atpg::{TestPattern, TestSet};
-use fastmon_core::{FlowConfig, HdfTestFlow};
+use fastmon_core::{Campaign, DetectionAnalysis, FlowConfig, HdfTestFlow, ShardSpec};
 use fastmon_netlist::generate::GeneratorConfig;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -39,6 +41,22 @@ fn random_patterns(circuit: &fastmon_netlist::Circuit, count: usize, seed: u64) 
         set.push(TestPattern::new(launch, capture));
     }
     set
+}
+
+/// Every shard of a `shards`-way fault partition, run in process and
+/// merged.
+fn run_sharded(flow: &HdfTestFlow<'_>, patterns: &TestSet, shards: usize) -> DetectionAnalysis {
+    DetectionAnalysis::merge((0..shards).map(|shard| {
+        flow.run(
+            patterns,
+            Campaign {
+                shard: Some(ShardSpec { shard, shards }),
+                ..Campaign::default()
+            },
+        )
+        .expect("an in-process shard campaign cannot fail")
+    }))
+    .expect("shards of one test set merge")
 }
 
 proptest! {
@@ -69,19 +87,27 @@ proptest! {
         );
         for threads in [1usize, 2] {
             let flow = HdfTestFlow::prepare(&circuit, &FlowConfig { threads, ..config.clone() });
-            let analysis = flow.analyze(&patterns);
-            prop_assert_eq!(
-                &analysis.per_pattern,
-                &per_pattern,
-                "threads={}: per-pattern ranges diverge from the reference",
-                threads
-            );
-            prop_assert_eq!(
-                &analysis.raw_union,
-                &raw_union,
-                "threads={}: raw unions diverge from the reference",
-                threads
-            );
+            for shards in [1usize, 3] {
+                let analysis = if shards == 1 {
+                    flow.analyze(&patterns)
+                } else {
+                    run_sharded(&flow, &patterns, shards)
+                };
+                prop_assert_eq!(
+                    &analysis.per_pattern,
+                    &per_pattern,
+                    "threads={} shards={}: per-pattern ranges diverge from the reference",
+                    threads,
+                    shards
+                );
+                prop_assert_eq!(
+                    &analysis.raw_union,
+                    &raw_union,
+                    "threads={} shards={}: raw unions diverge from the reference",
+                    threads,
+                    shards
+                );
+            }
         }
     }
 }

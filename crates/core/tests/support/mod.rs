@@ -3,8 +3,8 @@
 //!
 //! It shares only the waveform primitives with the campaign (`Waveform`,
 //! `eval_gate`, `delayed_polarity`, `diff`) and none of its optimizations:
-//! no cone plans, no convergence early exit, no word-parallel screen, no
-//! pooled scratch and no fault collapsing. For every (fault, pattern) it
+//! no cone plans, no event-driven cone walk, no observer tables, no pooled
+//! scratch and no fault collapsing. For every (fault, pattern) it
 //! simulates the *whole* faulty circuit from scratch, then derives each
 //! observation point's detection intervals straight from the paper's
 //! semantics (Sec. III-B): the XOR of the fault-free and faulty waveforms

@@ -46,12 +46,15 @@ fn analysis_is_bit_identical_and_alloc_flat_across_thread_counts() {
     let t1_allocs = t1.waveform_allocs.get();
 
     // Profile-path wiring proof: the campaign built propagation plans and
-    // ran the word-parallel screen. `nodes_pruned_unobserved` is
+    // its cone walks evaluated gates. `nodes_pruned_unobserved` is
     // legitimately 0 here — every gate of a generated netlist reaches an
     // output or flip-flop, so there is nothing to prune; `cone_plans_built`
     // is the counter that proves the plan/pruning pass actually executed.
     assert!(t1.cone_plans_built.get() > 0, "plan builds must be counted");
-    assert!(t1.screen_walks.get() > 0, "screen must run on this path");
+    assert!(
+        t1.nodes_evaluated.get() > 0,
+        "cone walks must evaluate gates on this path"
+    );
     assert!(t1.cones_simulated.get() > 0);
 
     for threads in [2usize, 4, 8] {

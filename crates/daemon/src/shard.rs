@@ -122,18 +122,7 @@ fn worker_main(spec: ShardSpec) -> ! {
     // while the flow is prepared must set the drain flag, not kill the
     // process with the default disposition (which the supervisor would
     // charge as a crash instead of an eviction).
-    let token = fastmon_obs::CancelToken::new();
     crate::signals::install_drain_handlers();
-    {
-        let token = token.clone();
-        std::thread::spawn(move || loop {
-            if crate::signals::drain_requested() {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        });
-    }
     let Some(dir) = std::env::var_os(ENV_DIR) else {
         refuse(spec, "spec", &format!("{ENV_DIR} is not set"));
     };
@@ -166,13 +155,15 @@ fn worker_main(spec: ShardSpec) -> ! {
         );
     }
 
-    // The token is attached only now — after the test set loaded — and
-    // the campaign observes it strictly *after* each band checkpoint, so
-    // even an eviction signal that arrived before the campaign started
-    // still banks at least one band of durable progress per
-    // evict/readmit cycle. That ordering is what makes RSS eviction
-    // livelock-free.
-    let flow = flow.with_cancel(token);
+    // The band-checkpoint callback below cancels the token once a drain
+    // signal has arrived, and the campaign observes the token strictly
+    // *after* each band checkpoint. So the worker stops at the first band
+    // boundary after the signal, and even an eviction signal that arrived
+    // before the campaign started still banks at least one band of
+    // durable progress per evict/readmit cycle. That ordering is what
+    // makes RSS eviction livelock-free.
+    let token = fastmon_obs::CancelToken::new();
+    let flow = flow.with_cancel(token.clone());
 
     // Chaos knob: FASTMON_SHARD_HANG="<shard>:<flag-path>" silences this
     // worker forever at its first band boundary — once, arbitrated by
@@ -191,6 +182,9 @@ fn worker_main(spec: ShardSpec) -> ! {
                 shard_events::resumed(shard, shards, next_pattern, total)
             }
             CampaignProgress::BandCheckpointed { next_pattern, .. } => {
+                if crate::signals::drain_requested() {
+                    token.cancel();
+                }
                 if let Some(flag) = &hang_flag {
                     let created = std::fs::OpenOptions::new()
                         .write(true)

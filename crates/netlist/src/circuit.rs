@@ -185,6 +185,91 @@ impl ConeMarks {
     }
 }
 
+/// A work queue of nodes bucketed by combinational level, for event-driven
+/// walks over a circuit's fanouts: PODEM's forward implication and the
+/// fault simulator's cone walks.
+///
+/// A node is queued at most once until it is popped. A combinational
+/// gate's level exceeds each of its fanins', so popping level by level and
+/// pushing only combinational fanouts of popped nodes reaches every queued
+/// node after all of its queued fanins. Like [`ConeMarks`], the queue grows
+/// to the circuit on first use and holds nothing once drained, so one
+/// queue serves any number of walks.
+#[derive(Debug, Clone, Default)]
+pub struct LevelQueue {
+    buckets: Vec<Vec<NodeId>>,
+    queued: Vec<bool>,
+    /// Lowest level that may hold a pending node.
+    low: usize,
+    /// One past the highest level that may hold a pending node.
+    top: usize,
+}
+
+impl LevelQueue {
+    /// Fresh, empty queue; it grows to the circuit size on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        LevelQueue::default()
+    }
+
+    /// Queues `id` on its level unless it is already pending.
+    #[inline]
+    pub fn push(&mut self, circuit: &Circuit, id: NodeId) {
+        let level = circuit.level(id) as usize;
+        if id.index() >= self.queued.len() || level >= self.buckets.len() {
+            self.grow(circuit);
+        }
+        let queued = &mut self.queued[id.index()];
+        if !*queued {
+            *queued = true;
+            self.buckets[level].push(id);
+            self.low = self.low.min(level);
+            self.top = self.top.max(level + 1);
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, circuit: &Circuit) {
+        if self.queued.len() < circuit.len() {
+            self.queued.resize(circuit.len(), false);
+        }
+        let levels = circuit.max_level() as usize + 1;
+        if self.buckets.len() < levels {
+            self.buckets.resize_with(levels, Vec::new);
+        }
+    }
+
+    /// Moves the lowest pending level's nodes into `nodes` (cleared first),
+    /// in push order, and returns `true`; returns `false` once the queue is
+    /// drained. Nodes pushed while `nodes` is processed land on higher
+    /// levels and come out of later calls.
+    #[inline]
+    pub fn pop_level(&mut self, nodes: &mut Vec<NodeId>) -> bool {
+        nodes.clear();
+        while self.low < self.top {
+            let bucket = &mut self.buckets[self.low];
+            self.low += 1;
+            if bucket.is_empty() {
+                continue;
+            }
+            std::mem::swap(nodes, bucket);
+            for &id in nodes.iter() {
+                self.queued[id.index()] = false;
+            }
+            return true;
+        }
+        self.low = usize::MAX;
+        self.top = 0;
+        false
+    }
+
+    /// Whether no node is pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.top == 0
+    }
+}
+
 /// A levelized full-scan gate-level circuit.
 ///
 /// The sequential netlist is stored as parsed; for delay test the circuit is
@@ -201,6 +286,11 @@ impl ConeMarks {
 /// ~40 bytes/gate plus its name bytes instead of several heap boxes per
 /// gate. [`Circuit::node`] hands out a [`Node`] *view* into the arenas; the
 /// public `fanins()`/`fanouts()` slice API is unchanged.
+///
+/// Two derived observation tables serve fault simulation, about 5 bytes
+/// per node: the observe points each node drives
+/// ([`Circuit::driven_observe_points`], CSR like the fanouts) and whether
+/// it reaches one at all ([`Circuit::reaches_observe_point`]).
 ///
 /// Construct circuits with [`CircuitBuilder`](crate::CircuitBuilder), the
 /// [`bench`](crate::bench) parser or the [`generate`](crate::generate)
@@ -224,6 +314,12 @@ pub struct Circuit {
     inputs: Vec<NodeId>,
     flip_flops: Vec<NodeId>,
     observe_points: Vec<ObservePoint>,
+    // Derived observation tables: the observe points each node drives
+    // (CSR of indices into `observe_points`), and whether a node reaches
+    // one through combinational fanouts.
+    driven: Vec<u32>,
+    driven_offsets: Vec<u32>,
+    observable: Vec<bool>,
 }
 
 impl Circuit {
@@ -343,6 +439,35 @@ impl Circuit {
             kind: ObserveKind::PseudoOutput { dff: ff },
         }));
 
+        // Observation tables. The CSR lists each node's observe points in
+        // ascending index order; a reverse topological sweep then marks
+        // every node that drives one or feeds a marked combinational gate.
+        let mut driven_offsets = vec![0u32; n + 1];
+        for op in &observe_points {
+            driven_offsets[op.driver.index() + 1] += 1;
+        }
+        for i in 0..n {
+            driven_offsets[i + 1] += driven_offsets[i];
+        }
+        let mut driven = vec![0u32; observe_points.len()];
+        let mut cursor: Vec<u32> = driven_offsets[..n].to_vec();
+        for (k, op) in observe_points.iter().enumerate() {
+            let c = &mut cursor[op.driver.index()];
+            driven[*c as usize] =
+                u32::try_from(k).unwrap_or_else(|_| panic!("observe points exceed u32 range"));
+            *c += 1;
+        }
+        let mut observable = vec![false; n];
+        for &id in topo.iter().rev() {
+            let i = id.index();
+            let lo = fanout_offsets[i] as usize;
+            let hi = fanout_offsets[i + 1] as usize;
+            observable[i] = driven_offsets[i] < driven_offsets[i + 1]
+                || fanouts[lo..hi]
+                    .iter()
+                    .any(|fo| kinds[fo.index()].is_combinational() && observable[fo.index()]);
+        }
+
         // Flatten the names into a single byte run + offsets.
         let total: usize = node_names.iter().map(String::len).sum();
         let mut names = String::with_capacity(total);
@@ -372,6 +497,9 @@ impl Circuit {
             inputs,
             flip_flops,
             observe_points,
+            driven,
+            driven_offsets,
+            observable,
         })
     }
 
@@ -478,6 +606,24 @@ impl Circuit {
         &self.observe_points
     }
 
+    /// The observation points that capture `id`'s output signal, as
+    /// ascending indices into [`Circuit::observe_points`]. Most nodes drive
+    /// none; a node can drive several (a primary output that also feeds
+    /// flip-flop D pins).
+    #[must_use]
+    pub fn driven_observe_points(&self, id: NodeId) -> &[u32] {
+        let i = id.index();
+        &self.driven[self.driven_offsets[i] as usize..self.driven_offsets[i + 1] as usize]
+    }
+
+    /// Whether `id` drives an observation point or reaches one through
+    /// combinational fanouts. A fault effect on a node for which this is
+    /// false can never be captured, so fault simulation skips it.
+    #[must_use]
+    pub fn reaches_observe_point(&self, id: NodeId) -> bool {
+        self.observable[id.index()]
+    }
+
     /// The fanout nodes of `id` (all gates with `id` among their fanins,
     /// including flip-flops capturing the signal).
     #[must_use]
@@ -541,6 +687,9 @@ impl Circuit {
             + self.inputs.len() * size_of::<NodeId>()
             + self.flip_flops.len() * size_of::<NodeId>()
             + self.observe_points.len() * size_of::<ObservePoint>()
+            + self.driven.len() * size_of::<u32>()
+            + self.driven_offsets.len() * size_of::<u32>()
+            + self.observable.len() * size_of::<bool>()
     }
 
     /// Computes the transitive combinational fanout cone of `seed`
@@ -757,6 +906,60 @@ mod tests {
         let a_in = c.find("a").unwrap();
         // a reaches both o (PO) and g (PPO via DFF f)
         assert_eq!(c.observing_points_of(a_in), vec![0, 1]);
+    }
+
+    #[test]
+    fn observation_tables_match_the_cones() {
+        // observe points: POs o (0) and g2 (1), then f's D pin (2), which
+        // g2 drives too; the dead-end d reaches none of them
+        let mut b = CircuitBuilder::new("obs");
+        b.add("a", GateKind::Input, &[]);
+        b.add("f", GateKind::Dff, &["g2"]);
+        b.add("g2", GateKind::And, &["a", "f"]);
+        b.add("d", GateKind::Not, &["g2"]);
+        b.add("o", GateKind::Buf, &["a"]);
+        b.mark_output("o");
+        b.mark_output("g2");
+        let c = b.finish().unwrap();
+        for id in c.node_ids() {
+            let driven: Vec<u32> = c
+                .observe_points()
+                .iter()
+                .enumerate()
+                .filter(|(_, op)| op.driver == id)
+                .map(|(k, _)| k as u32)
+                .collect();
+            assert_eq!(c.driven_observe_points(id), driven.as_slice());
+            let reaches = c
+                .fanout_cone(id)
+                .iter()
+                .any(|&n| !c.driven_observe_points(n).is_empty());
+            assert_eq!(c.reaches_observe_point(id), reaches, "{}", c.node_name(id));
+        }
+        let g2 = c.find("g2").unwrap();
+        assert_eq!(c.driven_observe_points(g2), &[1, 2]);
+        assert!(!c.reaches_observe_point(c.find("d").unwrap()));
+    }
+
+    #[test]
+    fn level_queue_pops_each_node_once_in_level_order() {
+        let c = tiny();
+        let [a, g, o, f] = ["a", "g", "o", "f"].map(|n| c.find(n).unwrap());
+        let mut queue = crate::LevelQueue::new();
+        let mut level = Vec::new();
+        for _ in 0..2 {
+            // o is pushed twice but pending once; f shares level 0 with a
+            for id in [o, g, o, f, a] {
+                queue.push(&c, id);
+            }
+            let mut popped = Vec::new();
+            while queue.pop_level(&mut level) {
+                popped.push(level.clone());
+            }
+            assert_eq!(popped, vec![vec![f, a], vec![g], vec![o]]);
+            // drained: the same nodes queue again on the second round
+            assert!(queue.is_empty());
+        }
     }
 
     #[test]

@@ -486,34 +486,11 @@ impl GeneratorConfig {
 /// Marks gates that cannot reach any observation point as extra primary
 /// outputs (rare with the used-biased fanin selection, but possible).
 fn prune_to_observed(circuit: Circuit) -> Result<Circuit, NetlistError> {
-    // Reverse reachability from observe points.
-    let mut reaches = vec![false; circuit.len()];
-    for op in circuit.observe_points() {
-        reaches[op.driver.index()] = true;
-    }
-    for &id in circuit.topo_order().iter().rev() {
-        if reaches[id.index()] {
-            for &fi in circuit.node(id).fanins() {
-                reaches[fi.index()] = true;
-            }
-        } else {
-            // a node whose *any* fanout reaches is marked when that fanout
-            // is processed — do a fixpoint-free pass using fanouts instead
-            let reached_via_fanout = circuit
-                .fanouts(id)
-                .iter()
-                .any(|&fo| reaches[fo.index()] && !circuit.node(fo).kind().is_sequential());
-            if reached_via_fanout {
-                reaches[id.index()] = true;
-                for &fi in circuit.node(id).fanins() {
-                    reaches[fi.index()] = true;
-                }
-            }
-        }
-    }
     let dangling: Vec<NodeId> = circuit
         .node_ids()
-        .filter(|&id| !reaches[id.index()] && circuit.node(id).kind().is_combinational())
+        .filter(|&id| {
+            !circuit.reaches_observe_point(id) && circuit.node(id).kind().is_combinational()
+        })
         .collect();
     if dangling.is_empty() {
         return Ok(circuit);

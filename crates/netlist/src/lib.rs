@@ -46,7 +46,7 @@ pub mod library;
 pub mod transform;
 
 pub use builder::CircuitBuilder;
-pub use circuit::{Circuit, ConeMarks, Node, NodeId, ObservePoint, PinRef};
+pub use circuit::{Circuit, ConeMarks, LevelQueue, Node, NodeId, ObservePoint, PinRef};
 pub use error::NetlistError;
 pub use gate::GateKind;
 pub use stats::CircuitStats;

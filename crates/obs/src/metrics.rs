@@ -4,8 +4,9 @@
 //! `HdfTestFlow` owns one registry) and handed down by shared reference
 //! through the flow, the analysis and the work-stealing pool. Counters use
 //! relaxed ordering and are designed for batch flushes (the fault-sim hot
-//! loop accumulates per-cone deltas locally and publishes them once per
-//! cone), so the bookkeeping stays invisible in profiles.
+//! loop accumulates cone-walk deltas in its worker scratch and publishes
+//! them once per work item), so the bookkeeping stays invisible in
+//! profiles.
 //!
 //! Because every campaign owns its registry, concurrent campaigns in one
 //! process attribute their work correctly — the one process-wide fallback
@@ -92,10 +93,12 @@ metric_section! {
         /// Planned cone simulations rejected because the fault was fully
         /// masked at its own gate (seed waveform unchanged).
         cones_masked,
-        /// Cone gates actually re-evaluated.
+        /// Cone gates re-evaluated because a fanin's faulty waveform
+        /// differed from its fault-free one.
         nodes_evaluated,
-        /// Cone gates skipped because every fanin had already converged
-        /// back to its fault-free waveform (including early-exit tail skips).
+        /// Cone gates of simulated cones never evaluated because no fanin
+        /// changed: per cone, its length minus the seed minus the gates
+        /// evaluated. The event-driven walk never visits them.
         nodes_converged,
         /// Cone gates dropped at plan-build time because they cannot reach
         /// any observation point.
@@ -112,14 +115,13 @@ metric_section! {
         waveform_allocs,
         /// Transition buffers the cone walk took from its scratch pool.
         waveform_reuses,
-        /// Word-parallel screen traversals (one per 64-fault group per
-        /// pattern).
+        /// Always 0, kept because `perfbench` reads it: the word-parallel
+        /// fault screen whose traversals it counted is deleted.
         screen_walks,
-        /// Union-cone gates visited by the word-parallel screen.
+        /// Always 0, like `screen_walks`.
         screen_nodes_visited,
-        /// (fault, pattern) pairs discarded by the screen without an exact
-        /// cone walk (not activated, blocked at a side input, or provably
-        /// unable to reach an observation point).
+        /// Always 0, like `screen_walks`: every representative (fault,
+        /// pattern) pair gets a cone walk.
         faults_screened_out,
         /// Structural fault-equivalence classes of the campaign (the
         /// representatives actually simulated).

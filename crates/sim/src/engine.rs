@@ -1,5 +1,5 @@
 use fastmon_faults::{IntervalSet, SmallDelayFault};
-use fastmon_netlist::{Circuit, ConeMarks, GateKind, NodeId, PinRef};
+use fastmon_netlist::{Circuit, GateKind, LevelQueue, NodeId, PinRef};
 use fastmon_obs::SimMetrics;
 use fastmon_timing::{DelayAnnotation, Time};
 
@@ -367,7 +367,7 @@ impl<'c> SimEngine<'c> {
 
 /// Precomputed propagation plan for faults seated at one gate: the fanout
 /// cone pruned to the nodes that can actually reach an observation point,
-/// plus a per-node influence horizon for convergence early exit.
+/// and the observation points the seed reaches.
 ///
 /// Fault-simulation campaigns touch every gate with several faults (one per
 /// pin and polarity) and every pattern; computing the cone once per gate
@@ -375,11 +375,12 @@ impl<'c> SimEngine<'c> {
 ///
 /// # Pruning
 ///
-/// A fanout-cone node that reaches no observation point can never
-/// contribute to a detection range, so it is dropped at plan-build time.
-/// The retained set is closed under in-cone fanins (if a node reaches an
-/// observer, so does every cone node feeding it), which keeps cone
-/// re-simulation over the pruned node list bit-identical to the full one.
+/// A fanout-cone node that reaches no observation point
+/// ([`Circuit::reaches_observe_point`]) can never contribute to a
+/// detection range, so it is dropped at plan-build time. The retained set
+/// is closed under in-cone fanins (if a node reaches an observer, so does
+/// every cone node feeding it), so the cone walk, which queues only
+/// retained fanouts, stays bit-identical to a walk over the full cone.
 #[derive(Debug, Clone)]
 pub struct ConePlan {
     seed: NodeId,
@@ -388,9 +389,6 @@ pub struct ConePlan {
     cone: Vec<NodeId>,
     /// indices into [`Circuit::observe_points`] reachable from the seed
     ops: Vec<(usize, NodeId)>,
-    /// per cone slot: the largest cone slot its output directly feeds
-    /// (its own slot if it feeds nothing downstream in the cone)
-    influence: Vec<u32>,
     /// cone nodes dropped because they reach no observation point
     pruned: usize,
 }
@@ -420,8 +418,13 @@ impl ConePlan {
     }
 
     /// [`ConePlan::new_with_metrics`] with caller-provided scratch, so a
-    /// campaign building one plan per gate performs no per-plan mark or
-    /// slot-map allocation.
+    /// campaign building one plan per gate reuses one level queue.
+    ///
+    /// The build walks the seed's combinational fanouts level by level with
+    /// a [`LevelQueue`], so it costs the cone, not the circuit. Sorting each
+    /// level by id yields [`Circuit::topo_order`], and the circuit's
+    /// observation tables decide which nodes stay and which observation
+    /// points the seed reaches.
     #[must_use]
     pub fn new_with_scratch(
         circuit: &Circuit,
@@ -429,82 +432,43 @@ impl ConePlan {
         metrics: Option<&SimMetrics>,
         scratch: &mut PlanScratch,
     ) -> Self {
-        let PlanScratch {
-            marks,
-            retained,
-            full_cone,
-            slot,
-        } = scratch;
-        circuit.fanout_cone_into(seed, marks, full_cone);
-        let ops: Vec<(usize, NodeId)> = circuit
-            .observe_points()
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| marks.get(op.driver))
-            .map(|(i, op)| (i, op.driver))
-            .collect();
-
-        // observer-reach pruning: walk the cone backwards, keeping nodes
-        // that drive an observation point or feed a kept node
-        retained.begin(circuit.len());
-        for &(_, driver) in &ops {
-            retained.set(driver);
-        }
-        for &id in full_cone.iter().rev() {
-            if retained.get(id) {
-                for &fi in circuit.node(id).fanins() {
-                    if marks.get(fi) {
-                        retained.set(fi);
+        let PlanScratch { queue, level } = scratch;
+        queue.push(circuit, seed);
+        let mut cone = Vec::new();
+        let mut ops: Vec<(usize, NodeId)> = Vec::new();
+        let mut full = 0usize;
+        while queue.pop_level(level) {
+            level.sort_unstable(); // topological order within the level
+            for &id in level.iter() {
+                full += 1;
+                if circuit.reaches_observe_point(id) {
+                    cone.push(id);
+                    ops.extend(
+                        circuit
+                            .driven_observe_points(id)
+                            .iter()
+                            .map(|&k| (k as usize, id)),
+                    );
+                }
+                for &fo in circuit.fanouts(id) {
+                    if circuit.kind(fo).is_combinational() {
+                        queue.push(circuit, fo);
                     }
                 }
             }
         }
-        let cone: Vec<NodeId> = full_cone
-            .iter()
-            .copied()
-            .filter(|&id| retained.get(id))
-            .collect();
-        let pruned = full_cone.len() - cone.len();
+        ops.sort_unstable_by_key(|&(k, _)| k);
+        let pruned = full - cone.len();
         let m = match metrics {
             Some(m) => m,
             None => stats::global(),
         };
         m.nodes_pruned_unobserved.add(pruned as u64);
         m.cone_plans_built.incr();
-        let len = u32::try_from(cone.len()).unwrap_or_else(|_| unreachable!("cone fits u32"));
-
-        // influence horizon: how far down the cone each node's output goes
-        if slot.len() < circuit.len() {
-            slot.resize(circuit.len(), 0);
-        }
-        for (i, &id) in cone.iter().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                slot[id.index()] = i as u32 + 1;
-            }
-        }
-        let mut influence: Vec<u32> = (0..len).collect();
-        for (j, &id) in cone.iter().enumerate().skip(1) {
-            for &fi in circuit.node(id).fanins() {
-                let p = slot[fi.index()];
-                if p > 0 {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let j32 = j as u32;
-                    let p = (p - 1) as usize;
-                    influence[p] = influence[p].max(j32);
-                }
-            }
-        }
-        // wipe the dense slot map for the next plan
-        for &id in &cone {
-            slot[id.index()] = 0;
-        }
-
         ConePlan {
             seed,
             cone,
             ops,
-            influence,
             pruned,
         }
     }
@@ -521,7 +485,7 @@ impl ConePlan {
         &self.cone
     }
 
-    /// The observation points the seed reaches.
+    /// The observation points the seed reaches, by ascending index.
     #[must_use]
     pub fn observers(&self) -> &[(usize, NodeId)] {
         &self.ops
@@ -534,15 +498,12 @@ impl ConePlan {
     }
 }
 
-/// Reusable buffers for [`ConePlan::new_with_scratch`]: the full-cone walk
-/// marks, the retained set and the dense slot map used for the influence
-/// horizon.
+/// Reusable buffers for [`ConePlan::new_with_scratch`]: the level queue of
+/// the fanout walk and the level being expanded.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    marks: ConeMarks,
-    retained: ConeMarks,
-    full_cone: Vec<NodeId>,
-    slot: Vec<u32>,
+    queue: LevelQueue,
+    level: Vec<NodeId>,
 }
 
 impl PlanScratch {
@@ -555,23 +516,33 @@ impl PlanScratch {
 
 /// Reusable per-thread buffers for [`SimEngine::response_diff_planned`].
 ///
-/// Holds the dense cone-position map, the per-cone waveform slots, the
-/// gate-evaluation scratch and a pool of recycled transition buffers. Every
-/// buffer a cone walk fills (the seed gate's faulty waveform, an input-pin
-/// fault's delayed pin and each changed cone gate's waveform) comes from
-/// the pool and goes back to it when the walk ends, so the pool holds as
-/// many buffers as the largest set one walk needed at once: at most the
+/// Holds the walk's level queue, the changed nodes with their faulty
+/// waveforms and a dense node-to-slot map into them, the gate-evaluation
+/// scratch, a pool of recycled transition buffers and the counter tally
+/// not yet published ([`SimEngine::publish_cone_counters`]).
+///
+/// Every buffer a cone walk fills (the seed gate's faulty waveform, an
+/// input-pin fault's delayed pin and each evaluated gate's waveform) comes
+/// from the pool and goes back to it when the walk ends, so the pool holds
+/// as many buffers as the largest set one walk needed at once: at most the
 /// plan's cone length plus one.
 #[derive(Debug)]
 pub struct ConeScratch {
-    /// cone position + 1 per node, 0 = not in current cone
+    /// slot in `changed` + 1 per node, 0 = fault-free in the current walk
     pos: Vec<u32>,
-    /// faulty waveforms parallel to the plan's cone; `None` = unchanged
-    waves: Vec<Option<Waveform>>,
+    /// the nodes whose faulty waveform differs, seed first, in
+    /// evaluation (topological) order
+    changed: Vec<(NodeId, Waveform)>,
+    /// gates waiting for evaluation because a fanin changed
+    queue: LevelQueue,
+    /// the level being evaluated
+    level: Vec<NodeId>,
     /// gate-evaluation working buffers
     eval: EvalScratch,
     /// recycled transition buffers
     spare: Vec<Vec<Time>>,
+    /// counters of the walks since the last publish
+    tally: stats::ConeTally,
 }
 
 impl ConeScratch {
@@ -580,9 +551,12 @@ impl ConeScratch {
     pub fn new(circuit: &Circuit) -> Self {
         ConeScratch {
             pos: vec![0; circuit.len()],
-            waves: Vec::new(),
+            changed: Vec::new(),
+            queue: LevelQueue::new(),
+            level: Vec::new(),
             eval: EvalScratch::new(),
             spare: Vec::new(),
+            tally: stats::ConeTally::default(),
         }
     }
 
@@ -608,11 +582,31 @@ fn take_buffer(spare: &mut Vec<Vec<Time>>, tally: &mut stats::ConeTally) -> Vec<
     }
 }
 
+/// Records `id`'s faulty waveform and queues its combinational fanouts
+/// that reach an observation point.
+fn mark_changed(
+    circuit: &Circuit,
+    id: NodeId,
+    wave: Waveform,
+    pos: &mut [u32],
+    changed: &mut Vec<(NodeId, Waveform)>,
+    queue: &mut LevelQueue,
+) {
+    changed.push((id, wave));
+    pos[id.index()] =
+        u32::try_from(changed.len()).unwrap_or_else(|_| unreachable!("cone fits u32"));
+    for &fo in circuit.fanouts(id) {
+        if circuit.kind(fo).is_combinational() && circuit.reaches_observe_point(fo) {
+            queue.push(circuit, fo);
+        }
+    }
+}
+
 impl<'c> SimEngine<'c> {
     /// Like [`SimEngine::response_diff`], but with a precomputed
-    /// [`ConePlan`] and reusable [`ConeScratch`], and with effect-driven
-    /// pruning: cone gates whose fanins all carry unchanged waveforms are
-    /// skipped, so masked faults cost almost nothing.
+    /// [`ConePlan`] and reusable [`ConeScratch`], and event-driven: only
+    /// gates with a changed fanin are evaluated, so masked faults cost
+    /// almost nothing. Publishes the walk's counters before returning.
     ///
     /// # Panics
     ///
@@ -629,16 +623,27 @@ impl<'c> SimEngine<'c> {
     ) -> Vec<(usize, IntervalSet)> {
         let mut out = Vec::new();
         self.response_diff_planned_into(base, fault, plan, scratch, horizon, &mut out);
+        self.publish_cone_counters(scratch);
         out
     }
 
-    /// Buffer-reusing variant of [`SimEngine::response_diff_planned`]: the
-    /// result lands in `out` (cleared first), every waveform the walk
-    /// builds takes its transition buffer from the scratch pool and
-    /// returns it, also when the fault is masked at its own gate, and
-    /// propagation stops as soon as every remaining cone gate is known to
-    /// see only fault-free inputs (the influence horizon of the changed
-    /// set has passed).
+    /// Buffer-reusing, event-driven core of
+    /// [`SimEngine::response_diff_planned`]; the result lands in `out`
+    /// (cleared first).
+    ///
+    /// The walk computes the seed gate's faulty waveform and stops if it
+    /// equals the fault-free one. Otherwise a level-bucketed queue holds
+    /// the gates to evaluate: a gate enters it only when one of its fanins
+    /// changed, and only if it reaches an observation point
+    /// ([`Circuit::reaches_observe_point`]), which is exactly the plan's
+    /// pruned cone. A gate that evaluates back to its fault-free waveform
+    /// queues nothing. Only the changed gates that drive observation
+    /// points ([`Circuit::driven_observe_points`]) are diffed, and `out` is
+    /// sorted by observation-point index. Every transition buffer comes
+    /// from the scratch pool and goes back to it.
+    ///
+    /// The walk's counters accumulate in `scratch` until
+    /// [`SimEngine::publish_cone_counters`] is called.
     ///
     /// # Panics
     ///
@@ -655,19 +660,21 @@ impl<'c> SimEngine<'c> {
     ) {
         debug_assert_eq!(plan.seed, fault.site.node(), "plan/fault mismatch");
         out.clear();
-        if plan.ops.is_empty() {
+        if plan.cone.is_empty() {
             return; // the seed reaches no observation point
         }
-        let mut tally = stats::ConeTally::default();
         let ConeScratch {
             pos,
-            waves,
+            changed,
+            queue,
+            level,
             eval,
             spare,
+            tally,
         } = scratch;
-        let mut seed_buf = take_buffer(spare, &mut tally);
+        let mut seed_buf = take_buffer(spare, tally);
         let seed_initial = if let PinRef::Input(..) = fault.site {
-            let mut pin = take_buffer(spare, &mut tally);
+            let mut pin = take_buffer(spare, tally);
             let initial = self.seed_wave_into(base, fault, eval, &mut pin, &mut seed_buf);
             spare.push(pin);
             initial
@@ -677,84 +684,70 @@ impl<'c> SimEngine<'c> {
         let fault_free = base.wave(plan.seed);
         if seed_initial == fault_free.initial() && seed_buf == fault_free.transitions() {
             spare.push(seed_buf);
-            tally.flush_masked(self.metrics());
+            tally.cones_masked += 1;
             return; // fault fully masked at its own gate
         }
 
-        waves.clear();
-        waves.push(Some(Waveform::with_transitions(seed_initial, seed_buf)));
-        pos[plan.seed.index()] = 1;
-        // the furthest cone slot any changed node feeds; once the loop
-        // passes it, every remaining gate sees only fault-free inputs
-        let mut frontier = plan.influence[0] as usize;
-
-        for (i, &id) in plan.cone.iter().enumerate().skip(1) {
-            if i > frontier {
-                tally.nodes_converged += (plan.cone.len() - i) as u64;
-                break;
-            }
-            let fanins = self.circuit.node(id).fanins();
-            let changed_input = fanins.iter().any(|&fi| {
-                let p = pos[fi.index()];
-                p > 0 && waves[p as usize - 1].is_some()
-            });
-            let wave = if changed_input {
-                let mut buf = take_buffer(spare, &mut tally);
+        let circuit = self.circuit;
+        let seed_wave = Waveform::with_transitions(seed_initial, seed_buf);
+        mark_changed(circuit, plan.seed, seed_wave, pos, changed, queue);
+        let mut evaluated = 0u64;
+        while queue.pop_level(level) {
+            // topological order keeps the pool's take/return sequence, and
+            // so which buffer each gate gets, independent of push order
+            level.sort_unstable();
+            for &id in level.iter() {
+                let fanins = circuit.node(id).fanins();
+                let mut buf = take_buffer(spare, tally);
                 let initial = self.eval_node(
                     id,
                     |k| {
                         let fi = fanins[k];
                         match pos[fi.index()] {
                             0 => base.wave(fi),
-                            p => waves[p as usize - 1]
-                                .as_ref()
-                                .map_or_else(|| base.wave(fi), Waveform::view),
+                            p => changed[p as usize - 1].1.view(),
                         }
                     },
                     eval,
                     &mut buf,
                 );
-                tally.nodes_evaluated += 1;
+                evaluated += 1;
                 let fault_free = base.wave(id);
                 if initial == fault_free.initial() && buf == fault_free.transitions() {
                     spare.push(buf); // converged back to fault-free
-                    None
                 } else {
-                    frontier = frontier.max(plan.influence[i] as usize);
-                    Some(Waveform::with_transitions(initial, buf))
+                    let wave = Waveform::with_transitions(initial, buf);
+                    mark_changed(circuit, id, wave, pos, changed, queue);
                 }
-            } else {
-                tally.nodes_converged += 1;
-                None
-            };
-            waves.push(wave);
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                pos[id.index()] = i as u32 + 1; // cone length checked at plan build
             }
         }
 
-        for &(op_index, driver) in &plan.ops {
-            let p = pos[driver.index()];
-            if p == 0 {
-                continue;
-            }
-            if let Some(faulty) = &waves[p as usize - 1] {
-                let diff = base.wave(driver).diff(faulty.view(), horizon);
+        for (id, faulty) in changed.iter() {
+            for &op in circuit.driven_observe_points(*id) {
+                let diff = base.wave(*id).diff(faulty.view(), horizon);
                 if !diff.is_empty() {
-                    out.push((op_index, diff));
+                    out.push((op as usize, diff));
                 }
             }
         }
+        out.sort_unstable_by_key(|&(op, _)| op);
 
-        // clear position markers and recycle waveform buffers
-        for &id in &plan.cone[..waves.len()] {
+        // clear the slot map and recycle waveform buffers
+        for (id, wave) in changed.drain(..) {
             pos[id.index()] = 0;
-        }
-        for wave in waves.drain(..).flatten() {
             spare.push(wave.into_transitions());
         }
-        tally.flush_simulated(self.metrics());
+        tally.cones_simulated += 1;
+        tally.nodes_evaluated += evaluated;
+        tally.nodes_converged += (plan.cone.len() - 1) as u64 - evaluated;
+    }
+
+    /// Publishes the cone-walk counters accumulated in `scratch` into this
+    /// engine's registry and resets them. A campaign calls this once per
+    /// work item instead of once per walk, so the counters shared by all
+    /// workers see a few atomic updates per item.
+    pub fn publish_cone_counters(&self, scratch: &mut ConeScratch) {
+        std::mem::take(&mut scratch.tally).publish(self.metrics());
     }
 }
 
@@ -996,6 +989,53 @@ mod tests {
         let direct = engine.response_diff(&base, &fault, 100.0);
         let planned = engine.response_diff_planned(&base, &fault, &plan, &mut scratch, 100.0);
         assert_eq!(direct, planned);
+    }
+
+    #[test]
+    fn plan_is_the_fanout_cone_filtered_by_observer_reach() {
+        // the level-queue build must keep `fanout_cone`'s topological
+        // order and drop exactly the nodes that reach no observe point
+        let mut b = CircuitBuilder::new("dead_ends");
+        b.add("a", GateKind::Input, &[]);
+        b.add("c", GateKind::Input, &[]);
+        b.add("q", GateKind::Dff, &["n2"]);
+        b.add("n1", GateKind::Nand, &["a", "q"]);
+        b.add("n2", GateKind::Nor, &["n1", "c"]);
+        b.add("d1", GateKind::Xor, &["n1", "n2"]);
+        b.add("d2", GateKind::Not, &["d1"]);
+        b.add("po", GateKind::And, &["n2", "c"]);
+        b.mark_output("po");
+        let dead_ends = b.finish().unwrap();
+        let generated = fastmon_netlist::generate::GeneratorConfig::new("plan")
+            .gates(120)
+            .flip_flops(8)
+            .inputs(6)
+            .outputs(3)
+            .depth(7)
+            .generate(9)
+            .unwrap();
+        for c in [dead_ends, library::s27(), generated] {
+            let mut scratch = PlanScratch::new();
+            for seed in c.node_ids() {
+                let plan = ConePlan::new_with_scratch(&c, seed, None, &mut scratch);
+                let full = c.fanout_cone(seed);
+                let kept: Vec<NodeId> = full
+                    .iter()
+                    .copied()
+                    .filter(|&id| c.reaches_observe_point(id))
+                    .collect();
+                assert_eq!(plan.cone(), kept.as_slice(), "{}", c.node_name(seed));
+                assert_eq!(plan.pruned_nodes(), full.len() - kept.len());
+                let observers: Vec<(usize, NodeId)> = c
+                    .observe_points()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, op)| full.contains(&op.driver))
+                    .map(|(k, op)| (k, op.driver))
+                    .collect();
+                assert_eq!(plan.observers(), observers.as_slice());
+            }
+        }
     }
 
     #[test]

@@ -42,7 +42,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 mod engine;
 mod parallel;
-mod screen;
 mod stimulus;
 mod waveform;
 
@@ -51,6 +50,5 @@ pub mod vcd;
 
 pub use engine::{ConePlan, ConeScratch, FaultyCone, PlanScratch, SimEngine, SimResult};
 pub use parallel::{parallel_map, parallel_map_with, try_parallel_map_with, WorkerPanic};
-pub use screen::{has_polarity_transition, FaultScreen, ScreenGroup, ScreenScratch};
 pub use stimulus::Stimulus;
 pub use waveform::{eval_gate, eval_gate_into, EvalScratch, WaveRef, Waveform};

@@ -6,8 +6,8 @@
 //! each campaign holds its own collector, so concurrent campaigns in one
 //! process attribute their work exactly. Engines *not* given a scoped
 //! registry fall back to one process-wide [`global`] registry. The hot
-//! paths keep the same discipline either way (relaxed ordering, per-cone
-//! batch flushes).
+//! paths keep the same discipline either way (relaxed ordering, cone-walk
+//! counters published once per campaign work item).
 
 use fastmon_obs::SimMetrics;
 
@@ -27,10 +27,12 @@ pub struct CampaignStats {
     /// Planned cone simulations rejected because the fault was fully
     /// masked at its own gate (seed waveform unchanged).
     pub cones_masked: u64,
-    /// Cone gates actually re-evaluated.
+    /// Cone gates re-evaluated because a fanin's faulty waveform differed
+    /// from its fault-free one.
     pub nodes_evaluated: u64,
-    /// Cone gates skipped because every fanin had already converged back
-    /// to its fault-free waveform (including early-exit tail skips).
+    /// Cone gates of simulated cones never evaluated because no fanin
+    /// changed: per cone, its length minus the seed minus the gates
+    /// evaluated. The event-driven walk never visits them.
     pub nodes_converged: u64,
     /// Cone gates dropped at plan-build time because they cannot reach
     /// any observation point.
@@ -45,14 +47,6 @@ pub struct CampaignStats {
     pub waveform_allocs: u64,
     /// Transition buffers the cone walk took from its scratch pool.
     pub waveform_reuses: u64,
-    /// Word-parallel screen traversals (one per 64-fault group per
-    /// pattern).
-    pub screen_walks: u64,
-    /// Union-cone gates visited by the word-parallel screen.
-    pub screen_nodes_visited: u64,
-    /// (fault, pattern) pairs discarded by the screen without an exact
-    /// cone walk.
-    pub faults_screened_out: u64,
     /// Structural equivalence classes the campaign's fault set collapsed
     /// into (one representative simulated per class).
     pub fault_classes: u64,
@@ -74,18 +68,18 @@ impl CampaignStats {
             cone_plans_built: m.cone_plans_built.get(),
             waveform_allocs: m.waveform_allocs.get(),
             waveform_reuses: m.waveform_reuses.get(),
-            screen_walks: m.screen_walks.get(),
-            screen_nodes_visited: m.screen_nodes_visited.get(),
-            faults_screened_out: m.faults_screened_out.get(),
             fault_classes: m.fault_classes.get(),
             faults_collapsed: m.faults_collapsed.get(),
         }
     }
 }
 
-/// One cone's worth of counter deltas, flushed in a single batch.
+/// Cone-walk counter deltas, accumulated per walk in the worker's scratch
+/// and published in one batch per campaign work item.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct ConeTally {
+    pub cones_simulated: u64,
+    pub cones_masked: u64,
     pub nodes_evaluated: u64,
     pub nodes_converged: u64,
     pub waveform_allocs: u64,
@@ -93,22 +87,12 @@ pub(crate) struct ConeTally {
 }
 
 impl ConeTally {
-    /// Publishes the deltas of one simulated cone into `m`.
-    pub(crate) fn flush_simulated(self, m: &SimMetrics) {
-        m.cones_simulated.incr();
+    /// Adds the deltas into `m`.
+    pub(crate) fn publish(self, m: &SimMetrics) {
+        m.cones_simulated.add(self.cones_simulated);
+        m.cones_masked.add(self.cones_masked);
         m.nodes_evaluated.add(self.nodes_evaluated);
         m.nodes_converged.add(self.nodes_converged);
-        self.flush_buffers(m);
-    }
-
-    /// Publishes a cone masked at its own gate: only its seed (and
-    /// delayed-pin) buffers were taken.
-    pub(crate) fn flush_masked(self, m: &SimMetrics) {
-        m.cones_masked.incr();
-        self.flush_buffers(m);
-    }
-
-    fn flush_buffers(self, m: &SimMetrics) {
         m.waveform_allocs.add(self.waveform_allocs);
         m.waveform_reuses.add(self.waveform_reuses);
     }
@@ -122,13 +106,14 @@ mod tests {
     fn scoped_flush_accumulates() {
         let m = SimMetrics::new();
         ConeTally {
+            cones_simulated: 1,
+            cones_masked: 1,
             nodes_evaluated: 5,
             nodes_converged: 2,
             waveform_allocs: 1,
             waveform_reuses: 4,
         }
-        .flush_simulated(&m);
-        m.cones_masked.incr();
+        .publish(&m);
         m.nodes_pruned_unobserved.add(7);
         let s = CampaignStats::from_metrics(&m);
         assert_eq!(s.cones_simulated, 1);

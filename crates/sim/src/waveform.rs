@@ -70,8 +70,7 @@ impl Waveform {
     }
 
     /// A borrowed view of this waveform, the form every reader of
-    /// waveforms (gate evaluation, `diff`, the screen, the monitor guard)
-    /// takes.
+    /// waveforms (gate evaluation, `diff`, the monitor guard) takes.
     #[must_use]
     pub fn view(&self) -> WaveRef<'_> {
         WaveRef {
