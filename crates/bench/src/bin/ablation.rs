@@ -17,7 +17,7 @@
 use fastmon_bench::{print_table, ExperimentConfig};
 use fastmon_core::{FlowConfig, HdfTestFlow, Solver};
 use fastmon_ilp::{greedy, SetCover};
-use fastmon_monitor::shifted_detection;
+use fastmon_monitor::detects_at;
 use fastmon_netlist::generate::CircuitProfile;
 
 fn main() {
@@ -167,9 +167,14 @@ fn main() {
             for (p, dr) in &analysis.per_pattern[f] {
                 let mut any = false;
                 for c in flow.configs().configs() {
-                    if shifted_detection(dr, flow.placement(), flow.configs(), c, flow.clock())
-                        .contains(entry.period)
-                    {
+                    if detects_at(
+                        dr,
+                        flow.placement(),
+                        flow.configs(),
+                        c,
+                        flow.clock(),
+                        entry.period,
+                    ) {
                         any = true;
                         break;
                     }

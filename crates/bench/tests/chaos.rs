@@ -5,9 +5,11 @@ use std::time::Duration;
 
 use fastmon_atpg::{TestPattern, TestSet};
 use fastmon_bench::chaos;
+use fastmon_core::report::table3_row;
 use fastmon_core::{
     CheckpointError, CheckpointStore, FlowConfig, FlowError, HdfTestFlow, ScheduleError, Solver,
 };
+use fastmon_netlist::generate::CircuitProfile;
 use fastmon_netlist::{bench, library, CircuitBuilder, NetlistError};
 use fastmon_timing::{sdf, DelayAnnotation, DelayModel, TimingError};
 
@@ -218,5 +220,57 @@ fn zero_duration_ilp_deadline_degrades_with_a_note() {
         "deadline fallback must be documented: optimal={} notes={:?}",
         schedule.selection.optimal,
         schedule.notes
+    );
+
+    // A 383-gate s13207 stand-in whose instances the reductions leave
+    // open: both stages degrade, every note is single-spaced prose, and
+    // Table III keeps each note text once.
+    let profile = CircuitProfile::named("s13207").expect("paper profile");
+    let c = profile
+        .scaled(300.0 / profile.gates as f64)
+        .generate(1)
+        .expect("valid profile");
+    let flow = HdfTestFlow::prepare(&c, &config);
+    let patterns = flow.generate_patterns(None);
+    let analysis = flow.analyze(&patterns);
+    let schedule = flow
+        .try_schedule(&analysis, Solver::Ilp)
+        .expect("deadline expiry degrades, not errors");
+    assert!(!schedule.selection.optimal);
+    for stage in ["frequency selection", "pattern selection"] {
+        assert!(
+            schedule.notes.iter().any(|n| n.contains(stage)),
+            "no {stage} note in {:?}",
+            schedule.notes
+        );
+    }
+    for note in &schedule.notes {
+        assert!(
+            !note.contains("  "),
+            "note carries a run of spaces: {note:?}"
+        );
+    }
+    let coverages = [0.99, 0.98];
+    let reported: usize = coverages
+        .iter()
+        .map(|&cov| {
+            flow.schedule_with_coverage(&analysis, Solver::Ilp, cov)
+                .notes
+                .len()
+        })
+        .sum();
+    let row = table3_row(&flow, &analysis, patterns.len(), &coverages);
+    let texts: Vec<&str> = row
+        .notes
+        .iter()
+        .map(|n| n.split_once(": ").expect("a cov prefix").1)
+        .collect();
+    for (i, text) in texts.iter().enumerate() {
+        assert!(!texts[..i].contains(text), "note {text:?} repeated");
+    }
+    assert!(
+        !row.notes.is_empty() && row.notes.len() < reported,
+        "{reported} notes reported, {:?} kept",
+        row.notes
     );
 }

@@ -3,7 +3,8 @@ use std::sync::Mutex;
 use fastmon_atpg::TestSet;
 use fastmon_faults::{DetectionRange, FaultList, IntervalSet};
 use fastmon_monitor::{
-    at_speed_monitor_detectable, shifted_detection, ConfigSet, MonitorConfig, MonitorPlacement,
+    at_speed_monitor_detectable, detects_at, shifted_detection, union_detection, ConfigSet,
+    MonitorConfig, MonitorPlacement,
 };
 use fastmon_netlist::{Circuit, NodeId};
 use fastmon_sim::{try_parallel_map_with, ConeScratch, SimEngine};
@@ -46,7 +47,9 @@ pub struct DetectionAnalysis {
     /// Per fault: sparse list of `(pattern index, raw per-output detection
     /// range)`, glitch-filtered, clipped to `(0, t_nom)`.
     pub per_pattern: Vec<Vec<(u32, DetectionRange)>>,
-    /// Per fault: union of the raw ranges over all patterns.
+    /// Per fault: union of the raw ranges over all patterns, per
+    /// observation point in first-appearance order
+    /// ([`DetectionRange::union_of`] of `per_pattern`).
     pub raw_union: Vec<DetectionRange>,
     /// Per fault: FF-only observable range inside the FAST window
     /// (conventional FAST).
@@ -69,10 +72,12 @@ impl DetectionAnalysis {
     /// actually toggles under that pattern is re-simulated on its fanout
     /// cone, and the per-output differences — glitch-filtered with
     /// `glitch_threshold` — are recorded. Simulation starts at
-    /// `progress.next_pattern` on top of the already accumulated raw
-    /// ranges, and `on_band` runs after every completed pattern band
-    /// (this is where the flow persists a checkpoint). An `Err` from
-    /// `on_band` aborts the campaign.
+    /// `progress.next_pattern` on top of the already accumulated
+    /// per-pattern ranges, and `on_band` runs after every completed
+    /// pattern band (this is where the flow persists a checkpoint). An
+    /// `Err` from `on_band` aborts the campaign. The bands only append
+    /// per-pattern entries: each fault's raw union is derived once, after
+    /// the last band, in parallel over faults on the campaign's workers.
     ///
     /// Because per-pattern results are merged in a fixed ascending pattern
     /// order, resuming from any band boundary is bit-identical to an
@@ -102,7 +107,6 @@ impl DetectionAnalysis {
         on_band: &mut dyn FnMut(&CampaignCheckpoint) -> Result<(), CheckpointError>,
     ) -> Result<Self, FlowError> {
         debug_assert_eq!(progress.per_pattern.len(), faults.len());
-        debug_assert_eq!(progress.raw_union.len(), faults.len());
         let _analyze_span = fastmon_obs::span!("analyze");
         let sim_metrics = metrics.map(|m| &m.sim);
         let engine = match sim_metrics {
@@ -282,9 +286,6 @@ impl DetectionAnalysis {
                 let p = u32::try_from(p).unwrap_or_else(|_| unreachable!("pattern count fits u32"));
                 for (fidx, dr) in found {
                     let members = classes.members_of(fidx as usize);
-                    for &m in members {
-                        progress.raw_union[m as usize].merge(&dr);
-                    }
                     let (last, rest) = match members.split_last() {
                         Some(split) => split,
                         None => unreachable!("a simulated fault represents its class"),
@@ -315,12 +316,9 @@ impl DetectionAnalysis {
             }
         }
 
-        // derived ranges and verdicts
-        let CampaignCheckpoint {
-            per_pattern,
-            raw_union,
-            ..
-        } = progress;
+        // raw unions, derived ranges and verdicts
+        let per_pattern = progress.per_pattern;
+        let raw_union = raw_unions(&per_pattern, workers);
         Ok(Self::finalize(
             faults,
             num_patterns,
@@ -333,9 +331,13 @@ impl DetectionAnalysis {
     }
 
     /// Rebuilds a full analysis from a campaign's accumulated raw results
-    /// (the `per_pattern`/`raw_union` fields of a completed
-    /// [`CampaignCheckpoint`]): derives the conventional and monitored
-    /// observable ranges, the per-fault verdicts and the target set.
+    /// (the `per_pattern` entries of a completed [`CampaignCheckpoint`]
+    /// and each fault's `raw_union`, the [`DetectionRange::union_of`] of
+    /// its entries): derives the conventional and monitored observable
+    /// ranges, the per-fault verdicts and the target set.
+    ///
+    /// `conv_range` is [`shifted_detection`] under `Off` and `fast_range`
+    /// is [`union_detection`], each built in one pass per fault.
     ///
     /// This is the (purely derived, simulation-free) tail of the
     /// campaign, exposed so a shard supervisor can
@@ -360,12 +362,7 @@ impl DetectionAnalysis {
         let mut targets = Vec::new();
         for (i, raw) in raw_union.iter().enumerate() {
             let conv = shifted_detection(raw, placement, configs, MonitorConfig::Off, clock);
-            let mut fast = conv.clone();
-            for config in configs.configs() {
-                if config != MonitorConfig::Off {
-                    fast = fast.union(&shifted_detection(raw, placement, configs, config, clock));
-                }
-            }
+            let fast = union_detection(raw, placement, configs, clock);
             let verdict = FaultVerdict {
                 detected_conv: !conv.is_empty(),
                 detected_prop: !fast.is_empty(),
@@ -446,7 +443,8 @@ impl DetectionAnalysis {
     }
 
     /// Whether `fault` is detected when capturing at time `t` with pattern
-    /// `pattern` under monitor configuration `config`.
+    /// `pattern` under monitor configuration `config` ([`detects_at`] on
+    /// the pattern's raw range).
     // the argument list mirrors the (f, p, c) triple of the paper's
     // schedule plus the three context objects — grouping them would only
     // add a struct the call sites immediately unpack
@@ -467,10 +465,7 @@ impl DetectionAnalysis {
         entries
             .binary_search_by_key(&pattern, |(p, _)| *p as usize)
             .ok()
-            .is_some_and(|i| {
-                let (_, dr) = &entries[i];
-                shifted_detection(dr, placement, configs, config, clock).contains(t)
-            })
+            .is_some_and(|i| detects_at(&entries[i].1, placement, configs, config, clock, t))
     }
 
     /// Number of candidate faults.
@@ -526,6 +521,21 @@ impl DetectionAnalysis {
     pub fn detected_prop(&self) -> usize {
         self.verdicts.iter().filter(|v| v.detected_prop).count()
     }
+}
+
+/// Each fault's raw union: its per-pattern ranges merged per observation
+/// point with [`DetectionRange::union_of`], on `workers` threads.
+/// Observation points keep their first-appearance order in pattern order,
+/// which [`DetectionRange`] equality and
+/// [`DetectionAnalysis::result_fingerprint`] depend on, so the result is
+/// the one merging the entries one by one would give.
+pub(crate) fn raw_unions(
+    per_pattern: &[Vec<(u32, DetectionRange)>],
+    workers: usize,
+) -> Vec<DetectionRange> {
+    fastmon_sim::parallel_map(per_pattern.len(), workers, |f| {
+        DetectionRange::union_of(per_pattern[f].iter().map(|(_, dr)| dr))
+    })
 }
 
 /// Per-worker campaign scratch: the cone re-simulation buffers and the

@@ -164,11 +164,9 @@ impl std::error::Error for CheckpointError {}
 /// The persisted mid-campaign state: everything the banded fault-simulation
 /// loop has accumulated up to (but not including) pattern `next_pattern`.
 ///
-/// Only the fingerprint, `next_pattern` and the per-pattern entries reach
-/// the file; [`CheckpointStore::load`] rebuilds `raw_union` from the
-/// entries, so a saved checkpoint loads back equal only when its
-/// `raw_union` is what the campaign keeps there: each fault's entries
-/// merged in pattern order.
+/// The struct holds exactly what reaches the file, so every saved
+/// checkpoint loads back equal. Nothing derived is kept: the campaign
+/// derives each fault's raw union from its entries after the last band.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     /// Fingerprint of the campaign inputs (circuit, faults, patterns,
@@ -179,9 +177,6 @@ pub struct CampaignCheckpoint {
     /// Per fault: `(pattern, raw detection range)` entries accumulated so
     /// far, strictly ascending by pattern and all below `next_pattern`.
     pub per_pattern: Vec<Vec<(u32, DetectionRange)>>,
-    /// Per fault: union of the accumulated raw ranges, merged in pattern
-    /// order.
-    pub raw_union: Vec<DetectionRange>,
 }
 
 /// What one [`CheckpointStore::save`] cost, in bytes.
@@ -223,7 +218,6 @@ pub struct SavedBytes {
 ///     fingerprint: 7,
 ///     next_pattern: 2,
 ///     per_pattern: vec![Vec::new()],
-///     raw_union: vec![fastmon_faults::DetectionRange::new()],
 /// };
 /// store.save(&cp)?;
 /// assert_eq!(store.load()?, cp);
@@ -360,8 +354,7 @@ impl CheckpointStore {
         }
     }
 
-    /// Loads and validates the checkpoint, rebuilding each fault's
-    /// `raw_union` by merging its entries in pattern order.
+    /// Loads and validates the checkpoint.
     ///
     /// # Errors
     ///
@@ -1243,26 +1236,11 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
             list.push((pattern, cursor.range()?));
         }
     }
-    let raw_union = per_pattern
-        .iter()
-        .map(|entries| union_of(entries))
-        .collect();
     Ok(CampaignCheckpoint {
         fingerprint,
         next_pattern,
         per_pattern,
-        raw_union,
     })
-}
-
-/// The union of a fault's raw ranges, merged in the campaign's own order:
-/// entry by entry, ascending by pattern.
-fn union_of(entries: &[(u32, DetectionRange)]) -> DetectionRange {
-    let mut union = DetectionRange::new();
-    for (_, dr) in entries {
-        union.merge(dr);
-    }
-    union
 }
 
 pub(crate) fn decode_test_set(bytes: &[u8]) -> Result<TestSetRecord, CheckpointError> {
@@ -1315,13 +1293,10 @@ mod tests {
         let mut set2 = IntervalSet::new();
         set2.insert(Interval::new(0.25, 0.75));
         dr2.push(0, set2);
-        let mut union = dr.clone();
-        union.merge(&dr2);
         CampaignCheckpoint {
             fingerprint: 0xdead_beef_1234_5678,
             next_pattern: 6,
             per_pattern: vec![vec![(1, dr), (5, dr2)], Vec::new()],
-            raw_union: vec![union, DetectionRange::new()],
         }
     }
 
@@ -1425,7 +1400,6 @@ mod tests {
         CampaignCheckpoint {
             fingerprint: 0x5eed,
             next_pattern: next_pattern as usize,
-            raw_union: per_pattern.iter().map(|e| union_of(e)).collect(),
             per_pattern,
         }
     }
@@ -1458,7 +1432,6 @@ mod tests {
         // fingerprint, another fault count, an earlier next pattern.
         let mut shorter = progress(3, 8);
         shorter.per_pattern[1].pop();
-        shorter.raw_union[1] = union_of(&shorter.per_pattern[1]);
         let other_fingerprint = CampaignCheckpoint {
             fingerprint: 0xfeed,
             ..progress(3, 8)
@@ -1797,7 +1770,11 @@ mod tests {
             next_pattern in 0u64..12,
         ) {
             match decode(&bytes) {
-                Ok(cp) => prop_assert!(cp.per_pattern.len() == cp.raw_union.len()),
+                Ok(cp) => prop_assert!(cp
+                    .per_pattern
+                    .iter()
+                    .flatten()
+                    .all(|(p, _)| (*p as usize) < cp.next_pattern)),
                 Err(e) => {
                     // every error renders (Display is part of the contract)
                     prop_assert!(!e.to_string().is_empty());
@@ -1827,10 +1804,9 @@ mod tests {
             match decode(&records) {
                 Ok(cp) => {
                     prop_assert_eq!(cp.per_pattern.len() as u64, faults);
-                    for (entries, union) in cp.per_pattern.iter().zip(&cp.raw_union) {
+                    for entries in &cp.per_pattern {
                         prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
                         prop_assert!(entries.iter().all(|(p, _)| u64::from(*p) < next_pattern));
-                        prop_assert_eq!(union, &union_of(entries));
                     }
                 }
                 Err(e) => prop_assert!(!e.to_string().is_empty()),

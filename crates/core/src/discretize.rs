@@ -49,6 +49,12 @@ pub fn elementary_intervals(ranges: &[IntervalSet]) -> Vec<(Interval, usize)> {
 /// variations". Every fault with a non-empty range is guaranteed to be
 /// covered by at least one returned candidate.
 ///
+/// Every interval of a range spans a contiguous run of whole elementary
+/// cells (its own endpoints are cell boundaries), so a range's
+/// most-populated cell is found with one range-maximum query per
+/// interval (a sparse table) instead of a walk over the cells. Ties go to
+/// the earliest cell.
+///
 /// # Example
 ///
 /// ```
@@ -70,40 +76,97 @@ pub fn discretize(ranges: &[IntervalSet]) -> Vec<Time> {
         return Vec::new();
     }
     let starts: Vec<Time> = cells.iter().map(|(iv, _)| iv.start).collect();
+    let counts: Vec<usize> = cells.iter().map(|&(_, count)| count).collect();
+    let peaks = LeftmostMax::new(&counts);
 
-    let mut candidates: Vec<Time> = Vec::new();
+    let mut candidates: Vec<Time> = Vec::with_capacity(ranges.len());
     for set in ranges {
-        if set.is_empty() {
-            continue;
-        }
-        let mut best: Option<(usize, Time)> = None; // (count, midpoint)
+        let mut best: Option<usize> = None; // cell index
         for iv in set.iter() {
-            // first cell that could overlap iv
-            let mut idx = starts.partition_point(|&s| s < iv.start);
-            if idx > 0 && cells[idx - 1].0.end > iv.start {
-                idx -= 1;
-            }
-            while idx < cells.len() && cells[idx].0.start < iv.end {
-                let (cell, count) = &cells[idx];
-                let lo = cell.start.max(iv.start);
-                let hi = cell.end.min(iv.end);
-                if lo < hi {
-                    let mid = 0.5 * (lo + hi);
-                    match best {
-                        Some((c, _)) if c >= *count => {}
-                        _ => best = Some((*count, mid)),
-                    }
+            // the cells inside iv: from the one starting at iv.start to the
+            // last one starting before iv.end
+            let lo = starts.partition_point(|&s| s < iv.start);
+            let hi = lo + starts[lo..].partition_point(|&s| s < iv.end);
+            if lo < hi {
+                let peak = peaks.query(lo, hi);
+                if best.is_none_or(|b| counts[peak] > counts[b]) {
+                    best = Some(peak);
                 }
-                idx += 1;
             }
         }
-        if let Some((_, mid)) = best {
-            candidates.push(mid);
+        if let Some(b) = best {
+            candidates.push(cells[b].0.midpoint());
         }
     }
     candidates.sort_by(Time::total_cmp);
     candidates.dedup();
     candidates
+}
+
+/// Per candidate period, the indices of the ranges containing it, in
+/// ascending order: the columns of the frequency-selection set cover.
+///
+/// `candidates` must be sorted ascending. Each range's intervals are swept
+/// over the candidates once, so the cost is one binary search per interval
+/// plus one push per (candidate, range) membership.
+pub(crate) fn candidate_columns(ranges: &[IntervalSet], candidates: &[Time]) -> Vec<Vec<u32>> {
+    let mut columns: Vec<Vec<u32>> = vec![Vec::new(); candidates.len()];
+    for (k, set) in ranges.iter().enumerate() {
+        let k = u32::try_from(k).unwrap_or_else(|_| unreachable!("fault count fits u32"));
+        let mut from = 0;
+        for iv in set.iter() {
+            let lo = from + candidates[from..].partition_point(|&t| t < iv.start);
+            let hi = lo + candidates[lo..].partition_point(|&t| t < iv.end);
+            for column in &mut columns[lo..hi] {
+                column.push(k);
+            }
+            from = hi;
+        }
+    }
+    columns
+}
+
+/// A sparse table answering "which is the leftmost maximum of
+/// `values[lo..hi]`" in O(1) after an O(n log n) build.
+struct LeftmostMax<'a> {
+    values: &'a [usize],
+    /// `levels[k][i]`: the leftmost maximum of `values[i..i + 2^k]`.
+    levels: Vec<Vec<u32>>,
+}
+
+impl<'a> LeftmostMax<'a> {
+    fn new(values: &'a [usize]) -> Self {
+        let n = values.len();
+        let mut levels: Vec<Vec<u32>> = vec![(0..n)
+            .map(|i| u32::try_from(i).unwrap_or_else(|_| unreachable!("cell count fits u32")))
+            .collect()];
+        let mut width = 1;
+        while 2 * width <= n {
+            let prev = &levels[levels.len() - 1];
+            let next = (0..=n - 2 * width)
+                .map(|i| Self::pick(values, prev[i], prev[i + width]))
+                .collect();
+            levels.push(next);
+            width *= 2;
+        }
+        LeftmostMax { values, levels }
+    }
+
+    /// The leftmost maximum of two candidates, `left` preceding `right`.
+    fn pick(values: &[usize], left: u32, right: u32) -> u32 {
+        if values[right as usize] > values[left as usize] {
+            right
+        } else {
+            left
+        }
+    }
+
+    /// The index of the leftmost maximum of `values[lo..hi]` (`lo < hi`).
+    fn query(&self, lo: usize, hi: usize) -> usize {
+        let k = (hi - lo).ilog2() as usize;
+        let level = &self.levels[k];
+        Self::pick(self.values, level[lo], level[hi - (1 << k)]) as usize
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 use fastmon_atpg::{try_generate_with_metrics, AtpgConfig, AtpgError, TestSet};
-use fastmon_faults::{classify, DetectionRange, FaultClass, FaultList, Polarity};
+use fastmon_faults::{classify, FaultClass, FaultList, Polarity};
 use fastmon_monitor::{ConfigSet, MonitorPlacement};
 use fastmon_netlist::{Circuit, NetlistError, PinRef};
 use fastmon_obs::MetricsRegistry;
@@ -532,7 +532,6 @@ impl<'c> HdfTestFlow<'c> {
             fingerprint: 0,
             next_pattern: 0,
             per_pattern: vec![Vec::new(); faults.len()],
-            raw_union: vec![DetectionRange::new(); faults.len()],
         };
         if let Some(store) = checkpoint {
             let campaign = self.campaign_fingerprint(patterns);

@@ -46,6 +46,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod analysis;
+#[cfg(test)]
+mod builder_equivalence;
 mod checkpoint;
 mod config;
 mod diagnose;

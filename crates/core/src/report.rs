@@ -150,8 +150,10 @@ pub struct Table3Row {
     pub circuit: String,
     /// One entry per coverage target, in the given order.
     pub entries: Vec<CoverageEntry>,
-    /// Degradation notes collected over all coverage targets
-    /// (deduplicated). Empty for clean solves.
+    /// Degradation notes collected over all coverage targets, each
+    /// prefixed with `cov X.XX: `. A note text that several targets report
+    /// is kept once, with the first target's prefix. Empty for clean
+    /// solves.
     pub notes: Vec<String>,
 }
 
@@ -165,15 +167,13 @@ pub fn table3_row(
     coverages: &[f64],
 ) -> Table3Row {
     let num_configs = flow.configs().len();
-    let mut notes: Vec<String> = Vec::new();
+    let mut notes = CoverageNotes::default();
     let entries = coverages
         .iter()
         .map(|&cov| {
             let schedule = flow.schedule_with_coverage(analysis, Solver::Ilp, cov);
             for note in &schedule.notes {
-                if !notes.contains(note) {
-                    notes.push(format!("cov {cov:.2}: {note}"));
-                }
+                notes.push(cov, note);
             }
             let covered: usize = schedule.entries.iter().map(|e| e.faults.len()).sum();
             let frequencies = schedule.num_frequencies();
@@ -200,7 +200,25 @@ pub fn table3_row(
     Table3Row {
         circuit: flow.circuit().name().to_owned(),
         entries,
-        notes,
+        notes: notes.prefixed,
+    }
+}
+
+/// Table III's notes, deduplicated on the unprefixed text.
+#[derive(Default)]
+struct CoverageNotes {
+    seen: Vec<String>,
+    prefixed: Vec<String>,
+}
+
+impl CoverageNotes {
+    /// Records `note` of coverage target `cov`, unless an earlier target
+    /// reported the same text.
+    fn push(&mut self, cov: f64, note: &str) {
+        if !self.seen.iter().any(|seen| seen == note) {
+            self.seen.push(note.to_owned());
+            self.prefixed.push(format!("cov {cov:.2}: {note}"));
+        }
     }
 }
 
@@ -432,6 +450,24 @@ mod tests {
             assert!((0.0..=1.0).contains(&p.conv_coverage));
             prev = *p;
         }
+    }
+
+    #[test]
+    fn coverage_notes_keep_the_first_target_of_each_text() {
+        let mut notes = CoverageNotes::default();
+        notes.push(0.99, "ilp deadline hit");
+        notes.push(0.99, "no cover at 12.0 ps");
+        notes.push(0.98, "ilp deadline hit");
+        notes.push(0.95, "no cover at 12.0 ps");
+        notes.push(0.95, "no cover at 14.0 ps");
+        assert_eq!(
+            notes.prefixed,
+            [
+                "cov 0.99: ilp deadline hit",
+                "cov 0.99: no cover at 12.0 ps",
+                "cov 0.95: no cover at 14.0 ps",
+            ]
+        );
     }
 
     #[test]

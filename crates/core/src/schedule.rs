@@ -1,9 +1,10 @@
 use std::time::Duration;
 
 use fastmon_ilp::{greedy, BranchBound, SetCover};
-use fastmon_monitor::{ConfigSet, MonitorConfig, MonitorPlacement};
+use fastmon_monitor::{detects_at, ConfigSet, MonitorConfig, MonitorPlacement};
 use fastmon_timing::{ClockSpec, Time};
 
+use crate::discretize::candidate_columns;
 use crate::{discretize, DetectionAnalysis, ScheduleError};
 
 /// Which optimizer selects frequencies and pattern-configurations.
@@ -208,7 +209,9 @@ fn record_solve(metrics: Option<&fastmon_obs::IlpMetrics>, stats: &fastmon_ilp::
 
 /// Step 1: select a minimum set of capture periods covering the target
 /// faults (up to `allowed_uncovered` waivers for coverage-target
-/// schedules).
+/// schedules). The candidates come from [`discretize`], and each
+/// candidate's column is filled by one sweep of every range's intervals
+/// over the sorted candidates.
 pub(crate) fn select_frequencies(
     ctx: &ScheduleContext<'_>,
     solver: Solver,
@@ -234,20 +237,7 @@ pub(crate) fn select_frequencies(
     };
     let owned: Vec<fastmon_faults::IntervalSet> = ranges.iter().map(|r| (*r).clone()).collect();
     let candidates = discretize(&owned);
-
-    let sets: Vec<Vec<u32>> = candidates
-        .iter()
-        .map(|&t| {
-            owned
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.contains(t))
-                .map(|(i, _)| {
-                    u32::try_from(i).unwrap_or_else(|_| unreachable!("fault count fits u32"))
-                })
-                .collect()
-        })
-        .collect();
+    let sets = candidate_columns(&owned, &candidates);
     let instance = SetCover::new(owned.len(), sets).with_allowed_uncovered(allowed_uncovered);
     let solution = match solver {
         Solver::Conventional | Solver::Greedy => greedy(&instance),
@@ -340,7 +330,7 @@ pub(crate) fn select_patterns(
     let mut notes = Vec::new();
     if selection.deadline_hit {
         notes.push(
-            "ilp deadline hit during frequency selection: greedy-quality incumbent used              (non-optimal |F|)"
+            "ilp deadline hit during frequency selection: greedy-quality incumbent used (non-optimal |F|)"
                 .to_owned(),
         );
     }
@@ -349,7 +339,7 @@ pub(crate) fn select_patterns(
         let (entry, deadline_hit, feasible) = optimize_entry(ctx, solver, t, &faults, &configs);
         if deadline_hit {
             notes.push(format!(
-                "ilp deadline hit during pattern selection at period {t:.1} ps:                  greedy-quality incumbent used (non-minimal |S|)"
+                "ilp deadline hit during pattern selection at period {t:.1} ps: greedy-quality incumbent used (non-minimal |S|)"
             ));
         }
         if !feasible {
@@ -368,7 +358,9 @@ pub(crate) fn select_patterns(
     }
 }
 
-/// Solves the pattern × configuration set cover of one frequency.
+/// Solves the pattern × configuration set cover of one frequency. A
+/// `(pattern, configuration)` combo covers a fault when [`detects_at`]
+/// holds at `period` for the fault's range under that pattern.
 fn optimize_entry(
     ctx: &ScheduleContext<'_>,
     solver: Solver,
@@ -383,15 +375,7 @@ fn optimize_entry(
     for (k, &f) in faults.iter().enumerate() {
         for (p, dr) in &ctx.analysis.per_pattern[f] {
             for (ci, &config) in configs.iter().enumerate() {
-                let detected = fastmon_monitor::shifted_detection(
-                    dr,
-                    ctx.placement,
-                    ctx.configs,
-                    config,
-                    ctx.clock,
-                )
-                .contains(period);
-                if detected {
+                if detects_at(dr, ctx.placement, ctx.configs, config, ctx.clock, period) {
                     let key = (
                         *p,
                         u8::try_from(ci).unwrap_or_else(|_| unreachable!("few configs")),

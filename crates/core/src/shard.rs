@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 use fastmon_atpg::{AtpgError, TestSet};
 use fastmon_netlist::Circuit;
 
+use crate::analysis::raw_unions;
 use crate::checkpoint::{
     self, ByteSink as _, CampaignCheckpoint, CheckpointError, CheckpointStore, Fnv1a,
 };
@@ -261,7 +262,6 @@ impl ShardFiles {
             fingerprint,
             next_pattern: patterns.len(),
             per_pattern: analysis.per_pattern,
-            raw_union: analysis.raw_union,
         })?;
         store.discard();
         Ok(fingerprint)
@@ -303,7 +303,9 @@ impl ShardFiles {
 
     /// Loads every landed shard result of a `shards`-way partition,
     /// rebuilds each shard's analysis from its raw results and merges
-    /// them. The merged fingerprint is bit-identical to the serial
+    /// them. Each fault's raw union is derived from its entries the way
+    /// the campaign derives it, then [`DetectionAnalysis::finalize`] runs,
+    /// so the merged fingerprint is bit-identical to the serial
     /// campaign's.
     ///
     /// # Errors
@@ -320,12 +322,16 @@ impl ShardFiles {
         let mut parts = Vec::new();
         for spec in ShardSpec::all(shards) {
             let cp = self.load_raw(flow, patterns, spec, campaign)?;
+            // serially: the shards were simulated in other processes, and
+            // threads spawned only for this add their allocator arenas to
+            // the supervisor's peak RSS
+            let raw_union = raw_unions(&cp.per_pattern, 1);
             parts.push(DetectionAnalysis::finalize(
                 flow.candidate_faults()
                     .slice(spec.range(flow.candidate_faults().len())),
                 patterns.len(),
                 cp.per_pattern,
-                cp.raw_union,
+                raw_union,
                 flow.placement(),
                 flow.configs(),
                 flow.clock(),

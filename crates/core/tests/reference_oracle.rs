@@ -1,19 +1,22 @@
 //! Differential oracle for the fault-simulation campaign: on random small
 //! generated circuits, random delay-variation seeds, random two-vector
-//! patterns and random glitch thresholds, `DetectionAnalysis` must report
-//! exactly the per-pattern detection ranges and raw unions of the naive
-//! whole-circuit reference simulator in `support`, at 1 and 2 threads,
-//! and both as one campaign and as 3 in-process fault shards merged with
+//! patterns, random glitch thresholds and random monitor windows (`f_max`
+//! factor, monitor fraction and delay elements), `DetectionAnalysis` must
+//! report exactly the per-pattern detection ranges, raw unions,
+//! conventional and monitored windows, verdicts and targets of the naive
+//! whole-circuit reference in `support`, at 1 and 2 threads, and both as
+//! one campaign and as 3 in-process fault shards merged with
 //! `DetectionAnalysis::merge`.
 //!
 //! The campaign's cone plans, event-driven cone walk, observer tables,
-//! pooled scratch, fault collapsing and shard partition are all absent
-//! from the reference, so a disagreement pins a bug in one of them.
+//! pooled scratch, fault collapsing, shard partition, derived raw unions
+//! and one-pass windows are all absent from the reference, so a
+//! disagreement pins a bug in one of them.
 
 mod support;
 
 use fastmon_atpg::{TestPattern, TestSet};
-use fastmon_core::{Campaign, DetectionAnalysis, FlowConfig, HdfTestFlow, ShardSpec};
+use fastmon_core::{Campaign, DetectionAnalysis, FaultVerdict, FlowConfig, HdfTestFlow, ShardSpec};
 use fastmon_netlist::generate::GeneratorConfig;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -59,21 +62,46 @@ fn run_sharded(flow: &HdfTestFlow<'_>, patterns: &TestSet, shards: usize) -> Det
     .expect("shards of one test set merge")
 }
 
+/// The reference windows of every fault of `flow`'s campaign.
+fn reference_windows(
+    flow: &HdfTestFlow<'_>,
+    raw_union: &[fastmon_faults::DetectionRange],
+) -> Vec<support::Windows> {
+    let clock = flow.clock();
+    raw_union
+        .iter()
+        .map(|raw| {
+            support::windows(
+                raw,
+                |op| flow.placement().is_monitored(op),
+                flow.configs().delays(),
+                clock.t_min,
+                clock.t_nom,
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #[test]
     fn campaign_matches_the_reference_simulator(
         circuit in (0..10_000u64, 8..64usize),
-        variation_seed in 0..10_000u64,
-        pattern_seed in 0..10_000u64,
+        seeds in (0..10_000u64, 0..10_000u64),
         shape in (1..8usize, 0.0..12.0f64),
+        monitors in (1.0..4.0f64, 0.0..1.0f64, proptest::collection::vec(0.01..0.5f64, 0..5)),
     ) {
         let (circuit_seed, gates) = circuit;
+        let (variation_seed, pattern_seed) = seeds;
         let (num_patterns, glitch_threshold) = shape;
+        let (fmax_factor, monitor_fraction, monitor_delays_rel) = monitors;
         let circuit = random_circuit(circuit_seed, gates);
         let patterns = random_patterns(&circuit, num_patterns, pattern_seed);
         let config = FlowConfig {
             seed: variation_seed,
             glitch_threshold,
+            fmax_factor,
+            monitor_fraction,
+            monitor_delays_rel,
             ..FlowConfig::default()
         };
         let flow = HdfTestFlow::prepare(&circuit, &config);
@@ -85,6 +113,13 @@ proptest! {
             flow.clock().t_nom,
             glitch_threshold,
         );
+        let windows = reference_windows(&flow, &raw_union);
+        let targets: Vec<usize> = windows
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| !w.fast.is_empty() && !w.at_speed)
+            .map(|(f, _)| f)
+            .collect();
         for threads in [1usize, 2] {
             let flow = HdfTestFlow::prepare(&circuit, &FlowConfig { threads, ..config.clone() });
             for shards in [1usize, 3] {
@@ -107,20 +142,50 @@ proptest! {
                     threads,
                     shards
                 );
+                for (f, w) in windows.iter().enumerate() {
+                    prop_assert_eq!(
+                        &analysis.conv_range[f],
+                        &w.conv,
+                        "threads={} shards={} fault {}: conventional window",
+                        threads,
+                        shards,
+                        f
+                    );
+                    prop_assert_eq!(
+                        &analysis.fast_range[f],
+                        &w.fast,
+                        "threads={} shards={} fault {}: monitored window",
+                        threads,
+                        shards,
+                        f
+                    );
+                    let verdict = FaultVerdict {
+                        detected_conv: !w.conv.is_empty(),
+                        detected_prop: !w.fast.is_empty(),
+                        at_speed_monitor: w.at_speed,
+                    };
+                    prop_assert_eq!(analysis.verdicts[f], verdict, "fault {}", f);
+                }
+                prop_assert_eq!(&analysis.targets, &targets);
             }
         }
     }
 }
 
 /// The property above is only as strong as the detections it compares:
-/// a fixed case must give the reference real work.
+/// a fixed case must give the reference real work, including faults that
+/// only a monitor's shadow register observes inside the FAST window, and
+/// the campaign must agree with it there.
 #[test]
 fn the_reference_sees_detections() {
-    let circuit = random_circuit(7, 40);
-    let patterns = random_patterns(&circuit, 4, 7);
-    let config = FlowConfig::default();
+    let circuit = random_circuit(9, 40);
+    let patterns = random_patterns(&circuit, 6, 9);
+    let config = FlowConfig {
+        monitor_fraction: 1.0,
+        ..FlowConfig::default()
+    };
     let flow = HdfTestFlow::prepare(&circuit, &config);
-    let (per_pattern, _) = support::analyze(
+    let (per_pattern, raw_union) = support::analyze(
         &circuit,
         flow.annotation(),
         flow.candidate_faults(),
@@ -133,4 +198,20 @@ fn the_reference_sees_detections() {
         detected > 0,
         "the reference detected nothing: the oracle is vacuous"
     );
+    let windows = reference_windows(&flow, &raw_union);
+    let conv = windows.iter().filter(|w| !w.conv.is_empty()).count();
+    let monitor_only = windows
+        .iter()
+        .filter(|w| w.conv.is_empty() && !w.fast.is_empty())
+        .count();
+    assert!(
+        conv > 0 && monitor_only > 0,
+        "{conv} conventional and {monitor_only} monitor-only detections: \
+         the window axis is vacuous"
+    );
+    let analysis = flow.analyze(&patterns);
+    for (f, w) in windows.iter().enumerate() {
+        assert_eq!(analysis.conv_range[f], w.conv, "fault {f}");
+        assert_eq!(analysis.fast_range[f], w.fast, "fault {f}");
+    }
 }

@@ -10,9 +10,14 @@
 //! semantics (Sec. III-B): the XOR of the fault-free and faulty waveforms
 //! up to `t_nom`, clipped to `[0, t_nom)`, with glitches shorter than the
 //! threshold removed.
+//!
+//! [`windows`] then derives each fault's observable windows and verdict
+//! from its raw union, interval by interval with `IntervalSet::insert`:
+//! no `union`, no batch builder and none of `fastmon-monitor`'s window
+//! code.
 
 use fastmon_atpg::TestSet;
-use fastmon_faults::{DetectionRange, FaultList, SmallDelayFault};
+use fastmon_faults::{DetectionRange, FaultList, Interval, IntervalSet, SmallDelayFault};
 use fastmon_netlist::{Circuit, GateKind, PinRef};
 use fastmon_sim::{eval_gate, Stimulus, Waveform};
 use fastmon_timing::{DelayAnnotation, Time};
@@ -114,4 +119,51 @@ pub fn analyze(
         }
     }
     (per_pattern, raw_union)
+}
+
+/// One fault's reference windows and verdict.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Windows {
+    /// `I_FF(o) ∩ [t_min, t_nom)` over every observe point `o`.
+    pub conv: IntervalSet,
+    /// `conv` plus `(I_FF(o) + d) ∩ [t_min, t_nom)` for every monitored `o`
+    /// and every delay `d`.
+    pub fast: IntervalSet,
+    /// Some observe point differs at the nominal capture edge, at the
+    /// mission flip-flop or through some delay of a monitored point.
+    pub at_speed: bool,
+}
+
+/// The windows of one fault's raw union (Sec. III-B): per observe point,
+/// the mission flip-flop sees `I_FF` and a monitored point's shadow
+/// register `I_FF + d`, both clipped to `[t_min, t_nom)`.
+pub fn windows(
+    raw: &DetectionRange,
+    monitored: impl Fn(usize) -> bool,
+    delays: &[Time],
+    t_min: Time,
+    t_nom: Time,
+) -> Windows {
+    let at_speed_time = t_nom * (1.0 - 1e-9);
+    let clip = |start: Time, end: Time| Interval::new(start.max(t_min), end.min(t_nom));
+    let mut out = Windows {
+        conv: IntervalSet::new(),
+        fast: IntervalSet::new(),
+        at_speed: false,
+    };
+    for (op, set) in raw.iter() {
+        for iv in set.iter() {
+            out.conv.insert(clip(iv.start, iv.end));
+            out.fast.insert(clip(iv.start, iv.end));
+            out.at_speed |= iv.start <= at_speed_time && at_speed_time < iv.end;
+            if monitored(op) {
+                for &d in delays {
+                    let (start, end) = (iv.start + d, iv.end + d);
+                    out.fast.insert(clip(start, end));
+                    out.at_speed |= start <= at_speed_time && at_speed_time < end;
+                }
+            }
+        }
+    }
+    out
 }

@@ -1,6 +1,6 @@
 use fastmon_timing::Time;
 
-use crate::IntervalSet;
+use crate::{Interval, IntervalSet};
 
 /// The detection ranges of one fault, kept *per observation point*.
 ///
@@ -71,9 +71,7 @@ impl DetectionRange {
     /// Union over all outputs of the raw (unclipped) ranges.
     #[must_use]
     pub fn raw_union(&self) -> IntervalSet {
-        self.per_output
-            .iter()
-            .fold(IntervalSet::new(), |acc, (_, s)| acc.union(s))
+        IntervalSet::from_intervals(self.per_output.iter().flat_map(|(_, s)| s.iter().copied()))
     }
 
     /// `I_FF(φ)`: the union over all standard flip-flops / primary outputs,
@@ -81,6 +79,51 @@ impl DetectionRange {
     #[must_use]
     pub fn ff_union(&self, t_min: Time, t_nom: Time) -> IntervalSet {
         self.raw_union().clipped(t_min, t_nom)
+    }
+
+    /// The per-output union of `ranges` in one pass: each observation
+    /// point's intervals are gathered from every range and built with one
+    /// [`IntervalSet::from_intervals`] call. Points keep the order in which
+    /// they first appear, so the result equals [`merge`](Self::merge)-ing
+    /// the ranges one by one, in order, into an empty range.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fastmon_faults::{DetectionRange, Interval, IntervalSet};
+    ///
+    /// let mut a = DetectionRange::new();
+    /// a.push(3, IntervalSet::from_intervals([Interval::new(0.0, 1.0)]));
+    /// let mut b = DetectionRange::new();
+    /// b.push(1, IntervalSet::from_intervals([Interval::new(5.0, 6.0)]));
+    /// b.push(3, IntervalSet::from_intervals([Interval::new(1.0, 2.0)]));
+    ///
+    /// let union = DetectionRange::union_of([&a, &b]);
+    /// let mut merged = DetectionRange::new();
+    /// merged.merge(&a);
+    /// merged.merge(&b);
+    /// assert_eq!(union, merged);
+    /// assert_eq!(union.iter().map(|(op, _)| op).collect::<Vec<_>>(), [3, 1]);
+    /// ```
+    #[must_use]
+    pub fn union_of<'a, I: IntoIterator<Item = &'a DetectionRange>>(ranges: I) -> DetectionRange {
+        let mut gathered: Vec<(usize, Vec<Interval>)> = Vec::new();
+        for range in ranges {
+            for (op, set) in range.iter() {
+                match gathered.iter_mut().find(|(i, _)| *i == op) {
+                    Some((_, ivs)) => ivs.extend_from_slice(set.as_slice()),
+                    // an empty set is never pushed, so it names no point
+                    None if !set.is_empty() => gathered.push((op, set.as_slice().to_vec())),
+                    None => {}
+                }
+            }
+        }
+        DetectionRange {
+            per_output: gathered
+                .into_iter()
+                .map(|(op, ivs)| (op, IntervalSet::from_intervals(ivs)))
+                .collect(),
+        }
     }
 
     /// Merges another detection range into this one (per-output union).

@@ -88,14 +88,32 @@ impl IntervalSet {
         IntervalSet::default()
     }
 
-    /// Builds a set from arbitrary intervals (merged and sorted).
+    /// Builds a set from arbitrary intervals in one sort-and-coalesce
+    /// pass: empty intervals are dropped, the rest are sorted by start and
+    /// coalesced in place where they overlap or touch, and the capacity the
+    /// input needed before coalescing is released.
+    ///
+    /// The result is the canonical set of the intervals' union, so it is
+    /// identical to [`insert`](Self::insert)ing them one by one in any
+    /// order: each stored start and end is one of the input's own values.
     #[must_use]
     pub fn from_intervals<I: IntoIterator<Item = Interval>>(intervals: I) -> Self {
-        let mut set = IntervalSet::new();
-        for iv in intervals {
-            set.insert(iv);
+        let mut ivs: Vec<Interval> = intervals.into_iter().filter(|iv| !iv.is_empty()).collect();
+        ivs.sort_unstable_by(|a, b| a.start.total_cmp(&b.start));
+        // `ivs[..len]` holds the coalesced prefix
+        let mut len = 0;
+        for i in 0..ivs.len() {
+            let iv = ivs[i];
+            if len > 0 && iv.start <= ivs[len - 1].end {
+                ivs[len - 1].end = ivs[len - 1].end.max(iv.end);
+            } else {
+                ivs[len] = iv;
+                len += 1;
+            }
         }
-        set
+        ivs.truncate(len);
+        ivs.shrink_to_fit();
+        IntervalSet { ivs }
     }
 
     /// Inserts an interval, merging with overlapping/touching neighbours.
@@ -153,6 +171,18 @@ impl IntervalSet {
     pub fn contains(&self, t: Time) -> bool {
         let i = self.ivs.partition_point(|x| x.end <= t);
         i < self.ivs.len() && self.ivs[i].contains(t)
+    }
+
+    /// Whether `t` lies in the set shifted right by `d`: the answer of
+    /// `self.shifted(d).contains(t)`, bit for bit, without building the
+    /// shifted set. It tests `iv.start + d <= t < iv.end + d`, the sums
+    /// [`Interval::shifted`] computes, and never `t - d`, which rounds
+    /// differently.
+    #[must_use]
+    pub fn contains_shifted(&self, d: Time, t: Time) -> bool {
+        // the shifted ends stay sorted: adding `d` never reorders them
+        let i = self.ivs.partition_point(|x| x.end + d <= t);
+        i < self.ivs.len() && self.ivs[i].shifted(d).contains(t)
     }
 
     /// The union of two sets.
@@ -446,6 +476,52 @@ mod tests {
         #[test]
         fn union_idempotent(a in arb_set()) {
             prop_assert_eq!(a.union(&a), a);
+        }
+
+        #[test]
+        fn from_intervals_equals_repeated_insert(
+            steps in proptest::collection::vec((0..40u32, 0..8u32), 0..12),
+        ) {
+            // endpoints on a 0.1 grid: shared, touching and empty intervals,
+            // ends that are rounded sums
+            let ivs: Vec<Interval> = steps
+                .iter()
+                .map(|&(s, l)| {
+                    let start = f64::from(s) * 0.1;
+                    Interval::new(start, start + f64::from(l) * 0.1)
+                })
+                .collect();
+            let mut inserted = IntervalSet::new();
+            for iv in &ivs {
+                inserted.insert(*iv);
+            }
+            let built = IntervalSet::from_intervals(ivs);
+            let bits = |s: &IntervalSet| -> Vec<(u64, u64)> {
+                s.iter().map(|iv| (iv.start.to_bits(), iv.end.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&built), bits(&inserted));
+            prop_assert_eq!(built.ivs.capacity(), built.len());
+        }
+
+        #[test]
+        fn contains_shifted_equals_the_shifted_set(
+            steps in proptest::collection::vec((0..40u32, 1..8u32), 0..8),
+            d in 0..12u32,
+            t in 0..60u32,
+        ) {
+            let s = IntervalSet::from_intervals(steps.iter().map(|&(s, l)| {
+                let start = f64::from(s) * 0.1;
+                Interval::new(start, start + f64::from(l) * 0.1)
+            }));
+            let d = f64::from(d) * 0.1;
+            // every shifted endpoint, plus a grid point
+            let mut points = vec![f64::from(t) * 0.1];
+            for iv in s.iter() {
+                points.extend([iv.start + d, iv.end + d]);
+            }
+            for t in points {
+                prop_assert_eq!(s.contains_shifted(d, t), s.shifted(d).contains(t));
+            }
         }
 
         #[test]

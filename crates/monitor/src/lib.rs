@@ -14,7 +14,10 @@
 //! 2. **FAST reuse for hidden-delay-fault testing** — [`MonitorPlacement`]
 //!    selects monitors at long path ends (top fraction of observation
 //!    points by arrival time), and [`ConfigSet`]/[`shifted_detection`]
-//!    implement the detection-range algebra `I_SR(φ, o) = I_FF(φ, o) + d`.
+//!    implement the detection-range algebra `I_SR(φ, o) = I_FF(φ, o) + d`:
+//!    [`union_detection`] is the window under any configuration, and
+//!    [`detects_at`] tests one capture time exactly without building a
+//!    window. No other crate re-implements these window semantics.
 //!
 //! # Example
 //!
@@ -43,4 +46,4 @@ pub use aging::{inject_marginality, AgingModel};
 pub use config::{ConfigSet, MonitorConfig};
 pub use overhead::MonitorOverhead;
 pub use placement::MonitorPlacement;
-pub use shift::{at_speed_monitor_detectable, shifted_detection};
+pub use shift::{at_speed_monitor_detectable, detects_at, shifted_detection, union_detection};

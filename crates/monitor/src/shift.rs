@@ -1,5 +1,5 @@
-use fastmon_faults::{DetectionRange, IntervalSet};
-use fastmon_timing::ClockSpec;
+use fastmon_faults::{DetectionRange, Interval, IntervalSet};
+use fastmon_timing::{ClockSpec, Time};
 
 use crate::{ConfigSet, MonitorConfig, MonitorPlacement};
 
@@ -14,7 +14,8 @@ use crate::{ConfigSet, MonitorConfig, MonitorPlacement};
 ///   shadow register additionally contributes
 ///   `I_SR(φ, o) = I_FF(φ, o) + d`, clipped to the same window.
 ///
-/// The result is the union over all outputs. Pass the raw (unclipped)
+/// The result is the union over all outputs, built in one
+/// [`IntervalSet::from_intervals`] pass. Pass the raw (unclipped)
 /// [`DetectionRange`] from fault simulation — intervals below `t_min`
 /// matter, because a monitor shift can move them into the window.
 ///
@@ -47,17 +48,124 @@ pub fn shifted_detection(
     config: MonitorConfig,
     clock: &ClockSpec,
 ) -> IntervalSet {
-    let mut out = IntervalSet::new();
     let d = configs.shift(config);
+    window(range, placement, clock, std::slice::from_ref(&d))
+}
+
+/// The observation-time set under *some* monitor configuration: the union
+/// of [`shifted_detection`] over every configuration of `configs`, `Off`
+/// included, built in one [`IntervalSet::from_intervals`] pass. This is the
+/// range a schedule that may pick the best configuration per instant can
+/// observe.
+///
+/// # Example
+///
+/// ```
+/// use fastmon_faults::{DetectionRange, Interval, IntervalSet};
+/// use fastmon_monitor::{shifted_detection, union_detection, ConfigSet, MonitorPlacement};
+/// use fastmon_timing::ClockSpec;
+///
+/// let clock = ClockSpec::new(300.0, 3.0); // window [100, 300)
+/// let configs = ConfigSet::new(vec![20.0, 50.0]);
+/// let placement = MonitorPlacement::from_mask(vec![true]);
+/// let mut dr = DetectionRange::new();
+/// dr.push(0, IntervalSet::from_intervals([Interval::new(60.0, 110.0)]));
+///
+/// let any = union_detection(&dr, &placement, &configs, &clock);
+/// let each = configs.configs().fold(IntervalSet::new(), |acc, c| {
+///     acc.union(&shifted_detection(&dr, &placement, &configs, c, &clock))
+/// });
+/// assert_eq!(any, each);
+/// assert_eq!(any.as_slice(), &[Interval::new(100.0, 160.0)]);
+/// ```
+#[must_use]
+pub fn union_detection(
+    range: &DetectionRange,
+    placement: &MonitorPlacement,
+    configs: &ConfigSet,
+    clock: &ClockSpec,
+) -> IntervalSet {
+    window(range, placement, clock, configs.delays())
+}
+
+/// The window `[t_min, t_nom)` of the mission flip-flops plus, at
+/// monitored points, of the shadow registers under every delay of
+/// `shifts` (non-positive delays select no shadow register), as one set.
+fn window(
+    range: &DetectionRange,
+    placement: &MonitorPlacement,
+    clock: &ClockSpec,
+    shifts: &[Time],
+) -> IntervalSet {
+    let mut pieces: Vec<Interval> = Vec::new();
+    let mut clip = |iv: Interval| {
+        let (start, end) = (iv.start.max(clock.t_min), iv.end.min(clock.t_nom));
+        if start < end {
+            pieces.push(Interval::new(start, end));
+        }
+    };
     for (op_index, raw) in range.iter() {
-        // mission flip-flop observation
-        out = out.union(&raw.clipped(clock.t_min, clock.t_nom));
-        // shadow register observation
-        if d > 0.0 && placement.is_monitored(op_index) {
-            out = out.union(&raw.shifted(d).clipped(clock.t_min, clock.t_nom));
+        let monitored = placement.is_monitored(op_index);
+        for iv in raw.iter() {
+            // mission flip-flop observation
+            clip(*iv);
+            // shadow register observation
+            if monitored {
+                for &d in shifts.iter().filter(|&&d| d > 0.0) {
+                    clip(iv.shifted(d));
+                }
+            }
         }
     }
-    out
+    IntervalSet::from_intervals(pieces)
+}
+
+/// Whether the fault is detected when capturing at time `t` under monitor
+/// configuration `config`: exactly
+/// `shifted_detection(range, placement, configs, config, clock).contains(t)`,
+/// bit for bit, without building the set.
+///
+/// It tests `t_min <= t < t_nom`, then per observation point whether the
+/// raw range contains `t` or, at a monitored point under a delay `d > 0`,
+/// whether some raw interval satisfies `start + d <= t < end + d` — the
+/// sums [`Interval::shifted`] computes, never `t - d`
+/// ([`IntervalSet::contains_shifted`]).
+///
+/// # Example
+///
+/// ```
+/// use fastmon_faults::{DetectionRange, Interval, IntervalSet};
+/// use fastmon_monitor::{detects_at, ConfigSet, MonitorConfig, MonitorPlacement};
+/// use fastmon_timing::ClockSpec;
+///
+/// let clock = ClockSpec::new(300.0, 3.0); // window [100, 300)
+/// let configs = ConfigSet::paper_defaults(clock.t_nom);
+/// let placement = MonitorPlacement::from_mask(vec![true]);
+/// let mut dr = DetectionRange::new();
+/// dr.push(0, IntervalSet::from_intervals([Interval::new(40.0, 80.0)]));
+///
+/// assert!(!detects_at(&dr, &placement, &configs, MonitorConfig::Off, &clock, 150.0));
+/// // shifted by 100: [140, 180)
+/// assert!(detects_at(&dr, &placement, &configs, MonitorConfig::Delay(3), &clock, 150.0));
+/// assert!(!detects_at(&dr, &placement, &configs, MonitorConfig::Delay(3), &clock, 180.0));
+/// ```
+#[must_use]
+pub fn detects_at(
+    range: &DetectionRange,
+    placement: &MonitorPlacement,
+    configs: &ConfigSet,
+    config: MonitorConfig,
+    clock: &ClockSpec,
+    t: Time,
+) -> bool {
+    if !(clock.t_min <= t && t < clock.t_nom) {
+        return false;
+    }
+    let d = configs.shift(config);
+    range.iter().any(|(op_index, raw)| {
+        raw.contains(t)
+            || (d > 0.0 && placement.is_monitored(op_index) && raw.contains_shifted(d, t))
+    })
 }
 
 /// Whether the monitors make the fault detectable *at nominal speed*: some
@@ -68,7 +176,8 @@ pub fn shifted_detection(
 /// FAST frequency is needed.
 ///
 /// Detection "at t_nom" is evaluated just inside the window boundary
-/// (capture at the nominal edge).
+/// (capture at the nominal edge), with the same exact shifted-point test
+/// as [`detects_at`].
 #[must_use]
 pub fn at_speed_monitor_detectable(
     range: &DetectionRange,
@@ -82,12 +191,13 @@ pub fn at_speed_monitor_detectable(
         if raw.contains(at_speed) {
             return true; // plain at-speed capture already differs
         }
-        if placement.is_monitored(op_index) {
-            for d in configs.delays() {
-                if raw.shifted(*d).contains(at_speed) {
-                    return true;
-                }
-            }
+        if placement.is_monitored(op_index)
+            && configs
+                .delays()
+                .iter()
+                .any(|&d| raw.contains_shifted(d, at_speed))
+        {
+            return true;
         }
     }
     false
