@@ -42,6 +42,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use fastmon_atpg::TestSet;
+use fastmon_core::shardsup::config_error;
 use fastmon_core::{
     CheckpointDir, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow,
     ShardFiles, ShardsupError,
@@ -93,9 +94,9 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// Reads the configuration from `FASTMON_*` environment variables,
-    /// exiting with a one-line diagnostic (status 2) when a sharding
-    /// knob is malformed. Library callers that want the error instead
-    /// use [`ExperimentConfig::try_from_env`].
+    /// exiting with a one-line diagnostic (status 2) when a knob is
+    /// malformed. Library callers that want the error instead use
+    /// [`ExperimentConfig::try_from_env`].
     #[must_use]
     pub fn from_env() -> Self {
         match Self::try_from_env() {
@@ -114,8 +115,11 @@ impl ExperimentConfig {
     /// [`ShardsupError::Config`] when `FASTMON_SHARDS`,
     /// `FASTMON_SHARD_JOBS` or `FASTMON_SHARD_PROCS` is set to something
     /// unusable (`0`, non-numeric, or more than
-    /// [`fastmon_core::MAX_SHARDS`]) — the error carries the offending
-    /// string rather than silently clamping it.
+    /// [`fastmon_core::MAX_SHARDS`]), when `FASTMON_TARGET_GATES`,
+    /// `FASTMON_MAX_FAULTS`, `FASTMON_SEED` or `FASTMON_ILP_SECS` is not
+    /// an unsigned decimal integer, or when `FASTMON_CIRCUITS` names a
+    /// circuit outside the paper suite — the error carries the offending
+    /// string rather than silently falling back to a default.
     pub fn try_from_env() -> Result<Self, ShardsupError> {
         let get = |k: &str| std::env::var(k).ok();
         let shards = match get("FASTMON_SHARDS") {
@@ -131,31 +135,29 @@ impl ExperimentConfig {
             None | Some("0") | Some("") => false,
             Some("1") => true,
             Some(other) => {
-                return Err(ShardsupError::Config {
-                    key: "FASTMON_SHARD_PROCS".to_owned(),
-                    value: other.to_owned(),
-                    reason: "expected 0 or 1".to_owned(),
-                })
+                return Err(config_error(
+                    "FASTMON_SHARD_PROCS",
+                    other,
+                    "expected 0 or 1",
+                ))
             }
         };
+        let circuits: Vec<String> = get("FASTMON_CIRCUITS")
+            .map(|v| v.split(',').map(|s| s.trim().to_owned()).collect())
+            .unwrap_or_default();
+        if let Some(unknown) = circuits.iter().find(|c| CircuitProfile::named(c).is_none()) {
+            return Err(config_error(
+                "FASTMON_CIRCUITS",
+                unknown,
+                "not a paper-suite circuit name",
+            ));
+        }
         Ok(ExperimentConfig {
-            target_gates: get("FASTMON_TARGET_GATES")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(4_000),
-            max_faults: get("FASTMON_MAX_FAULTS")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(8_000),
-            circuits: get("FASTMON_CIRCUITS")
-                .map(|v| v.split(',').map(|s| s.trim().to_owned()).collect())
-                .unwrap_or_default(),
-            seed: get("FASTMON_SEED")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1),
-            ilp_deadline: Duration::from_secs(
-                get("FASTMON_ILP_SECS")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(20),
-            ),
+            target_gates: integer_knob("FASTMON_TARGET_GATES", 4_000)?,
+            max_faults: integer_knob("FASTMON_MAX_FAULTS", 8_000)?,
+            circuits,
+            seed: integer_knob("FASTMON_SEED", 1)?,
+            ilp_deadline: Duration::from_secs(integer_knob("FASTMON_ILP_SECS", 20)?),
             shards,
             shard_procs,
         })
@@ -183,6 +185,17 @@ impl ExperimentConfig {
             ilp_deadline: self.ilp_deadline,
             ..FlowConfig::default()
         }
+    }
+}
+
+/// The unsigned decimal integer knob `key`, or `default` when it is unset.
+fn integer_knob<T: std::str::FromStr>(key: &str, default: T) -> Result<T, ShardsupError> {
+    match std::env::var(key) {
+        Ok(raw) => raw
+            .trim()
+            .parse()
+            .map_err(|_| config_error(key, &raw, "expected an unsigned decimal integer")),
+        Err(_) => Ok(default),
     }
 }
 

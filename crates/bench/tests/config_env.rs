@@ -1,14 +1,20 @@
 //! Strict environment-variable configuration parsing
 //! ([`ExperimentConfig::try_from_env`] and
-//! [`SupervisorConfig::from_env`]): malformed sharding knobs are typed
-//! [`ShardsupError::Config`] errors that carry the offending string —
-//! never a silent clamp or an unrelated panic. All scenarios mutate the
-//! process environment, so they run serialized in one test body.
+//! [`SupervisorConfig::from_env`]): malformed experiment and sharding
+//! knobs are typed [`ShardsupError::Config`] errors that carry the
+//! offending string — never a silent default, a silent clamp or an
+//! unrelated panic. All scenarios mutate the process environment, so they
+//! run serialized in one test body.
 
 use fastmon_bench::ExperimentConfig;
 use fastmon_core::{ShardsupError, SupervisorConfig, MAX_SHARDS};
 
 const KNOBS: &[&str] = &[
+    "FASTMON_TARGET_GATES",
+    "FASTMON_MAX_FAULTS",
+    "FASTMON_CIRCUITS",
+    "FASTMON_SEED",
+    "FASTMON_ILP_SECS",
     "FASTMON_SHARDS",
     "FASTMON_SHARD_JOBS",
     "FASTMON_SHARD_PROCS",
@@ -45,13 +51,47 @@ fn expect_config_err<T: std::fmt::Debug>(result: Result<T, ShardsupError>, key: 
 }
 
 #[test]
-fn malformed_shard_knobs_are_typed_errors_with_the_offending_string() {
+fn malformed_knobs_are_typed_errors_with_the_offending_string() {
     clear();
 
     // Baseline: an empty environment parses to the defaults.
     let config = ExperimentConfig::try_from_env().unwrap();
     assert_eq!(config.shards, 1);
     assert!(!config.shard_procs);
+    assert_eq!(config.seed, 1);
+    assert!(config.circuits.is_empty());
+
+    // The experiment knobs: a value that does not parse is an error, not
+    // the default (FASTMON_SEED=0x10 must not quietly run seed 1).
+    for (key, bad) in [
+        ("FASTMON_TARGET_GATES", "4k"),
+        ("FASTMON_MAX_FAULTS", "-1"),
+        ("FASTMON_SEED", "0x10"),
+        ("FASTMON_ILP_SECS", "2.5"),
+    ] {
+        std::env::set_var(key, bad);
+        expect_config_err(ExperimentConfig::try_from_env(), key, bad);
+        std::env::remove_var(key);
+    }
+    std::env::set_var("FASTMON_SEED", "16");
+    std::env::set_var("FASTMON_ILP_SECS", "3");
+    let config = ExperimentConfig::try_from_env().unwrap();
+    assert_eq!(config.seed, 16);
+    assert_eq!(config.ilp_deadline.as_secs(), 3);
+    std::env::remove_var("FASTMON_SEED");
+    std::env::remove_var("FASTMON_ILP_SECS");
+
+    // A circuit name outside the paper suite is rejected, not filtered
+    // down to an empty run.
+    std::env::set_var("FASTMON_CIRCUITS", "s9234,s9324");
+    expect_config_err(
+        ExperimentConfig::try_from_env(),
+        "FASTMON_CIRCUITS",
+        "s9324",
+    );
+    std::env::set_var("FASTMON_CIRCUITS", "s9234, p89k");
+    assert_eq!(ExperimentConfig::try_from_env().unwrap().suite().len(), 2);
+    std::env::remove_var("FASTMON_CIRCUITS");
 
     // FASTMON_SHARDS: zero, junk, and an over-cap count all reject.
     let over = (MAX_SHARDS + 1).to_string();

@@ -114,29 +114,17 @@ impl DetectionAnalysis {
             None => SimEngine::new(circuit, annot),
         };
 
-        // structural fault collapsing: only class representatives are
-        // simulated; members receive the representative's results verbatim
-        // at merge time (provably bit-identical, see
-        // [`fastmon_faults::FaultClasses`])
-        let classes = fastmon_faults::FaultClasses::build(circuit, &faults);
-        if let Some(m) = sim_metrics {
-            m.fault_classes.add(classes.num_classes() as u64);
-            m.faults_collapsed.add(classes.collapsed_away() as u64);
-        }
         // plan each seed gate's fanout cone once, shared by all its
-        // representative pin/polarity faults and every pattern: `reps`
-        // pairs each representative with its gate's entry in `gates`
+        // pin/polarity faults and every pattern: `fault_plans` pairs each
+        // fault with its gate's entry in `gates`
         let mut gates: Vec<NodeId> = Vec::new();
-        let mut reps: Vec<(usize, usize)> = Vec::new();
+        let mut fault_plans: Vec<(usize, usize)> = Vec::new();
         for (fid, fault) in faults.iter() {
-            if !classes.is_representative(fid.index()) {
-                continue;
-            }
             let gate = fault.site.node();
             if gates.last() != Some(&gate) {
                 gates.push(gate);
             }
-            reps.push((fid.index(), gates.len() - 1));
+            fault_plans.push((fid.index(), gates.len() - 1));
         }
         let threads = threads.max(1);
         // Oversubscription guard: requesting more workers than the machine
@@ -157,13 +145,12 @@ impl DetectionAnalysis {
             },
         );
 
-        // Two-axis fan-out: work items are (pattern, chunk of
-        // representative faults) pairs, so even a handful of patterns
-        // keeps every thread busy and the work-stealing pool rebalances
-        // wildly uneven cone sizes. Patterns are processed in bands so the
-        // shared fault-free results stay memory-bounded: within a band,
-        // each pattern is simulated fault-free exactly once and read by
-        // all its chunks.
+        // Two-axis fan-out: work items are (pattern, chunk of faults)
+        // pairs, so even a handful of patterns keeps every thread busy and
+        // the work-stealing pool rebalances wildly uneven cone sizes.
+        // Patterns are processed in bands so the shared fault-free results
+        // stay memory-bounded: within a band, each pattern is simulated
+        // fault-free exactly once and read by all its chunks.
         let num_patterns = patterns.len();
         // The chunk partition exists to load-balance faults across *real*
         // workers; on a host where the campaign runs serially it is pure
@@ -171,7 +158,7 @@ impl DetectionAnalysis {
         // count, not the requested thread count. The fixed-order merge
         // below keeps results bit-identical for any chunk count.
         let num_chunks = if workers > 1 {
-            reps.len().clamp(1, workers * 2)
+            fault_plans.len().clamp(1, workers * 2)
         } else {
             1
         };
@@ -242,10 +229,10 @@ impl DetectionAnalysis {
                     let w = lease.get();
                     let base = &bases[item / num_chunks];
                     let chunk = item % num_chunks;
-                    let lo = chunk * reps.len() / num_chunks;
-                    let hi = (chunk + 1) * reps.len() / num_chunks;
+                    let lo = chunk * fault_plans.len() / num_chunks;
+                    let hi = (chunk + 1) * fault_plans.len() / num_chunks;
                     let mut found: Vec<(u32, DetectionRange)> = Vec::new();
-                    for &(fidx, entry) in &reps[lo..hi] {
+                    for &(fidx, entry) in &fault_plans[lo..hi] {
                         let fault = faults.fault(fastmon_faults::FaultId::from_index(fidx));
                         engine.response_diff_planned_into(
                             base,
@@ -278,22 +265,12 @@ impl DetectionAnalysis {
             .map_err(contained)?;
 
             // merge in fixed (pattern, chunk) order — the result is
-            // bit-identical for any thread count. Each representative's
-            // detection range fans back to every member of its equivalence
-            // class.
+            // bit-identical for any thread count
             for (item, found) in chunk_results.into_iter().enumerate() {
                 let p = band_start + item / num_chunks;
                 let p = u32::try_from(p).unwrap_or_else(|_| unreachable!("pattern count fits u32"));
                 for (fidx, dr) in found {
-                    let members = classes.members_of(fidx as usize);
-                    let (last, rest) = match members.split_last() {
-                        Some(split) => split,
-                        None => unreachable!("a simulated fault represents its class"),
-                    };
-                    for &m in rest {
-                        progress.per_pattern[m as usize].push((p, dr.clone()));
-                    }
-                    progress.per_pattern[*last as usize].push((p, dr));
+                    progress.per_pattern[fidx as usize].push((p, dr));
                 }
             }
             if let Some(m) = metrics {

@@ -132,7 +132,10 @@ impl std::fmt::Display for ShardsupError {
 
 impl std::error::Error for ShardsupError {}
 
-pub(crate) fn config_error(key: &str, value: &str, reason: impl Into<String>) -> ShardsupError {
+/// A [`ShardsupError::Config`] for the environment knob `key` holding the
+/// unusable string `value`.
+#[must_use]
+pub fn config_error(key: &str, value: &str, reason: impl Into<String>) -> ShardsupError {
     ShardsupError::Config {
         key: key.to_string(),
         value: value.to_string(),

@@ -1,6 +1,6 @@
 //! Thread-scaling invariants of the fault-simulation campaign, exercised
 //! on the paper-suite profile path (a scaled `p89k` stand-in — the same
-//! route `perf_snapshot` and the table regenerators take).
+//! route the table regenerators take).
 //!
 //! Two properties are pinned:
 //!

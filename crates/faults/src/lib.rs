@@ -34,14 +34,12 @@
 // exempt); structurally-infallible invariants use explicit `unreachable!`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 mod classify;
-mod collapse;
 mod detect;
 mod interval;
 mod list;
 mod model;
 
 pub use classify::{classify, FaultClass};
-pub use collapse::FaultClasses;
 pub use detect::DetectionRange;
 pub use interval::{Interval, IntervalSet};
 pub use list::FaultList;

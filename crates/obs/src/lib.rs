@@ -21,8 +21,8 @@
 //! * **Profiles** ([`profile`]): whenever tracing (or profile-only mode,
 //!   `FASTMON_PROFILE=1` / `FASTMON_PROFILE_OUT=<path>`) is active, span
 //!   enters/exits also feed a per-phase self-time aggregate and a
-//!   flamegraph-style collapsed-stack table, rendered post-run by
-//!   `perf_snapshot` and embedded into `RUN_MANIFEST.json`.
+//!   flamegraph-style collapsed-stack table, which `run_all` embeds
+//!   into `RUN_MANIFEST.json`.
 //!
 //! The JSONL event schema is versioned (see [`TRACE_SCHEMA_VERSION`]) the
 //! same way the `FMCK` checkpoint format is; `crates/bench`'s

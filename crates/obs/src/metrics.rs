@@ -116,19 +116,11 @@ metric_section! {
         /// Transition buffers the cone walk took from its scratch pool.
         waveform_reuses,
         /// Always 0, kept because `perfbench` reads it: the word-parallel
-        /// fault screen whose traversals it counted is deleted.
-        screen_walks,
-        /// Always 0, like `screen_walks`.
+        /// fault screen whose node visits it counted is deleted.
         screen_nodes_visited,
-        /// Always 0, like `screen_walks`: every representative (fault,
-        /// pattern) pair gets a cone walk.
+        /// Always 0, kept because `perfbench` reads it: every (fault,
+        /// pattern) pair gets a cone walk, none is screened out.
         faults_screened_out,
-        /// Structural fault-equivalence classes of the campaign (the
-        /// representatives actually simulated).
-        fault_classes,
-        /// Faults never simulated because a class representative's results
-        /// were fanned back to them verbatim.
-        faults_collapsed,
     }
 }
 
@@ -250,8 +242,8 @@ metric_section! {
 metric_section! {
     /// `fastmond` job-lifecycle counters, reported under
     /// `robustness.daemon.*`. Owned by the daemon process (one registry
-    /// per daemon, not per campaign) and absorbed into `perf_snapshot`'s
-    /// robustness rollup alongside [`RobustnessMetrics`].
+    /// per daemon, not per campaign) and reported next to
+    /// [`RobustnessMetrics`].
     DaemonMetrics {
         /// Jobs accepted onto the bounded queue.
         jobs_admitted,
@@ -276,9 +268,9 @@ metric_section! {
 metric_section! {
     /// Multi-process shard-supervisor counters, reported under
     /// `robustness.shardsup.*`. Owned by whoever runs a supervised
-    /// campaign (`perf_snapshot --shard-procs`, `fastmond` shard-procs
-    /// jobs) and absorbed into the robustness rollup. Zero when shards
-    /// run in-process.
+    /// campaign (an experiment binary under `FASTMON_SHARD_PROCS=1`,
+    /// `fastmond` shard-procs jobs) and absorbed into the robustness
+    /// rollup. Zero when shards run in-process.
     ShardsupMetrics {
         /// Shard worker processes spawned (first attempts and respawns).
         workers_spawned,

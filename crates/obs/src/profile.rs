@@ -9,11 +9,10 @@
 //! * a **collapsed-stack table** (flamegraph text format): the `;`-joined
 //!   span stack → accumulated self nanoseconds.
 //!
-//! [`snapshot`] returns both, [`render_table`]/[`render_collapsed`] format
-//! them for humans, and [`report_json`] produces the versioned JSON that
-//! `perf_snapshot` embeds in `BENCH_analysis.json` and the `run_all`
-//! driver folds into `RUN_MANIFEST.json` (children write it to the path
-//! named by `FASTMON_PROFILE_OUT`; see [`write_if_requested`]).
+//! [`snapshot`] returns both, and [`report_json`] produces the versioned
+//! JSON that `run_all` folds into `RUN_MANIFEST.json` (children write it
+//! to the path named by `FASTMON_PROFILE_OUT`; see
+//! [`write_if_requested`]).
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -101,48 +100,6 @@ pub fn reset() {
     g.collapsed.clear();
 }
 
-/// Renders the per-phase table as aligned text.
-#[must_use]
-pub fn render_table(report: &ProfileReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<28} {:>8} {:>12} {:>12} {:>7}",
-        "phase", "count", "total ms", "self ms", "self %"
-    );
-    let total_self: u64 = report.phases.iter().map(|(_, a)| a.self_ns).sum();
-    for (name, agg) in &report.phases {
-        #[allow(clippy::cast_precision_loss)]
-        let pct = if total_self == 0 {
-            0.0
-        } else {
-            agg.self_ns as f64 * 100.0 / total_self as f64
-        };
-        #[allow(clippy::cast_precision_loss)]
-        let _ = writeln!(
-            out,
-            "{:<28} {:>8} {:>12.3} {:>12.3} {:>6.1}%",
-            name,
-            agg.count,
-            agg.total_ns as f64 / 1e6,
-            agg.self_ns as f64 / 1e6,
-            pct
-        );
-    }
-    out
-}
-
-/// Renders the collapsed stacks in flamegraph text format
-/// (`stack;frames self_ns` per line, suitable for `flamegraph.pl`).
-#[must_use]
-pub fn render_collapsed(report: &ProfileReport) -> String {
-    let mut out = String::new();
-    for (stack, ns) in &report.collapsed {
-        let _ = writeln!(out, "{stack} {ns}");
-    }
-    out
-}
-
 /// The report as one-line JSON:
 /// `{"schema_version":1,"phases":{name:{count,total_ns,self_ns}},"collapsed":[[stack,ns]]}`.
 #[must_use]
@@ -220,16 +177,6 @@ mod tests {
                 ("analyze".into(), 3_000_000),
             ],
         }
-    }
-
-    #[test]
-    fn table_and_collapsed_render() {
-        let r = sample();
-        let table = render_table(&r);
-        assert!(table.contains("analyze"));
-        assert!(table.contains("self %"));
-        let collapsed = render_collapsed(&r);
-        assert!(collapsed.contains("analyze;band 2000000"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Campaign counter snapshots.
+//! Campaign counter plumbing.
 //!
 //! The counters live in campaign-owned
 //! [`fastmon_obs::SimMetrics`]/[`fastmon_obs::MetricsRegistry`] registries
@@ -17,61 +17,6 @@ use fastmon_obs::SimMetrics;
 pub fn global() -> &'static SimMetrics {
     static GLOBAL: SimMetrics = SimMetrics::new();
     &GLOBAL
-}
-
-/// A point-in-time copy of a campaign's fault-simulation counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CampaignStats {
-    /// Planned cone simulations whose fault was active at its seed gate.
-    pub cones_simulated: u64,
-    /// Planned cone simulations rejected because the fault was fully
-    /// masked at its own gate (seed waveform unchanged).
-    pub cones_masked: u64,
-    /// Cone gates re-evaluated because a fanin's faulty waveform differed
-    /// from its fault-free one.
-    pub nodes_evaluated: u64,
-    /// Cone gates of simulated cones never evaluated because no fanin
-    /// changed: per cone, its length minus the seed minus the gates
-    /// evaluated. The event-driven walk never visits them.
-    pub nodes_converged: u64,
-    /// Cone gates dropped at plan-build time because they cannot reach
-    /// any observation point.
-    pub nodes_pruned_unobserved: u64,
-    /// Cone propagation plans built (one per distinct fault gate).
-    pub cone_plans_built: u64,
-    /// Transition buffers the cone walk created because its scratch pool
-    /// was empty: seed-gate, delayed-pin and cone-gate buffers, masked
-    /// cones included. This is not a heap-allocation count: a pooled
-    /// buffer that has to grow reallocates without moving it, and
-    /// fault-free simulation is not counted at all.
-    pub waveform_allocs: u64,
-    /// Transition buffers the cone walk took from its scratch pool.
-    pub waveform_reuses: u64,
-    /// Structural equivalence classes the campaign's fault set collapsed
-    /// into (one representative simulated per class).
-    pub fault_classes: u64,
-    /// Faults never simulated because a class representative's detection
-    /// results were fanned back to them.
-    pub faults_collapsed: u64,
-}
-
-impl CampaignStats {
-    /// Snapshots a scoped registry section.
-    #[must_use]
-    pub fn from_metrics(m: &SimMetrics) -> Self {
-        CampaignStats {
-            cones_simulated: m.cones_simulated.get(),
-            cones_masked: m.cones_masked.get(),
-            nodes_evaluated: m.nodes_evaluated.get(),
-            nodes_converged: m.nodes_converged.get(),
-            nodes_pruned_unobserved: m.nodes_pruned_unobserved.get(),
-            cone_plans_built: m.cone_plans_built.get(),
-            waveform_allocs: m.waveform_allocs.get(),
-            waveform_reuses: m.waveform_reuses.get(),
-            fault_classes: m.fault_classes.get(),
-            faults_collapsed: m.faults_collapsed.get(),
-        }
-    }
 }
 
 /// Cone-walk counter deltas, accumulated per walk in the worker's scratch
@@ -114,14 +59,11 @@ mod tests {
             waveform_reuses: 4,
         }
         .publish(&m);
-        m.nodes_pruned_unobserved.add(7);
-        let s = CampaignStats::from_metrics(&m);
-        assert_eq!(s.cones_simulated, 1);
-        assert_eq!(s.nodes_evaluated, 5);
-        assert_eq!(s.nodes_converged, 2);
-        assert_eq!(s.cones_masked, 1);
-        assert_eq!(s.nodes_pruned_unobserved, 7);
-        assert_eq!(s.waveform_allocs, 1);
-        assert_eq!(s.waveform_reuses, 4);
+        assert_eq!(m.cones_simulated.get(), 1);
+        assert_eq!(m.nodes_evaluated.get(), 5);
+        assert_eq!(m.nodes_converged.get(), 2);
+        assert_eq!(m.cones_masked.get(), 1);
+        assert_eq!(m.waveform_allocs.get(), 1);
+        assert_eq!(m.waveform_reuses.get(), 4);
     }
 }
