@@ -12,6 +12,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use fastmon_obs::json::escape;
+
 /// How one child experiment ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {
@@ -82,26 +84,6 @@ pub struct RunRecord {
     pub profile: Option<String>,
 }
 
-/// Escapes `s` for inclusion inside a JSON string literal.
-#[must_use]
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes the records as a pretty-printed JSON manifest.
 #[must_use]
 pub fn manifest_json(records: &[RunRecord]) -> String {
@@ -112,7 +94,7 @@ pub fn manifest_json(records: &[RunRecord]) -> String {
             out.push(',');
         }
         out.push_str("\n    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", escape_json(&r.name));
+        let _ = writeln!(out, "      \"name\": \"{}\",", escape(&r.name));
         let _ = writeln!(out, "      \"outcome\": \"{}\",", r.outcome.tag());
         match &r.outcome {
             RunOutcome::Failed { exit_code } => match exit_code {
@@ -130,7 +112,7 @@ pub fn manifest_json(records: &[RunRecord]) -> String {
                 let _ = writeln!(out, "      \"timeout_secs\": {limit_secs},");
             }
             RunOutcome::LaunchFailed { message } => {
-                let _ = writeln!(out, "      \"error\": \"{}\",", escape_json(message));
+                let _ = writeln!(out, "      \"error\": \"{}\",", escape(message));
             }
             RunOutcome::Success => {}
         }
@@ -143,7 +125,7 @@ pub fn manifest_json(records: &[RunRecord]) -> String {
             if j > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\"", escape_json(line));
+            let _ = write!(out, "\"{}\"", escape(line));
         }
         out.push_str("]\n    }");
     }
@@ -165,11 +147,6 @@ pub fn write_manifest(path: &Path, records: &[RunRecord]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(escape_json("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
-    }
 
     #[test]
     fn manifest_names_every_outcome() {

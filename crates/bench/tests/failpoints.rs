@@ -204,6 +204,31 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
         assert_same_analysis(&got, &baseline, "sim_worker=panic@1 rerun");
     }
 
+    // -- parallel_worker=panic@1 during analysis: the campaign's first
+    //    pool (the cone-plan build) contains the injected panic, the flow
+    //    returns it as a typed error, and a clean rerun matches baseline.
+    {
+        let before = robustness().worker_panics_contained.get();
+        failpoints::configure("parallel_worker=panic@1").unwrap();
+        let err = flow
+            .try_analyze(&patterns)
+            .expect_err("an injected pool panic surfaces as a typed error");
+        failpoints::clear();
+        match &err {
+            FlowError::WorkerPanic { phase, message } => {
+                assert_eq!(*phase, "analyze");
+                assert!(
+                    message.contains("injected panic at failpoint 'parallel_worker'"),
+                    "got message {message:?}"
+                );
+            }
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+        assert!(robustness().worker_panics_contained.get() > before);
+        let got = flow.try_analyze(&patterns).expect("clean rerun");
+        assert_same_analysis(&got, &baseline, "parallel_worker=panic@1 rerun");
+    }
+
     // -- parallel_worker=panic@1: the generic parallel runner contains the
     //    injected panic and reports it with the failpoint's name.
     {

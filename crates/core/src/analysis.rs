@@ -7,7 +7,7 @@ use fastmon_monitor::{
     MonitorConfig, MonitorPlacement,
 };
 use fastmon_netlist::{Circuit, NodeId};
-use fastmon_sim::{try_parallel_map_with, ConeScratch, SimEngine};
+use fastmon_sim::{try_parallel_map_with, ConeScratch, SimEngine, WorkerPanic};
 use fastmon_timing::{ClockSpec, DelayAnnotation, Time};
 
 use crate::checkpoint::{ByteSink as _, CampaignCheckpoint, CheckpointError, Fnv1a};
@@ -136,18 +136,19 @@ impl DetectionAnalysis {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(threads),
         );
-        let plans: Vec<fastmon_sim::ConePlan> = fastmon_sim::parallel_map_with(
+        let plans: Vec<fastmon_sim::ConePlan> = try_parallel_map_with(
             gates.len(),
             workers,
             fastmon_sim::PlanScratch::new,
             |scratch, g| {
                 fastmon_sim::ConePlan::new_with_scratch(circuit, gates[g], sim_metrics, scratch)
             },
-        );
+        )
+        .map_err(contained(metrics))?;
 
         // Two-axis fan-out: work items are (pattern, chunk of faults)
         // pairs, so even a handful of patterns keeps every thread busy and
-        // the work-stealing pool rebalances wildly uneven cone sizes.
+        // the pool's shrinking claims rebalance wildly uneven cone sizes.
         // Patterns are processed in bands so the shared fault-free results
         // stay memory-bounded: within a band, each pattern is simulated
         // fault-free exactly once and read by all its chunks.
@@ -180,16 +181,6 @@ impl DetectionAnalysis {
             .min(mem_cap)
             .min(num_patterns.max(1));
 
-        let contained = |panic: fastmon_sim::WorkerPanic| {
-            if let Some(m) = metrics {
-                m.robustness.worker_panics_contained.incr();
-            }
-            FlowError::WorkerPanic {
-                phase: "analyze",
-                message: panic.message(),
-            }
-        };
-
         // Campaign-lifetime worker state: each worker's scratch, including
         // its pool of transition buffers, lives in `worker_pool`, which
         // outlasts the per-band thread spawns. Every cone walk returns all
@@ -214,7 +205,7 @@ impl DetectionAnalysis {
                 || (),
                 |(), i| engine.simulate(&patterns.stimulus(circuit, band_start + i)),
             )
-            .map_err(contained)?;
+            .map_err(contained(metrics))?;
 
             let chunk_results = try_parallel_map_with(
                 band_len * num_chunks,
@@ -262,7 +253,7 @@ impl DetectionAnalysis {
                     found
                 },
             )
-            .map_err(contained)?;
+            .map_err(contained(metrics))?;
 
             // merge in fixed (pattern, chunk) order — the result is
             // bit-identical for any thread count
@@ -295,7 +286,7 @@ impl DetectionAnalysis {
 
         // raw unions, derived ranges and verdicts
         let per_pattern = progress.per_pattern;
-        let raw_union = raw_unions(&per_pattern, workers);
+        let raw_union = raw_unions(&per_pattern, workers).map_err(contained(metrics))?;
         Ok(Self::finalize(
             faults,
             num_patterns,
@@ -509,10 +500,29 @@ impl DetectionAnalysis {
 pub(crate) fn raw_unions(
     per_pattern: &[Vec<(u32, DetectionRange)>],
     workers: usize,
-) -> Vec<DetectionRange> {
-    fastmon_sim::parallel_map(per_pattern.len(), workers, |f| {
-        DetectionRange::union_of(per_pattern[f].iter().map(|(_, dr)| dr))
-    })
+) -> Result<Vec<DetectionRange>, WorkerPanic> {
+    try_parallel_map_with(
+        per_pattern.len(),
+        workers,
+        || (),
+        |(), f| DetectionRange::union_of(per_pattern[f].iter().map(|(_, dr)| dr)),
+    )
+}
+
+/// Maps a worker panic the analysis pool contained to
+/// [`FlowError::WorkerPanic`], counting it in `metrics`.
+pub(crate) fn contained(
+    metrics: Option<&fastmon_obs::MetricsRegistry>,
+) -> impl Fn(WorkerPanic) -> FlowError + '_ {
+    move |panic| {
+        if let Some(m) = metrics {
+            m.robustness.worker_panics_contained.incr();
+        }
+        FlowError::WorkerPanic {
+            phase: "analyze",
+            message: panic.message(),
+        }
+    }
 }
 
 /// Per-worker campaign scratch: the cone re-simulation buffers and the
@@ -533,9 +543,9 @@ impl BandWorker {
 
 /// Checks a [`BandWorker`] out of the campaign pool and returns it on
 /// drop, so scratch buffers survive the per-band thread spawns instead of
-/// being reallocated `bands × workers` times. A worker that panics forfeits
-/// its state (the lease is leaked with the worker thread), which exactly
-/// matches the previous per-spawn lifetime under panic containment.
+/// being reallocated `bands × workers` times. A contained panic drops the
+/// lease too, returning its worker to a pool that the campaign then drops
+/// with the error, so a half-updated scratch is never reused.
 struct WorkerLease<'p> {
     pool: &'p Mutex<Vec<BandWorker>>,
     worker: Option<BandWorker>,

@@ -335,7 +335,10 @@ proptest! {
         let reference: Vec<DetectionRange> =
             per_pattern.iter().map(|e| reference_raw_union(e)).collect();
         for workers in [1, 2] {
-            prop_assert_eq!(&raw_unions(&per_pattern, workers), &reference);
+            prop_assert_eq!(
+                &raw_unions(&per_pattern, workers).expect("no worker panics"),
+                &reference
+            );
         }
 
         let (placement, configs, clock) = context(mask, &delays, bounds);
@@ -343,7 +346,7 @@ proptest! {
             FaultList::new(),
             5,
             per_pattern.clone(),
-            raw_unions(&per_pattern, 1),
+            raw_unions(&per_pattern, 1).expect("no worker panics"),
             &placement,
             &configs,
             &clock,

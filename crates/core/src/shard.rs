@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use fastmon_atpg::{AtpgError, TestSet};
 use fastmon_netlist::Circuit;
 
-use crate::analysis::raw_unions;
+use crate::analysis::{contained, raw_unions};
 use crate::checkpoint::{
     self, ByteSink as _, CampaignCheckpoint, CheckpointError, CheckpointStore, Fnv1a,
 };
@@ -311,7 +311,8 @@ impl ShardFiles {
     /// # Errors
     ///
     /// [`FlowError::ShardResult`] when any shard's file is missing or
-    /// does not belong to this campaign, partition and test set.
+    /// does not belong to this campaign, partition and test set, and
+    /// [`FlowError::WorkerPanic`] when deriving a raw union panics.
     pub fn merge(
         &self,
         flow: &HdfTestFlow<'_>,
@@ -325,7 +326,8 @@ impl ShardFiles {
             // serially: the shards were simulated in other processes, and
             // threads spawned only for this add their allocator arenas to
             // the supervisor's peak RSS
-            let raw_union = raw_unions(&cp.per_pattern, 1);
+            let raw_union =
+                raw_unions(&cp.per_pattern, 1).map_err(contained(Some(flow.metrics())))?;
             parts.push(DetectionAnalysis::finalize(
                 flow.candidate_faults()
                     .slice(spec.range(flow.candidate_faults().len())),

@@ -33,6 +33,7 @@
 // Robustness gate: library code must not `unwrap`/`expect` (tests are
 // exempt); structurally-infallible invariants use explicit `unreachable!`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 mod classify;
 mod detect;
 mod interval;

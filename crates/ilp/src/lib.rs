@@ -41,6 +41,7 @@
 // Robustness gate: library code must not `unwrap`/`expect` (tests exempt);
 // degenerate instances are reported through `Solution::feasible`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod branch_bound;
 mod greedy;

@@ -34,6 +34,7 @@
 // Robustness gate: library code must not `unwrap`/`expect` (tests are
 // exempt); structurally-infallible invariants use explicit `unreachable!`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 mod aging;
 mod config;
 mod overhead;

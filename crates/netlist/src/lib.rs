@@ -33,6 +33,7 @@
 // Robustness gate: library code must surface failures as typed errors
 // (`NetlistError`), never via `unwrap`/`expect` (tests are exempt).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod builder;
 mod circuit;

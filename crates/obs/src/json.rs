@@ -347,6 +347,7 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
+        assert_eq!(escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
         let original = "line1\nline2\t\"quoted\" \\ end\u{1}";
         let doc = format!("{{\"k\":\"{}\"}}", escape(original));
         let v = parse(&doc).unwrap();

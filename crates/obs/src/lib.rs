@@ -39,6 +39,7 @@
 //!   boundaries for graceful early shutdown.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod cancel;
 pub mod events;

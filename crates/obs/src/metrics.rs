@@ -2,7 +2,7 @@
 //!
 //! A [`MetricsRegistry`] is owned by whoever runs a campaign (one
 //! `HdfTestFlow` owns one registry) and handed down by shared reference
-//! through the flow, the analysis and the work-stealing pool. Counters use
+//! through the flow, the analysis and the worker pool. Counters use
 //! relaxed ordering and are designed for batch flushes (the fault-sim hot
 //! loop accumulates cone-walk deltas in its worker scratch and publishes
 //! them once per work item), so the bookkeeping stays invisible in

@@ -14,8 +14,9 @@
 //! * [`Stimulus`] — a two-vector (launch/capture) input assignment,
 //! * [`SimEngine`] — full-circuit simulation into a flat per-pattern
 //!   arena ([`SimResult`]) and cone-restricted faulty re-simulation,
-//! * [`parallel_map`] / [`parallel_map_with`] — a work-stealing scoped-thread
-//!   pool to fan simulations out over campaign work items,
+//! * [`try_parallel_map_with`] — a scoped-thread map over campaign work
+//!   items whose workers claim runs of indices from one shared cursor and
+//!   return a caught panic as a [`WorkerPanic`],
 //! * [`stats`] — campaign counter snapshots (cones simulated, nodes
 //!   pruned, cone-walk buffers created and reused).
 //!
@@ -40,6 +41,7 @@
 // Robustness gate: library code must not `unwrap`/`expect` (tests are
 // exempt); structurally-infallible invariants use explicit `unreachable!`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 mod engine;
 mod parallel;
 mod stimulus;
@@ -49,6 +51,6 @@ pub mod stats;
 pub mod vcd;
 
 pub use engine::{ConePlan, ConeScratch, FaultyCone, PlanScratch, SimEngine, SimResult};
-pub use parallel::{parallel_map, parallel_map_with, try_parallel_map_with, WorkerPanic};
+pub use parallel::{try_parallel_map_with, WorkerPanic};
 pub use stimulus::Stimulus;
 pub use waveform::{eval_gate, eval_gate_into, EvalScratch, WaveRef, Waveform};

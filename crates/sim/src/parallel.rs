@@ -1,14 +1,13 @@
 use std::any::Any;
 use std::fmt;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A worker panic caught by [`try_parallel_map_with`].
 ///
-/// The original payload is preserved, so infallible wrappers can
-/// [`resume`](WorkerPanic::resume) it unchanged while fallible campaign
-/// code converts it into a typed error via [`message`](WorkerPanic::message).
+/// Campaign code converts it into a typed error via
+/// [`message`](WorkerPanic::message).
 pub struct WorkerPanic {
     payload: Box<dyn Any + Send + 'static>,
 }
@@ -26,11 +25,6 @@ impl WorkerPanic {
             "worker panicked with a non-string payload".to_string()
         }
     }
-
-    /// Re-raises the original panic on the calling thread.
-    pub fn resume(self) -> ! {
-        std::panic::resume_unwind(self.payload)
-    }
 }
 
 impl fmt::Debug for WorkerPanic {
@@ -45,88 +39,43 @@ impl fmt::Display for WorkerPanic {
     }
 }
 
-/// Largest index space a single work-stealing pool round handles; larger
-/// inputs fall back to sequential rounds of this size (the packed range
-/// representation stores `begin`/`end` as `u32` halves).
-const CHUNK_CAP: usize = u32::MAX as usize;
-
-/// Applies `f` to every index in `0..n` using up to `threads` worker
-/// threads, returning the results in index order.
+/// Applies `f` to every index in `0..n` on up to `threads` scoped worker
+/// threads and returns the results in index order. Every worker carries a
+/// private mutable state created once by `init`, the hook for reusable
+/// scratch buffers.
 ///
-/// Work is distributed by range stealing (see [`parallel_map_with`]), so
-/// uneven per-item cost — typical for fault simulation, where cone sizes
-/// vary wildly — does not serialize the run. With `threads <= 1` the
-/// function degrades to a plain sequential map with no thread overhead.
+/// # Scheduling
+///
+/// Workers claim runs of consecutive indices from one shared cursor, each
+/// claim taking `max(1, remaining / (8 × workers))` items (guided
+/// self-scheduling): early claims are long, so neighbouring items (which
+/// share inputs) stay on one worker, and the shrinking tail rebalances
+/// uneven item costs. Each worker keeps its `(index, result)` pairs to
+/// itself; after the threads join they are put back in index order, so
+/// the result is independent of `threads` and of scheduling. With
+/// `threads <= 1`, or at most one item, the map runs on the calling
+/// thread.
+///
+/// # Panics and failpoints
+///
+/// `init` and every item run under `catch_unwind`: after the first panic
+/// the other workers stop claiming and drain, and the panic comes back as
+/// a [`WorkerPanic`], never unwinding into the caller. Each item consults
+/// the `parallel_worker` failpoint (`fastmon_obs::failpoints`) first;
+/// items have no error channel, so both failpoint actions surface as a
+/// contained panic.
+///
+/// # Errors
+///
+/// Returns a caught worker panic; results of items already finished are
+/// discarded.
 ///
 /// # Example
 ///
 /// ```
-/// let squares = fastmon_sim::parallel_map(5, 4, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
+/// let squares = fastmon_sim::try_parallel_map_with(5, 4, || (), |(), i| i * i);
+/// assert_eq!(squares.unwrap(), vec![0, 1, 4, 9, 16]);
 /// ```
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(n, threads, || (), |(), i| f(i))
-}
-
-/// Like [`parallel_map`], but every worker thread carries a private mutable
-/// state created once by `init` — the hook for reusable scratch buffers in
-/// allocation-free hot loops.
-///
-/// # Scheduling
-///
-/// A work-stealing range pool: each worker starts with a contiguous slice
-/// of the index space and pops items from its front. A worker whose slice
-/// is exhausted steals the upper half of the largest remaining slice
-/// (lock-free, one CAS per claim). This keeps hot caches on the common
-/// path (consecutive indices share inputs), while uneven item costs are
-/// rebalanced at half-range granularity instead of a single global cursor
-/// that all threads contend on.
-///
-/// Results are written to disjoint output slots, so they are returned in
-/// index order regardless of which worker computed them — callers observe
-/// a deterministic result independent of `threads`.
-///
-/// # Panics
-///
-/// Re-raises the first worker panic on the calling thread (workers are
-/// isolated with `catch_unwind`, so a panicking item never aborts the
-/// process before the pool has drained; use [`try_parallel_map_with`] to
-/// receive it as a value instead). Index spaces larger than `u32::MAX`
-/// are handled by chunked fallback rounds rather than panicking.
-pub fn parallel_map_with<T, S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    match try_parallel_map_with(n, threads, init, f) {
-        Ok(out) => out,
-        Err(panic) => panic.resume(),
-    }
-}
-
-/// Panic-isolating variant of [`parallel_map_with`]: a panicking item is
-/// caught (`catch_unwind`), the remaining workers stop claiming new work
-/// and drain, and the first panic comes back as a [`WorkerPanic`] value —
-/// the process never aborts, and campaign code can surface a typed error.
-///
-/// Index spaces larger than `u32::MAX` (the packed range representation)
-/// are processed in sequential chunked rounds of at most `u32::MAX` items
-/// each — per-worker state is re-created per round, results stay in index
-/// order.
-///
-/// Each item consults the `parallel_worker` failpoint
-/// (`fastmon_obs::failpoints`); because worker items have no error
-/// channel, *both* failpoint actions surface as a contained panic here.
-///
-/// # Errors
-///
-/// Returns the first caught worker panic; any items not yet claimed when
-/// the panic hit are skipped (their results are discarded anyway).
 pub fn try_parallel_map_with<T, S, I, F>(
     n: usize,
     threads: usize,
@@ -138,244 +87,111 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    try_parallel_map_chunked(n, threads, CHUNK_CAP, init, f)
-}
-
-/// Chunked driver behind [`try_parallel_map_with`]; `cap` is a parameter
-/// (instead of the `CHUNK_CAP` constant) so tests can exercise the
-/// multi-round path without allocating 2^32 items.
-fn try_parallel_map_chunked<T, S, I, F>(
-    n: usize,
-    threads: usize,
-    cap: usize,
-    init: I,
-    f: F,
-) -> Result<Vec<T>, WorkerPanic>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let cap = cap.max(1);
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    let mut base = 0usize;
-    while base < n {
-        let len = (n - base).min(cap);
-        run_round(base, len, threads, &init, &f, &mut out)?;
-        base += len;
-    }
-    Ok(out)
-}
-
-/// Runs one pool round over global indices `base..base + len`, appending
-/// results (in index order) to `out`.
-fn run_round<T, S, I, F>(
-    base: usize,
-    len: usize,
-    threads: usize,
-    init: &I,
-    f: &F,
-    out: &mut Vec<T>,
-) -> Result<(), WorkerPanic>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    if threads <= 1 || len <= 1 {
-        let mut state = init();
-        for i in 0..len {
-            out.push(run_item(f, &mut state, base + i).map_err(|payload| WorkerPanic { payload })?);
+    if threads <= 1 || n <= 1 {
+        let mut state = contain(&init)?;
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            out.push(run_item(&f, &mut state, i)?);
         }
-        return Ok(());
+        return Ok(out);
     }
-    let threads = threads.min(len);
-
-    // per-worker (begin, end) ranges, packed into one atomic each
-    let slots: Vec<AtomicU64> = (0..threads)
-        .map(|w| AtomicU64::new(pack(w * len / threads, (w + 1) * len / threads)))
-        .collect();
-
-    let mut round: Vec<Option<T>> = Vec::with_capacity(len);
-    round.resize_with(len, || None);
-    let out_ptr = SendPtr(round.as_mut_ptr());
-
-    // Set on the first contained panic; workers observe it and stop
-    // claiming new items so the scope drains promptly.
+    let workers = threads.min(n);
+    let cursor = AtomicUsize::new(0);
+    // Set on the first contained panic, so the other workers stop claiming.
     let abort = AtomicBool::new(false);
-    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let slots = &slots;
-            let init = &init;
-            let f = &f;
-            let abort = &abort;
-            let first_panic = &first_panic;
-            scope.spawn(move || {
-                let mut state = init();
-                while !abort.load(Ordering::Relaxed) {
-                    let Some(i) = claim(slots, w) else { break };
-                    match run_item(f, &mut state, base + i) {
-                        // SAFETY: each index is claimed by exactly one
-                        // worker (see `claim`), so writes to disjoint
-                        // slots never alias; the vec outlives the scope.
-                        Ok(value) => unsafe { out_ptr.write(i, Some(value)) },
-                        Err(payload) => {
-                            let mut guard =
-                                first_panic.lock().unwrap_or_else(PoisonError::into_inner);
-                            guard.get_or_insert(payload);
-                            abort.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
+    let worker = || {
+        let result = contain(&init).and_then(|mut state| {
+            let mut done = Vec::new();
+            while !abort.load(Ordering::Relaxed) {
+                let Some(run) = claim(&cursor, n, workers) else {
+                    break;
+                };
+                for i in run {
+                    done.push((i, run_item(&f, &mut state, i)?));
                 }
-            });
+            }
+            Ok(done)
+        });
+        if result.is_err() {
+            abort.store(true, Ordering::Relaxed);
         }
-    });
-
-    let caught = first_panic
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(payload) = caught {
-        return Err(WorkerPanic { payload });
-    }
-    out.extend(
-        round
+        result
+    };
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
             .into_iter()
-            .map(|v| v.unwrap_or_else(|| unreachable!("every index was processed"))),
-    );
-    Ok(())
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|payload| Err(WorkerPanic { payload }))
+            })
+            .collect()
+    });
+    let mut pairs = Vec::with_capacity(n);
+    for run in runs {
+        pairs.extend(run?);
+    }
+    // one ascending run per worker, merged by the stable sort
+    pairs.sort_by_key(|&(i, _)| i);
+    Ok(pairs.into_iter().map(|(_, value)| value).collect())
 }
 
-/// Executes one item under `catch_unwind`, consulting the
-/// `parallel_worker` failpoint first.
-fn run_item<T, S, F>(f: &F, state: &mut S, i: usize) -> Result<T, Box<dyn Any + Send>>
+/// Claims the next run of consecutive indices below `n`, or `None` once
+/// the cursor has passed `n`.
+fn claim(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<usize>> {
+    let len = |start: usize| ((n - start) / (8 * workers)).max(1);
+    // Relaxed: the cursor only hands out indices; the results reach the
+    // caller through the thread joins.
+    cursor
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |start| {
+            (start < n).then(|| start + len(start))
+        })
+        .ok()
+        .map(|start| start..start + len(start))
+}
+
+/// Runs item `i` under `catch_unwind`, consulting the `parallel_worker`
+/// failpoint first.
+fn run_item<T, S, F>(f: &F, state: &mut S, i: usize) -> Result<T, WorkerPanic>
 where
     F: Fn(&mut S, usize) -> T,
 {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
+    contain(|| {
         if let Err(injected) = fastmon_obs::failpoints::fire("parallel_worker") {
-            // No error channel per item: surface err-actions as a
-            // contained panic too.
             panic!("{injected}");
         }
         f(state, i)
-    }))
+    })
 }
 
-/// Packs a `[begin, end)` index range into one `u64`.
-fn pack(begin: usize, end: usize) -> u64 {
-    ((begin as u64) << 32) | end as u64
+/// Runs `body`, returning its panic as a [`WorkerPanic`].
+fn contain<R>(body: impl FnOnce() -> R) -> Result<R, WorkerPanic> {
+    std::panic::catch_unwind(AssertUnwindSafe(body)).map_err(|payload| WorkerPanic { payload })
 }
-
-/// Unpacks a `[begin, end)` index range.
-#[allow(clippy::cast_possible_truncation)]
-fn unpack(packed: u64) -> (usize, usize) {
-    ((packed >> 32) as usize, (packed & 0xffff_ffff) as usize)
-}
-
-/// Claims the next work item for worker `w`: first from its own range,
-/// then by stealing the upper half of the largest other range. Returns
-/// `None` when no claimable work remains anywhere.
-fn claim(slots: &[AtomicU64], w: usize) -> Option<usize> {
-    // fast path: pop from the worker's own range front
-    loop {
-        let cur = slots[w].load(Ordering::SeqCst);
-        let (begin, end) = unpack(cur);
-        if begin >= end {
-            break;
-        }
-        if slots[w]
-            .compare_exchange_weak(
-                cur,
-                pack(begin + 1, end),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_ok()
-        {
-            return Some(begin);
-        }
-    }
-    // steal: largest victim range, upper half
-    loop {
-        let mut best: Option<(usize, u64, usize, usize)> = None;
-        for (v, slot) in slots.iter().enumerate() {
-            if v == w {
-                continue;
-            }
-            let cur = slot.load(Ordering::SeqCst);
-            let (begin, end) = unpack(cur);
-            if begin < end && best.is_none_or(|(_, _, b, e)| end - begin > e - b) {
-                best = Some((v, cur, begin, end));
-            }
-        }
-        let (victim, cur, begin, end) = best?;
-        // leave [begin, mid) with the victim, take [mid, end)
-        let mid = begin + (end - begin) / 2;
-        let mid = mid.max(begin); // len 1 → steal the single item
-        if slots[victim]
-            .compare_exchange(cur, pack(begin, mid), Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            // publish the stolen remainder before working on `mid`
-            slots[w].store(pack(mid + 1, end), Ordering::SeqCst);
-            return Some(mid);
-        }
-        // lost the race — rescan
-    }
-}
-
-/// A raw pointer wrapper that is `Send`/`Copy` so worker threads can write
-/// disjoint slots of the shared output buffer.
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    /// Writes `value` to slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee that slot `i` is in bounds, not aliased by
-    /// a concurrent writer, and that the underlying buffer outlives the
-    /// call.
-    unsafe fn write(&self, i: usize, value: T) {
-        // SAFETY: forwarded to the caller's contract.
-        unsafe { *self.0.add(i) = value };
-    }
-}
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-// SAFETY: the pointer is only used to write disjoint indices, coordinated
-// by the range pool, inside a thread scope that the buffer outlives.
-unsafe impl<T: Send> Send for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+
+    fn map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        try_parallel_map_with(n, threads, || (), |(), i| f(i)).expect("no item panics")
+    }
 
     #[test]
     fn sequential_fallback() {
-        assert_eq!(parallel_map(4, 1, |i| i + 1), vec![1, 2, 3, 4]);
-        assert_eq!(parallel_map(0, 8, |i| i), Vec::<usize>::new());
+        assert_eq!(map(4, 1, |i| i + 1), vec![1, 2, 3, 4]);
+        assert_eq!(map(0, 8, |i| i), Vec::<usize>::new());
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let seq: Vec<usize> = (0..1000).map(|i| i * 3).collect();
-        let par = parallel_map(1000, 8, |i| i * 3);
-        assert_eq!(seq, par);
+        assert_eq!(seq, map(1000, 8, |i| i * 3));
     }
 
     #[test]
     fn uneven_work_is_completed() {
-        let par = parallel_map(64, 4, |i| {
+        let par = map(64, 4, |i| {
             // simulate uneven cost
             let mut acc = 0usize;
             for k in 0..(i % 7) * 1000 {
@@ -390,13 +206,13 @@ mod tests {
 
     #[test]
     fn more_threads_than_items() {
-        assert_eq!(parallel_map(3, 64, |i| i), vec![0, 1, 2]);
+        assert_eq!(map(3, 64, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn every_index_claimed_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..500).map(|_| AtomicUsize::new(0)).collect();
-        parallel_map(500, 8, |i| hits[i].fetch_add(1, Ordering::SeqCst));
+        map(500, 8, |i| hits[i].fetch_add(1, Ordering::SeqCst));
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::SeqCst), 1, "index {i}");
         }
@@ -404,9 +220,11 @@ mod tests {
 
     #[test]
     fn per_worker_state_is_reused() {
-        // each worker's state counts its items; the sum must equal n
+        // each worker's state counts its items: the per-item value is the
+        // worker-local running count, so one item per state reads 1, and
+        // `init` runs once per worker, not once per claim
         let n = 300;
-        let counts: Vec<usize> = parallel_map_with(
+        let counts = try_parallel_map_with(
             n,
             4,
             || 0usize,
@@ -414,12 +232,12 @@ mod tests {
                 *seen += 1;
                 *seen
             },
-        );
-        // the per-item value is the worker-local running count, so the
-        // maximum over all items of each worker equals its item share;
-        // globally, every item got exactly one value >= 1
+        )
+        .expect("no item panics");
         assert_eq!(counts.len(), n);
         assert!(counts.iter().all(|&c| c >= 1));
+        let states = counts.iter().filter(|&&c| c == 1).count();
+        assert!((1..=4).contains(&states), "{states} states for 4 workers");
     }
 
     #[test]
@@ -445,61 +263,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_with_still_propagates_panics() {
-        // Infallible wrapper keeps the historical contract: the original
-        // payload is re-raised on the caller.
-        let caught = std::panic::catch_unwind(|| {
-            parallel_map(16, 2, |i| {
-                assert!(i != 5, "legacy propagate");
-                i
-            })
-        });
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("legacy propagate"), "{msg}");
-    }
-
-    // Satellite regression: index spaces beyond the packed-u32 range fall
-    // back to chunked rounds instead of the old
-    // `assert!(u32::try_from(n).is_ok())` panic. Exercised with a small
-    // cap so the test does not allocate 2^32 items.
-    #[test]
-    fn chunked_fallback_matches_sequential() {
-        for (n, cap, threads) in [(23, 7, 4), (10, 10, 4), (11, 10, 4), (5, 1, 2), (0, 3, 4)] {
-            let seq: Vec<usize> = (0..n).map(|i| i * 31 + 1).collect();
-            let chunked =
-                try_parallel_map_chunked(n, threads, cap, || (), |(), i| i * 31 + 1).unwrap();
-            assert_eq!(seq, chunked, "n={n} cap={cap} threads={threads}");
+    fn init_panic_is_contained() {
+        for threads in [1, 4] {
+            let res = try_parallel_map_with(
+                16,
+                threads,
+                || -> usize { panic!("init boom") },
+                |offset, i| i + *offset,
+            );
+            let panic = res.expect_err("a panicking init must surface as Err");
+            assert_eq!(panic.message(), "init boom", "threads={threads}");
         }
     }
 
     #[test]
-    fn chunked_fallback_contains_panics_in_later_rounds() {
-        let res = try_parallel_map_chunked(
-            30,
-            4,
-            8,
-            || (),
-            |(), i| {
-                assert!(i != 27, "late-round boom");
-                i
-            },
-        );
-        assert!(res
-            .expect_err("panic in round 4 must be contained")
-            .message()
-            .contains("late-round boom"));
-    }
-
-    #[test]
     fn skewed_single_heavy_tail_balances() {
-        // one block of indices is 100× heavier; stealing must still finish
+        // one block of indices is 100× heavier; the pool must still finish
         // and return correct results
-        let par = parallel_map(256, 8, |i| {
+        let par = map(256, 8, |i| {
             let rounds = if i < 32 { 20_000 } else { 200 };
             let mut acc = 0u64;
             for k in 0..rounds {

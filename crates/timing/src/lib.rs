@@ -36,6 +36,7 @@
 // Robustness gate: library code must surface failures as typed errors
 // (`TimingError`), never via `unwrap`/`expect` (tests are exempt).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 mod annotate;
 mod clock;
