@@ -25,11 +25,15 @@
 //! Encoding is linear in the campaign, not quadratic in the band count.
 //! Each save still rewrites the whole file under one checksum, so a torn
 //! or bit-flipped file fails to load as a whole instead of losing a tail
-//! silently. The per-fault raw unions are not stored: loading rebuilds
-//! them by merging each fault's entries in pattern order, which is the
-//! order the campaign merges them in. A version-1 file fails to load with
-//! [`CheckpointError::UnsupportedVersion`], and the campaign restarts
-//! cleanly.
+//! silently. The per-fault raw unions are not stored, and loading does not
+//! rebuild them: the campaign derives each fault's raw union from its
+//! entries once, after the last band, resumed or not. A version-1 file
+//! fails to load with [`CheckpointError::UnsupportedVersion`], and the
+//! campaign restarts cleanly.
+//!
+//! Saves are not fsync'ed. The crash guarantee therefore covers the death
+//! of the process (kill, OOM, panic), whose written bytes the operating
+//! system still flushes, and not a power loss or a kernel crash.
 //!
 //! Resuming is bit-exact: the campaign merges per-pattern results in a
 //! fixed pattern order, so restarting from any band boundary yields the

@@ -1,11 +1,13 @@
 //! A deliberately naive reference fault simulator, the correctness oracle
 //! for the campaign in `DetectionAnalysis`.
 //!
-//! It shares only the waveform primitives with the campaign (`Waveform`,
-//! `eval_gate`, `delayed_polarity`, `diff`) and none of its optimizations:
-//! no cone plans, no event-driven cone walk, no observer tables, no pooled
-//! scratch and no fault collapsing. For every (fault, pattern) it
-//! simulates the *whole* faulty circuit from scratch, then derives each
+//! It shares only the waveform type and three of its primitives with the
+//! campaign (`Waveform`, `delayed_polarity`, `diff`), and none of its
+//! optimizations: no counting gate kernel, no fault-free arena, no
+//! activation check, no cone plans, no event-driven cone walk, no observer
+//! tables, no pooled scratch. Gates are evaluated by [`eval_gate`], its
+//! own naive merge. For every (fault, pattern) it simulates the *whole*
+//! faulty circuit from scratch, then derives each
 //! observation point's detection intervals straight from the paper's
 //! semantics (Sec. III-B): the XOR of the fault-free and faulty waveforms
 //! up to `t_nom`, clipped to `[0, t_nom)`, with glitches shorter than the
@@ -19,8 +21,43 @@
 use fastmon_atpg::TestSet;
 use fastmon_faults::{DetectionRange, FaultList, Interval, IntervalSet, SmallDelayFault};
 use fastmon_netlist::{Circuit, GateKind, PinRef};
-use fastmon_sim::{eval_gate, Stimulus, Waveform};
+use fastmon_sim::{Stimulus, Waveform};
 use fastmon_timing::{DelayAnnotation, Time};
+
+/// A gate's output waveform, the naive way: at every instant at which some
+/// input toggles, read every input's value there and re-evaluate
+/// `GateKind::eval` over the whole input vector. An output change lands
+/// at that instant plus the rise or fall delay of its new value; a change
+/// that does not come after the previous output edge annihilates with it
+/// (a slow edge overtaken by a fast one).
+fn eval_gate(kind: GateKind, inputs: &[Waveform], rise: Time, fall: Time) -> Waveform {
+    let mut values: Vec<bool> = inputs.iter().map(Waveform::initial).collect();
+    let initial = kind.eval(&values);
+    let mut instants: Vec<Time> = inputs
+        .iter()
+        .flat_map(|w| w.transitions().iter().copied())
+        .collect();
+    instants.sort_by(Time::total_cmp);
+    instants.dedup();
+    let mut edges: Vec<Time> = Vec::new();
+    let mut current = initial;
+    for t in instants {
+        for (value, wave) in values.iter_mut().zip(inputs) {
+            *value = wave.value_at(t);
+        }
+        let next = kind.eval(&values);
+        if next != current {
+            current = next;
+            let edge = t + if next { rise } else { fall };
+            if edges.last().is_some_and(|&last| edge <= last) {
+                edges.pop();
+            } else {
+                edges.push(edge);
+            }
+        }
+    }
+    Waveform::with_transitions(initial, edges)
+}
 
 /// Every node's waveform for one stimulus, indexed by node id, with
 /// `fault` (if any) injected:
@@ -55,8 +92,7 @@ pub fn simulate_circuit(
                         _ => waves[fi.index()].clone(),
                     })
                     .collect();
-                let refs: Vec<&Waveform> = inputs.iter().collect();
-                eval_gate(kind, &refs, annot.rise(id), annot.fall(id))
+                eval_gate(kind, &inputs, annot.rise(id), annot.fall(id))
             }
         };
         waves[id.index()] = match fault {

@@ -91,7 +91,10 @@ metric_section! {
         /// Planned cone simulations whose fault was active at its seed gate.
         cones_simulated,
         /// Planned cone simulations rejected because the fault was fully
-        /// masked at its own gate (seed waveform unchanged).
+        /// masked at its own gate (seed waveform unchanged). Includes the
+        /// pairs the activation check rejects before any waveform is
+        /// built: the fault site's fault-free waveform has no edge of the
+        /// fault's polarity.
         cones_masked,
         /// Cone gates re-evaluated because a fanin's faulty waveform
         /// differed from its fault-free one.
@@ -110,8 +113,10 @@ metric_section! {
         cone_plans_built,
         /// Transition buffers the cone walk created because its scratch
         /// pool was empty: seed-gate, delayed-pin and cone-gate buffers,
-        /// masked cones included. Not a heap-allocation count: a pooled
-        /// buffer that grows reallocates without moving this counter.
+        /// those of cones masked at their seed gate included. Pairs the
+        /// activation check rejects take no buffer and are not counted.
+        /// Not a heap-allocation count: a pooled buffer that grows
+        /// reallocates without moving this counter.
         waveform_allocs,
         /// Transition buffers the cone walk took from its scratch pool.
         waveform_reuses,

@@ -4,7 +4,7 @@ use fastmon_obs::SimMetrics;
 use fastmon_timing::{DelayAnnotation, Time};
 
 use crate::stats;
-use crate::waveform::{eval_gate_into, filter_pulses_in_place, EvalScratch};
+use crate::waveform::{eval_gate_into, filter_pulses_from, EvalScratch};
 use crate::{Stimulus, WaveRef, Waveform};
 
 /// Fault-free waveforms of every net for one stimulus, in one flat arena.
@@ -20,9 +20,9 @@ use crate::{Stimulus, WaveRef, Waveform};
 /// own. [`SimResult::wave`] lends a node's waveform as a [`WaveRef`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
-    transitions: Vec<Time>,
-    spans: Vec<(u32, u32)>,
-    initial: Vec<bool>,
+    pub(crate) transitions: Vec<Time>,
+    pub(crate) spans: Vec<(u32, u32)>,
+    pub(crate) initial: Vec<bool>,
 }
 
 impl SimResult {
@@ -49,17 +49,6 @@ impl SimResult {
             .filter(|&&(start, end)| end > start)
             .map(|&(_, end)| self.transitions[end as usize - 1])
             .fold(0.0, f64::max)
-    }
-
-    /// Appends node `id`'s waveform to the arena.
-    fn push(&mut self, id: NodeId, initial: bool, transitions: &[Time]) {
-        let offset = |len: usize| {
-            u32::try_from(len).unwrap_or_else(|_| unreachable!("a pattern's transitions fit u32"))
-        };
-        let start = offset(self.transitions.len());
-        self.transitions.extend_from_slice(transitions);
-        self.spans[id.index()] = (start, offset(self.transitions.len()));
-        self.initial[id.index()] = initial;
     }
 }
 
@@ -184,20 +173,26 @@ impl<'c> SimEngine<'c> {
         eval: &mut EvalScratch,
         out: &mut Vec<Time>,
     ) -> bool {
-        let node = self.circuit.node(id);
         let initial = eval_gate_into(
-            node.kind(),
-            node.fanins().len(),
+            self.circuit.kind(id),
+            self.circuit.fanins(id).len(),
             input,
             self.annot.rise(id),
             self.annot.fall(id),
             eval,
             out,
         );
-        if let Some(fraction) = self.inertial {
-            filter_pulses_in_place(out, fraction * self.annot.min_delay(id));
-        }
+        self.filter(out, 0, id);
         initial
+    }
+
+    /// Applies gate `id`'s inertial filter, if enabled, to its output
+    /// edges at `out[start..]`.
+    #[inline]
+    fn filter(&self, out: &mut Vec<Time>, start: usize, id: NodeId) {
+        if let Some(fraction) = self.inertial {
+            filter_pulses_from(out, start, fraction * self.annot.min_delay(id));
+        }
     }
 
     /// The simulated circuit.
@@ -210,42 +205,58 @@ impl<'c> SimEngine<'c> {
     /// from its launch to its capture value at `t = 0`, and all nets settle
     /// through the annotated transport delays.
     ///
-    /// Every gate is evaluated into one reused output buffer and copied
-    /// onto the result's arena, so a pattern costs a few allocations, not
-    /// one per gate.
+    /// One sweep over the topological order appends every node's edges
+    /// straight onto the result's arena. A gate's fanins are read from
+    /// their spans in that same arena by the counting kernel
+    /// ([`EvalScratch`]); an annihilated edge only ever pops the gate's own
+    /// segment, and inertial filtering runs on that segment in place. A
+    /// pattern therefore costs a few allocations, not one per gate.
     #[must_use]
     pub fn simulate(&self, stim: &Stimulus) -> SimResult {
-        let n = self.circuit.len();
-        let mut result = SimResult {
-            transitions: Vec::with_capacity(n),
-            spans: vec![(0, 0); n],
-            initial: vec![false; n],
-        };
+        let circuit = self.circuit;
+        let n = circuit.len();
+        let mut transitions: Vec<Time> = Vec::with_capacity(n);
+        let mut spans = vec![(0u32, 0u32); n];
+        let mut initial = vec![false; n];
         let mut eval = EvalScratch::new();
-        let mut out: Vec<Time> = Vec::new();
-        for &id in self.circuit.topo_order() {
-            let node = self.circuit.node(id);
-            let initial = match node.kind() {
+        let offset = |len: usize| {
+            u32::try_from(len).unwrap_or_else(|_| unreachable!("a pattern's transitions fit u32"))
+        };
+        for &id in circuit.topo_order() {
+            let start = transitions.len();
+            let value = match circuit.kind(id) {
                 GateKind::Input | GateKind::Dff => {
                     let launch = stim.launch(id);
-                    out.clear();
                     if launch != stim.capture(id) {
-                        out.push(0.0);
+                        transitions.push(0.0);
                     }
                     launch
                 }
-                GateKind::Const0 | GateKind::Const1 => {
-                    out.clear();
-                    node.kind() == GateKind::Const1
-                }
-                _ => {
-                    let fanins = node.fanins();
-                    self.eval_node(id, |k| result.wave(fanins[k]), &mut eval, &mut out)
+                GateKind::Const0 => false,
+                GateKind::Const1 => true,
+                kind => {
+                    eval.start(kind);
+                    for &fi in circuit.fanins(id) {
+                        let (from, to) = spans[fi.index()];
+                        eval.fanin(initial[fi.index()], from as usize, to as usize);
+                    }
+                    let value = eval.append_output(
+                        self.annot.rise(id),
+                        self.annot.fall(id),
+                        &mut transitions,
+                    );
+                    self.filter(&mut transitions, start, id);
+                    value
                 }
             };
-            result.push(id, initial, &out);
+            spans[id.index()] = (offset(start), offset(transitions.len()));
+            initial[id.index()] = value;
         }
-        result
+        SimResult {
+            transitions,
+            spans,
+            initial,
+        }
     }
 
     /// Computes the faulty waveform of the fault's seed gate (the gate
@@ -631,16 +642,20 @@ impl<'c> SimEngine<'c> {
     /// [`SimEngine::response_diff_planned`]; the result lands in `out`
     /// (cleared first).
     ///
-    /// The walk computes the seed gate's faulty waveform and stops if it
-    /// equals the fault-free one. Otherwise a level-bucketed queue holds
-    /// the gates to evaluate: a gate enters it only when one of its fanins
-    /// changed, and only if it reaches an observation point
-    /// ([`Circuit::reaches_observe_point`]), which is exactly the plan's
-    /// pruned cone. A gate that evaluates back to its fault-free waveform
-    /// queues nothing. Only the changed gates that drive observation
-    /// points ([`Circuit::driven_observe_points`]) are diffed, and `out` is
-    /// sorted by observation-point index. Every transition buffer comes
-    /// from the scratch pool and goes back to it.
+    /// The walk first checks activation: if the fault site's fault-free
+    /// waveform (the seed's output, or the faulted fanin's) has no edge of
+    /// the fault's polarity, the delayed waveform equals it and so does
+    /// every faulty waveform, so the pair counts as masked before any
+    /// buffer is taken. Otherwise it computes the seed gate's faulty
+    /// waveform and stops if it equals the fault-free one. Otherwise a
+    /// level-bucketed queue holds the gates to evaluate: a gate enters it
+    /// only when one of its fanins changed, and only if it reaches an
+    /// observation point ([`Circuit::reaches_observe_point`]), which is
+    /// exactly the plan's pruned cone. A gate that evaluates back to its
+    /// fault-free waveform queues nothing. Only the changed gates that
+    /// drive observation points ([`Circuit::driven_observe_points`]) are
+    /// diffed, and `out` is sorted by observation-point index. Every
+    /// transition buffer comes from the scratch pool and goes back to it.
     ///
     /// The walk's counters accumulate in `scratch` until
     /// [`SimEngine::publish_cone_counters`] is called.
@@ -662,6 +677,14 @@ impl<'c> SimEngine<'c> {
         out.clear();
         if plan.cone.is_empty() {
             return; // the seed reaches no observation point
+        }
+        let site = match fault.site {
+            PinRef::Output(id) => base.wave(id),
+            PinRef::Input(id, k) => base.wave(self.circuit.fanins(id)[k as usize]),
+        };
+        if !site.has_edge(fault.polarity) {
+            scratch.tally.cones_masked += 1;
+            return; // never activated: no edge to delay
         }
         let ConeScratch {
             pos,
@@ -1196,34 +1219,82 @@ mod tests {
         );
     }
 
-    #[test]
-    fn masked_cones_count_their_seed_buffers() {
-        // with no transition at all, both faults are masked at their own
-        // gate; the seed buffer, and the input-pin fault's delayed pin,
-        // still come from the pool, are counted, and go back to it
+    /// `g = AND(a, c, en)`: `a` and `c` rise while `en` holds 0, so a
+    /// slow-to-rise fault on pin `a` or `c` is activated but masked at `g`.
+    fn and_with_a_held_side_input() -> (Circuit, DelayAnnotation, Stimulus) {
         let mut b = CircuitBuilder::new("masked");
         b.add("a", GateKind::Input, &[]);
-        b.add("n1", GateKind::Buf, &["a"]);
-        b.mark_output("n1");
+        b.add("c", GateKind::Input, &[]);
+        b.add("en", GateKind::Input, &[]);
+        b.add("g", GateKind::And, &["a", "c", "en"]);
+        b.mark_output("g");
         let c = b.finish().unwrap();
         let (annot, ()) = unit_engine(&c);
+        let en = c.find("en").unwrap();
+        let stim = Stimulus::from_fn(&c, |id| (false, id != en));
+        (c, annot, stim)
+    }
+
+    #[test]
+    fn masked_cones_count_their_seed_buffers() {
+        // both faults are activated (their pin rises) and masked at their
+        // own gate by the held side input; the seed buffer and the delayed
+        // pin come from the pool, are counted, and go back to it
+        let (c, annot, stim) = and_with_a_held_side_input();
         let metrics = SimMetrics::new();
         let engine = SimEngine::new(&c, &annot).with_metrics(&metrics);
-        let base = engine.simulate(&Stimulus::from_fn(&c, |_| (false, false)));
-        let n1 = c.find("n1").unwrap();
-        let plan = ConePlan::new(&c, n1);
+        let base = engine.simulate(&stim);
+        let g = c.find("g").unwrap();
+        let plan = ConePlan::new(&c, g);
         let mut scratch = ConeScratch::new(&c);
-        for site in [PinRef::Output(n1), PinRef::Input(n1, 0)] {
-            let fault = SmallDelayFault::new(site, Polarity::SlowToRise, 0.5);
+        for pin in [0, 1] {
+            let fault = SmallDelayFault::new(PinRef::Input(g, pin), Polarity::SlowToRise, 0.5);
             let diffs = engine.response_diff_planned(&base, &fault, &plan, &mut scratch, 100.0);
             assert!(diffs.is_empty());
         }
         assert_eq!(metrics.cones_masked.get(), 2);
         assert_eq!(metrics.cones_simulated.get(), 0);
-        // the output fault creates its seed buffer; the input fault reuses
-        // it and creates its pin buffer
+        // the first fault creates its seed and pin buffers; the second
+        // reuses both
         assert_eq!(metrics.waveform_allocs.get(), 2);
-        assert_eq!(metrics.waveform_reuses.get(), 1);
+        assert_eq!(metrics.waveform_reuses.get(), 2);
+        assert_eq!(scratch.spare_buffers(), 2);
+    }
+
+    #[test]
+    fn never_activated_pairs_take_no_buffer() {
+        // faults whose site has no edge of their polarity: the static side
+        // input, and the rising pins and output under slow-to-fall. Each
+        // counts as masked before any buffer is taken, so the pool that
+        // the first, activated fault filled stays as it is
+        let (c, annot, stim) = and_with_a_held_side_input();
+        let metrics = SimMetrics::new();
+        let engine = SimEngine::new(&c, &annot).with_metrics(&metrics);
+        let base = engine.simulate(&stim);
+        let g = c.find("g").unwrap();
+        let plan = ConePlan::new(&c, g);
+        let mut scratch = ConeScratch::new(&c);
+        let activated = SmallDelayFault::new(PinRef::Input(g, 0), Polarity::SlowToRise, 0.5);
+        let _ = engine.response_diff_planned(&base, &activated, &plan, &mut scratch, 100.0);
+        let (allocs, reuses) = (metrics.waveform_allocs.get(), metrics.waveform_reuses.get());
+        assert_eq!((allocs, reuses, scratch.spare_buffers()), (2, 0, 2));
+        let never = [
+            (PinRef::Input(g, 2), Polarity::SlowToRise),
+            (PinRef::Input(g, 2), Polarity::SlowToFall),
+            (PinRef::Input(g, 0), Polarity::SlowToFall),
+            (PinRef::Input(g, 1), Polarity::SlowToFall),
+            (PinRef::Output(g), Polarity::SlowToRise),
+            (PinRef::Output(g), Polarity::SlowToFall),
+        ];
+        for (site, pol) in never {
+            let fault = SmallDelayFault::new(site, pol, 0.5);
+            let diffs = engine.response_diff_planned(&base, &fault, &plan, &mut scratch, 100.0);
+            assert!(diffs.is_empty(), "{fault}");
+        }
+        assert_eq!(metrics.cones_masked.get(), 1 + never.len() as u64);
+        assert_eq!(metrics.cones_simulated.get(), 0);
+        assert_eq!(metrics.waveform_allocs.get(), allocs);
+        assert_eq!(metrics.waveform_reuses.get(), reuses);
         assert_eq!(scratch.spare_buffers(), 2);
     }
 

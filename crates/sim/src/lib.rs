@@ -43,6 +43,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 mod engine;
+#[cfg(test)]
+mod kernel_equivalence;
 mod parallel;
 mod stimulus;
 mod waveform;

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use fastmon_faults::{Interval, IntervalSet, Polarity};
+use fastmon_netlist::GateKind;
 use fastmon_timing::Time;
 
 /// A binary signal over time: an initial value and a strictly increasing
@@ -233,6 +234,18 @@ impl<'a> WaveRef<'a> {
         self.transitions.last().copied()
     }
 
+    /// Whether the signal has an edge of `polarity`, i.e. whether a delay
+    /// fault of that polarity here is activated at all. Edges alternate in
+    /// direction, so a single edge has the polarity of its new value and
+    /// two or more edges hold both.
+    pub(crate) fn has_edge(self, polarity: Polarity) -> bool {
+        match self.transitions {
+            [] => false,
+            [_] => polarity.affects(!self.initial),
+            _ => true,
+        }
+    }
+
     /// The waveform with transitions of one polarity delayed by `d` — the
     /// effect of a small delay fault of that polarity at this signal.
     ///
@@ -335,12 +348,94 @@ impl fmt::Display for Waveform {
     }
 }
 
-/// Reusable per-thread buffers for [`eval_gate_into`]: input values and
-/// event cursors, sized to the widest gate seen so far.
+/// A gate's output as a count over its inputs, so that an input toggle
+/// moves the output in O(1) instead of a full [`GateKind::eval`]:
+///
+/// * AND, NAND, OR and NOR count their inputs at the controlling value,
+///   and give the controlled output while the count is positive;
+/// * XOR, XNOR, BUF and NOT (and the pass-through INPUT and DFF) count
+///   their inputs at 1, and their output follows the count's parity;
+/// * the constants mask the count away.
+#[derive(Debug, Clone, Copy, Default)]
+struct GateCount {
+    /// the input value that is counted
+    counted: bool,
+    /// `u32::MAX` (a positive count), 1 (parity) or 0 (constant output)
+    mask: u32,
+    /// the output while `count & mask` is zero
+    zero_out: bool,
+    count: u32,
+}
+
+impl GateCount {
+    /// The count of a `kind` gate with no inputs added yet.
+    fn new(kind: GateKind) -> Self {
+        let (counted, mask, zero_out) = match kind {
+            GateKind::And => (false, u32::MAX, true),
+            GateKind::Nand => (false, u32::MAX, false),
+            GateKind::Or => (true, u32::MAX, false),
+            GateKind::Nor => (true, u32::MAX, true),
+            GateKind::Xor | GateKind::Buf | GateKind::Input | GateKind::Dff => (true, 1, false),
+            GateKind::Xnor | GateKind::Not => (true, 1, true),
+            GateKind::Const0 => (true, 0, false),
+            GateKind::Const1 => (true, 0, true),
+        };
+        GateCount {
+            counted,
+            mask,
+            zero_out,
+            count: 0,
+        }
+    }
+
+    /// Adds an input that holds `value`.
+    #[inline]
+    fn add(&mut self, value: bool) {
+        self.count += u32::from(value == self.counted);
+    }
+
+    /// Moves an input from `value` to its complement.
+    #[inline]
+    fn toggle(&mut self, value: bool) {
+        if value == self.counted {
+            self.count -= 1;
+        } else {
+            self.count += 1;
+        }
+    }
+
+    /// The gate's output.
+    #[inline]
+    fn output(self) -> bool {
+        self.zero_out ^ (self.count & self.mask != 0)
+    }
+}
+
+/// A fanin that moves: the index of its next edge and the end of its
+/// edges in the buffer the gate's output is appended to, and its value
+/// before that next edge.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    next: usize,
+    end: usize,
+    value: bool,
+}
+
+/// Reusable per-thread state of the counting gate kernel: the count of
+/// the gate being evaluated, a merge cursor per moving fanin, and the
+/// staging buffer of [`eval_gate_into`], each sized to the largest gate
+/// seen so far.
+///
+/// One gate is evaluated by `start`, one `fanin` per input in pin order,
+/// then `append_output`. Fault-free simulation runs it over the spans of
+/// its own arena, and [`eval_gate_into`] over the fanins' edges copied
+/// into the staging buffer.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    values: Vec<bool>,
-    cursors: Vec<usize>,
+    count: GateCount,
+    cursors: Vec<Cursor>,
+    /// [`eval_gate_into`]'s fanin edges, then the output's
+    staged: Vec<Time>,
 }
 
 impl EvalScratch {
@@ -348,6 +443,99 @@ impl EvalScratch {
     #[must_use]
     pub fn new() -> Self {
         EvalScratch::default()
+    }
+
+    /// Starts evaluating a `kind` gate.
+    #[inline]
+    pub(crate) fn start(&mut self, kind: GateKind) {
+        self.count = GateCount::new(kind);
+        self.cursors.clear();
+    }
+
+    /// Adds the gate's next input: its initial value and its edges at
+    /// `arena[start..end]` of the buffer later passed to
+    /// [`EvalScratch::append_output`].
+    #[inline]
+    pub(crate) fn fanin(&mut self, initial: bool, start: usize, end: usize) {
+        self.count.add(initial);
+        if start < end {
+            self.cursors.push(Cursor {
+                next: start,
+                end,
+                value: initial,
+            });
+        }
+    }
+
+    /// Appends the output edges of the gate onto `arena`, after every
+    /// input's edges, and returns the output's initial value.
+    ///
+    /// Inputs that toggle at the same instant are applied together before
+    /// the output is read. An output edge lands at its time plus the rise
+    /// or fall delay of its new value; an edge that does not come strictly
+    /// after the previous output edge annihilates with it
+    /// ([`push_edge`]). A gate with no moving input returns at once; once
+    /// a single input still moves, its remaining edges are walked by one
+    /// cursor.
+    pub(crate) fn append_output(&mut self, rise: Time, fall: Time, arena: &mut Vec<Time>) -> bool {
+        let EvalScratch { count, cursors, .. } = self;
+        let base = arena.len();
+        let initial = count.output();
+        let mut current = initial;
+        let delay = |value: bool| if value { rise } else { fall };
+        while cursors.len() > 1 {
+            let t = cursors
+                .iter()
+                .map(|c| arena[c.next])
+                .fold(f64::INFINITY, f64::min);
+            let mut i = 0;
+            while i < cursors.len() {
+                let c = &mut cursors[i];
+                if arena[c.next] == t {
+                    count.toggle(c.value);
+                    c.value = !c.value;
+                    c.next += 1;
+                    if c.next == c.end {
+                        cursors.swap_remove(i);
+                        continue;
+                    }
+                }
+                i += 1;
+            }
+            let value = count.output();
+            if value != current {
+                current = value;
+                push_edge(arena, base, t + delay(value));
+            }
+        }
+        // one input left moving: the others hold, so either each of its
+        // edges flips the output or none does
+        if let Some(&Cursor { next, end, value }) = cursors.first() {
+            let mut flipped = *count;
+            flipped.toggle(value);
+            if flipped.output() != current {
+                for i in next..end {
+                    current = !current;
+                    let t = arena[i];
+                    push_edge(arena, base, t + delay(current));
+                }
+            }
+        }
+        initial
+    }
+}
+
+/// Appends an output edge at `t` to the segment `arena[base..]`. An edge
+/// that does not come strictly after the segment's last edge annihilates
+/// with it instead (a slow edge overtaken by a fast one); edges before
+/// `base` belong to other waveforms and are never popped.
+#[inline]
+fn push_edge(arena: &mut Vec<Time>, base: usize, t: Time) {
+    match arena.last() {
+        Some(&last) if arena.len() > base && t <= last => {
+            arena.pop();
+        }
+        _ => arena.push(t),
     }
 }
 
@@ -358,7 +546,7 @@ impl EvalScratch {
 /// annihilate pairwise.
 #[must_use]
 pub fn eval_gate(
-    kind: fastmon_netlist::GateKind,
+    kind: GateKind,
     inputs: &[&Waveform],
     rise_delay: Time,
     fall_delay: Time,
@@ -385,11 +573,12 @@ pub fn eval_gate(
 /// the output transitions land in `out` (cleared first). Returns the
 /// output's initial value.
 ///
-/// Fault-free simulation calls this with one reused `out` buffer per
-/// pattern, and the campaign's cone walk with buffers from its pool, so
-/// neither allocates per gate.
+/// The inputs' edges are staged in `scratch`, the counting kernel
+/// ([`EvalScratch`]) appends the output's edges after them, and those are
+/// copied to `out`. The campaign's cone walk calls this with buffers from
+/// its pool, so it does not allocate per gate.
 pub fn eval_gate_into<'a, F>(
-    kind: fastmon_netlist::GateKind,
+    kind: GateKind,
     num_inputs: usize,
     input: F,
     rise_delay: Time,
@@ -400,65 +589,35 @@ pub fn eval_gate_into<'a, F>(
 where
     F: Fn(usize) -> WaveRef<'a>,
 {
-    scratch.values.clear();
-    scratch.cursors.clear();
+    let mut staged = std::mem::take(&mut scratch.staged);
+    staged.clear();
+    scratch.start(kind);
     for k in 0..num_inputs {
-        scratch.values.push(input(k).initial());
-        scratch.cursors.push(0);
+        let wave = input(k);
+        let start = staged.len();
+        staged.extend_from_slice(wave.transitions);
+        scratch.fanin(wave.initial, start, staged.len());
     }
-    let initial = kind.eval(&scratch.values);
-
-    // merge all input events in time order
+    let base = staged.len();
+    let initial = scratch.append_output(rise_delay, fall_delay, &mut staged);
     out.clear();
-    let mut current = initial;
-    loop {
-        // earliest pending event time
-        let mut t = f64::INFINITY;
-        for k in 0..num_inputs {
-            if let Some(&tt) = input(k).transitions().get(scratch.cursors[k]) {
-                t = t.min(tt);
-            }
-        }
-        if t.is_infinite() {
-            break;
-        }
-        // apply all events at exactly time t (simultaneous toggles)
-        for k in 0..num_inputs {
-            while input(k)
-                .transitions()
-                .get(scratch.cursors[k])
-                .is_some_and(|&tt| tt == t)
-            {
-                scratch.values[k] = !scratch.values[k];
-                scratch.cursors[k] += 1;
-            }
-        }
-        let new_value = kind.eval(&scratch.values);
-        if new_value != current {
-            current = new_value;
-            let delay = if new_value { rise_delay } else { fall_delay };
-            let shifted = t + delay;
-            match out.last() {
-                Some(&last) if shifted <= last => {
-                    out.pop();
-                }
-                _ => out.push(shifted),
-            }
-        }
-    }
+    out.extend_from_slice(&staged[base..]);
+    scratch.staged = staged;
     initial
 }
 
-/// In-place variant of [`Waveform::filter_pulses`] over a raw transition
-/// buffer, for hot loops that have not yet wrapped it in a waveform.
-pub fn filter_pulses_in_place(transitions: &mut Vec<Time>, min_width: f64) {
-    if min_width <= 0.0 || transitions.len() < 2 {
+/// In-place variant of [`Waveform::filter_pulses`] over the segment
+/// `transitions[start..]` of a raw transition buffer: a gate's own tail of
+/// the fault-free arena, or a whole cone-walk buffer. Edges before `start`
+/// are left alone.
+pub(crate) fn filter_pulses_from(transitions: &mut Vec<Time>, start: usize, min_width: f64) {
+    if min_width <= 0.0 || transitions.len() < start + 2 {
         return;
     }
-    let mut w = 0usize;
-    for i in 0..transitions.len() {
+    let mut w = start;
+    for i in start..transitions.len() {
         let t = transitions[i];
-        if w > 0 && t - transitions[w - 1] < min_width {
+        if w > start && t - transitions[w - 1] < min_width {
             w -= 1;
         } else {
             transitions[w] = t;
@@ -471,7 +630,6 @@ pub fn filter_pulses_in_place(transitions: &mut Vec<Time>, min_width: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastmon_netlist::GateKind;
     use proptest::prelude::*;
 
     #[test]
@@ -549,12 +707,20 @@ mod tests {
 
     #[test]
     fn filter_in_place_matches_filter_pulses() {
+        // the segment after `start` is filtered as a waveform of its own;
+        // the edges before it, even when close, are left alone
+        let prefix = [1.0, 1.1, 4.9];
         for width in [0.0, 0.5, 1.0, 5.0] {
             let w = Waveform::with_transitions(true, vec![5.0, 5.2, 9.0, 20.0, 20.3, 40.0]);
             let expect = w.filter_pulses(width);
             let mut ts = w.transitions().to_vec();
-            filter_pulses_in_place(&mut ts, width);
+            filter_pulses_from(&mut ts, 0, width);
             assert_eq!(ts, expect.transitions(), "width {width}");
+            let mut ts = prefix.to_vec();
+            ts.extend_from_slice(w.transitions());
+            filter_pulses_from(&mut ts, prefix.len(), width);
+            assert_eq!(ts[..prefix.len()], prefix, "width {width}");
+            assert_eq!(&ts[prefix.len()..], expect.transitions(), "width {width}");
         }
     }
 
@@ -703,6 +869,19 @@ mod tests {
         fn polarity_delay_zero_is_identity(a in arb_wave()) {
             for pol in Polarity::BOTH {
                 prop_assert_eq!(a.delayed_polarity(0.0, pol), a.clone());
+            }
+        }
+
+        #[test]
+        fn has_edge_decides_whether_a_delay_changes_the_waveform(
+            a in arb_wave(), d in 0.01..50.0f64
+        ) {
+            for pol in Polarity::BOTH {
+                prop_assert_eq!(
+                    a.view().has_edge(pol),
+                    a.delayed_polarity(d, pol) != a,
+                    "{} {:?}", a, pol
+                );
             }
         }
 
