@@ -1,12 +1,22 @@
+use std::sync::Mutex;
+
 use fastmon_netlist::Circuit;
+use fastmon_sim::Lease;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use crate::matrix::effective_threads;
+use crate::podem::{Goal, PodemAnalysis, PodemSearch};
 use crate::{
-    transition_faults, AtpgError, DetectionMatrix, FaultCones, GradeScratch, PodemEngine,
-    PodemOutcome, StuckAtFault, TestPattern, TestSet, TransitionFault, WordSim,
+    transition_faults, AtpgError, DetectionMatrix, FaultCones, GradeScratch, PodemOutcome,
+    StuckAtFault, TestPattern, TestSet, TransitionFault, WordSim,
 };
+
+/// Faults per worker in one window of the deterministic phase. A window
+/// is searched before it is consumed, so a flush inside it can drop
+/// faults whose outcomes are then thrown away; larger windows spawn
+/// threads less often and throw more away.
+const WINDOW_PER_WORKER: usize = 8;
 
 /// Configuration of the transition-fault ATPG flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,8 +33,10 @@ pub struct AtpgConfig {
     /// Optional hard cap on the final pattern count; when the compacted set
     /// is larger, patterns are greedily selected for maximum coverage.
     pub max_patterns: Option<usize>,
-    /// Worker threads for fault grading (`0` = all available cores).
-    /// Results are bit-identical for any value.
+    /// Worker threads for fault grading and for the deterministic PODEM
+    /// phase (`0` = all available cores); PODEM uses at most as many
+    /// workers as the host has cores. The test set, the fault tallies and
+    /// the PODEM counters are bit-identical for any value.
     pub threads: usize,
 }
 
@@ -171,20 +183,35 @@ pub fn generate_with_metrics(
 
 /// Fallible, cancellable variant of [`generate_with_metrics`].
 ///
-/// Checks `cancel` between PODEM targets and observes the `atpg_podem` and
-/// `atpg_grade` failpoints; grading-worker panics are contained and
-/// surfaced as typed errors rather than unwinding the caller.
+/// Checks `cancel` before each window of PODEM targets and between
+/// targets, and observes the `atpg_podem` and `atpg_grade` failpoints;
+/// grading- and PODEM-worker panics are contained and surfaced as typed
+/// errors rather than unwinding the caller.
 ///
 /// # Errors
 ///
 /// - [`AtpgError::Cancelled`] when `cancel` is triggered mid-generation,
 /// - [`AtpgError::Injected`] when the `atpg_podem` failpoint fires,
-/// - [`AtpgError::WorkerPanicked`] when a grading worker panics.
+/// - [`AtpgError::WorkerPanicked`] when a grading or PODEM worker panics.
 pub fn try_generate_with_metrics(
     circuit: &Circuit,
     config: &AtpgConfig,
     metrics: Option<&fastmon_obs::AtpgMetrics>,
     cancel: Option<&fastmon_obs::CancelToken>,
+) -> Result<AtpgResult, AtpgError> {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let podem_workers = effective_threads(config.threads).min(cores);
+    generate_on(circuit, config, metrics, cancel, podem_workers)
+}
+
+/// [`try_generate_with_metrics`] with the deterministic phase on exactly
+/// `podem_workers` workers.
+fn generate_on(
+    circuit: &Circuit,
+    config: &AtpgConfig,
+    metrics: Option<&fastmon_obs::AtpgMetrics>,
+    cancel: Option<&fastmon_obs::CancelToken>,
+    podem_workers: usize,
 ) -> Result<AtpgResult, AtpgError> {
     let _atpg_span = fastmon_obs::span!("atpg");
     let faults = transition_faults(circuit);
@@ -223,13 +250,15 @@ pub fn try_generate_with_metrics(
 
     // --- deterministic phase ----------------------------------------------
     let podem_span = fastmon_obs::span!("atpg_podem");
-    // one engine for every fault: buffers and fanout cones are cached and
-    // reused across the whole worklist
-    let mut engine = PodemEngine::new(circuit);
+    // one read-only analysis for every worker; each worker leases its
+    // search state (buffers and cached fault-site cones) from a pool that
+    // outlives the per-window thread spawns, so it is reused across the
+    // whole worklist
+    let analysis = PodemAnalysis::new(circuit);
+    let searches: Mutex<Vec<PodemSearch>> = Mutex::new(Vec::new());
     let mut untestable = 0usize;
     let mut aborted = 0usize;
     let mut pending: Vec<TestPattern> = Vec::new();
-    let mut still_undetected = Vec::new();
 
     let flush = |pending: &mut Vec<TestPattern>,
                  undetected: &mut Vec<usize>,
@@ -257,59 +286,108 @@ pub fn try_generate_with_metrics(
         remaining[f] = true;
     }
 
-    for f in worklist {
-        if !remaining[f] {
-            continue;
-        }
-        fastmon_obs::failpoints::fire("atpg_podem")
-            .map_err(|e| AtpgError::Injected { site: e.site })?;
+    // The worklist is consumed in windows of its next still-remaining
+    // faults. Workers search a window's faults (a PODEM run depends only on
+    // its goal and backtrack limit), then this thread consumes the outcomes
+    // in worklist order, exactly as a sequential loop would: failpoint,
+    // cancel check, RNG fill, flush and tallies. `remaining` only goes from
+    // true to false, so the only outcomes a sequential loop would not have
+    // computed are those of faults that a flush earlier in the same window
+    // dropped; they are discarded unrecorded.
+    let window_len = if podem_workers > 1 {
+        WINDOW_PER_WORKER * podem_workers
+    } else {
+        1
+    };
+    let mut window: Vec<usize> = Vec::with_capacity(window_len);
+    let mut next = 0;
+    while next < worklist.len() {
         if cancel.is_some_and(fastmon_obs::CancelToken::is_cancelled) {
             return Err(AtpgError::Cancelled { phase: "atpg" });
         }
-        let fault: &TransitionFault = &faults[f];
-        let launch = engine.justify_with_metrics(
-            fault.gate,
-            fault.initial_value(),
-            config.max_backtracks,
-            metrics,
-        );
-        let capture = engine.podem_with_metrics(
-            &StuckAtFault {
-                node: fault.gate,
-                stuck_at: fault.initial_value(),
+        window.clear();
+        while window.len() < window_len && next < worklist.len() {
+            if remaining[worklist[next]] {
+                window.push(worklist[next]);
+            }
+            next += 1;
+        }
+        let outcomes = fastmon_sim::try_parallel_map_with(
+            window.len(),
+            podem_workers,
+            || Lease::take(&searches, || PodemSearch::new(&analysis)),
+            |lease, i| {
+                let fault: &TransitionFault = &faults[window[i]];
+                let search = lease.get();
+                let launch = search.run(
+                    &analysis,
+                    Goal::Justify(fault.gate, fault.initial_value()),
+                    config.max_backtracks,
+                );
+                let capture = search.run(
+                    &analysis,
+                    Goal::Detect(
+                        StuckAtFault {
+                            node: fault.gate,
+                            stuck_at: fault.initial_value(),
+                        },
+                        None,
+                    ),
+                    config.max_backtracks,
+                );
+                (launch, capture)
             },
-            config.max_backtracks,
-            metrics,
-        );
-        match (launch, capture) {
-            (PodemOutcome::Test(l), PodemOutcome::Test(c)) => {
-                let fill = |bits: Vec<Option<bool>>, rng: &mut ChaCha8Rng| -> Vec<bool> {
-                    bits.into_iter()
-                        .map(|b| b.unwrap_or_else(|| rng.gen()))
-                        .collect()
-                };
-                let pattern = TestPattern::new(fill(l, &mut rng), fill(c, &mut rng));
-                pending.push(pattern);
-                remaining[f] = false;
-                // opportunistically grade accumulated patterns in blocks
-                if pending.len() == 64 {
-                    let mut undet: Vec<usize> =
-                        (0..faults.len()).filter(|&g| remaining[g]).collect();
-                    flush(&mut pending, &mut undet, &mut set)?;
-                    remaining.fill(false);
-                    for g in undet {
-                        remaining[g] = true;
+        )
+        .map_err(|panic| AtpgError::WorkerPanicked {
+            phase: "atpg_podem",
+            message: panic.message(),
+        })?;
+        for (&f, ((launch, launch_tally), (capture, capture_tally))) in window.iter().zip(outcomes)
+        {
+            if !remaining[f] {
+                if let Some(m) = metrics {
+                    m.podem_outcomes_discarded.incr();
+                }
+                continue;
+            }
+            fastmon_obs::failpoints::fire("atpg_podem")
+                .map_err(|e| AtpgError::Injected { site: e.site })?;
+            if cancel.is_some_and(fastmon_obs::CancelToken::is_cancelled) {
+                return Err(AtpgError::Cancelled { phase: "atpg" });
+            }
+            if let Some(m) = metrics {
+                launch_tally.record(m);
+                capture_tally.record(m);
+            }
+            match (launch, capture) {
+                (PodemOutcome::Test(l), PodemOutcome::Test(c)) => {
+                    let fill = |bits: Vec<Option<bool>>, rng: &mut ChaCha8Rng| -> Vec<bool> {
+                        bits.into_iter()
+                            .map(|b| b.unwrap_or_else(|| rng.gen()))
+                            .collect()
+                    };
+                    let pattern = TestPattern::new(fill(l, &mut rng), fill(c, &mut rng));
+                    pending.push(pattern);
+                    remaining[f] = false;
+                    // opportunistically grade accumulated patterns in blocks
+                    if pending.len() == 64 {
+                        let mut undet: Vec<usize> =
+                            (0..faults.len()).filter(|&g| remaining[g]).collect();
+                        flush(&mut pending, &mut undet, &mut set)?;
+                        remaining.fill(false);
+                        for g in undet {
+                            remaining[g] = true;
+                        }
                     }
                 }
-            }
-            (PodemOutcome::Untestable, _) | (_, PodemOutcome::Untestable) => {
-                untestable += 1;
-                remaining[f] = false;
-            }
-            _ => {
-                aborted += 1;
-                remaining[f] = false;
-                still_undetected.push(f);
+                (PodemOutcome::Untestable, _) | (_, PodemOutcome::Untestable) => {
+                    untestable += 1;
+                    remaining[f] = false;
+                }
+                _ => {
+                    aborted += 1;
+                    remaining[f] = false;
+                }
             }
         }
     }
@@ -544,6 +622,68 @@ mod tests {
             assert_eq!(r.untestable, reference.untestable);
             assert_eq!(r.aborted, reference.aborted);
         }
+    }
+
+    /// The PODEM counters a sequential loop would record.
+    fn podem_counters(m: &fastmon_obs::AtpgMetrics) -> [u64; 6] {
+        [
+            m.podem_calls.get(),
+            m.podem_backtracks.get(),
+            m.podem_implications.get(),
+            m.podem_aborts.get(),
+            m.podem_learned_untestable.get(),
+            m.podem_necessity_assignments.get(),
+        ]
+    }
+
+    #[test]
+    fn podem_windows_match_the_sequential_loop() {
+        // few random patterns and a small backtrack limit: hundreds of PODEM
+        // targets, so 64-pattern flushes land inside windows, and aborts
+        let generated = |gates: usize, seed| {
+            GeneratorConfig::new(format!("win{gates}"))
+                .gates(gates)
+                .flip_flops(gates / 16)
+                .inputs(12)
+                .outputs(6)
+                .depth(12)
+                .generate(seed)
+                .unwrap()
+        };
+        let circuits = [library::s27(), generated(400, 3), generated(700, 5)];
+        let mut discarded = 0;
+        for c in &circuits {
+            let run = |workers: usize| {
+                let config = AtpgConfig {
+                    random_patterns: 8,
+                    max_backtracks: 16,
+                    compact: false,
+                    threads: workers,
+                    ..AtpgConfig::default()
+                };
+                let m = fastmon_obs::AtpgMetrics::new();
+                let r = generate_on(c, &config, Some(&m), None, workers).unwrap();
+                (r, m)
+            };
+            let (reference, m1) = run(1);
+            assert_eq!(m1.podem_outcomes_discarded.get(), 0, "{}", c.name());
+            if c.len() > 100 {
+                // PODEM emitted more than one flush's worth of patterns
+                assert!(reference.test_set.len() > 8 + 64, "{}", c.name());
+                assert!(reference.aborted > 0, "{}", c.name());
+            }
+            for workers in [2, 3, 8] {
+                let (r, m) = run(workers);
+                let at = format!("{} at {workers} workers", c.name());
+                assert_eq!(r.test_set, reference.test_set, "{at}");
+                assert_eq!(r.detected, reference.detected, "{at}");
+                assert_eq!(r.untestable, reference.untestable, "{at}");
+                assert_eq!(r.aborted, reference.aborted, "{at}");
+                assert_eq!(podem_counters(&m), podem_counters(&m1), "{at}");
+                discarded += m.podem_outcomes_discarded.get();
+            }
+        }
+        assert!(discarded > 0, "no window crossed a flush");
     }
 
     #[test]

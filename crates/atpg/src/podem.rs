@@ -1,6 +1,6 @@
 use fastmon_netlist::{Circuit, ConeMarks, GateKind, LevelQueue, NodeId};
 
-use crate::logic5::{eval5, V5};
+use crate::logic5::{eval_gate5, V5};
 use crate::TestSet;
 
 /// A single stuck-at fault for PODEM: the output of `node` is stuck at
@@ -110,7 +110,7 @@ pub fn justify_with_metrics(
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Goal {
+pub(crate) enum Goal {
     /// Detect the fault; optionally also justify `(node, value)`.
     Detect(StuckAtFault, Option<(NodeId, bool)>),
     Justify(NodeId, bool),
@@ -143,39 +143,31 @@ enum Tri {
 
 /// Evaluates one node of the 5-valued model from the current `values` /
 /// `assignment` state, applying the fault injection when `id` is the
-/// fault site. Free function so callers can hold disjoint field borrows.
+/// fault site. Gates read their fanins straight from `values`. Free
+/// function so callers can hold disjoint field borrows.
+#[inline]
 fn eval_node(
     circuit: &Circuit,
     id: NodeId,
     values: &[V5],
-    ins: &mut Vec<V5>,
     assignment: &[Option<bool>],
     source_pos: &[usize],
     fault: Option<StuckAtFault>,
 ) -> V5 {
-    let node = circuit.node(id);
-    let mut v = match node.kind() {
+    let v = match circuit.kind(id) {
         GateKind::Input | GateKind::Dff => match assignment[source_pos[id.index()]] {
             Some(b) => V5::from_bool(b),
             None => V5::X,
         },
-        GateKind::Const0 => V5::Zero,
-        GateKind::Const1 => V5::One,
-        kind => {
-            ins.clear();
-            ins.extend(node.fanins().iter().map(|&fi| values[fi.index()]));
-            eval5(kind, ins)
-        }
+        kind => eval_gate5(
+            kind,
+            circuit.fanins(id).iter().map(|&fi| values[fi.index()]),
+        ),
     };
-    if let Some(f) = fault {
-        if f.node == id {
-            v = match v.good() {
-                Some(g) => V5::from_pair(g, f.stuck_at),
-                None => V5::X,
-            };
-        }
+    match fault {
+        Some(f) if f.node == id => v.with_faulty(f.stuck_at),
+        _ => v,
     }
-    v
 }
 
 /// One from-scratch 5-valued evaluation of every node in topological
@@ -187,20 +179,26 @@ fn evaluate(
     fault: Option<StuckAtFault>,
 ) -> Vec<V5> {
     let mut values = vec![V5::X; circuit.len()];
-    let mut ins = Vec::new();
     for &id in circuit.topo_order() {
-        values[id.index()] = eval_node(
-            circuit, id, &values, &mut ins, assignment, source_pos, fault,
-        );
+        values[id.index()] = eval_node(circuit, id, &values, assignment, source_pos, fault);
     }
     values
 }
 
-/// Single-pass fanin closure of `seed` over the topological order,
-/// through **every** node kind — exactly the set of nodes the original
-/// whole-circuit X-path scan could ever mark reachable (that scan reads
-/// structural fanins of flip-flops too, so [`Circuit::fanout_cone`],
-/// which stops at non-combinational nodes, would under-approximate it).
+/// Single-pass fanout closure of `seed` over the topological order,
+/// through **every** node kind: a node joins when any of its structural
+/// fanins has joined, flip-flops included — exactly the set of nodes the
+/// original whole-circuit X-path scan could ever mark reachable (that
+/// scan reads the structural fanins of flip-flops too).
+///
+/// It is not [`Circuit::fanout_cone`], which stops at flip-flops: when
+/// `seed` drives a flip-flop's D pin, that flip-flop and its own
+/// combinational fanout join here as well. Flip-flops precede every gate
+/// in the topological order, so no gate pulls one in: only flip-flops
+/// whose D pin `seed` drives (directly, or through other flip-flops) join.
+/// The extra nodes do not change an X-path answer: the check runs only
+/// once the site carries a fault effect, and a site that drives a D pin
+/// is an observation point itself, so the check succeeds at the site.
 fn x_path_cone(circuit: &Circuit, seed: NodeId, marks: &mut ConeMarks) -> Box<[NodeId]> {
     marks.begin(circuit.len());
     marks.set(seed);
@@ -383,7 +381,6 @@ impl Learned {
     ) -> Self {
         let n = circuit.len();
         let mut values = baseline.to_vec();
-        let mut ins = Vec::new();
         let mut assignment: Vec<Option<bool>> = vec![None; sources.len()];
         let as_binary = |v: V5| if v.is_binary() { v.good() } else { None };
         let mut constant: Vec<Option<bool>> = values.iter().map(|&v| as_binary(v)).collect();
@@ -398,15 +395,8 @@ impl Learned {
             for v in [false, true] {
                 assignment[k] = Some(v);
                 for &id in cone.iter() {
-                    values[id.index()] = eval_node(
-                        circuit,
-                        id,
-                        &values,
-                        &mut ins,
-                        &assignment,
-                        source_pos,
-                        None,
-                    );
+                    values[id.index()] =
+                        eval_node(circuit, id, &values, &assignment, source_pos, None);
                 }
                 for &id in cone.iter() {
                     let i = id.index();
@@ -447,27 +437,582 @@ impl Learned {
     }
 }
 
-/// Reusable PODEM search engine.
+/// What one PODEM run did, in the units of [`fastmon_obs::AtpgMetrics`].
+/// A run returns it instead of recording it, so a caller that runs
+/// searches ahead of need records only the runs whose outcome it keeps.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunTally {
+    backtracks: u32,
+    implications: u64,
+    necessities: u64,
+    learned_untestable: bool,
+    aborted: bool,
+}
+
+impl RunTally {
+    /// Records this run as one PODEM call.
+    pub(crate) fn record(self, m: &fastmon_obs::AtpgMetrics) {
+        m.podem_calls.incr();
+        m.podem_backtracks.add(u64::from(self.backtracks));
+        m.podem_implications.add(self.implications);
+        m.podem_necessity_assignments.add(self.necessities);
+        if self.learned_untestable {
+            m.podem_learned_untestable.incr();
+        }
+        if self.aborted {
+            m.podem_aborts.incr();
+        }
+    }
+}
+
+/// The read-only half of PODEM: everything built once per circuit and
+/// only read by a search — the source order, the fault-free all-X
+/// baseline, the [testability](Testability) costs, the
+/// [learned](Learned) implications and the observation-point drivers.
+/// One analysis serves any number of [`PodemSearch`]es, on any thread.
+pub(crate) struct PodemAnalysis<'c> {
+    circuit: &'c Circuit,
+    sources: Vec<NodeId>,
+    source_pos: Vec<usize>,
+    /// The evaluation under the empty assignment and no fault.
+    baseline: Vec<V5>,
+    testability: Testability,
+    learned: Learned,
+    /// Observation-point drivers, for the dynamic D-frontier filter.
+    op_driver: Vec<bool>,
+}
+
+impl<'c> PodemAnalysis<'c> {
+    pub(crate) fn new(circuit: &'c Circuit) -> Self {
+        let sources = TestSet::source_order(circuit);
+        let mut source_pos = vec![usize::MAX; circuit.len()];
+        for (k, &s) in sources.iter().enumerate() {
+            source_pos[s.index()] = k;
+        }
+        let baseline = evaluate(circuit, &vec![None; sources.len()], &source_pos, None);
+        let learned = Learned::build(
+            circuit,
+            &sources,
+            &source_pos,
+            &baseline,
+            &mut ConeMarks::new(),
+        );
+        let mut op_driver = vec![false; circuit.len()];
+        for op in circuit.observe_points() {
+            op_driver[op.driver.index()] = true;
+        }
+        PodemAnalysis {
+            circuit,
+            sources,
+            source_pos,
+            baseline,
+            testability: Testability::build(circuit),
+            learned,
+            op_driver,
+        }
+    }
+}
+
+/// The mutable half of PODEM: one search's buffers, reused across runs.
 ///
-/// All per-circuit state — source ordering, the 5-valued value array and
-/// its all-X baseline, the implication queue, the X-path scratch and the
-/// lazily cached fault-site cones — lives in the engine and is shared
-/// across faults, so a generation loop that targets thousands of faults
-/// allocates once instead of per call. More importantly, the three inner
-/// loops of the search are **bounded**:
+/// The three inner loops of the search are **bounded**:
 ///
 /// * forward implication is event-driven (selective trace): a gate is
 ///   re-evaluated only when one of its fanins changed value, level by
-///   level, and a run starts from the cached all-X baseline instead of a
-///   whole-circuit pass;
+///   level, and a run starts from the analysis's all-X baseline instead of
+///   a whole-circuit pass;
 /// * the D-frontier scan walks the fault site's fanout cone instead of
 ///   every combinational node (fault effects cannot exist elsewhere);
-/// * the X-path check walks a cached fanin closure of the fault site.
+/// * the X-path check walks a cached [fanout closure](x_path_cone) of the
+///   fault site.
 ///
 /// Every bound is exact — implication reaches the same unique fixed point
 /// as a full topological sweep, and the restricted walks visit the same
 /// candidates in the same (topological) order as the original
-/// whole-circuit walks.
+/// whole-circuit walks. A run resets the assignment and the values before
+/// it starts, and the cached cones only bound walks, so an outcome depends
+/// on the goal and the backtrack limit alone: not on earlier runs, and not
+/// on which search ran it.
+pub(crate) struct PodemSearch {
+    /// Always the evaluation of `assignment` under the current goal's
+    /// fault, once `queue` is drained.
+    values: Vec<V5>,
+    assignment: Vec<Option<bool>>,
+    /// Pending gate evaluations of the event-driven implication.
+    queue: LevelQueue,
+    /// The level being implied.
+    level: Vec<NodeId>,
+    /// Gate evaluations done by implication in the current run.
+    implications: u64,
+    reach: Vec<bool>,
+    /// Combinational fanout cones of fault sites (D-frontier scan),
+    /// lazily built and reused across runs.
+    cones: Vec<Option<Box<[NodeId]>>>,
+    /// Fanout closures through every node kind ([`x_path_cone`]) of fault
+    /// sites, for the X-path check.
+    xcones: Vec<Option<Box<[NodeId]>>>,
+    /// Scratch for the reverse can-reach-an-OP-through-X sweep; false
+    /// outside an `objective` call.
+    xreach: Vec<bool>,
+    /// Shared mark scratch for the lazy cone builds.
+    cone_marks: ConeMarks,
+    /// Shared cone buffer for the lazy cone builds.
+    cone_buf: Vec<NodeId>,
+    backtracks_left: u32,
+}
+
+impl PodemSearch {
+    pub(crate) fn new(analysis: &PodemAnalysis<'_>) -> Self {
+        let n = analysis.circuit.len();
+        PodemSearch {
+            values: analysis.baseline.clone(),
+            assignment: vec![None; analysis.sources.len()],
+            queue: LevelQueue::new(),
+            level: Vec::new(),
+            implications: 0,
+            reach: vec![false; n],
+            cones: vec![None; n],
+            xcones: vec![None; n],
+            xreach: vec![false; n],
+            cone_marks: ConeMarks::new(),
+            cone_buf: Vec::new(),
+            backtracks_left: 0,
+        }
+    }
+
+    /// Runs PODEM for `goal` over `a`, the analysis this search was built
+    /// from.
+    pub(crate) fn run(
+        &mut self,
+        a: &PodemAnalysis<'_>,
+        goal: Goal,
+        max_backtracks: u32,
+    ) -> (PodemOutcome, RunTally) {
+        self.assignment.fill(None);
+        self.values.copy_from_slice(&a.baseline);
+        self.backtracks_left = max_backtracks;
+        self.implications = 0;
+        if let Some(f) = goal.fault() {
+            self.ensure_cones(a.circuit, f.node);
+            self.queue.push(a.circuit, f.node);
+        }
+        let (contradiction, necessities) = self.apply_learned(a, goal);
+        self.propagate(a, goal.fault());
+        let outcome = if contradiction {
+            PodemOutcome::Untestable
+        } else {
+            match self.search(a, goal) {
+                Tri::Success => PodemOutcome::Test(self.assignment.clone()),
+                Tri::Fail => PodemOutcome::Untestable,
+                Tri::Abort => PodemOutcome::Aborted,
+            }
+        };
+        let tally = RunTally {
+            backtracks: max_backtracks - self.backtracks_left,
+            implications: self.implications,
+            necessities,
+            learned_untestable: contradiction,
+            aborted: matches!(outcome, PodemOutcome::Aborted),
+        };
+        (outcome, tally)
+    }
+
+    /// The static-learning preamble: checks every goal requirement against
+    /// learned constants and implications. Returns `(true, _)` when some
+    /// requirement is provably unsatisfiable (the goal is `Untestable`
+    /// without any search); otherwise pre-assigns each source whose value
+    /// would force a requirement to the wrong constant — those assignments
+    /// are *necessary*, so exhausting the remaining space still proves
+    /// untestability. Every pre-assigned source is queued for implication.
+    fn apply_learned(&mut self, a: &PodemAnalysis<'_>, goal: Goal) -> (bool, u64) {
+        let mut necessities = 0u64;
+        for (node, value) in goal.requirements().into_iter().flatten() {
+            let i = node.index();
+            if let Some(c) = a.learned.constant[i] {
+                if c != value {
+                    return (true, necessities);
+                }
+                continue;
+            }
+            for &(k, source_value, implied) in &a.learned.implications[i] {
+                if implied == value {
+                    continue;
+                }
+                // `source = source_value` forces the wrong value here, so
+                // the opposite source value is necessary
+                let need = !source_value;
+                match self.assignment[k as usize] {
+                    Some(prev) if prev != need => return (true, necessities),
+                    Some(_) => {}
+                    None => {
+                        self.assignment[k as usize] = Some(need);
+                        self.queue.push(a.circuit, a.sources[k as usize]);
+                        necessities += 1;
+                    }
+                }
+            }
+        }
+        (false, necessities)
+    }
+
+    /// Caches both cone flavours for a fault site.
+    fn ensure_cones(&mut self, circuit: &Circuit, node: NodeId) {
+        let idx = node.index();
+        if self.cones[idx].is_none() {
+            circuit.fanout_cone_into(node, &mut self.cone_marks, &mut self.cone_buf);
+            self.cones[idx] = Some(self.cone_buf.as_slice().into());
+        }
+        if self.xcones[idx].is_none() {
+            self.xcones[idx] = Some(x_path_cone(circuit, node, &mut self.cone_marks));
+        }
+    }
+
+    /// Event-driven forward implication: drains the queue in level order,
+    /// re-evaluating each queued node and queueing the combinational
+    /// fanouts of every node whose value changed. Nodes that are not queued
+    /// keep their value, so `values` settles on the same fixed point as a
+    /// whole-circuit sweep.
+    fn propagate(&mut self, a: &PodemAnalysis<'_>, fault: Option<StuckAtFault>) {
+        let circuit = a.circuit;
+        while self.queue.pop_level(&mut self.level) {
+            self.implications += self.level.len() as u64;
+            for &id in &self.level {
+                let i = id.index();
+                let v = eval_node(
+                    circuit,
+                    id,
+                    &self.values,
+                    &self.assignment,
+                    &a.source_pos,
+                    fault,
+                );
+                if v != self.values[i] {
+                    self.values[i] = v;
+                    for &fo in circuit.fanouts(id) {
+                        if circuit.kind(fo).is_combinational() {
+                            self.queue.push(circuit, fo);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Sets source `k` to `value` and implies the change forward.
+    fn assign(
+        &mut self,
+        a: &PodemAnalysis<'_>,
+        k: usize,
+        value: Option<bool>,
+        fault: Option<StuckAtFault>,
+    ) {
+        self.assignment[k] = value;
+        self.queue.push(a.circuit, a.sources[k]);
+        self.propagate(a, fault);
+    }
+
+    fn success(&self, a: &PodemAnalysis<'_>, goal: Goal) -> bool {
+        match goal {
+            Goal::Justify(node, value) => self.values[node.index()] == V5::from_bool(value),
+            Goal::Detect(_, side) => {
+                let side_ok = side
+                    .is_none_or(|(node, value)| self.values[node.index()].good() == Some(value));
+                side_ok
+                    && a.circuit
+                        .observe_points()
+                        .iter()
+                        .any(|op| self.values[op.driver.index()].is_fault_effect())
+            }
+        }
+    }
+
+    /// Returns `true` when the current partial assignment can no longer
+    /// lead to success.
+    fn hopeless(&mut self, a: &PodemAnalysis<'_>, goal: Goal) -> bool {
+        match goal {
+            Goal::Justify(node, value) => {
+                let v = self.values[node.index()];
+                v.is_binary() && v != V5::from_bool(value)
+            }
+            Goal::Detect(fault, side) => {
+                if let Some((node, value)) = side {
+                    // launch value fixed to the wrong polarity: dead branch
+                    let v = self.values[node.index()];
+                    if v.good().is_some_and(|g| g != value) {
+                        return true;
+                    }
+                }
+                let at_site = self.values[fault.node.index()];
+                if at_site.is_binary() {
+                    return true; // good == stuck: can never activate
+                }
+                if at_site.is_fault_effect() {
+                    // activated: need an X-path from the frontier
+                    !self.x_path_exists(a.circuit, fault)
+                } else {
+                    false // site still X: activation pending
+                }
+            }
+        }
+    }
+
+    /// Whether some fault effect can still reach an observation point
+    /// through X-valued logic. Walks the fault site's cached fanout
+    /// closure instead of the whole circuit — nodes outside it can never
+    /// be marked — using (and then clearing) the persistent `reach`
+    /// scratch.
+    fn x_path_exists(&mut self, circuit: &Circuit, fault: StuckAtFault) -> bool {
+        let cone = self.xcones[fault.node.index()].as_deref().unwrap_or(&[]);
+        for &id in cone {
+            let v = self.values[id.index()];
+            let mark = if v.is_fault_effect() {
+                true
+            } else if v == V5::X {
+                circuit.fanins(id).iter().any(|&fi| self.reach[fi.index()])
+            } else {
+                false
+            };
+            self.reach[id.index()] = mark;
+        }
+        let hit = circuit
+            .observe_points()
+            .iter()
+            .any(|op| self.reach[op.driver.index()]);
+        for &id in cone {
+            self.reach[id.index()] = false;
+        }
+        hit
+    }
+
+    /// The next objective `(node, value)` to pursue, or `None` when stuck.
+    fn objective(&mut self, a: &PodemAnalysis<'_>, goal: Goal) -> Option<(NodeId, bool)> {
+        match goal {
+            Goal::Justify(node, value) => {
+                (self.values[node.index()] == V5::X).then_some((node, value))
+            }
+            Goal::Detect(fault, side) => {
+                if let Some((node, value)) = side {
+                    if self.values[node.index()] == V5::X {
+                        return Some((node, value));
+                    }
+                }
+                let at_site = self.values[fault.node.index()];
+                if at_site == V5::X {
+                    return Some((fault.node, !fault.stuck_at));
+                }
+                if !at_site.is_fault_effect() {
+                    return None;
+                }
+                // D-frontier: gates with an X output and a fault-effect
+                // input. Effect-carrying nodes live inside the fault
+                // site's combinational fanout cone, and so do their fanout
+                // gates. Frontier gates whose output cannot reach an
+                // observation point through X-valued logic any more are
+                // dead ends — a reverse sweep over the cone filters them
+                // out before they burn decisions. Among the live gates,
+                // pursue the one whose output is *easiest to observe*
+                // (minimum SCOAP CO, ties broken toward the first in
+                // topological order) — the fault effect takes the cheapest
+                // path out.
+                let cone = self.cones[fault.node.index()].as_deref().unwrap_or(&[]);
+                for &id in cone.iter().rev() {
+                    let i = id.index();
+                    // before: `xreach[i]` = some already-processed fanout
+                    // reaches an OP through X; after: this node does
+                    let ok = self.values[i] == V5::X && (a.op_driver[i] || self.xreach[i]);
+                    self.xreach[i] = ok;
+                    if ok {
+                        for &fi in a.circuit.fanins(id) {
+                            self.xreach[fi.index()] = true;
+                        }
+                    }
+                }
+                let mut best: Option<(u32, NodeId)> = None;
+                for &id in cone {
+                    if self.values[id.index()] != V5::X || !self.xreach[id.index()] {
+                        continue;
+                    }
+                    let node = a.circuit.node(id);
+                    if !node.kind().is_combinational() {
+                        continue;
+                    }
+                    let has_effect = node
+                        .fanins()
+                        .iter()
+                        .any(|&fi| self.values[fi.index()].is_fault_effect());
+                    let has_x = node
+                        .fanins()
+                        .iter()
+                        .any(|&fi| self.values[fi.index()] == V5::X);
+                    if !has_effect || !has_x {
+                        continue;
+                    }
+                    let cost = a.testability.co[id.index()];
+                    if best.is_none_or(|(c, _)| cost < c) {
+                        best = Some((cost, id));
+                    }
+                }
+                // the sweep marks side fanins outside the cone too: clear
+                // everything it could have touched before returning
+                for &id in cone {
+                    self.xreach[id.index()] = false;
+                    for &fi in a.circuit.fanins(id) {
+                        self.xreach[fi.index()] = false;
+                    }
+                }
+                let (_, id) = best?;
+                let node = a.circuit.node(id);
+                // Side inputs: to pass the effect, *every* X side input
+                // must eventually go non-controlling, so surface conflicts
+                // early by driving the hardest one first. XOR-class gates
+                // propagate through any binary value — still take the
+                // hardest input, but aim for its cheaper value.
+                let mut pick: Option<(u32, NodeId, bool)> = None;
+                for &fi in node.fanins() {
+                    let f = fi.index();
+                    if self.values[f] != V5::X {
+                        continue;
+                    }
+                    let (cost, v) = match node.kind().controlling_value() {
+                        Some(c) => (a.testability.cc(f, !c), !c),
+                        None => {
+                            let (c0, c1) = (a.testability.cc0[f], a.testability.cc1[f]);
+                            (c0.min(c1), c1 < c0)
+                        }
+                    };
+                    if pick.is_none_or(|(c, _, _)| cost > c) {
+                        pick = Some((cost, fi, v));
+                    }
+                }
+                pick.map(|(_, fi, v)| (fi, v))
+            }
+        }
+    }
+
+    /// Maps an objective to a source assignment by walking X inputs
+    /// backwards, ordered by the SCOAP controllability costs: where one
+    /// controlling input suffices the *easiest* X input is taken, where
+    /// every input must go non-controlling the *hardest* is taken first so
+    /// infeasible branches die at the top of the decision stack instead of
+    /// after a pile of cheap assignments.
+    fn backtrace(&self, a: &PodemAnalysis<'_>, mut node: NodeId, mut value: bool) -> (usize, bool) {
+        loop {
+            let pos = a.source_pos[node.index()];
+            if pos != usize::MAX {
+                return (pos, value);
+            }
+            let n = a.circuit.node(node);
+            let kind = n.kind();
+            let pre = value ^ kind.is_inverting();
+            // choose an X-valued input and the value to aim for there
+            let (next, next_value) = match kind {
+                GateKind::Buf | GateKind::Not => (n.fanins()[0], pre),
+                GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                    let ctrl = kind
+                        .controlling_value()
+                        .unwrap_or_else(|| unreachable!("and/or class controlling value"));
+                    // needing the non-controlled output means every input
+                    // is necessary (pick the hardest); a controlled output
+                    // is a free choice (pick the easiest)
+                    let all_necessary = pre != ctrl;
+                    let needed = if all_necessary { !ctrl } else { ctrl };
+                    let mut pick: Option<(u32, NodeId)> = None;
+                    for &fi in n.fanins() {
+                        let f = fi.index();
+                        if self.values[f] != V5::X {
+                            continue;
+                        }
+                        let cost = a.testability.cc(f, needed);
+                        let better =
+                            pick.is_none_or(
+                                |(c, _)| {
+                                    if all_necessary {
+                                        cost > c
+                                    } else {
+                                        cost < c
+                                    }
+                                },
+                            );
+                        if better {
+                            pick = Some((cost, fi));
+                        }
+                    }
+                    let (_, x_input) =
+                        pick.unwrap_or_else(|| unreachable!("X output implies an X input"));
+                    (x_input, needed)
+                }
+                GateKind::Xor | GateKind::Xnor => {
+                    // every input must settle to a binary value; take the
+                    // cheapest-to-control X input first
+                    let mut pick: Option<(u32, NodeId)> = None;
+                    for &fi in n.fanins() {
+                        let f = fi.index();
+                        if self.values[f] != V5::X {
+                            continue;
+                        }
+                        let cost = a.testability.cc0[f].min(a.testability.cc1[f]);
+                        if pick.is_none_or(|(c, _)| cost < c) {
+                            pick = Some((cost, fi));
+                        }
+                    }
+                    let (_, x_input) =
+                        pick.unwrap_or_else(|| unreachable!("X output implies an X input"));
+                    // parity of the other inputs' known good bits
+                    let parity = n
+                        .fanins()
+                        .iter()
+                        .filter(|&&fi| fi != x_input)
+                        .map(|&fi| self.values[fi.index()].good().unwrap_or(false))
+                        .fold(false, |a, b| a ^ b);
+                    (x_input, pre ^ parity)
+                }
+                GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1 => {
+                    unreachable!("sources are caught above; constants are never X")
+                }
+            };
+            node = next;
+            value = next_value;
+        }
+    }
+
+    fn search(&mut self, a: &PodemAnalysis<'_>, goal: Goal) -> Tri {
+        if self.success(a, goal) {
+            return Tri::Success;
+        }
+        if self.hopeless(a, goal) {
+            return Tri::Fail;
+        }
+        let Some((obj_node, obj_value)) = self.objective(a, goal) else {
+            return Tri::Fail;
+        };
+        let (src, first) = self.backtrace(a, obj_node, obj_value);
+        for value in [first, !first] {
+            self.assign(a, src, Some(value), goal.fault());
+            match self.search(a, goal) {
+                Tri::Success => return Tri::Success,
+                Tri::Abort => return Tri::Abort,
+                Tri::Fail => {
+                    if self.backtracks_left == 0 {
+                        return Tri::Abort;
+                    }
+                    self.backtracks_left -= 1;
+                }
+            }
+        }
+        self.assign(a, src, None, goal.fault());
+        Tri::Fail
+    }
+}
+
+/// Reusable PODEM search engine: a [`PodemAnalysis`] of one circuit and
+/// one [`PodemSearch`] over it.
+///
+/// All per-circuit state — source ordering, the all-X baseline, the
+/// testability costs and learned implications — is built once, and the
+/// search buffers and lazily cached fault-site cones are reused across
+/// faults, so a generation loop that targets thousands of faults
+/// allocates once instead of per call. [`generate`](crate::generate)
+/// shares one analysis between one search per worker instead.
 ///
 /// The *order* in which candidates are tried is testability-guided:
 /// [SCOAP-style](Testability) controllability/observability costs pick the
@@ -480,40 +1025,8 @@ impl Learned {
 /// the cubes differ from the unguided first-X-input engine, trading
 /// bit-compatibility for an order-of-magnitude backtrack reduction.
 pub struct PodemEngine<'c> {
-    circuit: &'c Circuit,
-    sources: Vec<NodeId>,
-    source_pos: Vec<usize>,
-    /// Always the evaluation of `assignment` under the current goal's
-    /// fault, once `queue` is drained.
-    values: Vec<V5>,
-    /// `values` under the empty assignment and no fault.
-    baseline: Vec<V5>,
-    assignment: Vec<Option<bool>>,
-    /// Pending gate evaluations of the event-driven implication.
-    queue: LevelQueue,
-    /// The level being implied.
-    level: Vec<NodeId>,
-    /// Gate evaluations done by implication in the current run.
-    implications: u64,
-    ins: Vec<V5>,
-    reach: Vec<bool>,
-    /// Combinational fanout cones of fault sites (D-frontier scan),
-    /// lazily built and reused across runs.
-    cones: Vec<Option<Box<[NodeId]>>>,
-    /// Through-anything fanin closures for the X-path check.
-    xcones: Vec<Option<Box<[NodeId]>>>,
-    testability: Testability,
-    learned: Learned,
-    /// Observation-point drivers, for the dynamic D-frontier filter.
-    op_driver: Vec<bool>,
-    /// Scratch for the reverse can-reach-an-OP-through-X sweep; false
-    /// outside an `objective` call.
-    xreach: Vec<bool>,
-    /// Shared mark scratch for the lazy cone builds.
-    cone_marks: ConeMarks,
-    /// Shared cone buffer for the lazy cone builds.
-    cone_buf: Vec<NodeId>,
-    backtracks_left: u32,
+    analysis: PodemAnalysis<'c>,
+    search: PodemSearch,
 }
 
 impl<'c> PodemEngine<'c> {
@@ -522,41 +1035,9 @@ impl<'c> PodemEngine<'c> {
     /// like.
     #[must_use]
     pub fn new(circuit: &'c Circuit) -> Self {
-        let sources = TestSet::source_order(circuit);
-        let mut source_pos = vec![usize::MAX; circuit.len()];
-        for (k, &s) in sources.iter().enumerate() {
-            source_pos[s.index()] = k;
-        }
-        let n = sources.len();
-        let baseline = evaluate(circuit, &vec![None; n], &source_pos, None);
-        let mut cone_marks = ConeMarks::new();
-        let learned = Learned::build(circuit, &sources, &source_pos, &baseline, &mut cone_marks);
-        let mut op_driver = vec![false; circuit.len()];
-        for op in circuit.observe_points() {
-            op_driver[op.driver.index()] = true;
-        }
-        PodemEngine {
-            circuit,
-            sources,
-            source_pos,
-            values: baseline.clone(),
-            baseline,
-            assignment: vec![None; n],
-            queue: LevelQueue::new(),
-            level: Vec::new(),
-            implications: 0,
-            ins: Vec::new(),
-            reach: vec![false; circuit.len()],
-            cones: vec![None; circuit.len()],
-            xcones: vec![None; circuit.len()],
-            testability: Testability::build(circuit),
-            learned,
-            op_driver,
-            xreach: vec![false; circuit.len()],
-            cone_marks,
-            cone_buf: Vec::new(),
-            backtracks_left: 0,
-        }
+        let analysis = PodemAnalysis::new(circuit);
+        let search = PodemSearch::new(&analysis);
+        PodemEngine { analysis, search }
     }
 
     /// [`podem`] on this engine's circuit, reusing cached cones/buffers.
@@ -611,426 +1092,11 @@ impl<'c> PodemEngine<'c> {
         max_backtracks: u32,
         metrics: Option<&fastmon_obs::AtpgMetrics>,
     ) -> PodemOutcome {
-        self.assignment.fill(None);
-        self.values.copy_from_slice(&self.baseline);
-        self.backtracks_left = max_backtracks;
-        self.implications = 0;
-        if let Some(f) = goal.fault() {
-            self.ensure_cones(f.node);
-            self.queue.push(self.circuit, f.node);
-        }
-        let (contradiction, necessities) = self.apply_learned(goal);
-        self.propagate(goal.fault());
-        let outcome = if contradiction {
-            PodemOutcome::Untestable
-        } else {
-            match self.search(goal) {
-                Tri::Success => PodemOutcome::Test(self.assignment.clone()),
-                Tri::Fail => PodemOutcome::Untestable,
-                Tri::Abort => PodemOutcome::Aborted,
-            }
-        };
+        let (outcome, tally) = self.search.run(&self.analysis, goal, max_backtracks);
         if let Some(m) = metrics {
-            m.podem_calls.incr();
-            m.podem_backtracks
-                .add(u64::from(max_backtracks - self.backtracks_left));
-            m.podem_implications.add(self.implications);
-            m.podem_necessity_assignments.add(necessities);
-            if contradiction {
-                m.podem_learned_untestable.incr();
-            }
-            if matches!(outcome, PodemOutcome::Aborted) {
-                m.podem_aborts.incr();
-            }
+            tally.record(m);
         }
         outcome
-    }
-
-    /// The static-learning preamble: checks every goal requirement against
-    /// learned constants and implications. Returns `(true, _)` when some
-    /// requirement is provably unsatisfiable (the goal is `Untestable`
-    /// without any search); otherwise pre-assigns each source whose value
-    /// would force a requirement to the wrong constant — those assignments
-    /// are *necessary*, so exhausting the remaining space still proves
-    /// untestability. Every pre-assigned source is queued for implication.
-    fn apply_learned(&mut self, goal: Goal) -> (bool, u64) {
-        let mut necessities = 0u64;
-        for (node, value) in goal.requirements().into_iter().flatten() {
-            let i = node.index();
-            if let Some(c) = self.learned.constant[i] {
-                if c != value {
-                    return (true, necessities);
-                }
-                continue;
-            }
-            for &(k, source_value, implied) in &self.learned.implications[i] {
-                if implied == value {
-                    continue;
-                }
-                // `source = source_value` forces the wrong value here, so
-                // the opposite source value is necessary
-                let need = !source_value;
-                match self.assignment[k as usize] {
-                    Some(prev) if prev != need => return (true, necessities),
-                    Some(_) => {}
-                    None => {
-                        self.assignment[k as usize] = Some(need);
-                        self.queue.push(self.circuit, self.sources[k as usize]);
-                        necessities += 1;
-                    }
-                }
-            }
-        }
-        (false, necessities)
-    }
-
-    /// Caches both cone flavours for a fault site.
-    fn ensure_cones(&mut self, node: NodeId) {
-        let idx = node.index();
-        if self.cones[idx].is_none() {
-            self.circuit
-                .fanout_cone_into(node, &mut self.cone_marks, &mut self.cone_buf);
-            self.cones[idx] = Some(self.cone_buf.as_slice().into());
-        }
-        if self.xcones[idx].is_none() {
-            self.xcones[idx] = Some(x_path_cone(self.circuit, node, &mut self.cone_marks));
-        }
-    }
-
-    /// Event-driven forward implication: drains the queue in level order,
-    /// re-evaluating each queued node and queueing the combinational
-    /// fanouts of every node whose value changed. Nodes that are not queued
-    /// keep their value, so `values` settles on the same fixed point as a
-    /// whole-circuit sweep.
-    fn propagate(&mut self, fault: Option<StuckAtFault>) {
-        let circuit = self.circuit;
-        while self.queue.pop_level(&mut self.level) {
-            self.implications += self.level.len() as u64;
-            for &id in &self.level {
-                let i = id.index();
-                let v = eval_node(
-                    circuit,
-                    id,
-                    &self.values,
-                    &mut self.ins,
-                    &self.assignment,
-                    &self.source_pos,
-                    fault,
-                );
-                if v != self.values[i] {
-                    self.values[i] = v;
-                    for &fo in circuit.fanouts(id) {
-                        if circuit.kind(fo).is_combinational() {
-                            self.queue.push(circuit, fo);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sets source `k` to `value` and implies the change forward.
-    fn assign(&mut self, k: usize, value: Option<bool>, fault: Option<StuckAtFault>) {
-        self.assignment[k] = value;
-        self.queue.push(self.circuit, self.sources[k]);
-        self.propagate(fault);
-    }
-
-    fn success(&self, goal: Goal) -> bool {
-        match goal {
-            Goal::Justify(node, value) => self.values[node.index()] == V5::from_bool(value),
-            Goal::Detect(_, side) => {
-                let side_ok = side
-                    .is_none_or(|(node, value)| self.values[node.index()].good() == Some(value));
-                side_ok
-                    && self
-                        .circuit
-                        .observe_points()
-                        .iter()
-                        .any(|op| self.values[op.driver.index()].is_fault_effect())
-            }
-        }
-    }
-
-    /// Returns `true` when the current partial assignment can no longer
-    /// lead to success.
-    fn hopeless(&mut self, goal: Goal) -> bool {
-        match goal {
-            Goal::Justify(node, value) => {
-                let v = self.values[node.index()];
-                v.is_binary() && v != V5::from_bool(value)
-            }
-            Goal::Detect(fault, side) => {
-                if let Some((node, value)) = side {
-                    // launch value fixed to the wrong polarity: dead branch
-                    let v = self.values[node.index()];
-                    if v.good().is_some_and(|g| g != value) {
-                        return true;
-                    }
-                }
-                let at_site = self.values[fault.node.index()];
-                if at_site.is_binary() {
-                    return true; // good == stuck: can never activate
-                }
-                if at_site.is_fault_effect() {
-                    // activated: need an X-path from the frontier
-                    !self.x_path_exists(fault)
-                } else {
-                    false // site still X: activation pending
-                }
-            }
-        }
-    }
-
-    /// Whether some fault effect can still reach an observation point
-    /// through X-valued logic. Walks the fault site's cached fanin closure
-    /// instead of the whole circuit — nodes outside it can never be marked
-    /// — using (and then clearing) the persistent `reach` scratch.
-    fn x_path_exists(&mut self, fault: StuckAtFault) -> bool {
-        let cone = self.xcones[fault.node.index()].as_deref().unwrap_or(&[]);
-        for &id in cone {
-            let v = self.values[id.index()];
-            let mark = if v.is_fault_effect() {
-                true
-            } else if v == V5::X {
-                self.circuit
-                    .node(id)
-                    .fanins()
-                    .iter()
-                    .any(|&fi| self.reach[fi.index()])
-            } else {
-                false
-            };
-            self.reach[id.index()] = mark;
-        }
-        let hit = self
-            .circuit
-            .observe_points()
-            .iter()
-            .any(|op| self.reach[op.driver.index()]);
-        for &id in cone {
-            self.reach[id.index()] = false;
-        }
-        hit
-    }
-
-    /// The next objective `(node, value)` to pursue, or `None` when stuck.
-    fn objective(&mut self, goal: Goal) -> Option<(NodeId, bool)> {
-        match goal {
-            Goal::Justify(node, value) => {
-                (self.values[node.index()] == V5::X).then_some((node, value))
-            }
-            Goal::Detect(fault, side) => {
-                if let Some((node, value)) = side {
-                    if self.values[node.index()] == V5::X {
-                        return Some((node, value));
-                    }
-                }
-                let at_site = self.values[fault.node.index()];
-                if at_site == V5::X {
-                    return Some((fault.node, !fault.stuck_at));
-                }
-                if !at_site.is_fault_effect() {
-                    return None;
-                }
-                // D-frontier: gates with an X output and a fault-effect
-                // input. Effect-carrying nodes live inside the fault
-                // site's combinational fanout cone, and so do their fanout
-                // gates. Frontier gates whose output cannot reach an
-                // observation point through X-valued logic any more are
-                // dead ends — a reverse sweep over the cone filters them
-                // out before they burn decisions. Among the live gates,
-                // pursue the one whose output is *easiest to observe*
-                // (minimum SCOAP CO, ties broken toward the first in
-                // topological order) — the fault effect takes the cheapest
-                // path out.
-                let cone = self.cones[fault.node.index()].as_deref().unwrap_or(&[]);
-                for &id in cone.iter().rev() {
-                    let i = id.index();
-                    // before: `xreach[i]` = some already-processed fanout
-                    // reaches an OP through X; after: this node does
-                    let ok = self.values[i] == V5::X && (self.op_driver[i] || self.xreach[i]);
-                    self.xreach[i] = ok;
-                    if ok {
-                        for &fi in self.circuit.node(id).fanins() {
-                            self.xreach[fi.index()] = true;
-                        }
-                    }
-                }
-                let mut best: Option<(u32, NodeId)> = None;
-                for &id in cone {
-                    if self.values[id.index()] != V5::X || !self.xreach[id.index()] {
-                        continue;
-                    }
-                    let node = self.circuit.node(id);
-                    if !node.kind().is_combinational() {
-                        continue;
-                    }
-                    let has_effect = node
-                        .fanins()
-                        .iter()
-                        .any(|&fi| self.values[fi.index()].is_fault_effect());
-                    let has_x = node
-                        .fanins()
-                        .iter()
-                        .any(|&fi| self.values[fi.index()] == V5::X);
-                    if !has_effect || !has_x {
-                        continue;
-                    }
-                    let cost = self.testability.co[id.index()];
-                    if best.is_none_or(|(c, _)| cost < c) {
-                        best = Some((cost, id));
-                    }
-                }
-                // the sweep marks side fanins outside the cone too: clear
-                // everything it could have touched before returning
-                for &id in cone {
-                    self.xreach[id.index()] = false;
-                    for &fi in self.circuit.node(id).fanins() {
-                        self.xreach[fi.index()] = false;
-                    }
-                }
-                let (_, id) = best?;
-                let node = self.circuit.node(id);
-                // Side inputs: to pass the effect, *every* X side input
-                // must eventually go non-controlling, so surface conflicts
-                // early by driving the hardest one first. XOR-class gates
-                // propagate through any binary value — still take the
-                // hardest input, but aim for its cheaper value.
-                let mut pick: Option<(u32, NodeId, bool)> = None;
-                for &fi in node.fanins() {
-                    let f = fi.index();
-                    if self.values[f] != V5::X {
-                        continue;
-                    }
-                    let (cost, v) = match node.kind().controlling_value() {
-                        Some(c) => (self.testability.cc(f, !c), !c),
-                        None => {
-                            let (c0, c1) = (self.testability.cc0[f], self.testability.cc1[f]);
-                            (c0.min(c1), c1 < c0)
-                        }
-                    };
-                    if pick.is_none_or(|(c, _, _)| cost > c) {
-                        pick = Some((cost, fi, v));
-                    }
-                }
-                pick.map(|(_, fi, v)| (fi, v))
-            }
-        }
-    }
-
-    /// Maps an objective to a source assignment by walking X inputs
-    /// backwards, ordered by the SCOAP controllability costs: where one
-    /// controlling input suffices the *easiest* X input is taken, where
-    /// every input must go non-controlling the *hardest* is taken first so
-    /// infeasible branches die at the top of the decision stack instead of
-    /// after a pile of cheap assignments.
-    fn backtrace(&self, mut node: NodeId, mut value: bool) -> (usize, bool) {
-        loop {
-            let pos = self.source_pos[node.index()];
-            if pos != usize::MAX {
-                return (pos, value);
-            }
-            let n = self.circuit.node(node);
-            let kind = n.kind();
-            let pre = value ^ kind.is_inverting();
-            // choose an X-valued input and the value to aim for there
-            let (next, next_value) = match kind {
-                GateKind::Buf | GateKind::Not => (n.fanins()[0], pre),
-                GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                    let ctrl = kind
-                        .controlling_value()
-                        .unwrap_or_else(|| unreachable!("and/or class controlling value"));
-                    // needing the non-controlled output means every input
-                    // is necessary (pick the hardest); a controlled output
-                    // is a free choice (pick the easiest)
-                    let all_necessary = pre != ctrl;
-                    let needed = if all_necessary { !ctrl } else { ctrl };
-                    let mut pick: Option<(u32, NodeId)> = None;
-                    for &fi in n.fanins() {
-                        let f = fi.index();
-                        if self.values[f] != V5::X {
-                            continue;
-                        }
-                        let cost = self.testability.cc(f, needed);
-                        let better =
-                            pick.is_none_or(
-                                |(c, _)| {
-                                    if all_necessary {
-                                        cost > c
-                                    } else {
-                                        cost < c
-                                    }
-                                },
-                            );
-                        if better {
-                            pick = Some((cost, fi));
-                        }
-                    }
-                    let (_, x_input) =
-                        pick.unwrap_or_else(|| unreachable!("X output implies an X input"));
-                    (x_input, needed)
-                }
-                GateKind::Xor | GateKind::Xnor => {
-                    // every input must settle to a binary value; take the
-                    // cheapest-to-control X input first
-                    let mut pick: Option<(u32, NodeId)> = None;
-                    for &fi in n.fanins() {
-                        let f = fi.index();
-                        if self.values[f] != V5::X {
-                            continue;
-                        }
-                        let cost = self.testability.cc0[f].min(self.testability.cc1[f]);
-                        if pick.is_none_or(|(c, _)| cost < c) {
-                            pick = Some((cost, fi));
-                        }
-                    }
-                    let (_, x_input) =
-                        pick.unwrap_or_else(|| unreachable!("X output implies an X input"));
-                    // parity of the other inputs' known good bits
-                    let parity = n
-                        .fanins()
-                        .iter()
-                        .filter(|&&fi| fi != x_input)
-                        .map(|&fi| self.values[fi.index()].good().unwrap_or(false))
-                        .fold(false, |a, b| a ^ b);
-                    (x_input, pre ^ parity)
-                }
-                GateKind::Input | GateKind::Dff | GateKind::Const0 | GateKind::Const1 => {
-                    unreachable!("sources are caught above; constants are never X")
-                }
-            };
-            node = next;
-            value = next_value;
-        }
-    }
-
-    fn search(&mut self, goal: Goal) -> Tri {
-        if self.success(goal) {
-            return Tri::Success;
-        }
-        if self.hopeless(goal) {
-            return Tri::Fail;
-        }
-        let Some((obj_node, obj_value)) = self.objective(goal) else {
-            return Tri::Fail;
-        };
-        let (src, first) = self.backtrace(obj_node, obj_value);
-        for value in [first, !first] {
-            self.assign(src, Some(value), goal.fault());
-            match self.search(goal) {
-                Tri::Success => return Tri::Success,
-                Tri::Abort => return Tri::Abort,
-                Tri::Fail => {
-                    if self.backtracks_left == 0 {
-                        return Tri::Abort;
-                    }
-                    self.backtracks_left -= 1;
-                }
-            }
-        }
-        self.assign(src, None, goal.fault());
-        Tri::Fail
     }
 }
 
@@ -1188,15 +1254,11 @@ mod tests {
         outcome: &PodemOutcome,
         fresh: &PodemOutcome,
     ) {
-        let expected = evaluate(
-            engine.circuit,
-            &engine.assignment,
-            &engine.source_pos,
-            fault,
-        );
-        let drift = (0..expected.len()).find(|&i| engine.values[i] != expected[i]);
+        let (a, s) = (&engine.analysis, &engine.search);
+        let expected = evaluate(a.circuit, &s.assignment, &a.source_pos, fault);
+        let drift = (0..expected.len()).find(|&i| s.values[i] != expected[i]);
         assert_eq!(drift, None, "{fault:?}: implication drifted at this node");
-        assert!(engine.queue.is_empty());
+        assert!(s.queue.is_empty());
         assert_eq!(outcome, fresh, "{fault:?}: reused engine diverged");
     }
 
@@ -1278,6 +1340,44 @@ mod tests {
             }
         }
         assert!(tests > 0 && aborts > 0, "{tests} tests, {aborts} aborts");
+    }
+
+    #[test]
+    fn x_path_cone_passes_the_flip_flops_its_seed_drives() {
+        // s27: G10 drives only the D pin of G5, so its combinational fanout
+        // cone is G10 alone, while the X-path closure also takes in G5 and
+        // G5's fanout G11 -> G17 (G11 feeds G10 too)
+        let c = library::s27();
+        let id = |name: &str| c.find(name).unwrap();
+        let g10 = id("G10");
+        assert_eq!(c.fanout_cone(g10), vec![g10]);
+        let mut closure = x_path_cone(&c, g10, &mut ConeMarks::new()).to_vec();
+        closure.sort_unstable();
+        let mut want = vec![id("G5"), id("G10"), id("G11"), id("G17")];
+        want.sort_unstable();
+        assert_eq!(closure, want);
+
+        // in general the two differ exactly at the seeds that drive a
+        // flip-flop's D pin
+        let s9234 = fastmon_netlist::generate::CircuitProfile::named("s9234")
+            .unwrap()
+            .scaled(0.05)
+            .generate(1)
+            .unwrap();
+        let mut marks = ConeMarks::new();
+        for c in [&c, &s9234] {
+            let mut differ = 0;
+            for seed in c.node_ids() {
+                let drives_ff = c
+                    .fanouts(seed)
+                    .iter()
+                    .any(|&fo| c.kind(fo) == GateKind::Dff);
+                let same = *x_path_cone(c, seed, &mut marks) == *c.fanout_cone(seed);
+                assert_eq!(same, !drives_ff, "{}", c.node_name(seed));
+                differ += usize::from(!same);
+            }
+            assert!(differ > 0, "{}: no seed drives a flip-flop", c.name());
+        }
     }
 
     #[test]

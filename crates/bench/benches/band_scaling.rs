@@ -1,13 +1,15 @@
 //! Wall-clock benches for the two dominant campaign phases: the
 //! word-parallel band loop of `analyze()` (1 vs 4 worker threads on a
 //! scaled `p89k` stand-in) and the testability-guided PODEM inside
-//! `generate()`.
+//! `generate()` (1 vs 2 worker threads).
 //!
 //! The band pair is the regression tripwire for the per-worker scratch
 //! rework: before it, the 4-thread run allocated ~2× the waveforms of the
 //! single-thread run and was *slower* on a serial host; after it both
-//! counts are flat and t4 ≤ t1. The PODEM bench runs the guided engine
-//! end to end and prints its backtracks-per-call ratio so a guidance
+//! counts are flat and t4 ≤ t1. The PODEM pair runs the guided engine end
+//! to end, sequentially and fault-parallel. One instrumented run per
+//! thread count asserts that both produce the same test set and the same
+//! PODEM counters, and prints the backtracks-per-call ratio so a guidance
 //! regression (SCOAP ordering or static learning going stale) shows up in
 //! the bench log even when the timing noise hides it.
 //!
@@ -59,25 +61,54 @@ fn bench_band_scaling(c: &mut Criterion) {
         .generate(5)
         .expect("valid generator config");
 
-    c.bench_function("podem/generate_guided_mid800", |b| {
-        b.iter(|| std::hint::black_box(fastmon_atpg::generate(&mid, &AtpgConfig::default())))
-    });
+    let mut runs = Vec::new();
+    for threads in [1usize, 2] {
+        let config = AtpgConfig {
+            threads,
+            ..AtpgConfig::default()
+        };
+        c.bench_function(format!("podem/generate_guided_mid800_t{threads}"), |b| {
+            b.iter(|| std::hint::black_box(fastmon_atpg::generate(&mid, &config)))
+        });
 
-    // One instrumented run outside the timing loop: the backtracks/call
-    // ratio is the quantity the SCOAP + static-learning guidance halved;
-    // log it so bench output records the guidance level, not just time.
-    let metrics = fastmon_obs::AtpgMetrics::new();
-    let result = fastmon_atpg::generate_with_metrics(&mid, &AtpgConfig::default(), Some(&metrics));
-    let calls = metrics.podem_calls.get().max(1);
-    eprintln!(
-        "podem/generate_guided_mid800: {} backtracks over {} calls ({:.1}/call), \
-         {} aborts, {} learned-untestable, {} detected",
-        metrics.podem_backtracks.get(),
-        calls,
-        metrics.podem_backtracks.get() as f64 / calls as f64,
-        metrics.podem_aborts.get(),
-        metrics.podem_learned_untestable.get(),
-        result.detected,
+        // One instrumented run outside the timing loop: the backtracks/call
+        // ratio is the quantity the SCOAP + static-learning guidance
+        // halved; log it so bench output records the guidance level, not
+        // just time.
+        let metrics = fastmon_obs::AtpgMetrics::new();
+        let result = fastmon_atpg::generate_with_metrics(&mid, &config, Some(&metrics));
+        let calls = metrics.podem_calls.get().max(1);
+        eprintln!(
+            "podem/generate_guided_mid800_t{threads}: {} backtracks over {} calls \
+             ({:.1}/call), {} aborts, {} learned-untestable, {} outcomes discarded, \
+             {} detected",
+            metrics.podem_backtracks.get(),
+            calls,
+            metrics.podem_backtracks.get() as f64 / calls as f64,
+            metrics.podem_aborts.get(),
+            metrics.podem_learned_untestable.get(),
+            metrics.podem_outcomes_discarded.get(),
+            result.detected,
+        );
+        let counters = [
+            metrics.podem_calls.get(),
+            metrics.podem_backtracks.get(),
+            metrics.podem_implications.get(),
+            metrics.podem_aborts.get(),
+            metrics.podem_learned_untestable.get(),
+            metrics.podem_necessity_assignments.get(),
+        ];
+        runs.push((result.test_set, counters));
+    }
+    // the fault-parallel phase must be the sequential loop, decision for
+    // decision
+    assert_eq!(
+        runs[0].0, runs[1].0,
+        "PODEM at 2 threads changed the test set"
+    );
+    assert_eq!(
+        runs[0].1, runs[1].1,
+        "PODEM at 2 threads changed its counters"
     );
 }
 

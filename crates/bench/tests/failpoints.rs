@@ -288,6 +288,31 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
         );
     }
 
+    // -- parallel_worker=panic@1 during PODEM: with no random phase the
+    //    first pool is a window of PODEM targets, and its contained panic
+    //    surfaces as the deterministic phase's typed error.
+    {
+        failpoints::configure("parallel_worker=panic@1").unwrap();
+        let podem_only = AtpgConfig {
+            random_patterns: 0,
+            threads: 2,
+            ..AtpgConfig::default()
+        };
+        let err = fastmon_atpg::try_generate_with_metrics(&circuit, &podem_only, None, None)
+            .expect_err("the injected PODEM worker panic is contained");
+        failpoints::clear();
+        assert!(
+            matches!(
+                err,
+                AtpgError::WorkerPanicked {
+                    phase: "atpg_podem",
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
+    }
+
     // -- ilp_node=err@1: the branch-and-bound scheduler is anytime; an
     //    injected node degrades to the greedy incumbent, never an error.
     {

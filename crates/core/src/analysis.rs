@@ -7,7 +7,7 @@ use fastmon_monitor::{
     MonitorConfig, MonitorPlacement,
 };
 use fastmon_netlist::{Circuit, NodeId};
-use fastmon_sim::{try_parallel_map_with, ConeScratch, SimEngine, WorkerPanic};
+use fastmon_sim::{try_parallel_map_with, ConeScratch, Lease, SimEngine, WorkerPanic};
 use fastmon_timing::{ClockSpec, DelayAnnotation, Time};
 
 use crate::checkpoint::{ByteSink as _, CampaignCheckpoint, CheckpointError, Fnv1a};
@@ -210,7 +210,7 @@ impl DetectionAnalysis {
             let chunk_results = try_parallel_map_with(
                 band_len * num_chunks,
                 workers,
-                || WorkerLease::take(&worker_pool, circuit),
+                || Lease::take(&worker_pool, || BandWorker::new(circuit)),
                 |lease, item| {
                     // Worker bodies have no error channel; both failpoint
                     // actions surface as a contained panic.
@@ -537,47 +537,6 @@ impl BandWorker {
         BandWorker {
             scratch: ConeScratch::new(circuit),
             diffs: Vec::new(),
-        }
-    }
-}
-
-/// Checks a [`BandWorker`] out of the campaign pool and returns it on
-/// drop, so scratch buffers survive the per-band thread spawns instead of
-/// being reallocated `bands × workers` times. A contained panic drops the
-/// lease too, returning its worker to a pool that the campaign then drops
-/// with the error, so a half-updated scratch is never reused.
-struct WorkerLease<'p> {
-    pool: &'p Mutex<Vec<BandWorker>>,
-    worker: Option<BandWorker>,
-}
-
-impl<'p> WorkerLease<'p> {
-    fn take(pool: &'p Mutex<Vec<BandWorker>>, circuit: &Circuit) -> Self {
-        let worker = pool
-            .lock()
-            .ok()
-            .and_then(|mut p| p.pop())
-            .unwrap_or_else(|| BandWorker::new(circuit));
-        WorkerLease {
-            pool,
-            worker: Some(worker),
-        }
-    }
-
-    fn get(&mut self) -> &mut BandWorker {
-        match self.worker.as_mut() {
-            Some(w) => w,
-            None => unreachable!("lease holds a worker until dropped"),
-        }
-    }
-}
-
-impl Drop for WorkerLease<'_> {
-    fn drop(&mut self) {
-        if let Some(w) = self.worker.take() {
-            if let Ok(mut pool) = self.pool.lock() {
-                pool.push(w);
-            }
         }
     }
 }

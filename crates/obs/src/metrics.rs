@@ -93,9 +93,13 @@ metric_section! {
         /// Planned cone simulations rejected because the fault was fully
         /// masked at its own gate (seed waveform unchanged). Includes the
         /// pairs the activation check rejects before any waveform is
-        /// built: the fault site's fault-free waveform has no edge of the
-        /// fault's polarity.
+        /// built, which [`cones_never_activated`](Self::cones_never_activated)
+        /// also counts.
         cones_masked,
+        /// The part of `cones_masked` that the activation check rejects:
+        /// the fault site's fault-free waveform has no edge of the fault's
+        /// polarity, so the pattern never activates the fault.
+        cones_never_activated,
         /// Cone gates re-evaluated because a fanin's faulty waveform
         /// differed from its fault-free one.
         nodes_evaluated,
@@ -147,6 +151,11 @@ metric_section! {
         /// Sources pre-assigned by learned implications before the search
         /// started (necessary assignments).
         podem_necessity_assignments,
+        /// Faults whose PODEM runs a worker finished ahead of need and
+        /// whose outcome was thrown away, because a flush earlier in the
+        /// same window detected the fault. Their runs are not in the other
+        /// PODEM counters, and at one worker this stays 0.
+        podem_outcomes_discarded,
         /// Faults proven untestable.
         faults_untestable,
         /// Faults detected (random phase + PODEM).

@@ -645,8 +645,8 @@ impl<'c> SimEngine<'c> {
     /// The walk first checks activation: if the fault site's fault-free
     /// waveform (the seed's output, or the faulted fanin's) has no edge of
     /// the fault's polarity, the delayed waveform equals it and so does
-    /// every faulty waveform, so the pair counts as masked before any
-    /// buffer is taken. Otherwise it computes the seed gate's faulty
+    /// every faulty waveform, so the pair counts as masked, and as never
+    /// activated, before any buffer is taken. Otherwise it computes the seed gate's faulty
     /// waveform and stops if it equals the fault-free one. Otherwise a
     /// level-bucketed queue holds the gates to evaluate: a gate enters it
     /// only when one of its fanins changed, and only if it reaches an
@@ -684,6 +684,7 @@ impl<'c> SimEngine<'c> {
         };
         if !site.has_edge(fault.polarity) {
             scratch.tally.cones_masked += 1;
+            scratch.tally.cones_never_activated += 1;
             return; // never activated: no edge to delay
         }
         let ConeScratch {
@@ -1253,6 +1254,7 @@ mod tests {
             assert!(diffs.is_empty());
         }
         assert_eq!(metrics.cones_masked.get(), 2);
+        assert_eq!(metrics.cones_never_activated.get(), 0);
         assert_eq!(metrics.cones_simulated.get(), 0);
         // the first fault creates its seed and pin buffers; the second
         // reuses both
@@ -1292,6 +1294,7 @@ mod tests {
             assert!(diffs.is_empty(), "{fault}");
         }
         assert_eq!(metrics.cones_masked.get(), 1 + never.len() as u64);
+        assert_eq!(metrics.cones_never_activated.get(), never.len() as u64);
         assert_eq!(metrics.cones_simulated.get(), 0);
         assert_eq!(metrics.waveform_allocs.get(), allocs);
         assert_eq!(metrics.waveform_reuses.get(), reuses);

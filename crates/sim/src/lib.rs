@@ -53,6 +53,6 @@ pub mod stats;
 pub mod vcd;
 
 pub use engine::{ConePlan, ConeScratch, FaultyCone, PlanScratch, SimEngine, SimResult};
-pub use parallel::{try_parallel_map_with, WorkerPanic};
+pub use parallel::{try_parallel_map_with, Lease, WorkerPanic};
 pub use stimulus::Stimulus;
 pub use waveform::{eval_gate, eval_gate_into, EvalScratch, WaveRef, Waveform};

@@ -3,6 +3,7 @@ use std::fmt;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A worker panic caught by [`try_parallel_map_with`].
 ///
@@ -136,6 +137,67 @@ where
     Ok(pairs.into_iter().map(|(_, value)| value).collect())
 }
 
+/// A worker state checked out of a pool that outlives a series of
+/// [`try_parallel_map_with`] calls, and returned to it on drop: used as
+/// the map's per-worker state, it keeps scratch buffers across the calls'
+/// thread spawns instead of rebuilding them per call. A contained panic
+/// drops the lease too, returning its state to a pool that the caller
+/// then drops with the error, so a half-updated state is never reused.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Mutex;
+/// use fastmon_sim::{try_parallel_map_with, Lease};
+///
+/// let pool: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+/// for _ in 0..3 {
+///     try_parallel_map_with(8, 2, || Lease::take(&pool, Vec::new), |buf, i| {
+///         buf.get().push(i as u8);
+///     })
+///     .unwrap();
+/// }
+/// assert!(!pool.lock().unwrap().is_empty());
+/// ```
+pub struct Lease<'p, T> {
+    pool: &'p Mutex<Vec<T>>,
+    state: Option<T>,
+}
+
+impl<'p, T> Lease<'p, T> {
+    /// Takes a state from `pool`, or makes one with `make` when the pool
+    /// is empty.
+    pub fn take(pool: &'p Mutex<Vec<T>>, make: impl FnOnce() -> T) -> Self {
+        let state = pool
+            .lock()
+            .ok()
+            .and_then(|mut p| p.pop())
+            .unwrap_or_else(make);
+        Lease {
+            pool,
+            state: Some(state),
+        }
+    }
+
+    /// The leased state.
+    pub fn get(&mut self) -> &mut T {
+        match self.state.as_mut() {
+            Some(state) => state,
+            None => unreachable!("a lease holds its state until dropped"),
+        }
+    }
+}
+
+impl<T> Drop for Lease<'_, T> {
+    fn drop(&mut self) {
+        if let Some(state) = self.state.take() {
+            if let Ok(mut pool) = self.pool.lock() {
+                pool.push(state);
+            }
+        }
+    }
+}
+
 /// Claims the next run of consecutive indices below `n`, or `None` once
 /// the cursor has passed `n`.
 fn claim(cursor: &AtomicUsize, n: usize, workers: usize) -> Option<Range<usize>> {
@@ -238,6 +300,26 @@ mod tests {
         assert!(counts.iter().all(|&c| c >= 1));
         let states = counts.iter().filter(|&&c| c == 1).count();
         assert!((1..=4).contains(&states), "{states} states for 4 workers");
+    }
+
+    #[test]
+    fn leased_states_outlive_each_map() {
+        // every state counts the items it served: after three maps the
+        // pool holds at most one state per worker, and together they
+        // served every item of every map
+        let pool: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        for _ in 0..3 {
+            try_parallel_map_with(
+                100,
+                4,
+                || Lease::take(&pool, || 0),
+                |seen, _| *seen.get() += 1,
+            )
+            .expect("no item panics");
+        }
+        let states = pool.into_inner().expect("no lease panicked");
+        assert!((1..=4).contains(&states.len()), "{} states", states.len());
+        assert_eq!(states.iter().sum::<usize>(), 300);
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub fn global() -> &'static SimMetrics {
 pub(crate) struct ConeTally {
     pub cones_simulated: u64,
     pub cones_masked: u64,
+    pub cones_never_activated: u64,
     pub nodes_evaluated: u64,
     pub nodes_converged: u64,
     pub waveform_allocs: u64,
@@ -36,6 +37,7 @@ impl ConeTally {
     pub(crate) fn publish(self, m: &SimMetrics) {
         m.cones_simulated.add(self.cones_simulated);
         m.cones_masked.add(self.cones_masked);
+        m.cones_never_activated.add(self.cones_never_activated);
         m.nodes_evaluated.add(self.nodes_evaluated);
         m.nodes_converged.add(self.nodes_converged);
         m.waveform_allocs.add(self.waveform_allocs);
@@ -53,6 +55,7 @@ mod tests {
         ConeTally {
             cones_simulated: 1,
             cones_masked: 1,
+            cones_never_activated: 1,
             nodes_evaluated: 5,
             nodes_converged: 2,
             waveform_allocs: 1,
@@ -63,6 +66,7 @@ mod tests {
         assert_eq!(m.nodes_evaluated.get(), 5);
         assert_eq!(m.nodes_converged.get(), 2);
         assert_eq!(m.cones_masked.get(), 1);
+        assert_eq!(m.cones_never_activated.get(), 1);
         assert_eq!(m.waveform_allocs.get(), 1);
         assert_eq!(m.waveform_reuses.get(), 4);
     }
