@@ -56,18 +56,6 @@ pub fn podem(circuit: &Circuit, fault: &StuckAtFault, max_backtracks: u32) -> Po
     PodemEngine::new(circuit).podem(fault, max_backtracks)
 }
 
-/// Like [`podem`], but records calls, decision backtracks and aborts into
-/// a scoped [`fastmon_obs::AtpgMetrics`] section.
-#[must_use]
-pub fn podem_with_metrics(
-    circuit: &Circuit,
-    fault: &StuckAtFault,
-    max_backtracks: u32,
-    metrics: Option<&fastmon_obs::AtpgMetrics>,
-) -> PodemOutcome {
-    PodemEngine::new(circuit).podem_with_metrics(fault, max_backtracks, metrics)
-}
-
 /// PODEM with an additional *side objective*: the returned vector detects
 /// `fault` **and** justifies `side_value` at `side_node`.
 ///
@@ -94,19 +82,6 @@ pub fn podem_with_side_objective(
 #[must_use]
 pub fn justify(circuit: &Circuit, node: NodeId, value: bool, max_backtracks: u32) -> PodemOutcome {
     PodemEngine::new(circuit).justify(node, value, max_backtracks)
-}
-
-/// Like [`justify`], but records calls, decision backtracks and aborts
-/// into a scoped [`fastmon_obs::AtpgMetrics`] section.
-#[must_use]
-pub fn justify_with_metrics(
-    circuit: &Circuit,
-    node: NodeId,
-    value: bool,
-    max_backtracks: u32,
-    metrics: Option<&fastmon_obs::AtpgMetrics>,
-) -> PodemOutcome {
-    PodemEngine::new(circuit).justify_with_metrics(node, value, max_backtracks, metrics)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -183,35 +158,6 @@ fn evaluate(
         values[id.index()] = eval_node(circuit, id, &values, assignment, source_pos, fault);
     }
     values
-}
-
-/// Single-pass fanout closure of `seed` over the topological order,
-/// through **every** node kind: a node joins when any of its structural
-/// fanins has joined, flip-flops included — exactly the set of nodes the
-/// original whole-circuit X-path scan could ever mark reachable (that
-/// scan reads the structural fanins of flip-flops too).
-///
-/// It is not [`Circuit::fanout_cone`], which stops at flip-flops: when
-/// `seed` drives a flip-flop's D pin, that flip-flop and its own
-/// combinational fanout join here as well. Flip-flops precede every gate
-/// in the topological order, so no gate pulls one in: only flip-flops
-/// whose D pin `seed` drives (directly, or through other flip-flops) join.
-/// The extra nodes do not change an X-path answer: the check runs only
-/// once the site carries a fault effect, and a site that drives a D pin
-/// is an observation point itself, so the check succeeds at the site.
-fn x_path_cone(circuit: &Circuit, seed: NodeId, marks: &mut ConeMarks) -> Box<[NodeId]> {
-    marks.begin(circuit.len());
-    marks.set(seed);
-    let mut cone = Vec::new();
-    for &id in circuit.topo_order() {
-        if !marks.get(id) && circuit.node(id).fanins().iter().any(|&fi| marks.get(fi)) {
-            marks.set(id);
-        }
-        if marks.get(id) {
-            cone.push(id);
-        }
-    }
-    cone.into_boxed_slice()
 }
 
 /// Cost ceiling for the SCOAP estimates: saturating "unreachable /
@@ -521,10 +467,9 @@ impl<'c> PodemAnalysis<'c> {
 ///   re-evaluated only when one of its fanins changed value, level by
 ///   level, and a run starts from the analysis's all-X baseline instead of
 ///   a whole-circuit pass;
-/// * the D-frontier scan walks the fault site's fanout cone instead of
-///   every combinational node (fault effects cannot exist elsewhere);
-/// * the X-path check walks a cached [fanout closure](x_path_cone) of the
-///   fault site.
+/// * the D-frontier scan and the X-path check walk the fault site's
+///   cached combinational fanout cone instead of the whole circuit (fault
+///   effects cannot exist elsewhere).
 ///
 /// Every bound is exact — implication reaches the same unique fixed point
 /// as a full topological sweep, and the restricted walks visit the same
@@ -545,12 +490,9 @@ pub(crate) struct PodemSearch {
     /// Gate evaluations done by implication in the current run.
     implications: u64,
     reach: Vec<bool>,
-    /// Combinational fanout cones of fault sites (D-frontier scan),
-    /// lazily built and reused across runs.
+    /// Combinational fanout cones of fault sites (D-frontier scan and
+    /// X-path check), lazily built and reused across runs.
     cones: Vec<Option<Box<[NodeId]>>>,
-    /// Fanout closures through every node kind ([`x_path_cone`]) of fault
-    /// sites, for the X-path check.
-    xcones: Vec<Option<Box<[NodeId]>>>,
     /// Scratch for the reverse can-reach-an-OP-through-X sweep; false
     /// outside an `objective` call.
     xreach: Vec<bool>,
@@ -572,7 +514,6 @@ impl PodemSearch {
             implications: 0,
             reach: vec![false; n],
             cones: vec![None; n],
-            xcones: vec![None; n],
             xreach: vec![false; n],
             cone_marks: ConeMarks::new(),
             cone_buf: Vec::new(),
@@ -593,7 +534,7 @@ impl PodemSearch {
         self.backtracks_left = max_backtracks;
         self.implications = 0;
         if let Some(f) = goal.fault() {
-            self.ensure_cones(a.circuit, f.node);
+            self.ensure_cone(a.circuit, f.node);
             self.queue.push(a.circuit, f.node);
         }
         let (contradiction, necessities) = self.apply_learned(a, goal);
@@ -655,15 +596,12 @@ impl PodemSearch {
         (false, necessities)
     }
 
-    /// Caches both cone flavours for a fault site.
-    fn ensure_cones(&mut self, circuit: &Circuit, node: NodeId) {
+    /// Caches the combinational fanout cone of a fault site.
+    fn ensure_cone(&mut self, circuit: &Circuit, node: NodeId) {
         let idx = node.index();
         if self.cones[idx].is_none() {
             circuit.fanout_cone_into(node, &mut self.cone_marks, &mut self.cone_buf);
             self.cones[idx] = Some(self.cone_buf.as_slice().into());
-        }
-        if self.xcones[idx].is_none() {
-            self.xcones[idx] = Some(x_path_cone(circuit, node, &mut self.cone_marks));
         }
     }
 
@@ -757,12 +695,14 @@ impl PodemSearch {
     }
 
     /// Whether some fault effect can still reach an observation point
-    /// through X-valued logic. Walks the fault site's cached fanout
-    /// closure instead of the whole circuit — nodes outside it can never
-    /// be marked — using (and then clearing) the persistent `reach`
-    /// scratch.
+    /// through X-valued logic. Walks the fault site's cached
+    /// combinational fanout cone instead of the whole circuit — fault
+    /// effects and their X-paths live inside it — using (and then
+    /// clearing) the persistent `reach` scratch. A path could leave the
+    /// cone only through a flip-flop's D pin, whose driver is an
+    /// observation point: the path ends there, inside the cone.
     fn x_path_exists(&mut self, circuit: &Circuit, fault: StuckAtFault) -> bool {
-        let cone = self.xcones[fault.node.index()].as_deref().unwrap_or(&[]);
+        let cone = self.cones[fault.node.index()].as_deref().unwrap_or(&[]);
         for &id in cone {
             let v = self.values[id.index()];
             let mark = if v.is_fault_effect() {
@@ -1042,17 +982,7 @@ impl<'c> PodemEngine<'c> {
 
     /// [`podem`] on this engine's circuit, reusing cached cones/buffers.
     pub fn podem(&mut self, fault: &StuckAtFault, max_backtracks: u32) -> PodemOutcome {
-        self.run(Goal::Detect(*fault, None), max_backtracks, None)
-    }
-
-    /// [`podem_with_metrics`] on this engine.
-    pub fn podem_with_metrics(
-        &mut self,
-        fault: &StuckAtFault,
-        max_backtracks: u32,
-        metrics: Option<&fastmon_obs::AtpgMetrics>,
-    ) -> PodemOutcome {
-        self.run(Goal::Detect(*fault, None), max_backtracks, metrics)
+        self.run(Goal::Detect(*fault, None), max_backtracks)
     }
 
     /// [`podem_with_side_objective`] on this engine.
@@ -1066,37 +996,16 @@ impl<'c> PodemEngine<'c> {
         self.run(
             Goal::Detect(*fault, Some((side_node, side_value))),
             max_backtracks,
-            None,
         )
     }
 
     /// [`justify`] on this engine.
     pub fn justify(&mut self, node: NodeId, value: bool, max_backtracks: u32) -> PodemOutcome {
-        self.run(Goal::Justify(node, value), max_backtracks, None)
+        self.run(Goal::Justify(node, value), max_backtracks)
     }
 
-    /// [`justify_with_metrics`] on this engine.
-    pub fn justify_with_metrics(
-        &mut self,
-        node: NodeId,
-        value: bool,
-        max_backtracks: u32,
-        metrics: Option<&fastmon_obs::AtpgMetrics>,
-    ) -> PodemOutcome {
-        self.run(Goal::Justify(node, value), max_backtracks, metrics)
-    }
-
-    fn run(
-        &mut self,
-        goal: Goal,
-        max_backtracks: u32,
-        metrics: Option<&fastmon_obs::AtpgMetrics>,
-    ) -> PodemOutcome {
-        let (outcome, tally) = self.search.run(&self.analysis, goal, max_backtracks);
-        if let Some(m) = metrics {
-            tally.record(m);
-        }
-        outcome
+    fn run(&mut self, goal: Goal, max_backtracks: u32) -> PodemOutcome {
+        self.search.run(&self.analysis, goal, max_backtracks).0
     }
 }
 
@@ -1340,44 +1249,6 @@ mod tests {
             }
         }
         assert!(tests > 0 && aborts > 0, "{tests} tests, {aborts} aborts");
-    }
-
-    #[test]
-    fn x_path_cone_passes_the_flip_flops_its_seed_drives() {
-        // s27: G10 drives only the D pin of G5, so its combinational fanout
-        // cone is G10 alone, while the X-path closure also takes in G5 and
-        // G5's fanout G11 -> G17 (G11 feeds G10 too)
-        let c = library::s27();
-        let id = |name: &str| c.find(name).unwrap();
-        let g10 = id("G10");
-        assert_eq!(c.fanout_cone(g10), vec![g10]);
-        let mut closure = x_path_cone(&c, g10, &mut ConeMarks::new()).to_vec();
-        closure.sort_unstable();
-        let mut want = vec![id("G5"), id("G10"), id("G11"), id("G17")];
-        want.sort_unstable();
-        assert_eq!(closure, want);
-
-        // in general the two differ exactly at the seeds that drive a
-        // flip-flop's D pin
-        let s9234 = fastmon_netlist::generate::CircuitProfile::named("s9234")
-            .unwrap()
-            .scaled(0.05)
-            .generate(1)
-            .unwrap();
-        let mut marks = ConeMarks::new();
-        for c in [&c, &s9234] {
-            let mut differ = 0;
-            for seed in c.node_ids() {
-                let drives_ff = c
-                    .fanouts(seed)
-                    .iter()
-                    .any(|&fo| c.kind(fo) == GateKind::Dff);
-                let same = *x_path_cone(c, seed, &mut marks) == *c.fanout_cone(seed);
-                assert_eq!(same, !drives_ff, "{}", c.node_name(seed));
-                differ += usize::from(!same);
-            }
-            assert!(differ > 0, "{}: no seed drives a flip-flop", c.name());
-        }
     }
 
     #[test]

@@ -131,10 +131,16 @@ fn invalid_coverage_targets_are_typed_errors() {
 
 // ---------------------------------------------------------------- checkpoints
 
-/// Interrupts a campaign to get a checkpoint on disk, corrupts it with
-/// `corrupt`, then re-runs: the flow must log-and-restart, producing the
-/// same analysis as a clean run.
+/// `recover_from_checkpoint` from a checkpoint of one band.
 fn corrupted_checkpoint_recovers(tag: &str, corrupt: impl Fn(&std::path::Path)) {
+    recover_from_checkpoint(tag, 1, corrupt);
+}
+
+/// Interrupts a campaign after `bands` saves, damages the checkpoint with
+/// `corrupt`, then re-runs: the flow must resume from what still loads or
+/// log-and-restart, producing the same analysis as a clean run. Returns
+/// how often the re-run resumed.
+fn recover_from_checkpoint(tag: &str, bands: usize, corrupt: impl Fn(&std::path::Path)) -> u64 {
     let c = library::s27();
     let config = FlowConfig {
         threads: 1,
@@ -148,7 +154,7 @@ fn corrupted_checkpoint_recovers(tag: &str, corrupt: impl Fn(&std::path::Path)) 
     let path = dir.join("s27.fmck");
     flow.analyze_resumable(
         &patterns,
-        &CheckpointStore::new(&path).with_interrupt_after(1),
+        &CheckpointStore::new(&path).with_interrupt_after(bands),
     )
     .expect_err("interruption hook fires");
     assert!(path.exists());
@@ -156,11 +162,12 @@ fn corrupted_checkpoint_recovers(tag: &str, corrupt: impl Fn(&std::path::Path)) 
 
     let recovered = flow
         .analyze_resumable(&patterns, &CheckpointStore::new(&path))
-        .expect("corrupt checkpoint degrades to a clean restart");
+        .expect("a damaged checkpoint resumes or restarts cleanly");
     assert_eq!(recovered.per_pattern, baseline.per_pattern);
     assert_eq!(recovered.raw_union, baseline.raw_union);
     assert_eq!(recovered.verdicts, baseline.verdicts);
     std::fs::remove_dir_all(&dir).ok();
+    flow.metrics().checkpoint.resumes.get()
 }
 
 #[test]
@@ -185,6 +192,30 @@ fn truncated_checkpoint_restarts_cleanly() {
         let len = std::fs::metadata(p).unwrap().len();
         chaos::truncate_file(p, len / 3).unwrap();
     });
+}
+
+#[test]
+fn checkpoint_cut_inside_its_header_restarts_cleanly() {
+    let resumes = recover_from_checkpoint("header", 1, |p| {
+        chaos::truncate_file(p, 20).unwrap();
+    });
+    assert_eq!(resumes, 0);
+}
+
+#[test]
+fn torn_append_resumes_from_the_complete_records() {
+    // Two saves leave the header and two band records; a cut inside the
+    // second is an append that never finished, and the campaign resumes
+    // after the first band.
+    let resumes = recover_from_checkpoint("torn", 2, |p| {
+        let len = std::fs::metadata(p).unwrap().len();
+        chaos::truncate_file(p, len - 5).unwrap();
+        let first_band = CheckpointStore::new(p)
+            .load()
+            .expect("complete records load");
+        assert!(first_band.next_pattern > 0);
+    });
+    assert_eq!(resumes, 1);
 }
 
 #[test]

@@ -97,8 +97,9 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
         );
     }
 
-    // -- checkpoint_rename=io@1: the atomic-rename step fails once; the
-    //    retry re-runs the whole save (write + rename) and succeeds.
+    // -- checkpoint_rename=io@1: the atomic-rename step of the first save,
+    //    which writes the file afresh, fails once; the retry re-runs the
+    //    whole save (write + rename) and succeeds.
     {
         let before = robustness().checkpoint_retries.get();
         failpoints::configure("checkpoint_rename=io@1").unwrap();
@@ -111,13 +112,14 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
         assert_eq!(robustness().checkpoint_retries.get() - before, 1);
     }
 
-    // -- double injection checkpoint_write=io@1;checkpoint_rename=io@2:
-    //    band 1's first write fails (retry), band 2's rename fails on its
-    //    second site hit (retry) — two independent transients, both
-    //    absorbed, result still bit-identical.
+    // -- double injection checkpoint_rename=io@1;checkpoint_write=io@3:
+    //    band 1's rename fails (retry), then band 2's append, the third
+    //    write after band 1's two attempts, fails (retry) — two
+    //    independent transients, one on each path, both absorbed, result
+    //    still bit-identical.
     {
         let before = robustness().checkpoint_retries.get();
-        failpoints::configure("checkpoint_write=io@1;checkpoint_rename=io@2").unwrap();
+        failpoints::configure("checkpoint_rename=io@1;checkpoint_write=io@3").unwrap();
         let store = CheckpointStore::new(dir.join("double.fmck"));
         let got = flow
             .analyze_resumable(&patterns, &store)

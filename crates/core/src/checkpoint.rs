@@ -2,32 +2,33 @@
 //!
 //! [`DetectionAnalysis`](crate::DetectionAnalysis)'s banded campaign can
 //! persist its progress after every pattern band through a
-//! [`CheckpointStore`]. Every save is atomic: the file is written to a
-//! sibling `.tmp` file and renamed over the destination, so a crash
-//! mid-write never leaves a half-written checkpoint behind.
+//! [`CheckpointStore`]. The file is an append-only log: a store's first
+//! save writes it whole to a sibling `.tmp` file and renames that over
+//! the destination, and every later save appends one band record.
 //!
-//! The on-disk format (version 2) is band-major, all integers
-//! little-endian:
+//! The on-disk format (version 3), all integers little-endian:
 //!
 //! ```text
-//! "FMCK"  version: u32 = 2  fingerprint: u64  faults: u64
+//! header, 32 bytes:
+//!     "FMCK"  version: u32 = 3  fingerprint: u64  faults: u64
+//!     checksum: u64      FNV-1a over the header bytes before it
 //! per save, one band record:
-//!     entries: u64, then per entry  fault: u32  pattern: u32  range
-//! next_pattern: u64
-//! checksum: u64          FNV-1a over every byte before it
+//!     len: u64           bytes after this field, checksum included
+//!     next_pattern: u64  entries: u64
+//!     per entry  fault: u32  pattern: u32  range
+//!     checksum: u64      FNV-1a over the record bytes before it
 //! ```
 //!
 //! A band record holds only the `(fault, pattern, raw range)` entries the
 //! campaign added since the previous save, fault by fault, so a save
-//! encodes and hashes just its own band: a [`CheckpointStore`] remembers
-//! the running checksum and per-fault entry counts of the file it wrote
-//! last and copies that file's header and band records into the new one.
-//! Encoding is linear in the campaign, not quadratic in the band count.
-//! Each save still rewrites the whole file under one checksum, so a torn
-//! or bit-flipped file fails to load as a whole instead of losing a tail
-//! silently. The per-fault raw unions are not stored, and loading does not
-//! rebuild them: the campaign derives each fault's raw union from its
-//! entries once, after the last band, resumed or not. A version-1 file
+//! encodes, hashes and writes just its own band, and a campaign writes its
+//! final file once. A kill during an append leaves a torn last record:
+//! loading drops a record whose length field or body runs past the end of
+//! the file, so at most the band being written is lost. A complete record
+//! with a bad checksum is corruption, and the file fails to load. The
+//! per-fault raw unions are not stored, and loading does not rebuild them:
+//! the campaign derives each fault's raw union from its entries once,
+//! after the last band, resumed or not. A version-1 or version-2 file
 //! fails to load with [`CheckpointError::UnsupportedVersion`], and the
 //! campaign restarts cleanly.
 //!
@@ -41,10 +42,10 @@
 //! uninterrupted run — for any thread count on either side of the
 //! interruption.
 //!
-//! The same frame (magic, version, payload, FNV-1a checksum, atomic
-//! tmp+rename) carries the test set a shard supervisor ships to its
-//! workers (magic `FMTS`, keyed by the campaign fingerprint; see
-//! [`ShardFiles`](crate::ShardFiles)).
+//! The header's frame (magic, version, payload, FNV-1a checksum), written
+//! by atomic tmp+rename, also carries the test set a shard supervisor
+//! ships to its workers (magic `FMTS`, keyed by the campaign fingerprint;
+//! see [`ShardFiles`](crate::ShardFiles)).
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -56,7 +57,7 @@ use fastmon_faults::{DetectionRange, Interval, IntervalSet};
 /// Magic bytes leading every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FMCK";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 /// Magic bytes leading every shipped test-set file.
 const TEST_SET_MAGIC: [u8; 4] = *b"FMTS";
 /// Current test-set format version.
@@ -84,15 +85,18 @@ pub enum CheckpointError {
         /// Version this build understands.
         supported: u32,
     },
-    /// The trailing checksum does not match the payload — the file is
+    /// A checksum does not match the bytes it covers — the file is
     /// corrupt.
     ChecksumMismatch,
-    /// The file ends before the record does.
+    /// The bytes do not hold exactly their fields: the file is shorter
+    /// than its magic, version and checksum, or a record's fields run past
+    /// or stop short of its length.
     Truncated,
-    /// The checksum matches but the payload holds something no campaign
+    /// The checksums match but a record holds something no campaign
     /// writes: a fault index at or beyond the fault count, a pattern at
-    /// or beyond `next_pattern`, or a fault's entries out of ascending
-    /// pattern order.
+    /// or beyond its record's `next_pattern`, a `next_pattern` below the
+    /// previous record's, or a fault's entries out of ascending pattern
+    /// order.
     Malformed {
         /// What is wrong, with the offending values.
         reason: String,
@@ -114,7 +118,7 @@ pub enum CheckpointError {
     },
     /// Another live process (or thread) holds this campaign's checkpoint
     /// directory — two same-fingerprint campaigns must not interleave
-    /// atomic renames onto one file.
+    /// their appends to one file.
     Locked {
         /// PID recorded in the lock file.
         holder_pid: u32,
@@ -183,32 +187,23 @@ pub struct CampaignCheckpoint {
     pub per_pattern: Vec<Vec<(u32, DetectionRange)>>,
 }
 
-/// What one [`CheckpointStore::save`] cost, in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavedBytes {
-    /// Bytes written to disk: the whole file.
-    pub written: u64,
-    /// Bytes this save encoded and hashed: its band record and the
-    /// trailer, plus the header when the file was encoded from scratch.
-    pub encoded: u64,
-}
-
-/// Persists campaign checkpoints to one file, atomically.
+/// Persists campaign checkpoints to one file, as an append-only log.
 ///
-/// A save that extends the store's last one — the same fingerprint and
-/// fault count, a `next_pattern` no lower and no fault's entry list
-/// shorter — encodes and hashes only the entries added since, as one band
-/// record. The new file is the last file minus its trailer, copied
-/// kernel-side where the platform allows, then that record and a new
-/// trailer. The store keeps no copy of the file in memory: it remembers
-/// the last file's length, running checksum and trailer, and copies from
-/// the file only while its length and trailer still match. Any other
-/// save — a store's first, one for another campaign or for an earlier
-/// point of this one, or one whose file was removed or replaced
-/// meanwhile — is encoded from scratch. So a campaign of `b` bands
-/// encodes each entry once instead of about `b / 2` times, while every
-/// save still writes the whole file. The entries already saved must be
-/// unchanged, which holds for the campaign: it only appends.
+/// A store's first save writes the file afresh — the header and one band
+/// record of every entry, to `<path>.tmp`, renamed over `path` — and the
+/// store keeps that file open. A save that extends the store's last one —
+/// the same fingerprint and fault count, a `next_pattern` no lower and no
+/// fault's entry list shorter — appends one band record of the entries
+/// added since, through the open file. Any other save, for another
+/// campaign or for an earlier point of this one, writes the file afresh
+/// again. The entries already saved must be unchanged, which holds for the
+/// campaign: it only appends.
+///
+/// The store never reopens `path` to append, so a file another writer
+/// renamed over it never receives this store's bands. It assumes it is
+/// the file's only writer otherwise: [`clear`](Self::clear) drops the open
+/// file, but a file removed behind the store's back silently loses the
+/// bands appended to it. [`CheckpointDir`] keeps two campaigns apart.
 ///
 /// # Example
 ///
@@ -233,9 +228,9 @@ pub struct CheckpointStore {
     path: PathBuf,
     interrupt_after: Option<usize>,
     saves: Cell<usize>,
-    /// What the last successful save wrote, for the next save that
+    /// The file the last successful save wrote, for the next save that
     /// extends it.
-    last: RefCell<Option<LastSave>>,
+    log: RefCell<Option<Log>>,
 }
 
 /// Maps an [`fastmon_obs::InjectedFailure`] into the same
@@ -257,7 +252,7 @@ impl CheckpointStore {
             path: path.into(),
             interrupt_after: None,
             saves: Cell::new(0),
-            last: RefCell::new(None),
+            log: RefCell::new(None),
         }
     }
 
@@ -296,10 +291,12 @@ impl CheckpointStore {
         u64::from_str_radix(text.trim(), 16).ok()
     }
 
-    /// Atomically persists `checkpoint` (write to `<path>.tmp`, then
-    /// rename) and returns the bytes it wrote and encoded (used by the
-    /// campaign's checkpoint telemetry). A failed save leaves the store
-    /// as it was, so a retry writes the same file.
+    /// Persists `checkpoint`, appending its band to the file of the last
+    /// save it extends and writing the file afresh otherwise, and returns
+    /// the bytes it wrote (used by the campaign's checkpoint telemetry). A
+    /// failed save leaves the store as it was, so a retry writes the same
+    /// file: an append first cuts the file back to its last complete
+    /// record.
     ///
     /// # Errors
     ///
@@ -307,43 +304,17 @@ impl CheckpointStore {
     /// [`CheckpointError::Interrupted`] when the
     /// [`with_interrupt_after`](Self::with_interrupt_after) test hook
     /// fires.
-    pub fn save(&self, checkpoint: &CampaignCheckpoint) -> Result<SavedBytes, CheckpointError> {
-        let mut last = self.last.borrow_mut();
-        // Keep the file's header and band records when the checkpoint
-        // extends the last save and the file is still that save's.
-        let kept = last
-            .take()
-            .filter(|state| state.extended_by(checkpoint))
-            .and_then(|state| Some((state.reopen(&self.path)?, state)));
-        let (file, header, mut state) = match kept {
-            Some((file, state)) => (Some(file), Vec::new(), state),
+    pub fn save(&self, checkpoint: &CampaignCheckpoint) -> Result<u64, CheckpointError> {
+        let mut log = self.log.borrow_mut();
+        let written = match log.as_mut().filter(|log| log.extended_by(checkpoint)) {
+            Some(log) => log.append(checkpoint)?,
             None => {
-                let (state, header) = LastSave::header(checkpoint);
-                (None, header, state)
+                let fresh = Log::create(&self.path, checkpoint)?;
+                let written = fresh.len;
+                *log = Some(fresh);
+                written
             }
         };
-        let band = state.band(checkpoint);
-        let bytes = SavedBytes {
-            written: state.prefix_len + band.bytes.len() as u64,
-            encoded: (header.len() + band.bytes.len()) as u64,
-        };
-        let prefix_len = state.prefix_len;
-        let write = write_atomic(&self.path, |out| {
-            use std::io::{Read as _, Write as _};
-            if let Some(file) = &file {
-                // a kernel-side copy where the platform has one
-                if std::io::copy(&mut file.take(prefix_len), out)? != prefix_len {
-                    return Err(std::io::ErrorKind::UnexpectedEof.into());
-                }
-            }
-            out.write_all(&header)?;
-            out.write_all(&band.bytes)
-        });
-        if write.is_ok() {
-            state.commit(checkpoint, &band);
-        }
-        *last = Some(state);
-        write?;
         if self.saves.get() == 0 {
             // Best-effort: the sidecar lets a resuming process link its
             // trace back to this run's; losing it only costs the link,
@@ -354,7 +325,7 @@ impl CheckpointStore {
         self.saves.set(saves);
         match self.interrupt_after {
             Some(n) if saves >= n => Err(CheckpointError::Interrupted { bands: saves }),
-            _ => Ok(bytes),
+            _ => Ok(written),
         }
     }
 
@@ -373,13 +344,15 @@ impl CheckpointStore {
         decode(&read(&self.path)?)
     }
 
-    /// Removes the checkpoint file (no-op when absent).
+    /// Removes the checkpoint file (no-op when absent) and drops the file
+    /// the store holds open, so its next save writes the file afresh.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] when the file exists but cannot be
     /// removed.
     pub fn clear(&self) -> Result<(), CheckpointError> {
+        self.log.borrow_mut().take();
         let _ = std::fs::remove_file(self.run_sidecar_path());
         match std::fs::remove_file(&self.path) {
             Ok(()) => Ok(()),
@@ -406,7 +379,8 @@ impl CheckpointStore {
 
 /// Atomically replaces `path` with what `write` writes: written to
 /// `<path>.tmp`, then renamed over the destination, so a crash mid-write
-/// never leaves a half-written file behind.
+/// never leaves a half-written file behind. Returns the file it wrote,
+/// still open for writing.
 ///
 /// Failpoints fire *before* their syscall so an injected failure never
 /// leaves a half-written file behind (the real write/rename is skipped
@@ -415,7 +389,7 @@ impl CheckpointStore {
 pub(crate) fn write_atomic(
     path: &Path,
     write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
-) -> Result<(), CheckpointError> {
+) -> Result<std::fs::File, CheckpointError> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent).map_err(io_err("create dir"))?;
@@ -425,11 +399,12 @@ pub(crate) fn write_atomic(
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     fastmon_obs::failpoints::fire("checkpoint_write").map_err(injected_io("write"))?;
-    std::fs::File::create(&tmp)
-        .and_then(|mut file| write(&mut file))
+    let file = std::fs::File::create(&tmp)
+        .and_then(|mut file| write(&mut file).map(|()| file))
         .map_err(io_err("write"))?;
     fastmon_obs::failpoints::fire("checkpoint_rename").map_err(injected_io("rename"))?;
-    std::fs::rename(&tmp, path).map_err(io_err("rename"))
+    std::fs::rename(&tmp, path).map_err(io_err("rename"))?;
+    Ok(file)
 }
 
 /// Extra attempts after a failed write.
@@ -440,11 +415,12 @@ const WRITE_BACKOFF: std::time::Duration = std::time::Duration::from_millis(5);
 /// Longest sleep between two write attempts.
 const WRITE_BACKOFF_CAP: std::time::Duration = std::time::Duration::from_millis(250);
 
-/// Runs `write` (which replaces `path`), retrying transient I/O failures
-/// (`CheckpointError::Io` — which injected `checkpoint_write` /
-/// `checkpoint_rename` failures mimic) with capped exponential backoff.
-/// Non-I/O errors (e.g. the test-only interruption hook) are never
-/// retried. Every retry increments `robustness.checkpoint_retries`.
+/// Runs a save `write` of `path` (an atomic replace or an append),
+/// retrying transient I/O failures (`CheckpointError::Io` — which
+/// injected `checkpoint_write` / `checkpoint_rename` failures mimic) with
+/// capped exponential backoff. Non-I/O errors (e.g. the test-only
+/// interruption hook) are never retried. Every retry increments
+/// `robustness.checkpoint_retries`.
 pub(crate) fn write_with_retry<T>(
     path: &Path,
     metrics: &fastmon_obs::MetricsRegistry,
@@ -590,11 +566,13 @@ fn claim_for_removal(dir: &Path) -> bool {
 /// fingerprint: `<root>/<fingerprint:016x>/campaign.ckpt`, guarded by a
 /// `LOCK` file naming the holder PID.
 ///
-/// The lock exists because checkpoint saves are atomic *renames*: two
-/// same-fingerprint campaigns pointed at one file would each rename
-/// valid-but-different checkpoints over the other, and a resume could
-/// then merge bands from interleaved histories. [`acquire`] makes the
-/// second campaign fail fast with [`CheckpointError::Locked`] instead.
+/// The lock keeps two writers' appends apart: a [`CheckpointStore`]
+/// appends every band after its first save to the file it holds open, so
+/// two same-fingerprint campaigns pointed at one path would each rename
+/// a fresh file over the other's and go on appending to their own, and
+/// the bands of whichever file lost the race would vanish. [`acquire`]
+/// makes the second campaign fail fast with [`CheckpointError::Locked`]
+/// instead.
 /// Locks left behind by a `kill -9` name a dead PID and are stolen on
 /// the next acquire, so crash recovery never needs manual cleanup.
 #[derive(Debug, Clone)]
@@ -796,9 +774,8 @@ impl Drop for JobStore {
 }
 
 /// Streaming 64-bit FNV-1a: bytes fed in any split hash to the same value
-/// as [`fnv1a`] over their concatenation. It computes the checkpoint
-/// checksum, which a [`CheckpointStore`] keeps running across its saves,
-/// and the campaign and result fingerprints.
+/// as [`fnv1a`] over their concatenation. It computes the campaign and
+/// result fingerprints without building their byte streams.
 ///
 /// ```
 /// use fastmon_core::{fnv1a, Fnv1a};
@@ -913,55 +890,49 @@ fn frame(magic: [u8; 4], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u
     out
 }
 
-/// Length of a checkpoint's trailer: `next_pattern` and the checksum.
-const TRAILER_LEN: u64 = 16;
+/// Length of a checkpoint's header: magic, version, fingerprint, fault
+/// count and checksum.
+const HEADER_LEN: usize = 32;
 
-/// What a store's last save wrote: enough to append the next band to the
-/// file without encoding its header and band records again.
+/// The file a store's last save wrote, held open so that the next save
+/// that extends it can append its band.
 #[derive(Debug)]
-struct LastSave {
+struct Log {
+    file: std::fs::File,
+    /// Length of the file's header and complete band records.
+    len: u64,
     fingerprint: u64,
     next_pattern: usize,
     /// Per fault: how many of its entries the file holds.
     counts: Vec<usize>,
-    /// Length of the file's header and band records: all but the trailer.
-    prefix_len: u64,
-    /// FNV-1a state after the prefix.
-    hash: Fnv1a,
-    /// The file's trailer, which tells this save's file from any other.
-    trailer: [u8; TRAILER_LEN as usize],
 }
 
-/// The bytes one save adds after the prefix: its band record, then the
-/// trailer.
-struct Band {
-    bytes: Vec<u8>,
-    /// Length of the band record, which later saves keep.
-    record: usize,
-    /// FNV-1a state after the band record.
-    hash: Fnv1a,
-}
-
-impl LastSave {
-    /// The header of `cp`'s file, and the state of a file holding just
-    /// that header.
-    fn header(cp: &CampaignCheckpoint) -> (Self, Vec<u8>) {
-        let mut header = Vec::new();
-        header.put(&CHECKPOINT_MAGIC);
-        header.put_u32(CHECKPOINT_VERSION);
-        header.put_u64(cp.fingerprint);
-        header.put_u64(cp.per_pattern.len() as u64);
-        let mut hash = Fnv1a::new();
-        hash.write(&header);
-        let state = LastSave {
+impl Log {
+    /// Writes `cp` to `path` afresh, by tmp+rename: the header, then one
+    /// band record of every entry.
+    fn create(path: &Path, cp: &CampaignCheckpoint) -> Result<Self, CheckpointError> {
+        use std::io::Write as _;
+        let header = frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
+            out.put_u64(cp.fingerprint);
+            out.put_u64(cp.per_pattern.len() as u64);
+        });
+        let counts = vec![0; cp.per_pattern.len()];
+        let record = band_record(cp, &counts);
+        // Two writes: one concatenated buffer would hold a whole-shard
+        // record twice.
+        let file = write_atomic(path, |out| {
+            out.write_all(&header)?;
+            out.write_all(&record)
+        })?;
+        let mut log = Log {
+            file,
+            len: header.len() as u64,
             fingerprint: cp.fingerprint,
             next_pattern: 0,
-            counts: vec![0; cp.per_pattern.len()],
-            prefix_len: header.len() as u64,
-            hash,
-            trailer: [0; TRAILER_LEN as usize],
+            counts,
         };
-        (state, header)
+        log.commit(cp, record.len());
+        Ok(log)
     }
 
     /// Whether `cp` only appends to the checkpoint saved last.
@@ -976,63 +947,63 @@ impl LastSave {
                 .all(|(entries, &saved)| entries.len() >= saved)
     }
 
-    /// The file at `path`, positioned at its start, when it is still the
-    /// one the last save wrote: its length and trailer match. Anything
-    /// else — a removed file, or one another writer replaced — is `None`.
-    fn reopen(&self, path: &Path) -> Option<std::fs::File> {
-        use std::io::{Read as _, Seek as _, SeekFrom};
-        let mut file = std::fs::File::open(path).ok()?;
-        if file.metadata().ok()?.len() != self.prefix_len + TRAILER_LEN {
-            return None;
-        }
-        let mut trailer = [0; TRAILER_LEN as usize];
-        file.seek(SeekFrom::Start(self.prefix_len)).ok()?;
-        file.read_exact(&mut trailer).ok()?;
-        file.rewind().ok()?;
-        (trailer == self.trailer).then_some(file)
+    /// Appends the band record of `cp`'s new entries after the file's
+    /// last complete record, and returns its length. Cutting the file
+    /// back to that record first drops whatever a failed attempt left.
+    fn append(&mut self, cp: &CampaignCheckpoint) -> Result<u64, CheckpointError> {
+        use std::io::{Seek as _, SeekFrom, Write as _};
+        let record = band_record(cp, &self.counts);
+        fastmon_obs::failpoints::fire("checkpoint_write").map_err(injected_io("write"))?;
+        self.file
+            .set_len(self.len)
+            .and_then(|()| self.file.seek(SeekFrom::Start(self.len)))
+            .and_then(|_| self.file.write_all(&record))
+            .map_err(io_err("write"))?;
+        self.commit(cp, record.len());
+        Ok(record.len() as u64)
     }
 
-    /// Encodes the entries of `cp` that the file lacks, fault by fault,
-    /// as one band record, followed by `cp`'s trailer.
-    fn band(&self, cp: &CampaignCheckpoint) -> Band {
-        // entry count, filled in once known
-        let mut bytes = vec![0; 8];
-        let mut entries = 0u64;
-        for (fault, (list, &saved)) in cp.per_pattern.iter().zip(&self.counts).enumerate() {
-            let fault =
-                u32::try_from(fault).unwrap_or_else(|_| unreachable!("fault count fits u32"));
-            for (pattern, dr) in &list[saved..] {
-                bytes.put_u32(fault);
-                bytes.put_u32(*pattern);
-                bytes.put_range(dr);
-                entries += 1;
-            }
-        }
-        bytes[..8].copy_from_slice(&entries.to_le_bytes());
-        let record = bytes.len();
-        let mut hash = self.hash;
-        hash.write(&bytes);
-        bytes.put_u64(cp.next_pattern as u64);
-        let mut checksum = hash;
-        checksum.write(&bytes[record..]);
-        bytes.put_u64(checksum.finish());
-        Band {
-            bytes,
-            record,
-            hash,
-        }
-    }
-
-    /// Records that `band`, encoded for `cp`, now ends the file.
-    fn commit(&mut self, cp: &CampaignCheckpoint, band: &Band) {
-        self.prefix_len += band.record as u64;
-        self.hash = band.hash;
-        self.trailer.copy_from_slice(&band.bytes[band.record..]);
+    /// Records that a band record of `record` bytes, encoded for `cp`,
+    /// now ends the file.
+    fn commit(&mut self, cp: &CampaignCheckpoint, record: usize) {
+        self.len += record as u64;
         self.next_pattern = cp.next_pattern;
         for (saved, entries) in self.counts.iter_mut().zip(&cp.per_pattern) {
             *saved = entries.len();
         }
     }
+}
+
+/// Encodes the entries of `cp` beyond the first `counts[fault]` of each
+/// fault, fault by fault, as one band record.
+fn band_record(cp: &CampaignCheckpoint, counts: &[usize]) -> Vec<u8> {
+    // length and entry count, filled in once known
+    let mut record = vec![0; 8];
+    record.put_u64(cp.next_pattern as u64);
+    record.put_u64(0);
+    let mut entries = 0u64;
+    for (fault, (list, &saved)) in cp.per_pattern.iter().zip(counts).enumerate() {
+        let fault = u32::try_from(fault).unwrap_or_else(|_| unreachable!("fault count fits u32"));
+        for (pattern, dr) in &list[saved..] {
+            record.put_u32(fault);
+            record.put_u32(*pattern);
+            record.put_range(dr);
+            entries += 1;
+        }
+    }
+    record[16..24].copy_from_slice(&entries.to_le_bytes());
+    seal(record)
+}
+
+/// Completes a band record whose first eight bytes are reserved for its
+/// length: fills the length in and appends the checksum.
+fn seal(mut record: Vec<u8>) -> Vec<u8> {
+    // the bytes after the length field, the checksum included
+    let len = record.len() as u64;
+    record[..8].copy_from_slice(&len.to_le_bytes());
+    let checksum = fnv1a(&record);
+    record.put_u64(checksum);
+    record
 }
 
 /// A shipped test set as stored on disk: the patterns plus the campaign
@@ -1110,6 +1081,31 @@ impl<'a> Cursor<'a> {
         Ok(cursor)
     }
 
+    /// Splits the next band record off `rest`, checks its checksum and
+    /// returns a cursor over its fields. `None` when `rest` is empty or
+    /// holds a torn record, whose length field or body runs past the end
+    /// of the file: an append that never finished, which ends the log.
+    fn record(rest: &mut &'a [u8]) -> Result<Option<Self>, CheckpointError> {
+        let Some((len, tail)) = rest.split_first_chunk::<8>() else {
+            return Ok(None);
+        };
+        let Some(len) = usize::try_from(u64::from_le_bytes(*len))
+            .ok()
+            .filter(|&len| len <= tail.len())
+        else {
+            return Ok(None);
+        };
+        let (record, after) = rest.split_at(8 + len);
+        *rest = after;
+        // a record too short to hold its checksum fails like a wrong one
+        match record.split_last_chunk::<8>() {
+            Some((data, checksum)) if len >= 8 && fnv1a(data) == u64::from_le_bytes(*checksum) => {
+                Ok(Some(Cursor { data, pos: 8 }))
+            }
+            _ => Err(CheckpointError::ChecksumMismatch),
+        }
+    }
+
     /// Bytes left in the payload.
     fn remaining(&self) -> usize {
         self.data.len() - self.pos
@@ -1151,23 +1147,6 @@ impl<'a> Cursor<'a> {
         usize::try_from(self.u64()?).map_err(|_| CheckpointError::Truncated)
     }
 
-    /// Takes the payload's last eight bytes off its end, as a `usize`.
-    fn pop_usize(&mut self) -> Result<usize, CheckpointError> {
-        let end = self
-            .data
-            .len()
-            .checked_sub(8)
-            .filter(|&end| end >= self.pos)
-            .ok_or(CheckpointError::Truncated)?;
-        let mut tail = Cursor {
-            data: &self.data[end..],
-            pos: 0,
-        };
-        let value = tail.usize()?;
-        self.data = &self.data[..end];
-        Ok(value)
-    }
-
     fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -1199,13 +1178,14 @@ impl<'a> Cursor<'a> {
 }
 
 fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
-    let mut cursor = Cursor::unframe(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+    let (header, mut rest) = bytes.split_at(bytes.len().min(HEADER_LEN));
+    let mut cursor = Cursor::unframe(header, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     let fingerprint = cursor.u64()?;
     let num_faults = cursor.usize()?;
-    let next_pattern = cursor.pop_usize()?;
+    cursor.finish()?;
     let malformed = |reason: String| CheckpointError::Malformed { reason };
-    // No payload bytes are spent on faults without entries, so the count
-    // is bounded only by the u32 fault index of the band records, and the
+    // No bytes are spent on faults without entries, so the count is
+    // bounded only by the u32 fault index of the band records, and the
     // allocation is fallible: an absurd count fails here, never aborts.
     if u32::try_from(num_faults).is_err() {
         return Err(malformed(format!("fault count {num_faults} exceeds u32")));
@@ -1215,11 +1195,19 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
         .try_reserve_exact(num_faults)
         .map_err(|_| malformed(format!("fault count {num_faults} cannot be allocated")))?;
     per_pattern.resize_with(num_faults, Vec::new);
-    while cursor.remaining() > 0 {
-        let entries = cursor.u64()?;
+    let mut next_pattern = 0;
+    while let Some(mut record) = Cursor::record(&mut rest)? {
+        let band_end = record.usize()?;
+        if band_end < next_pattern {
+            return Err(malformed(format!(
+                "next_pattern {band_end} is below the previous record's {next_pattern}"
+            )));
+        }
+        next_pattern = band_end;
+        let entries = record.u64()?;
         for _ in 0..entries {
-            let fault = cursor.u32()?;
-            let pattern = cursor.u32()?;
+            let fault = record.u32()?;
+            let pattern = record.u32()?;
             let list = per_pattern.get_mut(fault as usize).ok_or_else(|| {
                 malformed(format!(
                     "fault {fault} is not below the fault count {num_faults}"
@@ -1237,8 +1225,9 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
                     )));
                 }
             }
-            list.push((pattern, cursor.range()?));
+            list.push((pattern, record.range()?));
         }
+        record.finish()?;
     }
     Ok(CampaignCheckpoint {
         fingerprint,
@@ -1281,10 +1270,22 @@ pub(crate) fn decode_test_set(bytes: &[u8]) -> Result<TestSetRecord, CheckpointE
 mod tests {
     use super::*;
 
+    /// A checkpoint header.
+    fn header(fingerprint: u64, faults: u64) -> Vec<u8> {
+        frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
+            out.put_u64(fingerprint);
+            out.put_u64(faults);
+        })
+    }
+
     /// The file a store's first save of `cp` writes.
     fn encode(cp: &CampaignCheckpoint) -> Vec<u8> {
-        let (state, header) = LastSave::header(cp);
-        [header, state.band(cp).bytes].concat()
+        let counts = vec![0; cp.per_pattern.len()];
+        [
+            header(cp.fingerprint, cp.per_pattern.len() as u64),
+            band_record(cp, &counts),
+        ]
+        .concat()
     }
 
     fn sample() -> CampaignCheckpoint {
@@ -1343,13 +1344,65 @@ mod tests {
     fn truncation_and_magic_detected() {
         let bytes = encode(&sample());
         assert_eq!(decode(&bytes[..3]).unwrap_err(), CheckpointError::Truncated);
+        // a cut inside the last record is a torn append: the records
+        // before it (here none) load
         assert_eq!(
-            decode(&bytes[..bytes.len() - 5]).unwrap_err(),
-            CheckpointError::ChecksumMismatch,
+            decode(&bytes[..bytes.len() - 5]).unwrap(),
+            CampaignCheckpoint {
+                next_pattern: 0,
+                per_pattern: vec![Vec::new(); 2],
+                ..sample()
+            },
         );
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert_eq!(decode(&bad).unwrap_err(), CheckpointError::BadMagic);
+    }
+
+    /// A two-band file, as one store's two saves write it, and its first
+    /// band's checkpoint and file.
+    fn two_bands() -> (CampaignCheckpoint, Vec<u8>, CampaignCheckpoint, Vec<u8>) {
+        let first = progress(3, 2);
+        let second = progress(3, 4);
+        let counts: Vec<usize> = first.per_pattern.iter().map(Vec::len).collect();
+        let one = encode(&first);
+        let two = [one.clone(), band_record(&second, &counts)].concat();
+        (first, one, second, two)
+    }
+
+    #[test]
+    fn a_torn_last_record_loads_as_the_records_before_it() {
+        let (first, one, second, two) = two_bands();
+        assert_eq!(decode(&two).unwrap(), second);
+        for cut in one.len()..two.len() {
+            assert_eq!(decode(&two[..cut]).unwrap(), first, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn bit_flips_in_the_header_and_the_records_are_detected() {
+        let (first, one, _, two) = two_bands();
+        // the header's fingerprint, the first record's next_pattern, an
+        // endpoint in the last record
+        for pos in [8, HEADER_LEN + 8, two.len() - 12] {
+            let mut corrupt = two.clone();
+            corrupt[pos] ^= 0x04;
+            assert_eq!(
+                decode(&corrupt).unwrap_err(),
+                CheckpointError::ChecksumMismatch,
+                "pos {pos}"
+            );
+        }
+        // A flipped length field makes its record look torn: the records
+        // before it load, and nothing from the record or after it.
+        let mut corrupt = two.clone();
+        corrupt[one.len() + 7] ^= 0x40;
+        assert_eq!(decode(&corrupt).unwrap(), first);
+        let mut corrupt = two;
+        corrupt[HEADER_LEN + 7] ^= 0x40;
+        let empty = decode(&corrupt).unwrap();
+        assert_eq!(empty.next_pattern, 0);
+        assert!(empty.per_pattern.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -1409,30 +1462,25 @@ mod tests {
     }
 
     #[test]
-    fn saves_encode_only_what_extends_the_last_save() {
+    fn saves_append_what_extends_the_last_save() {
         let dir = fresh_root("extend");
         let path = dir.join("c.ckpt");
         let store = CheckpointStore::new(&path);
+        let file = || std::fs::read(&path).unwrap();
 
-        // Band by band through one store: after the first save, each
-        // save encodes just its band record and the trailer.
-        let first = store.save(&progress(3, 2)).unwrap();
-        assert_eq!(first.encoded, first.written);
-        let mut previous = first;
+        // Band by band through one store: the first save writes the file
+        // afresh, and each later one grows it by the bytes it returns.
+        assert_eq!(store.save(&progress(3, 2)).unwrap(), file().len() as u64);
         for next_pattern in [4, 6, 8] {
             let cp = progress(3, next_pattern);
-            let saved = store.save(&cp).unwrap();
+            let before = file().len() as u64;
+            let written = store.save(&cp).unwrap();
+            assert_eq!(file().len() as u64, before + written);
             assert_eq!(store.load().unwrap(), cp);
-            assert_eq!(saved.written, std::fs::metadata(&path).unwrap().len());
-            assert_eq!(
-                saved.written,
-                previous.written - TRAILER_LEN + saved.encoded
-            );
-            previous = saved;
         }
 
-        // A checkpoint that does not extend the last save is encoded from
-        // scratch: a shorter entry list at the same next pattern, another
+        // A checkpoint that does not extend the last save is written
+        // afresh: a shorter entry list at the same next pattern, another
         // fingerprint, another fault count, an earlier next pattern.
         let mut shorter = progress(3, 8);
         shorter.per_pattern[1].pop();
@@ -1451,76 +1499,91 @@ mod tests {
             (later, progress(3, 8)),
         ] {
             store.save(&last).unwrap();
-            let saved = store.save(&cp).unwrap();
-            assert_eq!(saved.encoded, saved.written);
-            assert_eq!(store.load().unwrap(), cp);
+            let written = store.save(&cp).unwrap();
+            assert_eq!(file(), encode(&cp));
+            assert_eq!(written, file().len() as u64);
         }
 
-        // So is a save that extends the last one when the file it would
-        // copy from was removed, or replaced by another writer's file of
-        // the same length.
+        // So is a save after `clear`.
         store.save(&progress(3, 6)).unwrap();
         store.clear().unwrap();
-        let saved = store.save(&progress(3, 8)).unwrap();
-        assert_eq!(saved.encoded, saved.written);
-        assert_eq!(store.load().unwrap(), progress(3, 8));
-        let mine = store.save(&progress(3, 6)).unwrap();
-        let theirs = CheckpointStore::new(&path)
-            .save(&CampaignCheckpoint {
-                fingerprint: 0xfeed,
-                ..progress(3, 6)
-            })
-            .unwrap();
-        assert_eq!(mine.written, theirs.written);
-        let saved = store.save(&progress(3, 8)).unwrap();
-        assert_eq!(saved.encoded, saved.written);
-        assert_eq!(store.load().unwrap(), progress(3, 8));
+        let written = store.save(&progress(3, 8)).unwrap();
+        assert_eq!(file(), encode(&progress(3, 8)));
+        assert_eq!(written, file().len() as u64);
 
-        // A failed write leaves the store as it was: the file on disk
-        // keeps the last save, and the retry encodes only the new band,
-        // writing the same file an undisturbed store writes. (A directory
-        // squatting on the temp path fails the write without arming the
-        // process-wide failpoints, which other tests share.)
-        let tmp = dir.join("c.ckpt.tmp");
+        // A file another store renamed over the path stays as that store
+        // wrote it: this store appends to the file it holds, never to the
+        // path.
+        store.save(&progress(3, 6)).unwrap();
+        let theirs = CampaignCheckpoint {
+            fingerprint: 0xfeed,
+            ..progress(3, 6)
+        };
+        CheckpointStore::new(&path).save(&theirs).unwrap();
+        store.save(&progress(3, 8)).unwrap();
+        assert_eq!(file(), encode(&theirs));
+
+        // Junk behind the last record, as a partial append leaves it, is
+        // dropped on load and cut off by the next save, whose file then
+        // equals an undisturbed store's.
         store.save(&progress(4, 4)).unwrap();
+        {
+            use std::io::Write as _;
+            let mut tail = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
+            tail.write_all(&[0xab; 13]).unwrap();
+        }
+        assert_eq!(store.load().unwrap(), progress(4, 4));
+        store.save(&progress(4, 6)).unwrap();
+        let undisturbed = CheckpointStore::new(dir.join("u.ckpt"));
+        undisturbed.save(&progress(4, 4)).unwrap();
+        undisturbed.save(&progress(4, 6)).unwrap();
+        assert_eq!(file(), std::fs::read(undisturbed.path()).unwrap());
+
+        // A failed save leaves the store as it was: the file keeps the
+        // last save, and the store still appends to it. (A directory
+        // squatting on the temp path fails a fresh write without arming
+        // the process-wide failpoints, which other tests share.)
+        let tmp = dir.join("c.ckpt.tmp");
         std::fs::create_dir(&tmp).unwrap();
-        let err = store.save(&progress(4, 6)).unwrap_err();
+        let err = store.save(&progress(5, 6)).unwrap_err();
         assert!(
             matches!(err, CheckpointError::Io { op: "write", .. }),
             "{err:?}"
         );
-        assert_eq!(store.load().unwrap(), progress(4, 4));
         std::fs::remove_dir(&tmp).unwrap();
-        let retried = store.save(&progress(4, 6)).unwrap();
-        assert!(retried.encoded < retried.written);
         assert_eq!(store.load().unwrap(), progress(4, 6));
-        let undisturbed = CheckpointStore::new(dir.join("u.ckpt"));
-        undisturbed.save(&progress(4, 4)).unwrap();
-        undisturbed.save(&progress(4, 6)).unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            std::fs::read(undisturbed.path()).unwrap()
-        );
+        store.save(&progress(4, 8)).unwrap();
+        undisturbed.save(&progress(4, 8)).unwrap();
+        assert_eq!(file(), std::fs::read(undisturbed.path()).unwrap());
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// A checkpoint file around hand-written band records: one
-    /// `(fault, pattern)` list per record, every range the same.
-    fn framed(faults: u64, next_pattern: u64, records: &[&[(u32, u32)]]) -> Vec<u8> {
+    /// A band record of hand-written `(fault, pattern)` entries, every
+    /// range the same.
+    fn record(next_pattern: u64, entries: &[(u32, u32)]) -> Vec<u8> {
         let range = &progress(1, 2).per_pattern[0][0].1;
-        frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
-            out.put_u64(0xf00d);
-            out.put_u64(faults);
-            for record in records {
-                out.put_u64(record.len() as u64);
-                for &(fault, pattern) in *record {
-                    out.put_u32(fault);
-                    out.put_u32(pattern);
-                    out.put_range(range);
-                }
-            }
-            out.put_u64(next_pattern);
-        })
+        let mut record = vec![0; 8];
+        record.put_u64(next_pattern);
+        record.put_u64(entries.len() as u64);
+        for &(fault, pattern) in entries {
+            record.put_u32(fault);
+            record.put_u32(pattern);
+            record.put_range(range);
+        }
+        seal(record)
+    }
+
+    /// A checkpoint file of hand-written band records, all ending at
+    /// `next_pattern`.
+    fn framed(faults: u64, next_pattern: u64, records: &[&[(u32, u32)]]) -> Vec<u8> {
+        let mut file = header(0xf00d, faults);
+        for entries in records {
+            file.extend(record(next_pattern, entries));
+        }
+        file
     }
 
     fn malformed_reason(bytes: &[u8]) -> String {
@@ -1549,9 +1612,22 @@ mod tests {
     }
 
     #[test]
+    fn fault_count_beyond_u32_is_malformed() {
+        let reason = malformed_reason(&header(7, u64::from(u32::MAX) + 1));
+        assert!(reason.contains("exceeds u32"), "{reason}");
+    }
+
+    #[test]
     fn pattern_at_or_beyond_next_pattern_is_malformed() {
         let reason = malformed_reason(&framed(2, 4, &[&[(1, 4)]]));
         assert!(reason.contains("next_pattern 4"), "{reason}");
+    }
+
+    #[test]
+    fn next_pattern_falling_between_records_is_malformed() {
+        let bytes = [header(0xf00d, 2), record(4, &[]), record(3, &[])].concat();
+        let reason = malformed_reason(&bytes);
+        assert!(reason.contains("below the previous record's 4"), "{reason}");
     }
 
     #[test]
@@ -1793,27 +1869,37 @@ mod tests {
                     Err(e) => prop_assert!(!e.to_string().is_empty()),
                 }
             }
-            let checkpoint = frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| out.extend(&bytes));
-            if let Err(e) = decode(&checkpoint) {
-                prop_assert!(!e.to_string().is_empty());
-            }
-            // The same bytes as band records, behind a plausible header
-            // and trailer, drive the record parser and its entry checks.
-            let records = frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
-                out.put_u64(7);
-                out.put_u64(faults);
-                out.extend(&bytes);
-                out.put_u64(next_pattern);
-            });
-            match decode(&records) {
-                Ok(cp) => {
-                    prop_assert_eq!(cp.per_pattern.len() as u64, faults);
-                    for entries in &cp.per_pattern {
-                        prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-                        prop_assert!(entries.iter().all(|(p, _)| u64::from(*p) < next_pattern));
+            // Behind a valid header, the bytes drive the record splitter
+            // (lengths, torn tails, checksums); sealed as one record, they
+            // drive the field parser and its entry checks.
+            let mut body = vec![0; 8];
+            body.put_u64(next_pattern);
+            body.extend(&bytes);
+            for candidate in [
+                [header(7, faults), bytes.clone()].concat(),
+                [header(7, faults), seal(body)].concat(),
+            ] {
+                match decode(&candidate) {
+                    Ok(cp) => {
+                        prop_assert_eq!(cp.per_pattern.len() as u64, faults);
+                        for entries in &cp.per_pattern {
+                            prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+                            prop_assert!(entries.iter().all(|(p, _)| (*p as usize) < cp.next_pattern));
+                        }
                     }
+                    Err(e) => prop_assert!(!e.to_string().is_empty()),
                 }
-                Err(e) => prop_assert!(!e.to_string().is_empty()),
+            }
+            // Their first 16 bytes as the header's fingerprint and fault
+            // count, behind a valid checksum, drive the fault-count checks.
+            let (fields, records) = bytes.split_at(bytes.len().min(16));
+            let fuzzed_header = [
+                frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| out.extend(fields)),
+                records.to_vec(),
+            ]
+            .concat();
+            if let Err(e) = decode(&fuzzed_header) {
+                prop_assert!(!e.to_string().is_empty());
             }
         }
 

@@ -575,8 +575,7 @@ impl<'c> HdfTestFlow<'c> {
                     let save_ns = elapsed_ns(t_save);
                     ckpt.saves.incr();
                     ckpt.save_ns.add(save_ns);
-                    ckpt.save_bytes.add(bytes.written);
-                    ckpt.encoded_bytes.add(bytes.encoded);
+                    ckpt.save_bytes.add(bytes);
                     self.metrics.latency.checkpoint_save.record(save_ns);
                 }
                 notify(CampaignProgress::BandCheckpointed {

@@ -63,7 +63,7 @@ pub mod shardsup;
 pub use analysis::{DetectionAnalysis, FaultVerdict};
 pub use checkpoint::{
     fnv1a, CampaignCheckpoint, CheckpointDir, CheckpointError, CheckpointStore, Fnv1a, GcReport,
-    JobStore, SavedBytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    JobStore, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use config::FlowConfig;
 pub use diagnose::{diagnose, predicted_observations, DiagnosisCandidate, Observation};

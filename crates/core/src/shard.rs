@@ -141,7 +141,7 @@ impl ShardFiles {
     pub fn land_spec(&self, flow: &HdfTestFlow<'_>, spec: &str) -> Result<(), CheckpointError> {
         let path = self.spec_path();
         checkpoint::write_with_retry(&path, flow.metrics(), || {
-            checkpoint::write_atomic(&path, |file| file.write_all(spec.as_bytes()))
+            checkpoint::write_atomic(&path, |file| file.write_all(spec.as_bytes())).map(drop)
         })
     }
 
@@ -186,7 +186,7 @@ impl ShardFiles {
         let bytes = checkpoint::encode_test_set(flow.campaign_fingerprint(patterns), patterns);
         let path = self.dir.join(TEST_SET_FILE);
         checkpoint::write_with_retry(&path, flow.metrics(), || {
-            checkpoint::write_atomic(&path, |file| file.write_all(&bytes))
+            checkpoint::write_atomic(&path, |file| file.write_all(&bytes)).map(drop)
         })
     }
 

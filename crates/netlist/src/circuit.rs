@@ -853,6 +853,32 @@ mod tests {
         assert!(!ops[0].is_pseudo());
         assert_eq!(ops[1].driver, c.find("g").unwrap());
         assert!(ops[1].is_pseudo());
+
+        // On library and generated circuits alike, every flip-flop's D-pin
+        // driver is an observation point: an X-path that leaves a
+        // combinational fanout cone through a D pin ends inside the cone,
+        // so PODEM's X-path check walks only the cone.
+        let s9234 = crate::generate::CircuitProfile::named("s9234")
+            .expect("paper profile")
+            .scaled(0.05)
+            .generate(1)
+            .expect("valid profile");
+        for c in [crate::library::s27(), s9234] {
+            let d_pins: Vec<_> = c
+                .node_ids()
+                .filter(|&id| c.kind(id) == GateKind::Dff)
+                .map(|ff| c.fanins(ff)[0])
+                .collect();
+            assert!(!d_pins.is_empty(), "{}: no flip-flop", c.name());
+            for d in d_pins {
+                assert!(
+                    c.observe_points().iter().any(|op| op.driver == d),
+                    "{}: D-pin driver {} is no observation point",
+                    c.name(),
+                    c.node_name(d),
+                );
+            }
+        }
     }
 
     #[test]

@@ -223,9 +223,6 @@ metric_section! {
         save_ns,
         /// Checkpoint bytes written.
         save_bytes,
-        /// Checkpoint bytes encoded: each save's new band record and
-        /// trailer, plus the header of a file encoded from scratch.
-        encoded_bytes,
         /// Checkpoint load attempts (including misses).
         loads,
         /// Total wall time spent loading checkpoints, in ns.
