@@ -164,11 +164,11 @@ fn main() {
         let mut pattern_of: Vec<u32> = Vec::new();
         let mut index: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
         for (k, &f) in faults.iter().enumerate() {
-            for (p, dr) in &analysis.per_pattern[f] {
+            for (p, range) in analysis.per_pattern.entries(f) {
                 let mut any = false;
                 for c in flow.configs().configs() {
                     if detects_at(
-                        dr,
+                        range,
                         flow.placement(),
                         flow.configs(),
                         c,
@@ -180,9 +180,9 @@ fn main() {
                     }
                 }
                 if any {
-                    let idx = *index.entry(*p).or_insert_with(|| {
+                    let idx = *index.entry(p).or_insert_with(|| {
                         combos.push(Vec::new());
-                        pattern_of.push(*p);
+                        pattern_of.push(p);
                         combos.len() - 1
                     });
                     combos[idx].push(u32::try_from(k).unwrap_or_else(|_| {

@@ -1,7 +1,7 @@
 use std::sync::Mutex;
 
 use fastmon_atpg::TestSet;
-use fastmon_faults::{DetectionRange, FaultList, IntervalSet};
+use fastmon_faults::{DetectionRange, DetectionTable, FaultList, IntervalSet, RangeBatch};
 use fastmon_monitor::{
     at_speed_monitor_detectable, detects_at, shifted_detection, union_detection, ConfigSet,
     MonitorConfig, MonitorPlacement,
@@ -44,12 +44,15 @@ impl FaultVerdict {
 pub struct DetectionAnalysis {
     /// The simulated candidate faults.
     pub faults: FaultList,
-    /// Per fault: sparse list of `(pattern index, raw per-output detection
-    /// range)`, glitch-filtered, clipped to `(0, t_nom)`.
-    pub per_pattern: Vec<Vec<(u32, DetectionRange)>>,
+    /// Per fault: the raw per-output detection range under every pattern
+    /// that detects it, glitch-filtered and clipped to `[0, t_nom)`, in a
+    /// [`DetectionTable`] row: `entries(fault)` yields `(pattern,
+    /// range)` in ascending pattern order, and `get(fault, pattern)`
+    /// finds one range by binary search.
+    pub per_pattern: DetectionTable,
     /// Per fault: union of the raw ranges over all patterns, per
     /// observation point in first-appearance order
-    /// ([`DetectionRange::union_of`] of `per_pattern`).
+    /// ([`DetectionRange::union_of`] of the fault's `per_pattern` row).
     pub raw_union: Vec<DetectionRange>,
     /// Per fault: FF-only observable range inside the FAST window
     /// (conventional FAST).
@@ -106,7 +109,7 @@ impl DetectionAnalysis {
         mut progress: CampaignCheckpoint,
         on_band: &mut dyn FnMut(&CampaignCheckpoint) -> Result<(), CheckpointError>,
     ) -> Result<Self, FlowError> {
-        debug_assert_eq!(progress.per_pattern.len(), faults.len());
+        debug_assert_eq!(progress.per_pattern.num_faults(), faults.len());
         let _analyze_span = fastmon_obs::span!("analyze");
         let sim_metrics = metrics.map(|m| &m.sim);
         let engine = match sim_metrics {
@@ -189,7 +192,7 @@ impl DetectionAnalysis {
         // (buffers created because a pool was empty) is about that size
         // times the number of workers, not a count that grows with bands
         // or cones.
-        let worker_pool: Mutex<Vec<BandWorker>> = Mutex::new(Vec::new());
+        let worker_pool: Mutex<Vec<ConeScratch>> = Mutex::new(Vec::new());
 
         let mut band_start = progress.next_pattern.min(num_patterns);
         while band_start < num_patterns {
@@ -210,59 +213,51 @@ impl DetectionAnalysis {
             let chunk_results = try_parallel_map_with(
                 band_len * num_chunks,
                 workers,
-                || Lease::take(&worker_pool, || BandWorker::new(circuit)),
+                || Lease::take(&worker_pool, || ConeScratch::new(circuit)),
                 |lease, item| {
                     // Worker bodies have no error channel; both failpoint
                     // actions surface as a contained panic.
                     if let Err(injected) = fastmon_obs::failpoints::fire("sim_worker") {
                         panic!("{injected}");
                     }
-                    let w = lease.get();
+                    let scratch = lease.get();
                     let base = &bases[item / num_chunks];
                     let chunk = item % num_chunks;
                     let lo = chunk * fault_plans.len() / num_chunks;
                     let hi = (chunk + 1) * fault_plans.len() / num_chunks;
-                    let mut found: Vec<(u32, DetectionRange)> = Vec::new();
+                    // the walk appends each fault's raw diffs, and `close`
+                    // clips and glitch-filters them in place
+                    let mut found = RangeBatch::new();
                     for &(fidx, entry) in &fault_plans[lo..hi] {
                         let fault = faults.fault(fastmon_faults::FaultId::from_index(fidx));
+                        let (points, intervals) = found.buffers();
                         engine.response_diff_planned_into(
                             base,
                             fault,
                             &plans[entry],
-                            &mut w.scratch,
+                            scratch,
                             clock.t_nom,
-                            &mut w.diffs,
+                            points,
+                            intervals,
                         );
-                        if w.diffs.is_empty() {
-                            continue;
-                        }
-                        let mut dr = DetectionRange::new();
-                        for (op, set) in w.diffs.drain(..) {
-                            let filtered = set
-                                .clipped(0.0, clock.t_nom)
-                                .filter_glitches(glitch_threshold);
-                            dr.push(op, filtered);
-                        }
-                        if !dr.is_empty() {
-                            let fidx = u32::try_from(fidx)
-                                .unwrap_or_else(|_| unreachable!("fault count fits u32"));
-                            found.push((fidx, dr));
-                        }
+                        let fidx = u32::try_from(fidx)
+                            .unwrap_or_else(|_| unreachable!("fault count fits u32"));
+                        found.close(fidx, clock.t_nom, glitch_threshold);
                     }
-                    engine.publish_cone_counters(&mut w.scratch);
+                    engine.publish_cone_counters(scratch);
                     found
                 },
             )
             .map_err(contained(metrics))?;
 
             // merge in fixed (pattern, chunk) order — the result is
-            // bit-identical for any thread count
+            // bit-identical for any thread count — into rows grown once, by
+            // exactly the band's ranges
+            progress.per_pattern.reserve_exact(&chunk_results);
             for (item, found) in chunk_results.into_iter().enumerate() {
                 let p = band_start + item / num_chunks;
                 let p = u32::try_from(p).unwrap_or_else(|_| unreachable!("pattern count fits u32"));
-                for (fidx, dr) in found {
-                    progress.per_pattern[fidx as usize].push((p, dr));
-                }
+                progress.per_pattern.append(p, &found);
             }
             if let Some(m) = metrics {
                 // Simulation time only — checkpoint save latency is its
@@ -318,7 +313,7 @@ impl DetectionAnalysis {
     pub fn finalize(
         faults: FaultList,
         num_patterns: usize,
-        per_pattern: Vec<Vec<(u32, DetectionRange)>>,
+        per_pattern: DetectionTable,
         raw_union: Vec<DetectionRange>,
         placement: &MonitorPlacement,
         configs: &ConfigSet,
@@ -329,6 +324,7 @@ impl DetectionAnalysis {
         let mut verdicts = Vec::with_capacity(faults.len());
         let mut targets = Vec::new();
         for (i, raw) in raw_union.iter().enumerate() {
+            let raw = raw.view();
             let conv = shifted_detection(raw, placement, configs, MonitorConfig::Off, clock);
             let fast = union_detection(raw, placement, configs, clock);
             let verdict = FaultVerdict {
@@ -376,7 +372,7 @@ impl DetectionAnalysis {
     pub fn merge<I: IntoIterator<Item = DetectionAnalysis>>(shards: I) -> Result<Self, FlowError> {
         let mut merged = DetectionAnalysis {
             faults: FaultList::new(),
-            per_pattern: Vec::new(),
+            per_pattern: DetectionTable::default(),
             raw_union: Vec::new(),
             conv_range: Vec::new(),
             fast_range: Vec::new(),
@@ -395,8 +391,8 @@ impl DetectionAnalysis {
                     expected: merged.num_patterns,
                 });
             }
-            let offset = merged.per_pattern.len();
-            merged.per_pattern.extend(shard.per_pattern);
+            let offset = merged.per_pattern.num_faults();
+            merged.per_pattern.append_rows(shard.per_pattern);
             merged.raw_union.extend(shard.raw_union);
             merged.conv_range.extend(shard.conv_range);
             merged.fast_range.extend(shard.fast_range);
@@ -428,12 +424,10 @@ impl DetectionAnalysis {
         configs: &ConfigSet,
         clock: &ClockSpec,
     ) -> bool {
-        // entries are pushed in ascending pattern order during compute
-        let entries = &self.per_pattern[fault];
-        entries
-            .binary_search_by_key(&pattern, |(p, _)| *p as usize)
+        u32::try_from(pattern)
             .ok()
-            .is_some_and(|i| detects_at(&entries[i].1, placement, configs, config, clock, t))
+            .and_then(|p| self.per_pattern.get(fault, p))
+            .is_some_and(|range| detects_at(range, placement, configs, config, clock, t))
     }
 
     /// Number of candidate faults.
@@ -453,18 +447,18 @@ impl DetectionAnalysis {
         let mut hash = Fnv1a::new();
         hash.put_u64(self.faults.len() as u64);
         hash.put_u64(self.num_patterns as u64);
-        for entries in &self.per_pattern {
-            hash.put_u64(entries.len() as u64);
-            for (pattern, dr) in entries {
-                hash.put_u64(u64::from(*pattern));
-                hash.put_range(dr);
+        for fault in 0..self.per_pattern.num_faults() {
+            hash.put_u64(self.per_pattern.len(fault) as u64);
+            for (pattern, range) in self.per_pattern.entries(fault) {
+                hash.put_u64(u64::from(pattern));
+                hash.put_range(range);
             }
         }
         for dr in &self.raw_union {
-            hash.put_range(dr);
+            hash.put_range(dr.view());
         }
         for set in self.conv_range.iter().chain(self.fast_range.iter()) {
-            hash.put_set(set);
+            hash.put_set(set.view());
         }
         for v in &self.verdicts {
             hash.put(&[u8::from(v.detected_conv)
@@ -498,14 +492,14 @@ impl DetectionAnalysis {
 /// [`DetectionAnalysis::result_fingerprint`] depend on, so the result is
 /// the one merging the entries one by one would give.
 pub(crate) fn raw_unions(
-    per_pattern: &[Vec<(u32, DetectionRange)>],
+    per_pattern: &DetectionTable,
     workers: usize,
 ) -> Result<Vec<DetectionRange>, WorkerPanic> {
     try_parallel_map_with(
-        per_pattern.len(),
+        per_pattern.num_faults(),
         workers,
         || (),
-        |(), f| DetectionRange::union_of(per_pattern[f].iter().map(|(_, dr)| dr)),
+        |(), f| DetectionRange::union_of(per_pattern.entries(f).map(|(_, range)| range)),
     )
 }
 
@@ -525,22 +519,6 @@ pub(crate) fn contained(
     }
 }
 
-/// Per-worker campaign scratch: the cone re-simulation buffers and the
-/// per-fault diff accumulator.
-struct BandWorker {
-    scratch: ConeScratch,
-    diffs: Vec<(usize, IntervalSet)>,
-}
-
-impl BandWorker {
-    fn new(circuit: &Circuit) -> Self {
-        BandWorker {
-            scratch: ConeScratch::new(circuit),
-            diffs: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,9 +534,9 @@ mod tests {
         let flow = HdfTestFlow::prepare(&c, &cfg);
         let patterns = flow.generate_patterns(None);
         let analysis = flow.analyze(&patterns);
-        for ranges in &analysis.per_pattern {
-            for (p, dr) in ranges {
-                assert!((*p as usize) < analysis.num_patterns);
+        for f in 0..analysis.per_pattern.num_faults() {
+            for (p, dr) in analysis.per_pattern.entries(f) {
+                assert!((p as usize) < analysis.num_patterns);
                 for (op, set) in dr.iter() {
                     assert!(op < c.observe_points().len());
                     for iv in set.iter() {
@@ -586,11 +564,11 @@ mod tests {
             }
             for iv in fast.iter() {
                 let t = iv.midpoint();
-                let hit = analysis.per_pattern[f].iter().any(|(p, _)| {
+                let hit = analysis.per_pattern.entries(f).any(|(p, _)| {
                     flow.configs().configs().any(|config| {
                         analysis.detected_at(
                             f,
-                            *p as usize,
+                            p as usize,
                             config,
                             t,
                             flow.placement(),
@@ -626,7 +604,7 @@ mod tests {
                 let analysis = flow.analyze(&patterns);
                 assert_eq!(analysis.num_patterns, patterns.len());
                 if budget == 0 {
-                    assert!(analysis.per_pattern.iter().all(Vec::is_empty));
+                    assert!((0..analysis.num_faults()).all(|f| analysis.per_pattern.len(f) == 0));
                 }
             }
         }

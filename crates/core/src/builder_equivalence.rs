@@ -10,7 +10,7 @@
 //! * `finalize`'s `conv_range`/`fast_range` against repeated `union` over
 //!   the configurations;
 //! * the raw unions derived after the campaign against merging the
-//!   per-pattern ranges one by one with `DetectionRange::merge`.
+//!   per-pattern ranges one by one, every point of each pushed in turn.
 //!
 //! Endpoints, delays and clock bounds are drawn from a 0.1 grid, so the
 //! inputs share and touch endpoints, tie on the most-populated cell and
@@ -28,6 +28,7 @@ use proptest::prelude::*;
 
 use crate::analysis::raw_unions;
 use crate::discretize::candidate_columns;
+use crate::table_equivalence::table_of;
 use crate::{discretize, elementary_intervals, DetectionAnalysis};
 
 // ------------------------------------------------------------ references
@@ -97,6 +98,7 @@ fn reference_shifted_detection(
     let mut out = IntervalSet::new();
     let d = configs.shift(config);
     for (op_index, raw) in range.iter() {
+        let raw = raw.to_set();
         out = out.union(&raw.clipped(clock.t_min, clock.t_nom));
         if d > 0.0 && placement.is_monitored(op_index) {
             out = out.union(&raw.shifted(d).clipped(clock.t_min, clock.t_nom));
@@ -139,15 +141,22 @@ fn reference_at_speed(
                 && configs
                     .delays()
                     .iter()
-                    .any(|&d| set.shifted(d).contains(at_speed)))
+                    .any(|&d| set.to_set().shifted(d).contains(at_speed)))
     })
+}
+
+/// Merges `other` into `union`, point by point.
+fn merge(union: &mut DetectionRange, other: &DetectionRange) {
+    for (op, set) in other.iter() {
+        union.push(op, set.to_set());
+    }
 }
 
 /// A fault's raw union, merged entry by entry in pattern order.
 fn reference_raw_union(entries: &[(u32, DetectionRange)]) -> DetectionRange {
     let mut union = DetectionRange::new();
     for (_, dr) in entries {
-        union.merge(dr);
+        merge(&mut union, dr);
     }
     union
 }
@@ -273,12 +282,12 @@ proptest! {
         for config in configs.configs() {
             let window = reference_shifted_detection(&range, &placement, &configs, config, &clock);
             prop_assert_eq!(
-                &shifted_detection(&range, &placement, &configs, config, &clock),
+                &shifted_detection(range.view(), &placement, &configs, config, &clock),
                 &window
             );
             for &t in &periods {
                 prop_assert_eq!(
-                    detects_at(&range, &placement, &configs, config, &clock, t),
+                    detects_at(range.view(), &placement, &configs, config, &clock, t),
                     window.contains(t),
                     "config {} at t = {}",
                     config,
@@ -301,12 +310,12 @@ proptest! {
         let (placement, configs, clock) = context(mask, &delays, bounds);
         let (conv, fast) = reference_windows(&raw, &placement, &configs, &clock);
         prop_assert_eq!(
-            shifted_detection(&raw, &placement, &configs, MonitorConfig::Off, &clock),
+            shifted_detection(raw.view(), &placement, &configs, MonitorConfig::Off, &clock),
             conv
         );
-        prop_assert_eq!(union_detection(&raw, &placement, &configs, &clock), fast);
+        prop_assert_eq!(union_detection(raw.view(), &placement, &configs, &clock), fast);
         prop_assert_eq!(
-            at_speed_monitor_detectable(&raw, &placement, &configs, &clock),
+            at_speed_monitor_detectable(raw.view(), &placement, &configs, &clock),
             reference_at_speed(&raw, &placement, &configs, &clock)
         );
     }
@@ -334,9 +343,10 @@ proptest! {
             .collect();
         let reference: Vec<DetectionRange> =
             per_pattern.iter().map(|e| reference_raw_union(e)).collect();
+        let table = table_of(&per_pattern);
         for workers in [1, 2] {
             prop_assert_eq!(
-                &raw_unions(&per_pattern, workers).expect("no worker panics"),
+                &raw_unions(&table, workers).expect("no worker panics"),
                 &reference
             );
         }
@@ -345,8 +355,8 @@ proptest! {
         let analysis = DetectionAnalysis::finalize(
             FaultList::new(),
             5,
-            per_pattern.clone(),
-            raw_unions(&per_pattern, 1).expect("no worker panics"),
+            table.clone(),
+            raw_unions(&table, 1).expect("no worker panics"),
             &placement,
             &configs,
             &clock,
@@ -376,10 +386,17 @@ fn shifted_sums_decide_the_boundary() {
         t_nom: 1.0,
     };
     let delayed = MonitorConfig::Delay(0);
-    assert!(shifted_detection(&range, &placement, &configs, delayed, &clock).contains(t));
-    assert!(detects_at(&range, &placement, &configs, delayed, &clock, t));
+    assert!(shifted_detection(range.view(), &placement, &configs, delayed, &clock).contains(t));
+    assert!(detects_at(
+        range.view(),
+        &placement,
+        &configs,
+        delayed,
+        &clock,
+        t
+    ));
     assert!(!detects_at(
-        &range,
+        range.view(),
         &placement,
         &configs,
         MonitorConfig::Off,

@@ -52,7 +52,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use fastmon_atpg::TestPattern;
-use fastmon_faults::{DetectionRange, Interval, IntervalSet};
+use fastmon_faults::{
+    DetectionRange, DetectionTable, Interval, IntervalSet, IntervalSetRef, RangeRef,
+};
 
 /// Magic bytes leading every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FMCK";
@@ -183,8 +185,11 @@ pub struct CampaignCheckpoint {
     /// First pattern index that has *not* been simulated yet.
     pub next_pattern: usize,
     /// Per fault: `(pattern, raw detection range)` entries accumulated so
-    /// far, strictly ascending by pattern and all below `next_pattern`.
-    pub per_pattern: Vec<Vec<(u32, DetectionRange)>>,
+    /// far, strictly ascending by pattern and all below `next_pattern`, in
+    /// the campaign's flat [`DetectionTable`]. The campaign appends each
+    /// band's ranges straight into it, and a save encodes each row's
+    /// entries beyond the counts the file already holds.
+    pub per_pattern: DetectionTable,
 }
 
 /// Persists campaign checkpoints to one file, as an append-only log.
@@ -209,6 +214,7 @@ pub struct CampaignCheckpoint {
 ///
 /// ```
 /// use fastmon_core::{CampaignCheckpoint, CheckpointError, CheckpointStore};
+/// use fastmon_faults::DetectionTable;
 ///
 /// let dir = std::env::temp_dir().join("fastmon-checkpoint-doc");
 /// let store = CheckpointStore::new(dir.join("doc.ckpt"));
@@ -216,7 +222,7 @@ pub struct CampaignCheckpoint {
 /// let cp = CampaignCheckpoint {
 ///     fingerprint: 7,
 ///     next_pattern: 2,
-///     per_pattern: vec![Vec::new()],
+///     per_pattern: DetectionTable::new(1),
 /// };
 /// store.save(&cp)?;
 /// assert_eq!(store.load()?, cp);
@@ -847,7 +853,7 @@ pub(crate) trait ByteSink {
     }
 
     /// An interval set: its interval count, then each start and end.
-    fn put_set(&mut self, set: &IntervalSet) {
+    fn put_set(&mut self, set: IntervalSetRef<'_>) {
         self.put_u64(set.len() as u64);
         for iv in set.iter() {
             self.put_f64(iv.start);
@@ -857,9 +863,9 @@ pub(crate) trait ByteSink {
 
     /// A detection range: its output count, then each output index and
     /// interval set.
-    fn put_range(&mut self, dr: &DetectionRange) {
-        self.put_u64(dr.iter().count() as u64);
-        for (op, set) in dr.iter() {
+    fn put_range(&mut self, range: RangeRef<'_>) {
+        self.put_u64(range.len() as u64);
+        for (op, set) in range.iter() {
             self.put_u64(op as u64);
             self.put_set(set);
         }
@@ -880,7 +886,7 @@ impl ByteSink for Fnv1a {
 
 /// Builds a framed record: `magic`, `version`, the payload `body`
 /// writes, and an FNV-1a checksum over everything before it.
-fn frame(magic: [u8; 4], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+pub(crate) fn frame(magic: [u8; 4], version: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = Vec::new();
     out.put(&magic);
     out.put_u32(version);
@@ -914,9 +920,9 @@ impl Log {
         use std::io::Write as _;
         let header = frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, |out| {
             out.put_u64(cp.fingerprint);
-            out.put_u64(cp.per_pattern.len() as u64);
+            out.put_u64(cp.per_pattern.num_faults() as u64);
         });
-        let counts = vec![0; cp.per_pattern.len()];
+        let counts = vec![0; cp.per_pattern.num_faults()];
         let record = band_record(cp, &counts);
         // Two writes: one concatenated buffer would hold a whole-shard
         // record twice.
@@ -939,12 +945,12 @@ impl Log {
     fn extended_by(&self, cp: &CampaignCheckpoint) -> bool {
         cp.fingerprint == self.fingerprint
             && cp.next_pattern >= self.next_pattern
-            && cp.per_pattern.len() == self.counts.len()
-            && cp
-                .per_pattern
+            && cp.per_pattern.num_faults() == self.counts.len()
+            && self
+                .counts
                 .iter()
-                .zip(&self.counts)
-                .all(|(entries, &saved)| entries.len() >= saved)
+                .enumerate()
+                .all(|(fault, &saved)| cp.per_pattern.len(fault) >= saved)
     }
 
     /// Appends the band record of `cp`'s new entries after the file's
@@ -968,26 +974,27 @@ impl Log {
     fn commit(&mut self, cp: &CampaignCheckpoint, record: usize) {
         self.len += record as u64;
         self.next_pattern = cp.next_pattern;
-        for (saved, entries) in self.counts.iter_mut().zip(&cp.per_pattern) {
-            *saved = entries.len();
+        for (fault, saved) in self.counts.iter_mut().enumerate() {
+            *saved = cp.per_pattern.len(fault);
         }
     }
 }
 
 /// Encodes the entries of `cp` beyond the first `counts[fault]` of each
 /// fault, fault by fault, as one band record.
-fn band_record(cp: &CampaignCheckpoint, counts: &[usize]) -> Vec<u8> {
+pub(crate) fn band_record(cp: &CampaignCheckpoint, counts: &[usize]) -> Vec<u8> {
     // length and entry count, filled in once known
     let mut record = vec![0; 8];
     record.put_u64(cp.next_pattern as u64);
     record.put_u64(0);
     let mut entries = 0u64;
-    for (fault, (list, &saved)) in cp.per_pattern.iter().zip(counts).enumerate() {
-        let fault = u32::try_from(fault).unwrap_or_else(|_| unreachable!("fault count fits u32"));
-        for (pattern, dr) in &list[saved..] {
-            record.put_u32(fault);
-            record.put_u32(*pattern);
-            record.put_range(dr);
+    for (fault, &saved) in counts.iter().enumerate() {
+        let id = u32::try_from(fault).unwrap_or_else(|_| unreachable!("fault count fits u32"));
+        for k in saved..cp.per_pattern.len(fault) {
+            let (pattern, range) = cp.per_pattern.entry(fault, k);
+            record.put_u32(id);
+            record.put_u32(pattern);
+            record.put_range(range);
             entries += 1;
         }
     }
@@ -997,7 +1004,7 @@ fn band_record(cp: &CampaignCheckpoint, counts: &[usize]) -> Vec<u8> {
 
 /// Completes a band record whose first eight bytes are reserved for its
 /// length: fills the length in and appends the checksum.
-fn seal(mut record: Vec<u8>) -> Vec<u8> {
+pub(crate) fn seal(mut record: Vec<u8>) -> Vec<u8> {
     // the bytes after the length field, the checksum included
     let len = record.len() as u64;
     record[..8].copy_from_slice(&len.to_le_bytes());
@@ -1156,6 +1163,11 @@ impl<'a> Cursor<'a> {
         let mut dr = DetectionRange::new();
         for _ in 0..outputs {
             let op = self.usize()?;
+            if u32::try_from(op).is_err() {
+                return Err(CheckpointError::Malformed {
+                    reason: format!("observation point {op} exceeds u32"),
+                });
+            }
             let n = self.usize()?;
             let mut set = IntervalSet::new();
             for _ in 0..n {
@@ -1177,7 +1189,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
     let (header, mut rest) = bytes.split_at(bytes.len().min(HEADER_LEN));
     let mut cursor = Cursor::unframe(header, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
     let fingerprint = cursor.u64()?;
@@ -1190,11 +1202,8 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
     if u32::try_from(num_faults).is_err() {
         return Err(malformed(format!("fault count {num_faults} exceeds u32")));
     }
-    let mut per_pattern: Vec<Vec<(u32, DetectionRange)>> = Vec::new();
-    per_pattern
-        .try_reserve_exact(num_faults)
+    let mut per_pattern = DetectionTable::try_new(num_faults)
         .map_err(|_| malformed(format!("fault count {num_faults} cannot be allocated")))?;
-    per_pattern.resize_with(num_faults, Vec::new);
     let mut next_pattern = 0;
     while let Some(mut record) = Cursor::record(&mut rest)? {
         let band_end = record.usize()?;
@@ -1208,24 +1217,24 @@ fn decode(bytes: &[u8]) -> Result<CampaignCheckpoint, CheckpointError> {
         for _ in 0..entries {
             let fault = record.u32()?;
             let pattern = record.u32()?;
-            let list = per_pattern.get_mut(fault as usize).ok_or_else(|| {
-                malformed(format!(
+            if fault as usize >= num_faults {
+                return Err(malformed(format!(
                     "fault {fault} is not below the fault count {num_faults}"
-                ))
-            })?;
+                )));
+            }
             if pattern as usize >= next_pattern {
                 return Err(malformed(format!(
                     "fault {fault}: pattern {pattern} is not below next_pattern {next_pattern}"
                 )));
             }
-            if let Some(&(previous, _)) = list.last() {
+            if let Some((previous, _)) = per_pattern.entries(fault as usize).next_back() {
                 if pattern <= previous {
                     return Err(malformed(format!(
                         "fault {fault}: pattern {pattern} does not follow pattern {previous}"
                     )));
                 }
             }
-            list.push((pattern, record.range()?));
+            per_pattern.push(fault as usize, pattern, record.range()?.view());
         }
         record.finish()?;
     }
@@ -1269,6 +1278,7 @@ pub(crate) fn decode_test_set(bytes: &[u8]) -> Result<TestSetRecord, CheckpointE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table_equivalence::table_of;
 
     /// A checkpoint header.
     fn header(fingerprint: u64, faults: u64) -> Vec<u8> {
@@ -1280,9 +1290,9 @@ mod tests {
 
     /// The file a store's first save of `cp` writes.
     fn encode(cp: &CampaignCheckpoint) -> Vec<u8> {
-        let counts = vec![0; cp.per_pattern.len()];
+        let counts = vec![0; cp.per_pattern.num_faults()];
         [
-            header(cp.fingerprint, cp.per_pattern.len() as u64),
+            header(cp.fingerprint, cp.per_pattern.num_faults() as u64),
             band_record(cp, &counts),
         ]
         .concat()
@@ -1301,8 +1311,20 @@ mod tests {
         CampaignCheckpoint {
             fingerprint: 0xdead_beef_1234_5678,
             next_pattern: 6,
-            per_pattern: vec![vec![(1, dr), (5, dr2)], Vec::new()],
+            per_pattern: table_of(&[vec![(1, dr), (5, dr2)], Vec::new()]),
         }
+    }
+
+    /// How many entries each fault's row holds.
+    fn lens(table: &DetectionTable) -> Vec<usize> {
+        (0..table.num_faults()).map(|f| table.len(f)).collect()
+    }
+
+    /// Each fault's patterns.
+    fn patterns(table: &DetectionTable) -> Vec<Vec<u32>> {
+        (0..table.num_faults())
+            .map(|f| table.entries(f).map(|(p, _)| p).collect())
+            .collect()
     }
 
     #[test]
@@ -1350,7 +1372,7 @@ mod tests {
             decode(&bytes[..bytes.len() - 5]).unwrap(),
             CampaignCheckpoint {
                 next_pattern: 0,
-                per_pattern: vec![Vec::new(); 2],
+                per_pattern: DetectionTable::new(2),
                 ..sample()
             },
         );
@@ -1364,7 +1386,7 @@ mod tests {
     fn two_bands() -> (CampaignCheckpoint, Vec<u8>, CampaignCheckpoint, Vec<u8>) {
         let first = progress(3, 2);
         let second = progress(3, 4);
-        let counts: Vec<usize> = first.per_pattern.iter().map(Vec::len).collect();
+        let counts = lens(&first.per_pattern);
         let one = encode(&first);
         let two = [one.clone(), band_record(&second, &counts)].concat();
         (first, one, second, two)
@@ -1402,7 +1424,7 @@ mod tests {
         corrupt[HEADER_LEN + 7] ^= 0x40;
         let empty = decode(&corrupt).unwrap();
         assert_eq!(empty.next_pattern, 0);
-        assert!(empty.per_pattern.iter().all(Vec::is_empty));
+        assert_eq!(lens(&empty.per_pattern), [0; 3]);
     }
 
     #[test]
@@ -1438,7 +1460,16 @@ mod tests {
     /// simulated, as the banded loop builds it: pattern `p` detects fault
     /// `f` unless `p + f` is a multiple of 3.
     fn progress(faults: usize, next_pattern: u32) -> CampaignCheckpoint {
-        let per_pattern: Vec<Vec<(u32, DetectionRange)>> = (0..faults)
+        CampaignCheckpoint {
+            fingerprint: 0x5eed,
+            next_pattern: next_pattern as usize,
+            per_pattern: table_of(&progress_entries(faults, next_pattern)),
+        }
+    }
+
+    /// [`progress`]'s entries, per fault.
+    fn progress_entries(faults: usize, next_pattern: u32) -> Vec<Vec<(u32, DetectionRange)>> {
+        (0..faults)
             .map(|f| {
                 (0..next_pattern)
                     .filter(|&p| !(p as usize + f).is_multiple_of(3))
@@ -1453,12 +1484,7 @@ mod tests {
                     })
                     .collect()
             })
-            .collect();
-        CampaignCheckpoint {
-            fingerprint: 0x5eed,
-            next_pattern: next_pattern as usize,
-            per_pattern,
-        }
+            .collect()
     }
 
     #[test]
@@ -1482,8 +1508,12 @@ mod tests {
         // A checkpoint that does not extend the last save is written
         // afresh: a shorter entry list at the same next pattern, another
         // fingerprint, another fault count, an earlier next pattern.
-        let mut shorter = progress(3, 8);
-        shorter.per_pattern[1].pop();
+        let mut entries = progress_entries(3, 8);
+        entries[1].pop();
+        let shorter = CampaignCheckpoint {
+            per_pattern: table_of(&entries),
+            ..progress(3, 8)
+        };
         let other_fingerprint = CampaignCheckpoint {
             fingerprint: 0xfeed,
             ..progress(3, 8)
@@ -1564,7 +1594,8 @@ mod tests {
     /// A band record of hand-written `(fault, pattern)` entries, every
     /// range the same.
     fn record(next_pattern: u64, entries: &[(u32, u32)]) -> Vec<u8> {
-        let range = &progress(1, 2).per_pattern[0][0].1;
+        let cp = progress(1, 2);
+        let range = cp.per_pattern.entry(0, 0).1;
         let mut record = vec![0; 8];
         record.put_u64(next_pattern);
         record.put_u64(entries.len() as u64);
@@ -1596,12 +1627,7 @@ mod tests {
     #[test]
     fn hand_framed_band_records_decode() {
         let cp = decode(&framed(2, 4, &[&[(0, 1), (1, 0)], &[], &[(0, 3)]])).unwrap();
-        let patterns: Vec<Vec<u32>> = cp
-            .per_pattern
-            .iter()
-            .map(|entries| entries.iter().map(|(p, _)| *p).collect())
-            .collect();
-        assert_eq!(patterns, vec![vec![1, 3], vec![0]]);
+        assert_eq!(patterns(&cp.per_pattern), vec![vec![1, 3], vec![0]]);
         assert_eq!(cp.next_pattern, 4);
     }
 
@@ -1615,6 +1641,20 @@ mod tests {
     fn fault_count_beyond_u32_is_malformed() {
         let reason = malformed_reason(&header(7, u64::from(u32::MAX) + 1));
         assert!(reason.contains("exceeds u32"), "{reason}");
+    }
+
+    #[test]
+    fn observation_point_beyond_u32_is_malformed() {
+        let mut record = vec![0; 8];
+        record.put_u64(4);
+        record.put_u64(1);
+        record.put_u32(0);
+        record.put_u32(1);
+        record.put_u64(1); // one point, then its index
+        record.put_u64(u64::from(u32::MAX) + 1);
+        record.put_u64(0);
+        let reason = malformed_reason(&[header(7, 1), seal(record)].concat());
+        assert!(reason.contains("observation point"), "{reason}");
     }
 
     #[test]
@@ -1850,11 +1890,10 @@ mod tests {
             next_pattern in 0u64..12,
         ) {
             match decode(&bytes) {
-                Ok(cp) => prop_assert!(cp
-                    .per_pattern
+                Ok(cp) => prop_assert!(patterns(&cp.per_pattern)
                     .iter()
                     .flatten()
-                    .all(|(p, _)| (*p as usize) < cp.next_pattern)),
+                    .all(|&p| (p as usize) < cp.next_pattern)),
                 Err(e) => {
                     // every error renders (Display is part of the contract)
                     prop_assert!(!e.to_string().is_empty());
@@ -1881,10 +1920,10 @@ mod tests {
             ] {
                 match decode(&candidate) {
                     Ok(cp) => {
-                        prop_assert_eq!(cp.per_pattern.len() as u64, faults);
-                        for entries in &cp.per_pattern {
-                            prop_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-                            prop_assert!(entries.iter().all(|(p, _)| (*p as usize) < cp.next_pattern));
+                        prop_assert_eq!(cp.per_pattern.num_faults() as u64, faults);
+                        for entries in patterns(&cp.per_pattern) {
+                            prop_assert!(entries.windows(2).all(|w| w[0] < w[1]));
+                            prop_assert!(entries.iter().all(|&p| (p as usize) < cp.next_pattern));
                         }
                     }
                     Err(e) => prop_assert!(!e.to_string().is_empty()),
@@ -1923,7 +1962,7 @@ mod tests {
             match decode(&bytes) {
                 Ok(cp) => {
                     prop_assert!(valid, "accepted {entries:?}");
-                    let decoded: usize = cp.per_pattern.iter().map(Vec::len).sum();
+                    let decoded: usize = lens(&cp.per_pattern).iter().sum();
                     prop_assert_eq!(decoded, entries.len());
                 }
                 Err(e) => {

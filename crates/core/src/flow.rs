@@ -1,5 +1,5 @@
 use fastmon_atpg::{try_generate_with_metrics, AtpgConfig, AtpgError, TestSet};
-use fastmon_faults::{classify, FaultClass, FaultList, Polarity};
+use fastmon_faults::{classify, DetectionTable, FaultClass, FaultList, Polarity};
 use fastmon_monitor::{ConfigSet, MonitorPlacement};
 use fastmon_netlist::{Circuit, NetlistError, PinRef};
 use fastmon_obs::MetricsRegistry;
@@ -531,7 +531,7 @@ impl<'c> HdfTestFlow<'c> {
         let mut progress = CampaignCheckpoint {
             fingerprint: 0,
             next_pattern: 0,
-            per_pattern: vec![Vec::new(); faults.len()],
+            per_pattern: DetectionTable::new(faults.len()),
         };
         if let Some(store) = checkpoint {
             let campaign = self.campaign_fingerprint(patterns);
@@ -618,7 +618,7 @@ impl<'c> HdfTestFlow<'c> {
         match loaded {
             Ok(cp)
                 if cp.fingerprint == fresh.fingerprint
-                    && cp.per_pattern.len() == fresh.per_pattern.len()
+                    && cp.per_pattern.num_faults() == fresh.per_pattern.num_faults()
                     && cp.next_pattern <= total_patterns =>
             {
                 ckpt.resumes.incr();

@@ -55,6 +55,8 @@ mod discretize;
 mod error;
 mod flow;
 mod schedule;
+#[cfg(test)]
+mod table_equivalence;
 
 pub mod report;
 pub mod shard;

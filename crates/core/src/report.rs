@@ -277,7 +277,7 @@ pub fn fig3_series(
             let mut conv = 0usize;
             let mut prop = 0usize;
             for &i in &hidden {
-                let raw = &analysis.raw_union[i];
+                let raw = analysis.raw_union[i].view();
                 let ff = shifted_detection(raw, placement, configs, MonitorConfig::Off, &clock);
                 if !ff.is_empty() {
                     conv += 1;

@@ -373,15 +373,15 @@ fn optimize_entry(
     let mut combo_index: std::collections::HashMap<(u32, u8), usize> =
         std::collections::HashMap::new();
     for (k, &f) in faults.iter().enumerate() {
-        for (p, dr) in &ctx.analysis.per_pattern[f] {
+        for (p, range) in ctx.analysis.per_pattern.entries(f) {
             for (ci, &config) in configs.iter().enumerate() {
-                if detects_at(dr, ctx.placement, ctx.configs, config, ctx.clock, period) {
+                if detects_at(range, ctx.placement, ctx.configs, config, ctx.clock, period) {
                     let key = (
-                        *p,
+                        p,
                         u8::try_from(ci).unwrap_or_else(|_| unreachable!("few configs")),
                     );
                     let idx = *combo_index.entry(key).or_insert_with(|| {
-                        combos.push(((*p, config), Vec::new()));
+                        combos.push(((p, config), Vec::new()));
                         combos.len() - 1
                     });
                     combos[idx].1.push(

@@ -387,10 +387,10 @@ impl ShardFiles {
                 patterns.len()
             )));
         }
-        if cp.per_pattern.len() != faults {
+        if cp.per_pattern.num_faults() != faults {
             return Err(bad(format!(
                 "fault count {} does not match the shard's {faults} candidate(s)",
-                cp.per_pattern.len(),
+                cp.per_pattern.num_faults(),
             )));
         }
         Ok(cp)

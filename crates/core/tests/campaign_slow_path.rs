@@ -45,13 +45,15 @@ fn campaign_matches_slow_path_per_fault() {
                 for (op, set) in engine.response_diff(&base, fault, t_nom) {
                     expected.push(op, set.clipped(0.0, t_nom).filter_glitches(glitch));
                 }
-                let got = analysis.per_pattern[fid.index()]
-                    .iter()
-                    .find(|(pp, _)| *pp as usize == p)
-                    .map(|(_, dr)| dr);
+                let got = analysis
+                    .per_pattern
+                    .entries(fid.index())
+                    .find(|&(pp, _)| pp as usize == p)
+                    .map(|(_, range)| range);
                 match got {
-                    Some(dr) => assert_eq!(
-                        dr, &expected,
+                    Some(range) => assert_eq!(
+                        range,
+                        expected.view(),
                         "seed={seed} fault={fid} pattern={p}: campaign diverges from \
                          slow-path oracle"
                     ),
@@ -66,8 +68,10 @@ fn campaign_matches_slow_path_per_fault() {
         // raw unions are exactly the per-pattern merges
         for (fid, _) in flow.candidate_faults().iter() {
             let mut union = DetectionRange::new();
-            for (_, dr) in &analysis.per_pattern[fid.index()] {
-                union.merge(dr);
+            for (_, range) in analysis.per_pattern.entries(fid.index()) {
+                for (op, set) in range.iter() {
+                    union.push(op, set.to_set());
+                }
             }
             assert_eq!(
                 union,

@@ -129,8 +129,8 @@ proptest! {
                     run_sharded(&flow, &patterns, shards)
                 };
                 prop_assert_eq!(
-                    &analysis.per_pattern,
-                    &per_pattern,
+                    support::table_views(&analysis.per_pattern),
+                    support::views(&per_pattern),
                     "threads={} shards={}: per-pattern ranges diverge from the reference",
                     threads,
                     shards

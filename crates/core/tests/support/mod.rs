@@ -19,7 +19,9 @@
 //! code.
 
 use fastmon_atpg::TestSet;
-use fastmon_faults::{DetectionRange, FaultList, Interval, IntervalSet, SmallDelayFault};
+use fastmon_faults::{
+    DetectionRange, DetectionTable, FaultList, Interval, IntervalSet, RangeRef, SmallDelayFault,
+};
 use fastmon_netlist::{Circuit, GateKind, PinRef};
 use fastmon_sim::{Stimulus, Waveform};
 use fastmon_timing::{DelayAnnotation, Time};
@@ -149,12 +151,35 @@ pub fn analyze(
             let faulty = simulate_circuit(circuit, annot, &stim, Some(fault));
             let dr = detection_range(circuit, &fault_free, &faulty, t_nom, glitch_threshold);
             if !dr.is_empty() {
-                raw_union[fid.index()].merge(&dr);
+                merge(&mut raw_union[fid.index()], &dr);
                 per_pattern[fid.index()].push((p as u32, dr));
             }
         }
     }
     (per_pattern, raw_union)
+}
+
+/// Per fault, the `(pattern, range)` views of the reference's sparse
+/// lists, to compare with [`table_views`] of a campaign's `per_pattern`.
+pub fn views(per_pattern: &[Vec<(u32, DetectionRange)>]) -> Vec<Vec<(u32, RangeRef<'_>)>> {
+    per_pattern
+        .iter()
+        .map(|entries| entries.iter().map(|(p, dr)| (*p, dr.view())).collect())
+        .collect()
+}
+
+/// Per fault, the `(pattern, range)` views a table's row lends.
+pub fn table_views(table: &DetectionTable) -> Vec<Vec<(u32, RangeRef<'_>)>> {
+    (0..table.num_faults())
+        .map(|f| table.entries(f).collect())
+        .collect()
+}
+
+/// Merges `other` into `union`, point by point.
+pub fn merge(union: &mut DetectionRange, other: &DetectionRange) {
+    for (op, set) in other.iter() {
+        union.push(op, set.to_set());
+    }
 }
 
 /// One fault's reference windows and verdict.

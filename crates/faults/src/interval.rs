@@ -166,23 +166,16 @@ impl IntervalSet {
         self.ivs.iter().map(Interval::len).sum()
     }
 
+    /// The set as a borrowed [`IntervalSetRef`].
+    #[must_use]
+    pub fn view(&self) -> IntervalSetRef<'_> {
+        IntervalSetRef { ivs: &self.ivs }
+    }
+
     /// Whether observation time `t` is covered.
     #[must_use]
     pub fn contains(&self, t: Time) -> bool {
-        let i = self.ivs.partition_point(|x| x.end <= t);
-        i < self.ivs.len() && self.ivs[i].contains(t)
-    }
-
-    /// Whether `t` lies in the set shifted right by `d`: the answer of
-    /// `self.shifted(d).contains(t)`, bit for bit, without building the
-    /// shifted set. It tests `iv.start + d <= t < iv.end + d`, the sums
-    /// [`Interval::shifted`] computes, and never `t - d`, which rounds
-    /// differently.
-    #[must_use]
-    pub fn contains_shifted(&self, d: Time, t: Time) -> bool {
-        // the shifted ends stay sorted: adding `d` never reorders them
-        let i = self.ivs.partition_point(|x| x.end + d <= t);
-        i < self.ivs.len() && self.ivs[i].shifted(d).contains(t)
+        self.view().contains(t)
     }
 
     /// The union of two sets.
@@ -286,6 +279,71 @@ impl IntervalSet {
             out.push(iv.end);
         }
         out
+    }
+}
+
+/// A borrowed [`IntervalSet`]: a slice of disjoint, sorted, non-touching,
+/// non-empty intervals, with the set's read-only queries. A
+/// [`RangeRef`](crate::RangeRef) lends one per observation point.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct IntervalSetRef<'a> {
+    ivs: &'a [Interval],
+}
+
+impl<'a> IntervalSetRef<'a> {
+    /// Views `ivs`, which must already hold a set's invariant.
+    pub(crate) fn new(ivs: &'a [Interval]) -> Self {
+        IntervalSetRef { ivs }
+    }
+
+    /// Returns `true` if the set contains no intervals.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.ivs.is_empty()
+    }
+
+    /// Number of disjoint intervals.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.ivs.len()
+    }
+
+    /// Iterates over the disjoint intervals in time order.
+    pub fn iter(self) -> std::slice::Iter<'a, Interval> {
+        self.ivs.iter()
+    }
+
+    /// The intervals as a slice.
+    #[must_use]
+    pub fn as_slice(self) -> &'a [Interval] {
+        self.ivs
+    }
+
+    /// An owned copy of the set.
+    #[must_use]
+    pub fn to_set(self) -> IntervalSet {
+        IntervalSet {
+            ivs: self.ivs.to_vec(),
+        }
+    }
+
+    /// Whether observation time `t` is covered.
+    #[must_use]
+    pub fn contains(self, t: Time) -> bool {
+        let i = self.ivs.partition_point(|x| x.end <= t);
+        i < self.ivs.len() && self.ivs[i].contains(t)
+    }
+
+    /// Whether `t` lies in the set shifted right by `d`: the answer of
+    /// `self.to_set().shifted(d).contains(t)`, bit for bit, without
+    /// building the shifted set. It tests `iv.start + d <= t < iv.end + d`,
+    /// the sums [`Interval::shifted`] computes, and never `t - d`, which
+    /// rounds differently.
+    #[must_use]
+    pub fn contains_shifted(self, d: Time, t: Time) -> bool {
+        // the shifted ends stay sorted: adding `d` never reorders them
+        let i = self.ivs.partition_point(|x| x.end + d <= t);
+        i < self.ivs.len() && self.ivs[i].shifted(d).contains(t)
     }
 }
 
@@ -520,7 +578,7 @@ mod tests {
                 points.extend([iv.start + d, iv.end + d]);
             }
             for t in points {
-                prop_assert_eq!(s.contains_shifted(d, t), s.shifted(d).contains(t));
+                prop_assert_eq!(s.view().contains_shifted(d, t), s.shifted(d).contains(t));
             }
         }
 

@@ -10,7 +10,8 @@
 //! * [`FaultList`] — fault population: two faults (slow-to-rise /
 //!   slow-to-fall) per input and output pin of every gate, sized `δ = 6σ`,
 //! * [`DetectionRange`] — the per-output detecting-observation-time sets of
-//!   a fault (Definition 2 of the paper),
+//!   a fault (Definition 2 of the paper), and [`DetectionTable`] — every
+//!   fault's ranges under every pattern, in three flat arrays per fault,
 //! * [`classify`] — structural fault classification (at-speed detectable /
 //!   timing redundant / FAST-relevant).
 //!
@@ -41,7 +42,7 @@ mod list;
 mod model;
 
 pub use classify::{classify, FaultClass};
-pub use detect::DetectionRange;
-pub use interval::{Interval, IntervalSet};
+pub use detect::{DetectionRange, DetectionTable, RangeBatch, RangeRef};
+pub use interval::{Interval, IntervalSet, IntervalSetRef};
 pub use list::FaultList;
 pub use model::{FaultId, Polarity, SmallDelayFault};

@@ -1,4 +1,4 @@
-use fastmon_faults::{DetectionRange, Interval, IntervalSet};
+use fastmon_faults::{Interval, IntervalSet, RangeRef};
 use fastmon_timing::{ClockSpec, Time};
 
 use crate::{ConfigSet, MonitorConfig, MonitorPlacement};
@@ -16,7 +16,7 @@ use crate::{ConfigSet, MonitorConfig, MonitorPlacement};
 ///
 /// The result is the union over all outputs, built in one
 /// [`IntervalSet::from_intervals`] pass. Pass the raw (unclipped)
-/// [`DetectionRange`] from fault simulation — intervals below `t_min`
+/// range from fault simulation — intervals below `t_min`
 /// matter, because a monitor shift can move them into the window.
 ///
 /// # Example
@@ -34,15 +34,15 @@ use crate::{ConfigSet, MonitorConfig, MonitorPlacement};
 /// dr.push(0, IntervalSet::from_intervals([Interval::new(40.0, 80.0)]));
 ///
 /// // invisible to plain FAST...
-/// let off = shifted_detection(&dr, &placement, &configs, MonitorConfig::Off, &clock);
+/// let off = shifted_detection(dr.view(), &placement, &configs, MonitorConfig::Off, &clock);
 /// assert!(off.is_empty());
 /// // ...but the 1/3·t_nom delay element shifts it into the window
-/// let d4 = shifted_detection(&dr, &placement, &configs, MonitorConfig::Delay(3), &clock);
+/// let d4 = shifted_detection(dr.view(), &placement, &configs, MonitorConfig::Delay(3), &clock);
 /// assert!(d4.contains(150.0));
 /// ```
 #[must_use]
 pub fn shifted_detection(
-    range: &DetectionRange,
+    range: RangeRef<'_>,
     placement: &MonitorPlacement,
     configs: &ConfigSet,
     config: MonitorConfig,
@@ -71,16 +71,16 @@ pub fn shifted_detection(
 /// let mut dr = DetectionRange::new();
 /// dr.push(0, IntervalSet::from_intervals([Interval::new(60.0, 110.0)]));
 ///
-/// let any = union_detection(&dr, &placement, &configs, &clock);
+/// let any = union_detection(dr.view(), &placement, &configs, &clock);
 /// let each = configs.configs().fold(IntervalSet::new(), |acc, c| {
-///     acc.union(&shifted_detection(&dr, &placement, &configs, c, &clock))
+///     acc.union(&shifted_detection(dr.view(), &placement, &configs, c, &clock))
 /// });
 /// assert_eq!(any, each);
 /// assert_eq!(any.as_slice(), &[Interval::new(100.0, 160.0)]);
 /// ```
 #[must_use]
 pub fn union_detection(
-    range: &DetectionRange,
+    range: RangeRef<'_>,
     placement: &MonitorPlacement,
     configs: &ConfigSet,
     clock: &ClockSpec,
@@ -92,7 +92,7 @@ pub fn union_detection(
 /// monitored points, of the shadow registers under every delay of
 /// `shifts` (non-positive delays select no shadow register), as one set.
 fn window(
-    range: &DetectionRange,
+    range: RangeRef<'_>,
     placement: &MonitorPlacement,
     clock: &ClockSpec,
     shifts: &[Time],
@@ -129,7 +129,7 @@ fn window(
 /// raw range contains `t` or, at a monitored point under a delay `d > 0`,
 /// whether some raw interval satisfies `start + d <= t < end + d` — the
 /// sums [`Interval::shifted`] computes, never `t - d`
-/// ([`IntervalSet::contains_shifted`]).
+/// ([`IntervalSetRef::contains_shifted`](fastmon_faults::IntervalSetRef::contains_shifted)).
 ///
 /// # Example
 ///
@@ -144,14 +144,14 @@ fn window(
 /// let mut dr = DetectionRange::new();
 /// dr.push(0, IntervalSet::from_intervals([Interval::new(40.0, 80.0)]));
 ///
-/// assert!(!detects_at(&dr, &placement, &configs, MonitorConfig::Off, &clock, 150.0));
+/// assert!(!detects_at(dr.view(), &placement, &configs, MonitorConfig::Off, &clock, 150.0));
 /// // shifted by 100: [140, 180)
-/// assert!(detects_at(&dr, &placement, &configs, MonitorConfig::Delay(3), &clock, 150.0));
-/// assert!(!detects_at(&dr, &placement, &configs, MonitorConfig::Delay(3), &clock, 180.0));
+/// assert!(detects_at(dr.view(), &placement, &configs, MonitorConfig::Delay(3), &clock, 150.0));
+/// assert!(!detects_at(dr.view(), &placement, &configs, MonitorConfig::Delay(3), &clock, 180.0));
 /// ```
 #[must_use]
 pub fn detects_at(
-    range: &DetectionRange,
+    range: RangeRef<'_>,
     placement: &MonitorPlacement,
     configs: &ConfigSet,
     config: MonitorConfig,
@@ -180,7 +180,7 @@ pub fn detects_at(
 /// as [`detects_at`].
 #[must_use]
 pub fn at_speed_monitor_detectable(
-    range: &DetectionRange,
+    range: RangeRef<'_>,
     placement: &MonitorPlacement,
     configs: &ConfigSet,
     clock: &ClockSpec,
@@ -206,7 +206,7 @@ pub fn at_speed_monitor_detectable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastmon_faults::Interval;
+    use fastmon_faults::DetectionRange;
 
     fn clock() -> ClockSpec {
         ClockSpec::new(300.0, 3.0) // window [100, 300)
@@ -223,7 +223,13 @@ mod tests {
         let dr = range_at(0, 50.0, 150.0);
         let placement = MonitorPlacement::from_mask(vec![true]);
         let configs = ConfigSet::paper_defaults(300.0);
-        let set = shifted_detection(&dr, &placement, &configs, MonitorConfig::Off, &clock());
+        let set = shifted_detection(
+            dr.view(),
+            &placement,
+            &configs,
+            MonitorConfig::Off,
+            &clock(),
+        );
         assert_eq!(set.as_slice(), &[Interval::new(100.0, 150.0)]);
     }
 
@@ -232,7 +238,13 @@ mod tests {
         let dr = range_at(0, 40.0, 80.0);
         let placement = MonitorPlacement::from_mask(vec![false]);
         let configs = ConfigSet::paper_defaults(300.0);
-        let set = shifted_detection(&dr, &placement, &configs, MonitorConfig::Delay(3), &clock());
+        let set = shifted_detection(
+            dr.view(),
+            &placement,
+            &configs,
+            MonitorConfig::Delay(3),
+            &clock(),
+        );
         assert!(set.is_empty());
     }
 
@@ -242,7 +254,13 @@ mod tests {
         let placement = MonitorPlacement::from_mask(vec![true]);
         let configs = ConfigSet::paper_defaults(300.0);
         // d1 = 15: FF part [100,110) ∪ SR part [105,125)
-        let set = shifted_detection(&dr, &placement, &configs, MonitorConfig::Delay(0), &clock());
+        let set = shifted_detection(
+            dr.view(),
+            &placement,
+            &configs,
+            MonitorConfig::Delay(0),
+            &clock(),
+        );
         assert_eq!(set.as_slice(), &[Interval::new(100.0, 125.0)]);
     }
 
@@ -253,7 +271,7 @@ mod tests {
         // effect dies at 250 — not at-speed detectable by the FF
         let dr = range_at(0, 210.0, 250.0);
         assert!(!at_speed_monitor_detectable(
-            &dr,
+            dr.view(),
             &MonitorPlacement::from_mask(vec![false]),
             &configs,
             &clock()
@@ -262,7 +280,7 @@ mod tests {
         // use an interval that straddles 300 after the 100 shift
         let dr = range_at(0, 210.0, 310.0);
         assert!(at_speed_monitor_detectable(
-            &dr,
+            dr.view(),
             &placement,
             &configs,
             &clock()
@@ -274,7 +292,7 @@ mod tests {
         let configs = ConfigSet::paper_defaults(300.0);
         let dr = range_at(0, 290.0, 310.0);
         assert!(at_speed_monitor_detectable(
-            &dr,
+            dr.view(),
             &MonitorPlacement::from_mask(vec![false]),
             &configs,
             &clock()
@@ -291,7 +309,13 @@ mod tests {
         dr.push(1, IntervalSet::from_intervals([Interval::new(60.0, 70.0)]));
         let placement = MonitorPlacement::from_mask(vec![false, true]);
         let configs = ConfigSet::new(vec![50.0]);
-        let set = shifted_detection(&dr, &placement, &configs, MonitorConfig::Delay(0), &clock());
+        let set = shifted_detection(
+            dr.view(),
+            &placement,
+            &configs,
+            MonitorConfig::Delay(0),
+            &clock(),
+        );
         // op0 FF: [120,130); op1 FF: clipped away; op1 SR: [110,120)
         assert_eq!(set.as_slice(), &[Interval::new(110.0, 130.0)]);
     }

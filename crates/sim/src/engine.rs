@@ -1,4 +1,4 @@
-use fastmon_faults::{IntervalSet, SmallDelayFault};
+use fastmon_faults::{Interval, IntervalSet, SmallDelayFault};
 use fastmon_netlist::{Circuit, GateKind, LevelQueue, NodeId, PinRef};
 use fastmon_obs::SimMetrics;
 use fastmon_timing::{DelayAnnotation, Time};
@@ -528,9 +528,10 @@ impl PlanScratch {
 /// Reusable per-thread buffers for [`SimEngine::response_diff_planned`].
 ///
 /// Holds the walk's level queue, the changed nodes with their faulty
-/// waveforms and a dense node-to-slot map into them, the gate-evaluation
-/// scratch, a pool of recycled transition buffers and the counter tally
-/// not yet published ([`SimEngine::publish_cone_counters`]).
+/// waveforms, a dense node-to-slot map into them and the observation
+/// points they drive, the gate-evaluation scratch, a pool of recycled
+/// transition buffers and the counter tally not yet published
+/// ([`SimEngine::publish_cone_counters`]).
 ///
 /// Every buffer a cone walk fills (the seed gate's faulty waveform, an
 /// input-pin fault's delayed pin and each evaluated gate's waveform) comes
@@ -544,6 +545,9 @@ pub struct ConeScratch {
     /// the nodes whose faulty waveform differs, seed first, in
     /// evaluation (topological) order
     changed: Vec<(NodeId, Waveform)>,
+    /// the observation points the changed nodes drive, with each driver's
+    /// slot in `changed`
+    observed: Vec<(u32, u32)>,
     /// gates waiting for evaluation because a fanin changed
     queue: LevelQueue,
     /// the level being evaluated
@@ -563,6 +567,7 @@ impl ConeScratch {
         ConeScratch {
             pos: vec![0; circuit.len()],
             changed: Vec::new(),
+            observed: Vec::new(),
             queue: LevelQueue::new(),
             level: Vec::new(),
             eval: EvalScratch::new(),
@@ -632,15 +637,36 @@ impl<'c> SimEngine<'c> {
         scratch: &mut ConeScratch,
         horizon: Time,
     ) -> Vec<(usize, IntervalSet)> {
-        let mut out = Vec::new();
-        self.response_diff_planned_into(base, fault, plan, scratch, horizon, &mut out);
+        let (mut points, mut intervals) = (Vec::new(), Vec::new());
+        self.response_diff_planned_into(
+            base,
+            fault,
+            plan,
+            scratch,
+            horizon,
+            &mut points,
+            &mut intervals,
+        );
         self.publish_cone_counters(scratch);
-        out
+        let mut lo = 0;
+        points
+            .into_iter()
+            .map(|(op, end)| {
+                let set = IntervalSet::from_intervals(intervals[lo..end as usize].iter().copied());
+                lo = end as usize;
+                (op as usize, set)
+            })
+            .collect()
     }
 
     /// Buffer-reusing, event-driven core of
-    /// [`SimEngine::response_diff_planned`]; the result lands in `out`
-    /// (cleared first).
+    /// [`SimEngine::response_diff_planned`]. The result is appended to two
+    /// caller buffers in the flat layout of a
+    /// [`DetectionTable`](fastmon_faults::DetectionTable) row: per
+    /// observation point with a non-empty difference, in ascending point
+    /// order, its intervals go to `intervals` and one `(point, end)` pair
+    /// to `points`, where `end` is the length of `intervals` after them.
+    /// Nothing already in the buffers is changed.
     ///
     /// The walk first checks activation: if the fault site's fault-free
     /// waveform (the seed's output, or the faulted fanin's) has no edge of
@@ -654,8 +680,8 @@ impl<'c> SimEngine<'c> {
     /// exactly the plan's pruned cone. A gate that evaluates back to its
     /// fault-free waveform queues nothing. Only the changed gates that
     /// drive observation points ([`Circuit::driven_observe_points`]) are
-    /// diffed, and `out` is sorted by observation-point index. Every
-    /// transition buffer comes from the scratch pool and goes back to it.
+    /// diffed, in observation-point order. Every transition buffer comes
+    /// from the scratch pool and goes back to it.
     ///
     /// The walk's counters accumulate in `scratch` until
     /// [`SimEngine::publish_cone_counters`] is called.
@@ -664,6 +690,7 @@ impl<'c> SimEngine<'c> {
     ///
     /// Panics (in debug builds) if `plan` does not belong to the fault's
     /// seed gate.
+    #[allow(clippy::too_many_arguments)]
     pub fn response_diff_planned_into(
         &self,
         base: &SimResult,
@@ -671,10 +698,10 @@ impl<'c> SimEngine<'c> {
         plan: &ConePlan,
         scratch: &mut ConeScratch,
         horizon: Time,
-        out: &mut Vec<(usize, IntervalSet)>,
+        points: &mut Vec<(u32, u32)>,
+        intervals: &mut Vec<Interval>,
     ) {
         debug_assert_eq!(plan.seed, fault.site.node(), "plan/fault mismatch");
-        out.clear();
         if plan.cone.is_empty() {
             return; // the seed reaches no observation point
         }
@@ -690,6 +717,7 @@ impl<'c> SimEngine<'c> {
         let ConeScratch {
             pos,
             changed,
+            observed,
             queue,
             level,
             eval,
@@ -746,15 +774,28 @@ impl<'c> SimEngine<'c> {
             }
         }
 
-        for (id, faulty) in changed.iter() {
-            for &op in circuit.driven_observe_points(*id) {
-                let diff = base.wave(*id).diff(faulty.view(), horizon);
-                if !diff.is_empty() {
-                    out.push((op as usize, diff));
-                }
+        // each observation point has one driver, so the points are unique
+        observed.clear();
+        for (slot, (id, _)) in changed.iter().enumerate() {
+            let slot = u32::try_from(slot).unwrap_or_else(|_| unreachable!("cone fits u32"));
+            observed.extend(
+                circuit
+                    .driven_observe_points(*id)
+                    .iter()
+                    .map(|&op| (op, slot)),
+            );
+        }
+        observed.sort_unstable();
+        for &(op, slot) in observed.iter() {
+            let (id, faulty) = &changed[slot as usize];
+            let before = intervals.len();
+            base.wave(*id).diff_into(faulty.view(), horizon, intervals);
+            if intervals.len() > before {
+                let end = u32::try_from(intervals.len())
+                    .unwrap_or_else(|_| unreachable!("interval count fits u32"));
+                points.push((op, end));
             }
         }
-        out.sort_unstable_by_key(|&(op, _)| op);
 
         // clear the slot map and recycle waveform buffers
         for (id, wave) in changed.drain(..) {

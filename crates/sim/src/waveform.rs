@@ -299,7 +299,27 @@ impl<'a> WaveRef<'a> {
     /// `horizon`.
     #[must_use]
     pub fn diff(self, other: WaveRef<'_>, horizon: Time) -> IntervalSet {
-        let mut out = IntervalSet::new();
+        let mut out = Vec::new();
+        self.diff_into(other, horizon, &mut out);
+        IntervalSet::from_intervals(out)
+    }
+
+    /// [`diff`](Self::diff), appended to `out`: the difference intervals in
+    /// time order, empty ones dropped, exactly the intervals of `diff`'s
+    /// set. Intervals already in `out` are left alone.
+    pub fn diff_into(self, other: WaveRef<'_>, horizon: Time, out: &mut Vec<Interval>) {
+        let first = out.len();
+        // the starts ascend, so inserting into a set only ever coalesces
+        // with the last interval
+        let mut insert = |iv: Interval| {
+            if iv.is_empty() {
+                return;
+            }
+            match out[first..].last_mut() {
+                Some(last) if iv.start <= last.end => last.end = last.end.max(iv.end),
+                _ => out.push(iv),
+            }
+        };
         let mut va = self.initial;
         let mut vb = other.initial;
         let mut differ_since: Option<Time> = if va != vb {
@@ -325,16 +345,15 @@ impl<'a> WaveRef<'a> {
             match (differ_since, va != vb) {
                 (None, true) => differ_since = Some(t),
                 (Some(since), false) => {
-                    out.insert(Interval::new(since.max(0.0), t));
+                    insert(Interval::new(since.max(0.0), t));
                     differ_since = None;
                 }
                 _ => {}
             }
         }
         if let Some(since) = differ_since {
-            out.insert(Interval::new(since.max(0.0), horizon));
+            insert(Interval::new(since.max(0.0), horizon));
         }
-        out
     }
 }
 

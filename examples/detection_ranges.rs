@@ -96,16 +96,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let placement = MonitorPlacement::full(&circuit);
     println!("\ndetection under each monitor configuration (clipped to the window):");
     for config in configs.configs() {
-        let set = shifted_detection(&filtered, &placement, &configs, config, &clock);
+        let set = shifted_detection(filtered.view(), &placement, &configs, config, &clock);
         println!(
             "  config {:>3} (+{:>5.1} ps): {set}",
             config.to_string(),
             configs.shift(config)
         );
     }
-    let off = shifted_detection(&filtered, &placement, &configs, MonitorConfig::Off, &clock);
+    let off = shifted_detection(
+        filtered.view(),
+        &placement,
+        &configs,
+        MonitorConfig::Off,
+        &clock,
+    );
     let best = shifted_detection(
-        &filtered,
+        filtered.view(),
         &placement,
         &configs,
         MonitorConfig::Delay(3),
@@ -124,7 +130,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (op, set) in d {
             dr.push(op, set);
         }
-        let best = shifted_detection(&dr, &placement, &configs, MonitorConfig::Delay(3), &clock);
+        let best = shifted_detection(
+            dr.view(),
+            &placement,
+            &configs,
+            MonitorConfig::Delay(3),
+            &clock,
+        );
         let any = off_union(&dr, &placement, &configs, &clock).union(&best);
         if !any.is_empty() {
             ranges.push(any);
@@ -150,5 +162,5 @@ fn off_union(
     configs: &ConfigSet,
     clock: &ClockSpec,
 ) -> fastmon::faults::IntervalSet {
-    shifted_detection(dr, placement, configs, MonitorConfig::Off, clock)
+    shifted_detection(dr.view(), placement, configs, MonitorConfig::Off, clock)
 }

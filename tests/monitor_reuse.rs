@@ -90,7 +90,7 @@ fn hidden_fault_is_invisible_to_conventional_fast() {
     }
     let placement = MonitorPlacement::from_mask(vec![false; s.circuit.observe_points().len()]);
     let conv = shifted_detection(
-        &s.range,
+        s.range.view(),
         &placement,
         &s.configs,
         MonitorConfig::Off,
@@ -111,7 +111,7 @@ fn monitor_shift_rescues_the_fault() {
         .collect();
     let placement = MonitorPlacement::from_mask(mask);
     let with_d4 = shifted_detection(
-        &s.range,
+        s.range.view(),
         &placement,
         &s.configs,
         MonitorConfig::Delay(3),
@@ -150,6 +150,9 @@ fn at_speed_monitor_detection_requires_late_ranges() {
     let placement = MonitorPlacement::full(&s.circuit);
     // the early-range fault is not at-speed detectable even with monitors
     assert!(!at_speed_monitor_detectable(
-        &s.range, &placement, &s.configs, &s.clock
+        s.range.view(),
+        &placement,
+        &s.configs,
+        &s.clock
     ));
 }
