@@ -1,8 +1,8 @@
 //! The CI gate on one mid-scale campaign. The s9234 stand-in at scale 0.5
 //! runs through ATPG, one serial campaign, and the same campaign as 4
 //! in-process shards; with `FASTMON_SHARD_PROCS=1` it also runs as 4
-//! supervised worker processes, tuned by the supervisor's own
-//! `FASTMON_SHARD_*` knobs. The run exits 1 when a merged fingerprint
+//! supervised worker processes, at most `FASTMON_SHARD_JOBS` at once and
+//! under `FASTMON_SHARD_RSS_BYTES`. The run exits 1 when a merged fingerprint
 //! differs from the serial one, or when the process's peak RSS exceeds
 //! [`RSS_CEILING_BYTES`].
 //!

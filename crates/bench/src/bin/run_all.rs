@@ -25,6 +25,10 @@
 //! | `FASTMON_RUN_ALL_GRACE_SECS` | extra seconds a soft-cancelled child gets before being killed | `30` |
 //! | `FASTMON_MANIFEST` | manifest output path | `RUN_MANIFEST.json` |
 //!
+//! A timeout or grace that is not an unsigned decimal integer makes
+//! `run_all` exit with code 2 and a one-line `key=value: reason`
+//! diagnostic before any child runs.
+//!
 //! `FASTMON_SHARD_PROCS=1` (with `FASTMON_SHARDS=N`) is inherited by every
 //! child, so each experiment's campaign runs as `N` supervised shard
 //! processes ([`fastmon_bench::shardsup`]); the soft deadline still works —
@@ -45,7 +49,8 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use fastmon_bench::manifest::{write_manifest, RunOutcome, RunRecord};
-use fastmon_bench::EXIT_CANCELLED;
+use fastmon_bench::{integer_knob, EXIT_CANCELLED};
+use fastmon_core::ShardsupError;
 
 /// How many trailing stderr lines each manifest entry keeps.
 const STDERR_TAIL_LINES: usize = 20;
@@ -66,18 +71,13 @@ fn run() -> i32 {
             .map(|s| (*s).to_owned())
             .collect(),
     };
-    let timeout = Duration::from_secs(
-        std::env::var("FASTMON_RUN_ALL_TIMEOUT_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3600),
-    );
-    let grace = Duration::from_secs(
-        std::env::var("FASTMON_RUN_ALL_GRACE_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30),
-    );
+    let (timeout, grace) = match deadlines() {
+        Ok(deadlines) => deadlines,
+        Err(e) => {
+            eprintln!("[run_all] invalid configuration: {e}");
+            return 2;
+        }
+    };
     let manifest_path = PathBuf::from(
         std::env::var("FASTMON_MANIFEST").unwrap_or_else(|_| "RUN_MANIFEST.json".into()),
     );
@@ -165,6 +165,14 @@ fn run() -> i32 {
         );
     }
     exit
+}
+
+/// The per-child soft deadline and the grace a soft-cancelled child gets
+/// before it is killed.
+fn deadlines() -> Result<(Duration, Duration), ShardsupError> {
+    let timeout = integer_knob("FASTMON_RUN_ALL_TIMEOUT_SECS", 3600)?;
+    let grace = integer_knob("FASTMON_RUN_ALL_GRACE_SECS", 30)?;
+    Ok((Duration::from_secs(timeout), Duration::from_secs(grace)))
 }
 
 /// Resolves a child entry: entries containing a path separator are used

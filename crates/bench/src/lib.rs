@@ -18,13 +18,15 @@
 //! | `FASTMON_SEED` | master seed | `1` |
 //! | `FASTMON_ILP_SECS` | per-ILP deadline in seconds | `20` |
 //! | `FASTMON_CHECKPOINT_DIR` | campaign-checkpoint directory | `target/fastmon-checkpoints` |
-//! | `FASTMON_FRESH` | set to `1` to discard existing checkpoints | unset |
+//! | `FASTMON_FRESH` | `1` discards existing checkpoints, `0` keeps them | `0` |
 //! | `FASTMON_SHARDS` | fault-set shards per campaign (merge is bit-identical) | `1` |
 //! | `FASTMON_SHARD_PROCS` | set to `1` to run each shard as a supervised child process | unset |
 //! | `FASTMON_SHARD_JOBS` | concurrent shard workers under the supervisor | cores |
 //! | `FASTMON_SHARD_RSS_BYTES` | per-worker RSS ceiling before graceful eviction | unlimited |
-//! | `FASTMON_SHARD_STALL_SECS` | heartbeat silence before a worker is killed | `60` |
-//! | `FASTMON_SHARD_RETRIES` | respawn budget per shard | `3` |
+//!
+//! The supervisor's other settings (60 s stall timeout, 3 respawns per
+//! shard, 200 ms base backoff) are [`fastmon_core::SupervisorConfig`]
+//! defaults.
 //!
 //! The fault-simulation campaign checkpoints after every pattern band (see
 //! [`fastmon_core::CheckpointStore`]); re-running an interrupted experiment
@@ -45,7 +47,7 @@ use fastmon_atpg::TestSet;
 use fastmon_core::shardsup::config_error;
 use fastmon_core::{
     CheckpointDir, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow,
-    ShardFiles, ShardsupError,
+    ShardFiles, ShardsupError, SupervisorConfig,
 };
 use fastmon_daemon::JobError;
 use fastmon_netlist::generate::{paper_suite, CircuitProfile};
@@ -67,6 +69,12 @@ fn exit_flow_error(circuit: &str, phase: &str, e: &FlowError) -> ! {
     }
     eprintln!("[bench] {circuit}: {phase} failed: {e}");
     std::process::exit(1);
+}
+
+/// Reports a malformed knob with a one-line diagnostic and exits 2.
+fn exit_invalid(e: &ShardsupError) -> ! {
+    eprintln!("[bench] invalid configuration: {e}");
+    std::process::exit(2);
 }
 
 /// Configuration of an experiment run, read from the environment.
@@ -99,50 +107,34 @@ impl ExperimentConfig {
     /// [`ExperimentConfig::try_from_env`].
     #[must_use]
     pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(config) => config,
-            Err(e) => {
-                eprintln!("[bench] invalid configuration: {e}");
-                std::process::exit(2);
-            }
-        }
+        Self::try_from_env().unwrap_or_else(|e| exit_invalid(&e))
     }
 
     /// Reads the configuration from `FASTMON_*` environment variables.
     ///
     /// # Errors
     ///
-    /// [`ShardsupError::Config`] when `FASTMON_SHARDS`,
-    /// `FASTMON_SHARD_JOBS` or `FASTMON_SHARD_PROCS` is set to something
-    /// unusable (`0`, non-numeric, or more than
-    /// [`fastmon_core::MAX_SHARDS`]), when `FASTMON_TARGET_GATES`,
-    /// `FASTMON_MAX_FAULTS`, `FASTMON_SEED` or `FASTMON_ILP_SECS` is not
-    /// an unsigned decimal integer, or when `FASTMON_CIRCUITS` names a
-    /// circuit outside the paper suite — the error carries the offending
-    /// string rather than silently falling back to a default.
+    /// [`ShardsupError::Config`] when `FASTMON_SHARDS` or
+    /// `FASTMON_SHARD_JOBS` is set to something unusable (`0`,
+    /// non-numeric, or more than [`fastmon_core::MAX_SHARDS`]), when
+    /// `FASTMON_SHARD_RSS_BYTES` is not a positive integer, when
+    /// `FASTMON_SHARD_PROCS` or `FASTMON_FRESH` is neither `0` nor `1`,
+    /// when `FASTMON_TARGET_GATES`, `FASTMON_MAX_FAULTS`, `FASTMON_SEED`
+    /// or `FASTMON_ILP_SECS` is not an unsigned decimal integer, or when
+    /// `FASTMON_CIRCUITS` names a circuit outside the paper suite — the
+    /// error carries the offending string rather than silently falling
+    /// back to a default.
     pub fn try_from_env() -> Result<Self, ShardsupError> {
-        let get = |k: &str| std::env::var(k).ok();
-        let shards = match get("FASTMON_SHARDS") {
-            Some(raw) => fastmon_core::parse_shard_count("FASTMON_SHARDS", &raw)?,
-            None => 1,
+        let shards = match std::env::var("FASTMON_SHARDS") {
+            Ok(raw) => fastmon_core::parse_shard_count("FASTMON_SHARDS", &raw)?,
+            Err(_) => 1,
         };
-        // Validated here so a bad value fails fast at startup, not after
-        // ATPG when the supervisor first reads it.
-        if let Some(raw) = get("FASTMON_SHARD_JOBS") {
-            fastmon_core::parse_shard_count("FASTMON_SHARD_JOBS", &raw)?;
-        }
-        let shard_procs = match get("FASTMON_SHARD_PROCS").as_deref() {
-            None | Some("0") | Some("") => false,
-            Some("1") => true,
-            Some(other) => {
-                return Err(config_error(
-                    "FASTMON_SHARD_PROCS",
-                    other,
-                    "expected 0 or 1",
-                ))
-            }
-        };
-        let circuits: Vec<String> = get("FASTMON_CIRCUITS")
+        // Validated here so a bad supervisor knob fails fast at startup,
+        // not after ATPG when the supervisor first reads it.
+        SupervisorConfig::from_env(shards)?;
+        flag_knob("FASTMON_FRESH")?;
+        let shard_procs = flag_knob("FASTMON_SHARD_PROCS")?;
+        let circuits: Vec<String> = std::env::var("FASTMON_CIRCUITS")
             .map(|v| v.split(',').map(|s| s.trim().to_owned()).collect())
             .unwrap_or_default();
         if let Some(unknown) = circuits.iter().find(|c| CircuitProfile::named(c).is_none()) {
@@ -188,8 +180,22 @@ impl ExperimentConfig {
     }
 }
 
+/// The boolean knob `key`: `1` is true; `0`, empty and unset are false.
+fn flag_knob(key: &str) -> Result<bool, ShardsupError> {
+    match std::env::var(key).as_deref() {
+        Err(_) | Ok("0" | "") => Ok(false),
+        Ok("1") => Ok(true),
+        Ok(other) => Err(config_error(key, other, "expected 0 or 1")),
+    }
+}
+
 /// The unsigned decimal integer knob `key`, or `default` when it is unset.
-fn integer_knob<T: std::str::FromStr>(key: &str, default: T) -> Result<T, ShardsupError> {
+///
+/// # Errors
+///
+/// [`ShardsupError::Config`] carrying `key` and its value when the value
+/// does not parse as a `T`.
+pub fn integer_knob<T: std::str::FromStr>(key: &str, default: T) -> Result<T, ShardsupError> {
     match std::env::var(key) {
         Ok(raw) => raw
             .trim()
@@ -263,12 +269,12 @@ pub fn with_run<R>(
     let atpg_secs = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let fresh = std::env::var("FASTMON_FRESH").is_ok_and(|v| v == "1");
+    let fresh = flag_knob("FASTMON_FRESH").unwrap_or_else(|e| exit_invalid(&e));
     let campaign = if config.shards > 1 {
         // Sharded campaign: every shard file lives inside a locked
         // per-fingerprint job directory, so a daemon's startup GC sweep
-        // skips them while this run is alive (the LOCK names this PID)
-        // instead of racing the shard writers.
+        // skips them while this run holds the directory's lock instead
+        // of racing the shard writers.
         let jobs = CheckpointDir::new(checkpoint_dir().join("shard-jobs"));
         jobs.acquire(flow.campaign_fingerprint(&patterns))
             .map_err(|e| e.to_string())

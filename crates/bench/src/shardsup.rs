@@ -5,9 +5,9 @@
 //! hands the prepared flow and test set to the one supervised-campaign
 //! driver, [`fastmon_daemon::shard::supervise`]. That driver lands a
 //! campaign spec (the daemon's `submit` line naming this run's profile,
-//! scale, seed and fault cap) and the test set in the shard directory,
-//! then re-executes the current binary once per shard
-//! (`<bin> --shard-worker i/n`). Every experiment binary calls
+//! scale, seed and fault cap, see [`job_request`]) and the test set in
+//! the shard directory, then re-executes the current binary once per
+//! shard (`<bin> --shard-worker i/n`). Every experiment binary calls
 //! [`maybe_run_worker`] first in `main`, so it doubles as its own worker:
 //! the worker rebuilds the flow from the spec, loads the test set instead
 //! of running ATPG, and lands its slice's result. See
@@ -16,7 +16,7 @@
 use std::path::Path;
 
 use fastmon_atpg::TestSet;
-use fastmon_core::{HdfTestFlow, SupervisorEvent};
+use fastmon_core::{HdfTestFlow, SupervisorConfig, SupervisorEvent};
 use fastmon_daemon::proto::{CircuitSpec, JobRequest};
 use fastmon_daemon::JobError;
 
@@ -24,35 +24,12 @@ pub use fastmon_daemon::shard::{maybe_run_worker, SupervisedRun};
 
 use crate::ExperimentConfig;
 
-/// Runs the campaign for `flow`/`patterns` as `config.shards` supervised
-/// worker processes under `dir` and merges the landed results.
-///
-/// The workers rebuild the campaign from the paper-suite profile
-/// `profile_name` at `scale` with `config`'s seed and fault cap, so
-/// `flow` must come from the same values
-/// ([`ExperimentConfig::flow_config`] on that profile generated with
-/// `config.seed`). A worker whose rebuilt campaign differs from the
-/// shipped test set refuses its shard, and the campaign fails at once.
-///
-/// `worker_bin` overrides the worker executable (tests point it at a
-/// specific experiment binary); the default is the current executable.
-/// `on_event` observes every [`SupervisorEvent`].
-///
-/// # Errors
-///
-/// See [`fastmon_daemon::shard::supervise`].
-#[allow(clippy::too_many_arguments)]
-pub fn supervise(
-    flow: &HdfTestFlow<'_>,
-    patterns: &TestSet,
-    config: &ExperimentConfig,
-    profile_name: &str,
-    scale: f64,
-    dir: &Path,
-    worker_bin: Option<&Path>,
-    on_event: &mut dyn FnMut(&SupervisorEvent),
-) -> Result<SupervisedRun, JobError> {
-    let spec = JobRequest {
+/// The campaign spec the workers rebuild: the paper-suite profile
+/// `profile_name` at `scale`, with `config`'s seed, fault cap, thread
+/// count and shard count.
+#[must_use]
+pub fn job_request(config: &ExperimentConfig, profile_name: &str, scale: f64) -> JobRequest {
+    JobRequest {
         tenant: "default".to_owned(),
         name: profile_name.to_owned(),
         circuit: CircuitSpec::Profile {
@@ -69,6 +46,48 @@ pub fn supervise(
         threads: config.flow_config().threads,
         shards: config.shards,
         shard_procs: true,
-    };
-    fastmon_daemon::shard::supervise(flow, patterns, &spec, dir, worker_bin, on_event)
+    }
+}
+
+/// Runs the campaign for `flow`/`patterns` as `config.shards` supervised
+/// worker processes under `dir` and merges the landed results, with the
+/// supervisor settings of [`SupervisorConfig::from_env`].
+///
+/// The workers rebuild the campaign from the paper-suite profile
+/// `profile_name` at `scale` with `config`'s seed and fault cap, so
+/// `flow` must come from the same values
+/// ([`ExperimentConfig::flow_config`] on that profile generated with
+/// `config.seed`). A worker whose rebuilt campaign differs from the
+/// shipped test set refuses its shard, and the campaign fails at once.
+///
+/// `worker_bin` overrides the worker executable (tests point it at a
+/// specific experiment binary); the default is the current executable.
+/// `on_event` observes every [`SupervisorEvent`].
+///
+/// # Errors
+///
+/// [`JobError::Spec`] for an unusable `FASTMON_SHARD_JOBS` or
+/// `FASTMON_SHARD_RSS_BYTES`; otherwise see
+/// [`fastmon_daemon::shard::supervise`].
+#[allow(clippy::too_many_arguments)]
+pub fn supervise(
+    flow: &HdfTestFlow<'_>,
+    patterns: &TestSet,
+    config: &ExperimentConfig,
+    profile_name: &str,
+    scale: f64,
+    dir: &Path,
+    worker_bin: Option<&Path>,
+    on_event: &mut dyn FnMut(&SupervisorEvent),
+) -> Result<SupervisedRun, JobError> {
+    let supervisor = SupervisorConfig::from_env(config.shards)?;
+    fastmon_daemon::shard::supervise(
+        flow,
+        patterns,
+        &job_request(config, profile_name, scale),
+        &supervisor,
+        dir,
+        worker_bin,
+        on_event,
+    )
 }

@@ -15,15 +15,11 @@ const KNOBS: &[&str] = &[
     "FASTMON_CIRCUITS",
     "FASTMON_SEED",
     "FASTMON_ILP_SECS",
+    "FASTMON_FRESH",
     "FASTMON_SHARDS",
     "FASTMON_SHARD_JOBS",
     "FASTMON_SHARD_PROCS",
-    "FASTMON_SHARD_RETRIES",
-    "FASTMON_SHARD_STALL_SECS",
-    "FASTMON_SHARD_BACKOFF_MS",
     "FASTMON_SHARD_RSS_BYTES",
-    "FASTMON_SHARD_RSS_POLL_MS",
-    "FASTMON_SHARD_STRAGGLER_FACTOR",
 ];
 
 fn clear() {
@@ -116,29 +112,47 @@ fn malformed_knobs_are_typed_errors_with_the_offending_string() {
     assert_eq!(SupervisorConfig::from_env(8).unwrap().jobs, 2);
     std::env::remove_var("FASTMON_SHARD_JOBS");
 
-    // FASTMON_SHARD_PROCS is a strict boolean: 0/1/unset only.
-    for bad in ["yes", "true", "2", "on"] {
-        std::env::set_var("FASTMON_SHARD_PROCS", bad);
-        expect_config_err(ExperimentConfig::try_from_env(), "FASTMON_SHARD_PROCS", bad);
-        std::env::remove_var("FASTMON_SHARD_PROCS");
+    // FASTMON_SHARD_PROCS and FASTMON_FRESH are strict booleans:
+    // 0/1/unset only (FASTMON_FRESH=true used to keep and resume old
+    // checkpoints).
+    for key in ["FASTMON_SHARD_PROCS", "FASTMON_FRESH"] {
+        for bad in ["yes", "true", "2", "on"] {
+            std::env::set_var(key, bad);
+            expect_config_err(ExperimentConfig::try_from_env(), key, bad);
+            std::env::remove_var(key);
+        }
+        for good in ["0", "1"] {
+            std::env::set_var(key, good);
+            ExperimentConfig::try_from_env().unwrap();
+            std::env::remove_var(key);
+        }
     }
     std::env::set_var("FASTMON_SHARD_PROCS", "1");
     assert!(ExperimentConfig::try_from_env().unwrap().shard_procs);
     std::env::remove_var("FASTMON_SHARD_PROCS");
 
-    // Supervisor tuning knobs follow the same contract.
-    for (key, bad) in [
-        ("FASTMON_SHARD_RETRIES", "lots"),
-        ("FASTMON_SHARD_STALL_SECS", "0"),
-        ("FASTMON_SHARD_BACKOFF_MS", "-1"),
-        ("FASTMON_SHARD_RSS_BYTES", "1GB"),
-        ("FASTMON_SHARD_RSS_POLL_MS", "0"),
-        ("FASTMON_SHARD_STRAGGLER_FACTOR", "0.5"),
-    ] {
-        std::env::set_var(key, bad);
-        expect_config_err(SupervisorConfig::from_env(2), key, bad);
-        std::env::remove_var(key);
+    // The RSS ceiling follows the same contract, and is checked at
+    // config time too, not after ATPG.
+    for bad in ["1GB", "0", "-1"] {
+        std::env::set_var("FASTMON_SHARD_RSS_BYTES", bad);
+        expect_config_err(
+            ExperimentConfig::try_from_env(),
+            "FASTMON_SHARD_RSS_BYTES",
+            bad,
+        );
+        expect_config_err(
+            SupervisorConfig::from_env(2),
+            "FASTMON_SHARD_RSS_BYTES",
+            bad,
+        );
+        std::env::remove_var("FASTMON_SHARD_RSS_BYTES");
     }
+    std::env::set_var("FASTMON_SHARD_RSS_BYTES", "1073741824");
+    assert_eq!(
+        SupervisorConfig::from_env(2).unwrap().rss_limit_bytes,
+        Some(1 << 30)
+    );
+    std::env::remove_var("FASTMON_SHARD_RSS_BYTES");
 
     clear();
 }

@@ -118,3 +118,30 @@ fn cooperative_child_is_recorded_as_cancelled() {
     assert!(json.contains("\"deadline_secs\": 7"), "got {json}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn malformed_deadline_knobs_exit_2_before_any_child_runs() {
+    let dir = scratch("badknob");
+    let manifest = dir.join("RUN_MANIFEST.json");
+    for (key, bad) in [
+        ("FASTMON_RUN_ALL_TIMEOUT_SECS", "90s"),
+        ("FASTMON_RUN_ALL_GRACE_SECS", "-1"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .env("FASTMON_RUN_ALL_BINS", "/bin/true")
+            .env(key, bad)
+            .env("FASTMON_MANIFEST", &manifest)
+            .output()
+            .expect("run_all launches");
+        assert_eq!(output.status.code(), Some(2), "{key}={bad}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert_eq!(lines.len(), 1, "one diagnostic line, got {stderr:?}");
+        assert!(
+            lines[0].contains(&format!("{key}=\"{bad}\": ")),
+            "the diagnostic names the knob and its value: {stderr:?}"
+        );
+        assert!(!manifest.exists(), "no child may run on a malformed knob");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

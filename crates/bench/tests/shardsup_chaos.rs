@@ -9,10 +9,11 @@
 //! its respawn budget. A last one runs a seed above 2^53 through the
 //! spec.
 //!
-//! Environment knobs (`FASTMON_SHARD_*`, `FASTMON_FAILPOINTS`) are
-//! process-global and inherited by the spawned workers, so all scenarios
-//! run inside one test body, strictly serialized, with the variables
-//! cleared between scenarios.
+//! The stall and RSS-eviction scenarios pass their own
+//! [`SupervisorConfig`] to the daemon's `supervise`; the others run with
+//! the defaults. `FASTMON_FAILPOINTS` is process-global and inherited by
+//! the spawned workers, so all scenarios run inside one test body,
+//! strictly serialized, with the variable cleared between scenarios.
 
 #![cfg(unix)]
 
@@ -20,14 +21,15 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use fastmon_atpg::TestSet;
-use fastmon_bench::shardsup::supervise;
+use fastmon_bench::shardsup::{job_request, supervise};
 use fastmon_bench::ExperimentConfig;
 use fastmon_core::shardsup::send_signal;
-use fastmon_core::{FlowError, HdfTestFlow, ShardsupError, SupervisorEvent};
+use fastmon_core::{FlowError, HdfTestFlow, ShardsupError, SupervisorConfig, SupervisorEvent};
 use fastmon_daemon::JobError;
 use fastmon_netlist::generate::CircuitProfile;
 
 const SIGKILL: i32 = 9;
+const SIGSTOP: i32 = 19;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -42,20 +44,15 @@ fn tmp(tag: &str) -> PathBuf {
 #[test]
 fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // Scenarios must not leak knobs into one another (or into a rerun
-    // after a failure), so start from a known-clean slate.
+    // after a failure), and the supervisor's defaults must not come from
+    // the caller's environment, so start from a known-clean slate.
     for key in [
         "FASTMON_FAILPOINTS",
-        "FASTMON_SHARD_HANG",
-        "FASTMON_SHARD_STALL_SECS",
         "FASTMON_SHARD_RSS_BYTES",
-        "FASTMON_SHARD_RSS_POLL_MS",
         "FASTMON_SHARD_JOBS",
-        "FASTMON_SHARD_STRAGGLER_FACTOR",
     ] {
         std::env::remove_var(key);
     }
-    // Charged respawns back off; keep the suite fast.
-    std::env::set_var("FASTMON_SHARD_BACKOFF_MS", "1");
 
     let config = ExperimentConfig {
         target_gates: 4000,
@@ -236,35 +233,50 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // ---- scenario 4: hung child is stall-killed, respawn resumes --------
-    // The FASTMON_SHARD_HANG knob silences shard 0's first worker at its
-    // first band boundary (after the checkpoint landed). The stall
-    // watchdog must SIGKILL it; the charged respawn resumes and the
-    // merged result is unchanged — the respawn counter proves the path.
-    // The healthy shards finish in milliseconds, so straggler re-dispatch
-    // is held off to leave the hung worker to the stall watchdog.
+    // ---- scenario 4: a frozen child is stall-killed and respawned ------
+    // SIGSTOP freezes shard 0's first worker as soon as it is spawned, so
+    // it never sends a heartbeat. The stall watchdog must SIGKILL it; the
+    // charged respawn runs the shard and the merged result is unchanged —
+    // the respawn counter proves the path (scenario 3 covers resuming
+    // from a shard checkpoint). The healthy shards finish in
+    // milliseconds, so straggler re-dispatch is held off to leave the
+    // frozen worker to the stall watchdog.
     {
         let dir = tmp("stall");
-        let flag = dir.join("hang-once");
-        std::env::set_var("FASTMON_SHARD_HANG", format!("0:{}", flag.display()));
-        std::env::set_var("FASTMON_SHARD_STALL_SECS", "1");
-        std::env::set_var("FASTMON_SHARD_STRAGGLER_FACTOR", "1000");
+        let supervisor = SupervisorConfig {
+            stall_timeout: Duration::from_secs(1),
+            straggler_factor: 1000.0,
+            ..SupervisorConfig::new(config.shards)
+        };
         let stall_flow = HdfTestFlow::prepare(&circuit, &config.flow_config());
-        let run = supervise(
+        let mut stopped = None;
+        let mut stalled = Vec::new();
+        let run = fastmon_daemon::shard::supervise(
             &stall_flow,
             &patterns,
-            &config,
-            name,
-            scale,
+            &job_request(&config, name, scale),
+            &supervisor,
             &dir,
             Some(worker),
-            &mut |_| {},
+            &mut |event| match event {
+                SupervisorEvent::Spawned {
+                    shard: 0,
+                    attempt: 0,
+                    pid,
+                } => {
+                    assert!(send_signal(*pid, SIGSTOP));
+                    stopped = Some(*pid);
+                }
+                SupervisorEvent::Stalled { pid, .. } => stalled.push(*pid),
+                _ => {}
+            },
         )
         .expect("campaign must survive a hung worker");
-        std::env::remove_var("FASTMON_SHARD_HANG");
-        std::env::remove_var("FASTMON_SHARD_STALL_SECS");
-        std::env::remove_var("FASTMON_SHARD_STRAGGLER_FACTOR");
-        assert!(flag.exists(), "the hang injection never fired");
+        let stopped = stopped.expect("shard 0's first worker was never spawned");
+        assert!(
+            stalled.contains(&stopped),
+            "the frozen worker {stopped} was not stall-killed: {stalled:?}"
+        );
         assert!(
             run.report.stalls_detected >= 1,
             "the silent worker must be detected: {:?}",
@@ -298,23 +310,22 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             }
         }
         let long_golden = flow.try_analyze(&long).unwrap().result_fingerprint();
-        std::env::set_var("FASTMON_SHARD_RSS_BYTES", "1");
-        std::env::set_var("FASTMON_SHARD_RSS_POLL_MS", "25");
-        std::env::set_var("FASTMON_SHARD_JOBS", "1");
-        let run = supervise(
+        let supervisor = SupervisorConfig {
+            rss_limit_bytes: Some(1),
+            jobs: 1,
+            rss_poll_interval: Duration::from_millis(25),
+            ..SupervisorConfig::new(config.shards)
+        };
+        let run = fastmon_daemon::shard::supervise(
             &flow,
             &long,
-            &config,
-            name,
-            scale,
+            &job_request(&config, name, scale),
+            &supervisor,
             &dir,
             Some(worker),
             &mut |_| {},
         )
         .expect("campaign must survive constant RSS eviction");
-        std::env::remove_var("FASTMON_SHARD_RSS_BYTES");
-        std::env::remove_var("FASTMON_SHARD_RSS_POLL_MS");
-        std::env::remove_var("FASTMON_SHARD_JOBS");
         assert!(
             run.report.rss_evictions >= 1,
             "the 1-byte ceiling must evict at least once: {:?}",
@@ -431,6 +442,4 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         assert_eq!(run.analysis.result_fingerprint(), golden);
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    std::env::remove_var("FASTMON_SHARD_BACKOFF_MS");
 }

@@ -104,18 +104,14 @@ impl DetectionAnalysis {
         patterns: &TestSet,
         glitch_threshold: Time,
         threads: usize,
-        metrics: Option<&fastmon_obs::MetricsRegistry>,
+        metrics: &fastmon_obs::MetricsRegistry,
         cancel: Option<&fastmon_obs::CancelToken>,
         mut progress: CampaignCheckpoint,
         on_band: &mut dyn FnMut(&CampaignCheckpoint) -> Result<(), CheckpointError>,
     ) -> Result<Self, FlowError> {
         debug_assert_eq!(progress.per_pattern.num_faults(), faults.len());
         let _analyze_span = fastmon_obs::span!("analyze");
-        let sim_metrics = metrics.map(|m| &m.sim);
-        let engine = match sim_metrics {
-            Some(m) => SimEngine::new(circuit, annot).with_metrics(m),
-            None => SimEngine::new(circuit, annot),
-        };
+        let engine = SimEngine::new(circuit, annot).with_metrics(&metrics.sim);
 
         // plan each seed gate's fanout cone once, shared by all its
         // pin/polarity faults and every pattern: `fault_plans` pairs each
@@ -144,7 +140,12 @@ impl DetectionAnalysis {
             workers,
             fastmon_sim::PlanScratch::new,
             |scratch, g| {
-                fastmon_sim::ConePlan::new_with_scratch(circuit, gates[g], sim_metrics, scratch)
+                fastmon_sim::ConePlan::new_with_scratch(
+                    circuit,
+                    gates[g],
+                    Some(&metrics.sim),
+                    scratch,
+                )
             },
         )
         .map_err(contained(metrics))?;
@@ -259,11 +260,9 @@ impl DetectionAnalysis {
                 let p = u32::try_from(p).unwrap_or_else(|_| unreachable!("pattern count fits u32"));
                 progress.per_pattern.append(p, &found);
             }
-            if let Some(m) = metrics {
-                // Simulation time only — checkpoint save latency is its
-                // own histogram, fed inside `on_band`.
-                m.latency.band.record_duration(t_band.elapsed());
-            }
+            // Simulation time only — checkpoint save latency is its own
+            // histogram, fed inside `on_band`.
+            metrics.latency.band.record_duration(t_band.elapsed());
             band_start += band_len;
             progress.next_pattern = band_start;
             on_band(&progress).map_err(FlowError::Checkpoint)?;
@@ -506,12 +505,10 @@ pub(crate) fn raw_unions(
 /// Maps a worker panic the analysis pool contained to
 /// [`FlowError::WorkerPanic`], counting it in `metrics`.
 pub(crate) fn contained(
-    metrics: Option<&fastmon_obs::MetricsRegistry>,
+    metrics: &fastmon_obs::MetricsRegistry,
 ) -> impl Fn(WorkerPanic) -> FlowError + '_ {
     move |panic| {
-        if let Some(m) = metrics {
-            m.robustness.worker_panics_contained.incr();
-        }
+        metrics.robustness.worker_panics_contained.incr();
         FlowError::WorkerPanic {
             phase: "analyze",
             message: panic.message(),

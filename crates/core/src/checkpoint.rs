@@ -477,10 +477,6 @@ pub(crate) fn read_input(path: &Path) -> Result<Vec<u8>, CheckpointError> {
 const LOCK_FILE: &str = "LOCK";
 const CHECKPOINT_FILE: &str = "campaign.ckpt";
 
-/// Distinguishes concurrent lock attempts (threads of one process) in
-/// their temp-file names.
-static LOCK_ATTEMPT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> CheckpointError {
     move |e| CheckpointError::Io {
         op,
@@ -488,89 +484,45 @@ fn io_err(op: &'static str) -> impl Fn(std::io::Error) -> CheckpointError {
     }
 }
 
-/// True when `pid` is a currently-live process. Uses `/proc` where it
-/// exists (Linux); elsewhere the answer is conservatively "alive", so
-/// locks are respected rather than stolen.
-fn pid_alive(pid: u32) -> bool {
-    if Path::new("/proc/self").exists() {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
+/// Opens (creating it if needed) and exclusively locks the lock file at
+/// `path`. `Ok(None)` when another open file description holds the lock,
+/// whether in another process or in this one.
+fn try_lock(path: &Path) -> std::io::Result<Option<std::fs::File>> {
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    match file.try_lock() {
+        Ok(()) => Ok(Some(file)),
+        Err(std::fs::TryLockError::WouldBlock) => Ok(None),
+        Err(std::fs::TryLockError::Error(e)) => Err(e),
     }
 }
 
-/// Links the fully-written temp lock into place as `LOCK`. One steal
-/// attempt: the first link failure reads the holder, and only a
-/// provably-dead holder is evicted before the retry.
-fn link_lock(tmp: &Path, lock_path: &Path) -> Result<(), CheckpointError> {
-    for attempt in 0..2 {
-        match std::fs::hard_link(tmp, lock_path) {
-            Ok(()) => return Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let holder = std::fs::read_to_string(lock_path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok());
-                match holder {
-                    Some(pid) if pid != std::process::id() && !pid_alive(pid) => {
-                        // Stale lock from a killed daemon: steal it.
-                        if attempt == 0 {
-                            std::fs::remove_file(lock_path).map_err(io_err("lock steal"))?;
-                            continue;
-                        }
-                        return Err(CheckpointError::Locked { holder_pid: pid });
-                    }
-                    Some(pid) => return Err(CheckpointError::Locked { holder_pid: pid }),
-                    // Unreadable holder: locks are linked into place
-                    // whole, so this is foreign junk — refuse rather
-                    // than guess (GC sweeps it once it ages out).
-                    None => return Err(CheckpointError::Locked { holder_pid: 0 }),
-                }
-            }
-            Err(e) => return Err(io_err("lock create")(e)),
+/// True when `path` still names the open `file`: a sweep may have removed
+/// the directory between the open and the lock, leaving the lock on an
+/// unlinked file.
+fn still_names(path: &Path, file: &std::fs::File) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt as _;
+        match (std::fs::metadata(path), file.metadata()) {
+            (Ok(named), Ok(held)) => named.dev() == held.dev() && named.ino() == held.ino(),
+            _ => false,
         }
     }
-    Err(CheckpointError::Locked { holder_pid: 0 })
-}
-
-/// Claims `dir`'s `LOCK` for removal by GC. Returns `false` when a live
-/// holder appears (a racing [`CheckpointDir::acquire`] won the directory
-/// between the sweep's checks and this claim) or the filesystem refuses;
-/// stale locks — a dead holder, or unreadable junk — are evicted first.
-fn claim_for_removal(dir: &Path) -> bool {
-    let lock_path = dir.join(LOCK_FILE);
-    for attempt in 0..2 {
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&lock_path)
-        {
-            Ok(mut f) => {
-                use std::io::Write as _;
-                // Best effort: the claim is the file's existence; the
-                // pid only lets a later sweep steal the claim if this
-                // process dies before the removal below finishes.
-                let _ = write!(f, "{}", std::process::id());
-                return true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let stale = std::fs::read_to_string(&lock_path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok())
-                    .is_none_or(|pid| pid != std::process::id() && !pid_alive(pid));
-                if attempt == 0 && stale && std::fs::remove_file(&lock_path).is_ok() {
-                    continue;
-                }
-                return false;
-            }
-            Err(_) => return false,
-        }
+    #[cfg(not(unix))]
+    {
+        let _ = file;
+        path.exists()
     }
-    false
 }
 
 /// A root of per-job checkpoint directories keyed by campaign
-/// fingerprint: `<root>/<fingerprint:016x>/campaign.ckpt`, guarded by a
-/// `LOCK` file naming the holder PID.
+/// fingerprint: `<root>/<fingerprint:016x>/campaign.ckpt`, guarded by an
+/// exclusive lock ([`std::fs::File::try_lock`]) on the directory's `LOCK`
+/// file.
 ///
 /// The lock keeps two writers' appends apart: a [`CheckpointStore`]
 /// appends every band after its first save to the file it holds open, so
@@ -579,8 +531,12 @@ fn claim_for_removal(dir: &Path) -> bool {
 /// the bands of whichever file lost the race would vanish. [`acquire`]
 /// makes the second campaign fail fast with [`CheckpointError::Locked`]
 /// instead.
-/// Locks left behind by a `kill -9` name a dead PID and are stolen on
-/// the next acquire, so crash recovery never needs manual cleanup.
+/// The lock belongs to the open file, not to the file's contents: the
+/// operating system releases it when its holder exits, however it exits,
+/// so a `kill -9` leaves nothing to steal and crash recovery never needs
+/// manual cleanup — even when the restarted process has its old PID. The
+/// file names its holder's PID only for the [`CheckpointError::Locked`]
+/// message.
 #[derive(Debug, Clone)]
 pub struct CheckpointDir {
     root: PathBuf,
@@ -620,49 +576,62 @@ impl CheckpointDir {
     }
 
     /// Acquires the job directory for `fingerprint`, creating it (and the
-    /// root) as needed. A `LOCK` file naming this PID is taken by
-    /// hard-linking a fully-written temp file into place — linking fails
-    /// if `LOCK` exists (the same atomic exclusivity as `create_new`),
-    /// and any `LOCK` that exists carries its complete pid, so neither a
-    /// crash nor a failed write can leave a garbled half-written lock
-    /// wedging the fingerprint. A lock held by a dead process is stolen,
-    /// a lock held by a live one — including another thread of this
-    /// process — is [`CheckpointError::Locked`].
+    /// root) as needed, and locks its `LOCK` file for as long as the
+    /// returned [`JobStore`] lives. A lock held elsewhere — by another
+    /// process or by another `JobStore` of this one — is
+    /// [`CheckpointError::Locked`]. A [`gc`](CheckpointDir::gc) that
+    /// removed the directory while this call opened its lock file is
+    /// detected (the path no longer names the locked file), and the
+    /// acquire starts over.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Locked`] when the campaign is already running
     /// somewhere, [`CheckpointError::Io`] on filesystem failures.
     pub fn acquire(&self, fingerprint: u64) -> Result<JobStore, CheckpointError> {
-        use std::sync::atomic::Ordering;
+        use std::io::Write as _;
         let dir = self.dir_for(fingerprint);
-        std::fs::create_dir_all(&dir).map_err(io_err("create dir"))?;
         let lock_path = dir.join(LOCK_FILE);
-        let tmp = dir.join(format!(
-            "{LOCK_FILE}.{}.{}.tmp",
-            std::process::id(),
-            LOCK_ATTEMPT.fetch_add(1, Ordering::Relaxed),
-        ));
-        std::fs::write(&tmp, std::process::id().to_string()).map_err(io_err("lock write"))?;
-        let linked = link_lock(&tmp, &lock_path);
-        let _ = std::fs::remove_file(&tmp);
-        linked?;
-        let store = CheckpointStore::new(dir.join(CHECKPOINT_FILE));
-        Ok(JobStore {
-            dir,
-            lock_path,
-            store,
-        })
+        // Every retry follows a sweep's removal of the directory, which
+        // the lock taken here keeps any later sweep from repeating.
+        loop {
+            std::fs::create_dir_all(&dir).map_err(io_err("create dir"))?;
+            let mut lock = match try_lock(&lock_path) {
+                Ok(Some(lock)) => lock,
+                Ok(None) => {
+                    let holder_pid = std::fs::read_to_string(&lock_path)
+                        .ok()
+                        .and_then(|s| s.trim().parse().ok())
+                        .unwrap_or(0);
+                    return Err(CheckpointError::Locked { holder_pid });
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound && !dir.exists() => continue,
+                Err(e) => return Err(io_err("lock")(e)),
+            };
+            if !still_names(&lock_path, &lock) {
+                continue;
+            }
+            lock.set_len(0)
+                .and_then(|()| write!(lock, "{}", std::process::id()))
+                .map_err(io_err("lock write"))?;
+            let store = CheckpointStore::new(dir.join(CHECKPOINT_FILE));
+            return Ok(JobStore {
+                dir,
+                store,
+                _lock: lock,
+            });
+        }
     }
 
     /// Removes checkpoint directories whose fingerprint matches no entry
-    /// in `live`, whose lock (if any) names a dead process, and whose
-    /// last modification is at least `min_age` old. The grace period is
-    /// what makes startup-time GC safe after a `kill -9`: freshly-crashed
-    /// campaigns stay resumable until their clients have had a chance to
-    /// resubmit. The sweep claims each candidate's `LOCK` before removing
-    /// it, so even with a zero grace period it cannot race a concurrent
-    /// [`acquire`](CheckpointDir::acquire) of the same fingerprint.
+    /// in `live`, whose lock nobody holds, and whose last modification is
+    /// at least `min_age` old. The grace period is what makes
+    /// startup-time GC safe after a `kill -9`: freshly-crashed campaigns
+    /// stay resumable until their clients have had a chance to resubmit.
+    /// The sweep holds each candidate's lock while it removes the
+    /// directory, so even with a zero grace period it cannot race a
+    /// concurrent [`acquire`](CheckpointDir::acquire) of the same
+    /// fingerprint.
     ///
     /// # Errors
     ///
@@ -696,39 +665,32 @@ impl CheckpointDir {
                 report.kept_live += 1;
                 continue;
             }
-            let dir = entry.path();
-            let held = std::fs::read_to_string(dir.join(LOCK_FILE))
-                .ok()
-                .and_then(|s| s.trim().parse::<u32>().ok())
-                .is_some_and(pid_alive);
-            if held {
-                report.kept_locked += 1;
-                continue;
-            }
+            // Read before the lock: creating a missing lock file touches
+            // the directory's modification time.
             let age = entry
                 .metadata()
                 .and_then(|m| m.modified())
                 .ok()
                 .and_then(|t| now.duration_since(t).ok());
+            let dir = entry.path();
+            let lock_path = dir.join(LOCK_FILE);
+            let _lock = match try_lock(&lock_path) {
+                Ok(Some(lock)) if still_names(&lock_path, &lock) => lock,
+                Ok(None) => {
+                    report.kept_locked += 1;
+                    continue;
+                }
+                // Removed (and maybe re-acquired) by someone else since
+                // the listing, or unreadable: the next sweep looks again.
+                Ok(Some(_)) | Err(_) => continue,
+            };
             // An unreadable mtime counts as young: keep, retry next sweep.
             if age.is_none_or(|a| a < min_age) {
                 report.kept_young += 1;
                 continue;
             }
-            // With a zero grace a concurrent acquire could take this
-            // directory between the checks above and the removal; claim
-            // the LOCK first so the filesystem arbitrates the race
-            // (exactly one of hard_link and create_new sees no lock).
-            if !claim_for_removal(&dir) {
-                report.kept_locked += 1;
-                continue;
-            }
             if std::fs::remove_dir_all(&dir).is_ok() {
                 report.removed.push(fingerprint);
-            } else {
-                // Leave no wedge behind: drop the claim so the next
-                // sweep (or a resuming campaign) can take the directory.
-                let _ = std::fs::remove_file(dir.join(LOCK_FILE));
             }
         }
         report.removed.sort_unstable();
@@ -737,14 +699,15 @@ impl CheckpointDir {
 }
 
 /// An acquired per-job checkpoint directory: a [`CheckpointStore`] plus
-/// the lock that makes it exclusive. The lock is released on drop;
+/// the lock that makes it exclusive. Dropping it releases the lock;
 /// [`complete`](JobStore::complete) removes the whole directory once the
 /// campaign has finished and its results are landed.
 #[derive(Debug)]
 pub struct JobStore {
     dir: PathBuf,
-    lock_path: PathBuf,
     store: CheckpointStore,
+    /// The locked `LOCK` file; closing it releases the lock.
+    _lock: std::fs::File,
 }
 
 impl JobStore {
@@ -760,22 +723,14 @@ impl JobStore {
         &self.dir
     }
 
-    /// Removes the job directory (checkpoint, lock and all) after a
-    /// successful campaign.
+    /// Removes the job directory (checkpoint, lock file and all) after a
+    /// successful campaign, still holding the lock.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] when the directory cannot be removed.
     pub fn complete(self) -> Result<(), CheckpointError> {
         std::fs::remove_dir_all(&self.dir).map_err(io_err("remove dir"))
-        // Drop still runs but the lock file is already gone; its cleanup
-        // is a tolerated no-op.
-    }
-}
-
-impl Drop for JobStore {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.lock_path);
     }
 }
 
@@ -1720,21 +1675,58 @@ mod tests {
     }
 
     #[test]
-    fn stale_lock_from_dead_pid_is_stolen() {
+    fn unheld_lock_files_are_taken_whatever_they_name() {
         let root = fresh_root("steal");
         let dirs = CheckpointDir::new(&root);
         let dir = dirs.dir_for(0x123);
         std::fs::create_dir_all(&dir).unwrap();
-        // PIDs are capped well below this on Linux; nothing live owns it.
-        std::fs::write(dir.join("LOCK"), "4294967294").unwrap();
-        let job = dirs.acquire(0x123).unwrap();
-        drop(job);
-        // A garbled lock file is never stolen (writer may be mid-write).
-        std::fs::write(dir.join("LOCK"), "not-a-pid").unwrap();
-        assert_eq!(
-            dirs.acquire(0x123).unwrap_err(),
-            CheckpointError::Locked { holder_pid: 0 }
-        );
+        // A dead pid (PIDs are capped well below this on Linux) and a
+        // garbled file: the lock is the open file, not its contents.
+        for stale in ["4294967294", "not-a-pid"] {
+            std::fs::write(dir.join("LOCK"), stale).unwrap();
+            let job = dirs.acquire(0x123).unwrap();
+            let lock = std::fs::read_to_string(dir.join("LOCK")).unwrap();
+            assert_eq!(lock, std::process::id().to_string());
+            drop(job);
+        }
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn lock_naming_this_pid_that_nobody_holds_is_acquired_and_swept() {
+        use std::time::Duration;
+        // A restarted process can have its predecessor's PID (PID 1 in a
+        // container): a stale LOCK naming it must not wedge the directory.
+        let root = fresh_root("ownpid");
+        let dirs = CheckpointDir::new(&root);
+        let dir = dirs.dir_for(0x99);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("LOCK"), std::process::id().to_string()).unwrap();
+        dirs.acquire(0x99).unwrap().store().save(&sample()).unwrap();
+        let report = dirs.gc(&[], Duration::ZERO).unwrap();
+        assert_eq!(report.removed, vec![0x99]);
+        assert_eq!(report.kept_locked, 0);
+        assert!(!dir.exists());
+        let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_lock_on_a_removed_directory_is_not_the_directory_lock() {
+        // What an acquire sees when a sweep removes the directory between
+        // its open and its lock: the locked file is no longer the one the
+        // path names, and the directory can be locked afresh.
+        let root = fresh_root("moved");
+        let dirs = CheckpointDir::new(&root);
+        let dir = dirs.dir_for(0x5);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("LOCK");
+        let orphan = try_lock(&path).unwrap().unwrap();
+        assert!(still_names(&path, &orphan));
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(!still_names(&path, &orphan));
+        let job = dirs.acquire(0x5).unwrap();
+        assert!(!still_names(&path, &orphan));
+        drop((job, orphan));
         let _ = std::fs::remove_dir_all(root);
     }
 
@@ -1748,13 +1740,12 @@ mod tests {
 
         // live: fingerprint still queued; locked: held by this process;
         // stale: eligible; foreign: not a fingerprint directory.
+        let mut held = None;
         for fp in [0x1u64, 0x2, 0x3] {
             let job = dirs.acquire(fp).unwrap();
             job.store().save(&sample()).unwrap();
-            if fp != 0x2 {
-                drop(job); // release locks on all but 0x2
-            } else {
-                std::mem::forget(job); // keep 0x2's lock held on disk
+            if fp == 0x2 {
+                held = Some(job); // keep 0x2's lock held
             }
         }
         std::fs::create_dir_all(root.join("not-a-fingerprint")).unwrap();
@@ -1775,46 +1766,21 @@ mod tests {
         assert_eq!(report.kept_young, 1); // 0x1 (0x2 still lock-held)
         assert_eq!(report.kept_locked, 1);
 
-        // Clean up the forgotten lock for 0x2 and sweep everything.
-        std::fs::remove_file(dirs.dir_for(0x2).join("LOCK")).unwrap();
+        // Release 0x2's lock and sweep everything.
+        drop(held);
         let report = dirs.gc(&[], Duration::ZERO).unwrap();
         assert_eq!(report.removed, vec![0x1, 0x2]);
         let _ = std::fs::remove_dir_all(root);
     }
 
     #[test]
-    fn lock_is_linked_whole_and_leaves_no_temp_files() {
-        let root = fresh_root("whole");
-        let dirs = CheckpointDir::new(&root);
-        let job = dirs.acquire(0x77).unwrap();
-        // The lock always carries its complete pid: it was written in
-        // full before being linked into place.
-        let lock = std::fs::read_to_string(dirs.dir_for(0x77).join("LOCK")).unwrap();
-        assert_eq!(lock, std::process::id().to_string());
-        // The temp file the link was taken from is gone again.
-        let names: Vec<String> = std::fs::read_dir(dirs.dir_for(0x77))
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["LOCK".to_string()]);
-        drop(job);
-        // A failed acquire (lock held) leaves no temp files either.
-        let held = dirs.acquire(0x77).unwrap();
-        dirs.acquire(0x77).unwrap_err();
-        let count = std::fs::read_dir(dirs.dir_for(0x77)).unwrap().count();
-        assert_eq!(count, 1); // just LOCK
-        drop(held);
-        let _ = std::fs::remove_dir_all(root);
-    }
-
-    #[test]
-    fn gc_claims_locks_and_sweeps_dead_or_junk_holders() {
+    fn gc_sweeps_unheld_locks_and_keeps_held_ones() {
         use std::time::Duration;
         let root = fresh_root("gc-claim");
         let dirs = CheckpointDir::new(&root);
         // A crash leftover (dead pid) and foreign junk (unparseable
-        // holder) both age out; the sweep steals the lock before
-        // removing so it cannot race a resuming acquire.
+        // holder) both age out; the sweep locks each before removing it
+        // so it cannot race a resuming acquire.
         let dead = dirs.dir_for(0xa);
         std::fs::create_dir_all(&dead).unwrap();
         std::fs::write(dead.join("LOCK"), "4294967294").unwrap();
@@ -1825,15 +1791,14 @@ mod tests {
         assert_eq!(report.removed, vec![0xa, 0xb]);
         assert!(!dead.exists());
         assert!(!junk.exists());
-        // A claim that loses to a live holder is kept, not removed —
-        // the same arbitration a mid-sweep acquire would win.
+        // A lock that a live holder has is kept, not removed — the same
+        // arbitration a mid-sweep acquire would win.
         let job = dirs.acquire(0xc).unwrap();
-        std::mem::forget(job); // keep the lock on disk past the JobStore
         let report = dirs.gc(&[], Duration::ZERO).unwrap();
         assert!(report.removed.is_empty());
         assert_eq!(report.kept_locked, 1);
         assert!(dirs.dir_for(0xc).exists());
-        std::fs::remove_file(dirs.dir_for(0xc).join("LOCK")).unwrap();
+        drop(job);
         let _ = std::fs::remove_dir_all(root);
     }
 
@@ -1848,7 +1813,6 @@ mod tests {
         let job = dirs.acquire(0x5d).unwrap();
         let shard_ckpt = job.dir().join("shard-1-of-4.ckpt");
         CheckpointStore::new(&shard_ckpt).save(&sample()).unwrap();
-        std::mem::forget(job); // the supervisor is still alive elsewhere
         let report = dirs.gc(&[], Duration::ZERO).unwrap();
         assert!(report.removed.is_empty());
         assert_eq!(report.kept_locked, 1);
@@ -1858,7 +1822,7 @@ mod tests {
         );
         // Lock released (supervisor done): the whole job dir, shard
         // files included, becomes collectable again.
-        std::fs::remove_file(dirs.dir_for(0x5d).join("LOCK")).unwrap();
+        drop(job);
         let report = dirs.gc(&[], Duration::ZERO).unwrap();
         assert_eq!(report.removed, vec![0x5d]);
         assert!(!shard_ckpt.exists());

@@ -560,7 +560,7 @@ impl<'c> HdfTestFlow<'c> {
             patterns,
             self.config.glitch_threshold,
             self.config.effective_threads(),
-            Some(&self.metrics),
+            &self.metrics,
             self.cancel.as_ref(),
             progress,
             &mut |cp| {

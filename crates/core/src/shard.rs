@@ -326,8 +326,7 @@ impl ShardFiles {
             // serially: the shards were simulated in other processes, and
             // threads spawned only for this add their allocator arenas to
             // the supervisor's peak RSS
-            let raw_union =
-                raw_unions(&cp.per_pattern, 1).map_err(contained(Some(flow.metrics())))?;
+            let raw_union = raw_unions(&cp.per_pattern, 1).map_err(contained(flow.metrics()))?;
             parts.push(DetectionAnalysis::finalize(
                 flow.candidate_faults()
                     .slice(spec.range(flow.candidate_faults().len())),

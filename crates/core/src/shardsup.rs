@@ -5,7 +5,9 @@
 //! The supervisor executes each shard of an `n`-way campaign as a
 //! separate OS child process (typically a self-exec of the driver binary
 //! in `--shard-worker i/n` mode) and keeps the campaign alive through
-//! the failures a week-long run actually meets:
+//! the failures a week-long run actually meets. Its settings are a
+//! [`SupervisorConfig`] value; only the two deployment settings,
+//! concurrency and the RSS ceiling, have environment variables.
 //!
 //! * **Liveness** — every child streams newline-JSON heartbeat records
 //!   (the [`fastmon_obs::events::shard`] schema) on its stdout pipe; a
@@ -168,37 +170,28 @@ pub fn parse_shard_count(key: &str, raw: &str) -> Result<usize, ShardsupError> {
     Ok(n)
 }
 
-fn parse_u64(key: &str, raw: &str) -> Result<u64, ShardsupError> {
-    raw.trim()
-        .parse()
-        .map_err(|_| config_error(key, raw, "expected an unsigned integer"))
-}
-
-/// Supervisor tuning. Every knob has an environment variable (see
-/// [`SupervisorConfig::from_env`]); tests set fields directly.
+/// Supervisor settings. [`SupervisorConfig::new`] gives the defaults,
+/// [`SupervisorConfig::from_env`] applies the two deployment knobs, and
+/// callers with other needs (tests, chaos harnesses) set fields directly.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Shard count of the partition.
     pub shards: usize,
     /// Maximum concurrently running workers (`FASTMON_SHARD_JOBS`).
     pub jobs: usize,
-    /// Kill a worker that produced no parseable heartbeat for this long
-    /// (`FASTMON_SHARD_STALL_SECS`).
+    /// Kill a worker that produced no parseable heartbeat for this long.
     pub stall_timeout: Duration,
     /// Per-worker resident-set ceiling in bytes
     /// (`FASTMON_SHARD_RSS_BYTES`); `None` disables the watchdog.
     pub rss_limit_bytes: Option<u64>,
-    /// Charged respawns allowed per shard before the campaign fails
-    /// (`FASTMON_SHARD_RETRIES`).
+    /// Charged respawns allowed per shard before the campaign fails.
     pub max_respawns: u32,
-    /// Base respawn backoff (`FASTMON_SHARD_BACKOFF_MS`), doubled per
-    /// charged attempt.
+    /// Base respawn backoff, doubled per charged attempt.
     pub backoff: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
     /// Re-dispatch the last unfinished shard once its runtime exceeds
-    /// this multiple of the median completed-shard wall time
-    /// (`FASTMON_SHARD_STRAGGLER_FACTOR`).
+    /// this multiple of the median completed-shard wall time.
     pub straggler_factor: f64,
     /// Main-loop tick (event drain / reap / watchdog cadence).
     pub poll_interval: Duration,
@@ -230,8 +223,8 @@ impl SupervisorConfig {
         }
     }
 
-    /// [`SupervisorConfig::new`] overridden by the `FASTMON_SHARD_*`
-    /// environment knobs, with strict parsing.
+    /// [`SupervisorConfig::new`] with `jobs` from `FASTMON_SHARD_JOBS` and
+    /// `rss_limit_bytes` from `FASTMON_SHARD_RSS_BYTES`, parsed strictly.
     ///
     /// # Errors
     ///
@@ -243,58 +236,14 @@ impl SupervisorConfig {
             config.jobs = parse_shard_count("FASTMON_SHARD_JOBS", &v)?;
         }
         if let Ok(v) = std::env::var("FASTMON_SHARD_RSS_BYTES") {
-            let bytes = parse_u64("FASTMON_SHARD_RSS_BYTES", &v)?;
-            if bytes == 0 {
-                return Err(config_error(
+            let bytes = v.trim().parse().ok().filter(|&b: &u64| b > 0);
+            config.rss_limit_bytes = Some(bytes.ok_or_else(|| {
+                config_error(
                     "FASTMON_SHARD_RSS_BYTES",
                     &v,
-                    "must be positive (unset the variable to disable the watchdog)",
-                ));
-            }
-            config.rss_limit_bytes = Some(bytes);
-        }
-        if let Ok(v) = std::env::var("FASTMON_SHARD_STALL_SECS") {
-            let secs = parse_u64("FASTMON_SHARD_STALL_SECS", &v)?;
-            if secs == 0 {
-                return Err(config_error(
-                    "FASTMON_SHARD_STALL_SECS",
-                    &v,
-                    "must be at least 1",
-                ));
-            }
-            config.stall_timeout = Duration::from_secs(secs);
-        }
-        if let Ok(v) = std::env::var("FASTMON_SHARD_RETRIES") {
-            config.max_respawns = parse_u64("FASTMON_SHARD_RETRIES", &v)?
-                .try_into()
-                .map_err(|_| config_error("FASTMON_SHARD_RETRIES", &v, "exceeds the u32 range"))?;
-        }
-        if let Ok(v) = std::env::var("FASTMON_SHARD_BACKOFF_MS") {
-            config.backoff = Duration::from_millis(parse_u64("FASTMON_SHARD_BACKOFF_MS", &v)?);
-        }
-        if let Ok(v) = std::env::var("FASTMON_SHARD_RSS_POLL_MS") {
-            let ms = parse_u64("FASTMON_SHARD_RSS_POLL_MS", &v)?;
-            if ms == 0 {
-                return Err(config_error(
-                    "FASTMON_SHARD_RSS_POLL_MS",
-                    &v,
-                    "must be at least 1",
-                ));
-            }
-            config.rss_poll_interval = Duration::from_millis(ms);
-        }
-        if let Ok(v) = std::env::var("FASTMON_SHARD_STRAGGLER_FACTOR") {
-            let factor: f64 = v.trim().parse().map_err(|_| {
-                config_error("FASTMON_SHARD_STRAGGLER_FACTOR", &v, "expected a number")
-            })?;
-            if !factor.is_finite() || factor < 1.0 {
-                return Err(config_error(
-                    "FASTMON_SHARD_STRAGGLER_FACTOR",
-                    &v,
-                    "must be a finite number >= 1",
-                ));
-            }
-            config.straggler_factor = factor;
+                    "expected a positive integer (unset the variable to disable the watchdog)",
+                )
+            })?);
         }
         Ok(config)
     }

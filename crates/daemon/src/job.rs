@@ -16,7 +16,7 @@ use std::path::Path;
 
 use fastmon_core::{
     Campaign, CampaignProgress, CheckpointDir, CheckpointError, FlowConfig, FlowError, HdfTestFlow,
-    JobStore, ShardFiles, Solver,
+    JobStore, ShardFiles, ShardsupError, Solver,
 };
 use fastmon_netlist::{bench, generate::CircuitProfile, library, Circuit};
 use fastmon_obs::{CancelToken, Record};
@@ -174,6 +174,20 @@ impl std::error::Error for JobError {}
 impl From<FlowError> for JobError {
     fn from(e: FlowError) -> Self {
         JobError::Flow(e)
+    }
+}
+
+impl From<ShardsupError> for JobError {
+    fn from(e: ShardsupError) -> Self {
+        match e {
+            // An unusable supervisor knob is a configuration problem of
+            // the submission environment, typed like any other bad spec.
+            ShardsupError::Config { .. } => spec_err(e.to_string()),
+            // A drain/deadline cancellation keeps the single-process
+            // contract: terminal status "cancelled", checkpoints resumable.
+            ShardsupError::Cancelled { phase } => JobError::Flow(FlowError::Cancelled { phase }),
+            other => JobError::Shardsup(other),
+        }
     }
 }
 

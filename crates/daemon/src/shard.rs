@@ -16,11 +16,14 @@
 //! the [`fastmon_core::shardsup`] supervisor: newline-JSON heartbeats
 //! over the stdout pipe, stall kills, crash respawns with capped
 //! exponential backoff, a `/proc`-based RSS watchdog with graceful
-//! eviction, and straggler re-dispatch. Each worker rebuilds the circuit
-//! and flow from the spec and loads the test set — it never runs ATPG —
-//! then resumes from its own `shard-i-of-n.ckpt` and lands
-//! `shard-i-of-n.result`. The supervisor merges the landed results into
-//! an analysis bit-identical to the serial run.
+//! eviction, and straggler re-dispatch. The supervisor's settings are the
+//! [`SupervisorConfig`] the caller passes; both callers, `fastmond` and
+//! the experiment binaries, build it with [`SupervisorConfig::from_env`].
+//! Each worker rebuilds the circuit and flow from the spec and loads the
+//! test set — it never runs ATPG — then resumes from its own
+//! `shard-i-of-n.ckpt` and lands `shard-i-of-n.result`. The supervisor
+//! merges the landed results into an analysis bit-identical to the
+//! serial run.
 //!
 //! Worker exit codes: `0` result landed, [`EXIT_EVICTED`] cooperative
 //! stop with a resumable checkpoint, `1` error (respawned),
@@ -165,15 +168,6 @@ fn worker_main(spec: ShardSpec) -> ! {
     let token = fastmon_obs::CancelToken::new();
     let flow = flow.with_cancel(token.clone());
 
-    // Chaos knob: FASTMON_SHARD_HANG="<shard>:<flag-path>" silences this
-    // worker forever at its first band boundary — once, arbitrated by
-    // `create_new` on the flag file — so tests can prove the stall
-    // watchdog kills it and the respawn resumes from the checkpoint.
-    let hang_flag = std::env::var("FASTMON_SHARD_HANG").ok().and_then(|v| {
-        let (who, path) = v.split_once(':')?;
-        (who.parse::<usize>().ok()? == spec.shard).then(|| PathBuf::from(path))
-    });
-
     let (shard, shards) = (spec.shard, spec.shards);
     let total = patterns.len();
     let outcome = files.run_to_result(&flow, &patterns, spec, &mut |progress| {
@@ -184,18 +178,6 @@ fn worker_main(spec: ShardSpec) -> ! {
             CampaignProgress::BandCheckpointed { next_pattern, .. } => {
                 if crate::signals::drain_requested() {
                     token.cancel();
-                }
-                if let Some(flag) = &hang_flag {
-                    let created = std::fs::OpenOptions::new()
-                        .write(true)
-                        .create_new(true)
-                        .open(flag)
-                        .is_ok();
-                    if created {
-                        loop {
-                            std::thread::sleep(std::time::Duration::from_secs(3600));
-                        }
-                    }
                 }
                 shard_events::heartbeat(shard, shards, next_pattern, total)
             }
@@ -222,18 +204,18 @@ fn worker_main(spec: ShardSpec) -> ! {
 /// processes under `dir`, and merges the landed results (bit-identical
 /// to the serial run).
 ///
-/// `worker_bin` is the worker executable (default: the current one,
-/// whose `main` must call [`maybe_run_worker`] first). The supervisor
-/// reads its tuning from the `FASTMON_SHARD_*` knobs, inherits the
-/// flow's cancel token and records its counters in the flow's registry
-/// (`robustness.shardsup.*`); `on_event` observes every
-/// [`SupervisorEvent`]. Workers inherit the environment except for the
-/// process deadline (the supervisor owns cancellation); respawns also
-/// lose the chaos knobs, which target first attempts only.
+/// `config` holds the supervisor's settings; its shard count must be
+/// `req.shards`. `worker_bin` is the worker executable (default: the
+/// current one, whose `main` must call [`maybe_run_worker`] first). The
+/// supervisor inherits the flow's cancel token and records its counters
+/// in the flow's registry (`robustness.shardsup.*`); `on_event` observes
+/// every [`SupervisorEvent`]. Workers inherit the environment except for
+/// the process deadline (the supervisor owns cancellation); respawns also
+/// lose `FASTMON_FAILPOINTS`, whose injections target first attempts
+/// only.
 ///
 /// # Errors
 ///
-/// [`JobError::Spec`] for unusable `FASTMON_SHARD_*` knobs,
 /// [`JobError::Flow`] when the spec or test set cannot be landed (after
 /// the checkpoint-save retries) or a landed result cannot be merged,
 /// `JobError::Flow(FlowError::Cancelled)` when the token trips (every
@@ -244,26 +226,18 @@ pub fn supervise(
     flow: &HdfTestFlow<'_>,
     patterns: &TestSet,
     req: &JobRequest,
+    config: &SupervisorConfig,
     dir: &Path,
     worker_bin: Option<&Path>,
     on_event: &mut dyn FnMut(&SupervisorEvent),
 ) -> Result<SupervisedRun, JobError> {
     let shards = req.shards;
-    let config = SupervisorConfig::from_env(shards).map_err(|e| match e {
-        // An unusable FASTMON_SHARD_* knob is a configuration problem of
-        // the submission environment — typed like any other bad spec.
-        ShardsupError::Config { .. } => JobError::Spec {
-            message: e.to_string(),
-        },
-        other => JobError::Shardsup(other),
-    })?;
+    debug_assert_eq!(config.shards, shards);
     let exe = match worker_bin {
         Some(p) => p.to_path_buf(),
-        None => std::env::current_exe().map_err(|e| {
-            JobError::Shardsup(ShardsupError::Launch {
-                shard: 0,
-                message: format!("cannot determine the worker executable: {e}"),
-            })
+        None => std::env::current_exe().map_err(|e| ShardsupError::Launch {
+            shard: 0,
+            message: format!("cannot determine the worker executable: {e}"),
         })?,
     };
     let files = ShardFiles::new(dir);
@@ -284,25 +258,18 @@ pub fn supervise(
             // Failpoints are chaos injections for first attempts only: a
             // respawn is the recovery path under test, not a new target.
             cmd.env_remove("FASTMON_FAILPOINTS");
-            cmd.env_remove("FASTMON_SHARD_HANG");
         }
         cmd.spawn()
     };
     let mut is_complete = |shard: usize| files.landed(flow, patterns, ShardSpec { shard, shards });
     let report = shardsup::run(
-        &config,
+        config,
         &mut launch,
         &mut is_complete,
         &mut |event| on_event(&event),
         flow.cancel_token(),
         Some(flow.metrics()),
-    )
-    .map_err(|e| match e {
-        // A drain/deadline cancellation keeps the single-process
-        // contract: terminal status "cancelled", checkpoints resumable.
-        ShardsupError::Cancelled { phase } => JobError::Flow(FlowError::Cancelled { phase }),
-        other => JobError::Shardsup(other),
-    })?;
+    )?;
     let analysis = files.merge(flow, patterns, shards)?;
     Ok(SupervisedRun { analysis, report })
 }
@@ -318,6 +285,7 @@ pub(crate) fn run_supervised(
     dir: &Path,
     on_event: &mut dyn FnMut(JobEvent),
 ) -> Result<DetectionAnalysis, JobError> {
+    let config = SupervisorConfig::from_env(req.shards)?;
     let worker_bin = std::env::var_os(ENV_WORKER_BIN).map(PathBuf::from);
     // Per-shard accounting the observe snapshot renders: last reported
     // progress and charged respawns, carried on every forwarded event.
@@ -363,6 +331,7 @@ pub(crate) fn run_supervised(
         flow,
         patterns,
         req,
+        &config,
         dir,
         worker_bin.as_deref(),
         &mut forward,

@@ -57,7 +57,7 @@ fn request(shards: usize, shard_procs: bool) -> JobRequest {
 
 #[test]
 fn supervised_jobs_match_the_serial_result_and_stream_shard_rows() {
-    for key in ["FASTMON_FAILPOINTS", "FASTMON_SHARD_BACKOFF_MS"] {
+    for key in ["FASTMON_FAILPOINTS", "FASTMON_SHARD_JOBS"] {
         std::env::remove_var(key);
     }
     std::env::set_var(ENV_WORKER_BIN, env!("CARGO_BIN_EXE_fastmond"));
@@ -138,11 +138,11 @@ fn supervised_jobs_match_the_serial_result_and_stream_shard_rows() {
 
     // ---- part 2: live daemon, children crash on an armed failpoint ----
     // Every first-attempt worker dies at band 2; the supervisor backs
-    // off 400ms and respawns clean (it strips FASTMON_FAILPOINTS), which
-    // both proves recovery over the wire and holds the job in flight
-    // long enough for `observe` to catch the per-shard rows.
+    // off (200ms, its default) and respawns clean (it strips
+    // FASTMON_FAILPOINTS), which both proves recovery over the wire and
+    // holds the job in flight long enough for `observe` to catch the
+    // per-shard rows.
     std::env::set_var("FASTMON_FAILPOINTS", "campaign_band=err@2");
-    std::env::set_var("FASTMON_SHARD_BACKOFF_MS", "400");
     let root2 = tmp("daemon");
     let handle = Daemon::start(DaemonConfig::at(&root2)).unwrap();
     let addr = handle.addr();
@@ -178,7 +178,7 @@ fn supervised_jobs_match_the_serial_result_and_stream_shard_rows() {
     });
 
     // Poll observe on a second connection until the per-shard rows show
-    // up (the job stays in flight for at least the 400ms backoff).
+    // up (the job stays in flight for at least the 200ms backoff).
     let obs_stream = TcpStream::connect(addr).unwrap();
     let mut obs_writer = obs_stream.try_clone().unwrap();
     let mut obs_reader = BufReader::new(obs_stream);
@@ -233,7 +233,6 @@ fn supervised_jobs_match_the_serial_result_and_stream_shard_rows() {
     );
 
     std::env::remove_var("FASTMON_FAILPOINTS");
-    std::env::remove_var("FASTMON_SHARD_BACKOFF_MS");
     std::env::remove_var(ENV_WORKER_BIN);
     handle.drain();
     handle.join();

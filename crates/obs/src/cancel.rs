@@ -128,8 +128,9 @@ impl Default for CancelToken {
 }
 
 /// Builds a deadline token from `FASTMON_DEADLINE_SECS` (float seconds),
-/// or `None` when unset/invalid. Invalid values warn rather than abort —
-/// a bad knob should not take down a campaign.
+/// or `None` when unset/invalid. Invalid values — including a budget too
+/// large for a [`Duration`] — warn rather than abort: a bad knob should
+/// not take down a campaign.
 #[must_use]
 pub fn from_env() -> Option<CancelToken> {
     let raw = std::env::var("FASTMON_DEADLINE_SECS").ok()?;
@@ -137,10 +138,8 @@ pub fn from_env() -> Option<CancelToken> {
     if raw.is_empty() {
         return None;
     }
-    match raw.parse::<f64>() {
-        Ok(secs) if secs >= 0.0 && secs.is_finite() => {
-            Some(CancelToken::with_deadline(Duration::from_secs_f64(secs)))
-        }
+    match raw.parse().map(Duration::try_from_secs_f64) {
+        Ok(Ok(budget)) => Some(CancelToken::with_deadline(budget)),
         _ => {
             eprintln!("warning: ignoring invalid FASTMON_DEADLINE_SECS={raw:?}");
             None
@@ -171,6 +170,25 @@ mod tests {
         assert_eq!(token.check("sta"), Err(Cancelled { phase: "sta" }));
         let roomy = CancelToken::with_deadline(Duration::from_secs(3600));
         assert!(roomy.check("sta").is_ok());
+    }
+
+    #[test]
+    fn deadline_knob_ignores_values_a_duration_cannot_hold() {
+        // The only test in this binary that touches the variable.
+        let token_for = |raw: &str| {
+            std::env::set_var("FASTMON_DEADLINE_SECS", raw);
+            let token = from_env();
+            std::env::remove_var("FASTMON_DEADLINE_SECS");
+            token
+        };
+        // 1e30 s overflows `Duration`; the knob used to panic on it
+        for bad in ["1e30", "-1", "NaN", "inf", "soon", " "] {
+            assert!(token_for(bad).is_none(), "{bad:?}");
+        }
+        assert!(token_for("0").unwrap().is_cancelled());
+        assert!(!token_for("3600.5").unwrap().is_cancelled());
+        // representable, but past any `Instant`: a token without deadline
+        assert!(!token_for("1e18").unwrap().is_cancelled());
     }
 
     #[test]
