@@ -1,8 +1,10 @@
 //! The CI gate on one mid-scale campaign. The s9234 stand-in at scale 0.5
 //! runs through ATPG, one serial campaign, and the same campaign as 4
-//! in-process shards; with `FASTMON_SHARD_PROCS=1` it also runs as 4
-//! supervised worker processes, at most `FASTMON_SHARD_JOBS` at once and
-//! under `FASTMON_SHARD_RSS_BYTES`. The run exits 1 when a merged fingerprint
+//! shards in this process, each landed by the workers' own
+//! [`ShardFiles::run_to_result`] and merged by [`ShardFiles::merge`]; with
+//! `FASTMON_SHARD_PROCS=1` it also runs as 4 supervised worker processes,
+//! at most `FASTMON_SHARD_JOBS` at once and under
+//! `FASTMON_SHARD_RSS_BYTES`. The run exits 1 when a merged fingerprint
 //! differs from the serial one, or when the process's peak RSS exceeds
 //! [`RSS_CEILING_BYTES`].
 //!
@@ -20,7 +22,7 @@ use std::path::Path;
 use fastmon_atpg::TestSet;
 use fastmon_bench::rss::{format_mib, peak_rss_self_bytes};
 use fastmon_bench::ExperimentConfig;
-use fastmon_core::{HdfTestFlow, ShardFiles, SupervisorConfig};
+use fastmon_core::{HdfTestFlow, ShardFiles, ShardSpec, SupervisorConfig};
 use fastmon_netlist::generate::CircuitProfile;
 
 const CIRCUIT: &str = "s9234";
@@ -129,8 +131,13 @@ fn main() {
     let files = ShardFiles::new(
         std::env::temp_dir().join(format!("fastmon-snapshot-shards-{}", std::process::id())),
     );
-    files.clear();
-    let merged = files.run_in_process(&flow, &patterns, SHARDS, &mut |_, _| {});
+    let merged = ShardSpec::all(SHARDS)
+        .try_for_each(|spec| {
+            files
+                .run_to_result(&flow, &patterns, spec, &mut |_| {})
+                .map(drop)
+        })
+        .and_then(|()| files.merge(&flow, &patterns, SHARDS));
     let _ = std::fs::remove_dir_all(files.dir());
     let merged = merged
         .map(|analysis| analysis.result_fingerprint())

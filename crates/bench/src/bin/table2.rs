@@ -34,23 +34,18 @@ fn main() {
     let mut rows = Vec::new();
     let mut notes: Vec<String> = Vec::new();
     for (profile, scale) in config.suite() {
-        let row = with_run(
-            &profile,
-            scale,
-            &config,
-            |flow, _patterns, analysis, run| {
-                let t = std::time::Instant::now();
-                let r = table2_row(flow, analysis, run.patterns_len);
-                eprintln!(
-                    "[table2] {}: atpg {:.1}s analyze {:.1}s schedule {:.1}s",
-                    r.circuit,
-                    run.phase_secs.0,
-                    run.phase_secs.1,
-                    t.elapsed().as_secs_f64()
-                );
-                r
-            },
-        );
+        let row = with_run(&profile, scale, &config, |flow, patterns, analysis, run| {
+            let t = std::time::Instant::now();
+            let r = table2_row(flow, analysis, patterns.len());
+            eprintln!(
+                "[table2] {}: atpg {:.1}s analyze {:.1}s schedule {:.1}s",
+                r.circuit,
+                run.phase_secs.0,
+                run.phase_secs.1,
+                t.elapsed().as_secs_f64()
+            );
+            r
+        });
         let paper_pc = paper::TABLE2
             .iter()
             .find(|(n, ..)| *n == row.circuit)

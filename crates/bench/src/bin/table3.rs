@@ -39,9 +39,9 @@ fn main() {
             &profile,
             scale,
             &config,
-            |flow, _patterns, analysis, run| {
+            |flow, patterns, analysis, _run| {
                 let t = std::time::Instant::now();
-                let r = table3_row(flow, analysis, run.patterns_len, &COVERAGES);
+                let r = table3_row(flow, analysis, patterns.len(), &COVERAGES);
                 eprintln!(
                     "[table3] {}: schedules {:.1}s",
                     r.circuit,

@@ -17,10 +17,10 @@
 //! | `FASTMON_CIRCUITS` | comma-separated circuit-name filter | all 12 |
 //! | `FASTMON_SEED` | master seed | `1` |
 //! | `FASTMON_ILP_SECS` | per-ILP deadline in seconds | `20` |
-//! | `FASTMON_CHECKPOINT_DIR` | campaign-checkpoint directory | `target/fastmon-checkpoints` |
-//! | `FASTMON_FRESH` | `1` discards existing checkpoints, `0` keeps them | `0` |
-//! | `FASTMON_SHARDS` | fault-set shards per campaign (merge is bit-identical) | `1` |
-//! | `FASTMON_SHARD_PROCS` | set to `1` to run each shard as a supervised child process | unset |
+//! | `FASTMON_CHECKPOINT_DIR` | root of the per-campaign checkpoint directories | `target/fastmon-checkpoints` |
+//! | `FASTMON_FRESH` | `1` empties the campaign's checkpoint directory first, `0` resumes from it | `0` |
+//! | `FASTMON_SHARD_PROCS` | set to `1` to run each campaign as supervised worker processes | unset |
+//! | `FASTMON_SHARDS` | worker processes per campaign (merge is bit-identical); above 1 needs `FASTMON_SHARD_PROCS=1` | `1` |
 //! | `FASTMON_SHARD_JOBS` | concurrent shard workers under the supervisor | cores |
 //! | `FASTMON_SHARD_RSS_BYTES` | per-worker RSS ceiling before graceful eviction | unlimited |
 //!
@@ -28,9 +28,13 @@
 //! shard, 200 ms base backoff) are [`fastmon_core::SupervisorConfig`]
 //! defaults.
 //!
-//! The fault-simulation campaign checkpoints after every pattern band (see
-//! [`fastmon_core::CheckpointStore`]); re-running an interrupted experiment
-//! binary resumes where it left off and produces bit-identical results.
+//! [`with_run`] runs every campaign through `fastmond`'s runner,
+//! [`fastmon_daemon::run_campaign`], in the daemon's checkpoint layout:
+//! one locked directory per campaign fingerprint under
+//! `FASTMON_CHECKPOINT_DIR` (see [`fastmon_core::CheckpointDir`]). The
+//! campaign checkpoints after every pattern band; re-running an
+//! interrupted experiment binary resumes where it left off and produces
+//! bit-identical results.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -46,12 +50,11 @@ use std::time::{Duration, Instant};
 use fastmon_atpg::TestSet;
 use fastmon_core::shardsup::config_error;
 use fastmon_core::{
-    CheckpointDir, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow,
-    ShardFiles, ShardsupError, SupervisorConfig,
+    CheckpointDir, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow, ShardsupError,
+    SupervisorConfig,
 };
-use fastmon_daemon::JobError;
+use fastmon_daemon::{run_campaign, JobError};
 use fastmon_netlist::generate::{paper_suite, CircuitProfile};
-use fastmon_netlist::Circuit;
 
 /// Exit code for a run that stopped cooperatively at a cancellation
 /// boundary (a `FASTMON_DEADLINE_SECS` deadline or an explicit soft
@@ -90,13 +93,13 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Per-ILP-solve deadline.
     pub ilp_deadline: Duration,
-    /// Fault-set shards per campaign (`FASTMON_SHARDS`, 1 = unsharded).
-    /// The merged sharded result is bit-identical to the serial run, so
-    /// this only changes checkpoint granularity and memory footprint.
+    /// Worker processes per supervised campaign (`FASTMON_SHARDS`, 1 =
+    /// unsharded). The merged sharded result is bit-identical to the
+    /// serial run.
     pub shards: usize,
-    /// Run each shard as a supervised child OS process
-    /// (`FASTMON_SHARD_PROCS=1`) instead of in-process slices — crash,
-    /// stall and RSS isolation per shard (see [`shardsup`]).
+    /// Run each campaign as `shards` supervised worker processes
+    /// (`FASTMON_SHARD_PROCS=1`) — crash, stall and RSS isolation per
+    /// shard (see [`shardsup`]).
     pub shard_procs: bool,
 }
 
@@ -117,6 +120,7 @@ impl ExperimentConfig {
     /// [`ShardsupError::Config`] when `FASTMON_SHARDS` or
     /// `FASTMON_SHARD_JOBS` is set to something unusable (`0`,
     /// non-numeric, or more than [`fastmon_core::MAX_SHARDS`]), when
+    /// `FASTMON_SHARDS` is above 1 without `FASTMON_SHARD_PROCS=1`, when
     /// `FASTMON_SHARD_RSS_BYTES` is not a positive integer, when
     /// `FASTMON_SHARD_PROCS` or `FASTMON_FRESH` is neither `0` nor `1`,
     /// when `FASTMON_TARGET_GATES`, `FASTMON_MAX_FAULTS`, `FASTMON_SEED`
@@ -134,6 +138,13 @@ impl ExperimentConfig {
         SupervisorConfig::from_env(shards)?;
         flag_knob("FASTMON_FRESH")?;
         let shard_procs = flag_knob("FASTMON_SHARD_PROCS")?;
+        if shards > 1 && !shard_procs {
+            return Err(config_error(
+                "FASTMON_SHARDS",
+                &shards.to_string(),
+                "shards are worker processes: set FASTMON_SHARD_PROCS=1",
+            ));
+        }
         let circuits: Vec<String> = std::env::var("FASTMON_CIRCUITS")
             .map(|v| v.split(',').map(|s| s.trim().to_owned()).collect())
             .unwrap_or_default();
@@ -205,21 +216,13 @@ pub fn integer_knob<T: std::str::FromStr>(key: &str, default: T) -> Result<T, Sh
     }
 }
 
-/// A fully prepared circuit run: generated circuit, ATPG patterns and the
-/// fault-simulation campaign.
+/// What [`with_run`] measured of one circuit's run.
 pub struct PreparedRun {
-    /// The synthetic stand-in circuit.
-    pub circuit: Circuit,
-    /// Scale factor applied to the paper profile.
-    pub scale: f64,
-    /// The compacted transition test set (capped at the profile's scaled
-    /// pattern budget).
-    pub patterns_len: usize,
     /// Wall-clock seconds per phase: (atpg, analyze).
     pub phase_secs: (f64, f64),
 }
 
-/// Directory where campaign checkpoints are kept
+/// Root of the per-campaign checkpoint directories
 /// (`FASTMON_CHECKPOINT_DIR`, default `target/fastmon-checkpoints`).
 #[must_use]
 pub fn checkpoint_dir() -> PathBuf {
@@ -228,21 +231,17 @@ pub fn checkpoint_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("target/fastmon-checkpoints"))
 }
 
-/// The checkpoint store the experiment binaries use for `circuit`.
-#[must_use]
-pub fn checkpoint_store(circuit: &str) -> CheckpointStore {
-    CheckpointStore::new(checkpoint_dir().join(format!("{circuit}.fmck")))
-}
-
 /// Prepares a circuit and runs ATPG + fault simulation, handing the
 /// borrowing-sensitive pieces to `f`.
 ///
-/// The fault-simulation campaign is resumable: progress is checkpointed
-/// after every pattern band under [`checkpoint_dir`], so a killed run
-/// picks up where it stopped (set `FASTMON_FRESH=1` to force a clean
-/// start). If checkpointing itself fails — e.g. an unwritable target
-/// directory — the campaign is rerun without checkpoints rather than
-/// aborted.
+/// The campaign is the one [`shardsup::job_request`] describes, run by
+/// [`run_campaign`] in its own locked directory under [`checkpoint_dir`]
+/// keyed by the campaign fingerprint: progress is checkpointed after
+/// every pattern band, so a killed run picks up where it stopped
+/// (`FASTMON_FRESH=1` empties the directory first), and the directory is
+/// removed once the campaign finishes. If the directory is locked by
+/// another run or cannot be written, the campaign is rerun without
+/// checkpoints rather than aborted.
 ///
 /// # Panics
 ///
@@ -254,78 +253,59 @@ pub fn with_run<R>(
     config: &ExperimentConfig,
     f: impl FnOnce(&HdfTestFlow<'_>, &TestSet, &DetectionAnalysis, &PreparedRun) -> R,
 ) -> R {
+    let name = &profile.name;
     let circuit = match profile.generate(config.seed) {
         Ok(c) => c,
-        Err(e) => panic!("profile `{}` cannot generate a circuit: {e}", profile.name),
+        Err(e) => panic!("profile `{name}` cannot generate a circuit: {e}"),
     };
-    let flow_config = config.flow_config();
-    let flow = HdfTestFlow::prepare(&circuit, &flow_config);
+    let flow = HdfTestFlow::prepare(&circuit, &config.flow_config());
 
     let t = Instant::now();
     let patterns = match flow.try_generate_patterns(Some(profile.pattern_budget)) {
         Ok(p) => p,
-        Err(e) => exit_flow_error(&profile.name, "pattern generation", &e),
+        Err(e) => exit_flow_error(name, "pattern generation", &e),
     };
     let atpg_secs = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
     let fresh = flag_knob("FASTMON_FRESH").unwrap_or_else(|e| exit_invalid(&e));
-    let campaign = if config.shards > 1 {
-        // Sharded campaign: every shard file lives inside a locked
-        // per-fingerprint job directory, so a daemon's startup GC sweep
-        // skips them while this run holds the directory's lock instead
-        // of racing the shard writers.
-        let jobs = CheckpointDir::new(checkpoint_dir().join("shard-jobs"));
-        jobs.acquire(flow.campaign_fingerprint(&patterns))
-            .map_err(|e| e.to_string())
-            .and_then(|job| {
-                let files = ShardFiles::new(job.dir());
-                if fresh {
-                    files.clear();
-                }
-                let analysis = if config.shard_procs {
-                    run_shard_procs(&flow, &patterns, config, profile, scale, job.dir())?
-                } else {
-                    files
-                        .run_in_process(&flow, &patterns, config.shards, &mut |_, _| {})
-                        .map_err(|e| exit_if_fatal(&profile.name, e))?
-                };
-                if let Err(e) = job.complete() {
-                    eprintln!(
-                        "[bench] {}: cannot remove finished shard job dir: {e}",
-                        profile.name
-                    );
-                }
-                Ok(analysis)
-            })
-    } else {
-        let store = checkpoint_store(&profile.name);
-        if fresh {
-            if let Err(e) = store.clear() {
-                eprintln!(
-                    "[bench] {}: cannot clear checkpoint {}: {e}",
-                    profile.name,
-                    store.path().display()
-                );
+    let req = shardsup::job_request(config, name, scale);
+    let dirs = CheckpointDir::new(checkpoint_dir());
+    let campaign = dirs
+        .acquire(flow.campaign_fingerprint(&patterns))
+        .map_err(|e| e.to_string())
+        .and_then(|job| {
+            if fresh {
+                job.clear().map_err(|e| e.to_string())?;
             }
-        }
-        flow.analyze_resumable(&patterns, &store)
-            .map_err(|e| exit_if_fatal(&profile.name, e))
-    };
+            let analysis =
+                run_campaign(&flow, &patterns, &req, &job, &mut |_| {}).map_err(|e| match e {
+                    JobError::Flow(e) => exit_if_fatal(name, e),
+                    e => e.to_string(),
+                })?;
+            if let Err(e) = job.complete() {
+                eprintln!("[bench] {name}: cannot remove finished checkpoint dir: {e}");
+            }
+            Ok(analysis)
+        });
     let analysis = campaign.unwrap_or_else(|e| {
-        eprintln!(
-            "[bench] {}: checkpointing unavailable ({e}); rerunning without checkpoints",
-            profile.name
-        );
-        flow.analyze(&patterns)
+        eprintln!("[bench] {name}: checkpointing unavailable ({e}); rerunning without checkpoints");
+        flow.try_analyze(&patterns)
+            .unwrap_or_else(|e| exit_flow_error(name, "fault simulation", &e))
     });
-    let analyze_secs = t.elapsed().as_secs_f64();
-
+    if config.shard_procs {
+        let s = &flow.metrics().shardsup;
+        eprintln!(
+            "[bench] {name}: supervised {} shards: {} workers, {} respawns, {} stalls, {} evictions",
+            config.shards,
+            s.workers_spawned.get(),
+            s.respawns.get(),
+            s.stalls_detected.get(),
+            s.rss_evictions.get(),
+        );
+    }
     let run = PreparedRun {
-        scale,
-        patterns_len: patterns.len(),
-        phase_secs: (atpg_secs, analyze_secs),
-        circuit: circuit.clone(),
+        phase_secs: (atpg_secs, t.elapsed().as_secs_f64()),
     };
     f(&flow, &patterns, &analysis, &run)
 }
@@ -341,43 +321,6 @@ fn exit_if_fatal(circuit: &str, e: FlowError) -> String {
         | FlowError::WorkerPanic { .. } => exit_flow_error(circuit, "fault simulation", &e),
         e => e.to_string(),
     }
-}
-
-/// Runs the sharded campaign through the multi-process supervisor
-/// ([`shardsup::supervise`]).
-fn run_shard_procs(
-    flow: &HdfTestFlow<'_>,
-    patterns: &TestSet,
-    config: &ExperimentConfig,
-    profile: &CircuitProfile,
-    scale: f64,
-    dir: &std::path::Path,
-) -> Result<DetectionAnalysis, String> {
-    let run = shardsup::supervise(
-        flow,
-        patterns,
-        config,
-        &profile.name,
-        scale,
-        dir,
-        None,
-        &mut |_| {},
-    )
-    .map_err(|e| match e {
-        JobError::Flow(e) => exit_if_fatal(&profile.name, e),
-        e => e.to_string(),
-    })?;
-    let r = &run.report;
-    eprintln!(
-        "[bench] {}: supervised {} shards: {} workers, {} respawns, {} stalls, {} evictions",
-        profile.name,
-        config.shards,
-        r.workers_spawned,
-        r.respawns,
-        r.stalls_detected,
-        r.rss_evictions,
-    );
-    Ok(run.analysis)
 }
 
 /// Prints a markdown table: header, alignment row, rows.

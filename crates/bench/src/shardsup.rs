@@ -1,17 +1,17 @@
 //! Multi-process shard execution for the experiment binaries.
 //!
-//! With `FASTMON_SHARD_PROCS=1` a sharded campaign runs its fault slices
-//! as supervised worker processes instead of in-process: [`supervise`]
-//! hands the prepared flow and test set to the one supervised-campaign
-//! driver, [`fastmon_daemon::shard::supervise`]. That driver lands a
-//! campaign spec (the daemon's `submit` line naming this run's profile,
-//! scale, seed and fault cap, see [`job_request`]) and the test set in
-//! the shard directory, then re-executes the current binary once per
-//! shard (`<bin> --shard-worker i/n`). Every experiment binary calls
-//! [`maybe_run_worker`] first in `main`, so it doubles as its own worker:
-//! the worker rebuilds the flow from the spec, loads the test set instead
-//! of running ATPG, and lands its slice's result. See
-//! [`fastmon_daemon::shard`] for the protocol and exit codes.
+//! An experiment binary describes each circuit's campaign as the daemon's
+//! [`JobRequest`] ([`job_request`]: this run's profile, scale, seed, fault
+//! cap and shard settings). With `FASTMON_SHARD_PROCS=1` the campaign
+//! runs as supervised worker processes: the one supervised-campaign
+//! driver, [`fastmon_daemon::shard::supervise`], lands the request as the
+//! campaign spec and the test set in the shard directory, then
+//! re-executes the current binary once per shard (`<bin> --shard-worker
+//! i/n`). Every experiment binary calls [`maybe_run_worker`] first in
+//! `main`, so it doubles as its own worker: the worker rebuilds the flow
+//! from the spec, loads the test set instead of running ATPG, and lands
+//! its slice's result. See [`fastmon_daemon::shard`] for the protocol and
+//! exit codes.
 
 use std::path::Path;
 
@@ -24,9 +24,9 @@ pub use fastmon_daemon::shard::{maybe_run_worker, SupervisedRun};
 
 use crate::ExperimentConfig;
 
-/// The campaign spec the workers rebuild: the paper-suite profile
-/// `profile_name` at `scale`, with `config`'s seed, fault cap, thread
-/// count and shard count.
+/// The campaign of the paper-suite profile `profile_name` at `scale`, with
+/// `config`'s seed, fault cap, thread count and shard settings — the spec
+/// supervised workers rebuild it from.
 #[must_use]
 pub fn job_request(config: &ExperimentConfig, profile_name: &str, scale: f64) -> JobRequest {
     JobRequest {
@@ -45,7 +45,7 @@ pub fn job_request(config: &ExperimentConfig, profile_name: &str, scale: f64) ->
         seed: config.seed,
         threads: config.flow_config().threads,
         shards: config.shards,
-        shard_procs: true,
+        shard_procs: config.shard_procs,
     }
 }
 
@@ -58,7 +58,9 @@ pub fn job_request(config: &ExperimentConfig, profile_name: &str, scale: f64) ->
 /// `flow` must come from the same values
 /// ([`ExperimentConfig::flow_config`] on that profile generated with
 /// `config.seed`). A worker whose rebuilt campaign differs from the
-/// shipped test set refuses its shard, and the campaign fails at once.
+/// shipped test set refuses its shard, and the campaign fails at once;
+/// so does one whose spec asks for more than one shard without
+/// `config.shard_procs`.
 ///
 /// `worker_bin` overrides the worker executable (tests point it at a
 /// specific experiment binary); the default is the current executable.

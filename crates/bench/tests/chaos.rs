@@ -13,6 +13,8 @@ use fastmon_netlist::generate::CircuitProfile;
 use fastmon_netlist::{bench, library, CircuitBuilder, NetlistError};
 use fastmon_timing::{sdf, DelayAnnotation, DelayModel, TimingError};
 
+mod support;
+
 // ---------------------------------------------------------------- netlists
 
 #[test]
@@ -136,7 +138,7 @@ fn corrupted_checkpoint_recovers(tag: &str, corrupt: impl Fn(&std::path::Path)) 
     recover_from_checkpoint(tag, 1, corrupt);
 }
 
-/// Interrupts a campaign after `bands` saves, damages the checkpoint with
+/// Stops a campaign after `bands` saves, damages the checkpoint with
 /// `corrupt`, then re-runs: the flow must resume from what still loads or
 /// log-and-restart, producing the same analysis as a clean run. Returns
 /// how often the re-run resumed.
@@ -152,11 +154,12 @@ fn recover_from_checkpoint(tag: &str, bands: usize, corrupt: impl Fn(&std::path:
 
     let dir = chaos::scratch_dir(tag);
     let path = dir.join("s27.fmck");
-    flow.analyze_resumable(
-        &patterns,
-        &CheckpointStore::new(&path).with_interrupt_after(bands),
-    )
-    .expect_err("interruption hook fires");
+    let stopped =
+        support::run_until_band(&c, &config, &patterns, &CheckpointStore::new(&path), bands);
+    assert!(
+        matches!(stopped, Err(FlowError::Cancelled { .. })),
+        "a band must remain after band {bands}: {stopped:?}"
+    );
     assert!(path.exists());
     corrupt(&path);
 

@@ -96,9 +96,22 @@ fn malformed_knobs_are_typed_errors_with_the_offending_string() {
         expect_config_err(ExperimentConfig::try_from_env(), "FASTMON_SHARDS", bad);
         std::env::remove_var("FASTMON_SHARDS");
     }
+    // Shards are worker processes: more than one without
+    // FASTMON_SHARD_PROCS=1 is rejected, and the binaries exit 2 on it.
+    std::env::set_var("FASTMON_SHARDS", "4");
+    expect_config_err(ExperimentConfig::try_from_env(), "FASTMON_SHARDS", "4");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_table1"))
+        .output()
+        .expect("table1 launches");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("FASTMON_SHARDS=\"4\""), "{stderr:?}");
+    std::env::set_var("FASTMON_SHARD_PROCS", "1");
+    assert_eq!(ExperimentConfig::try_from_env().unwrap().shards, 4);
     std::env::set_var("FASTMON_SHARDS", MAX_SHARDS.to_string());
     assert_eq!(ExperimentConfig::try_from_env().unwrap().shards, MAX_SHARDS);
     std::env::remove_var("FASTMON_SHARDS");
+    std::env::remove_var("FASTMON_SHARD_PROCS");
 
     // FASTMON_SHARD_JOBS is validated at config time so a typo fails
     // before ATPG, not when the supervisor first reads it.

@@ -22,6 +22,8 @@ use fastmon_netlist::library;
 use fastmon_obs::failpoints;
 use fastmon_obs::CancelToken;
 
+mod support;
+
 fn flow_config() -> FlowConfig {
     FlowConfig {
         threads: 2,
@@ -133,11 +135,17 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
     //    fails; the flow degrades to a clean restart, not an error.
     {
         let path = dir.join("load-degrade.fmck");
-        flow.analyze_resumable(
+        let stopped = support::run_until_band(
+            &circuit,
+            &config,
             &patterns,
-            &CheckpointStore::new(&path).with_interrupt_after(1),
-        )
-        .expect_err("interruption hook leaves a checkpoint behind");
+            &CheckpointStore::new(&path),
+            1,
+        );
+        assert!(
+            matches!(stopped, Err(FlowError::Cancelled { .. })),
+            "a band must remain after band 1: {stopped:?}"
+        );
         assert!(path.exists());
         let resumes_before = flow.metrics().checkpoint.resumes.get();
         failpoints::configure("checkpoint_load=io@1").unwrap();

@@ -238,14 +238,11 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // it never sends a heartbeat. The stall watchdog must SIGKILL it; the
     // charged respawn runs the shard and the merged result is unchanged —
     // the respawn counter proves the path (scenario 3 covers resuming
-    // from a shard checkpoint). The healthy shards finish in
-    // milliseconds, so straggler re-dispatch is held off to leave the
-    // frozen worker to the stall watchdog.
+    // from a shard checkpoint).
     {
         let dir = tmp("stall");
         let supervisor = SupervisorConfig {
             stall_timeout: Duration::from_secs(1),
-            straggler_factor: 1000.0,
             ..SupervisorConfig::new(config.shards)
         };
         let stall_flow = HdfTestFlow::prepare(&circuit, &config.flow_config());

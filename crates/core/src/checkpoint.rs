@@ -47,7 +47,7 @@
 //! ships to its workers (magic `FMTS`, keyed by the campaign fingerprint;
 //! see [`ShardFiles`](crate::ShardFiles)).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -111,13 +111,6 @@ pub enum CheckpointError {
         /// Fingerprint of the running campaign.
         expected: u64,
     },
-    /// A test-only interruption point fired (see
-    /// [`CheckpointStore::with_interrupt_after`]); the checkpoint on disk
-    /// is valid and resumable.
-    Interrupted {
-        /// Number of bands that were saved before the interruption.
-        bands: usize,
-    },
     /// Another live process (or thread) holds this campaign's checkpoint
     /// directory — two same-fingerprint campaigns must not interleave
     /// their appends to one file.
@@ -155,9 +148,6 @@ impl fmt::Display for CheckpointError {
                     "checkpoint fingerprint {got:#018x} does not match this campaign \
                      ({expected:#018x})"
                 )
-            }
-            CheckpointError::Interrupted { bands } => {
-                write!(f, "campaign interrupted after {bands} checkpointed band(s)")
             }
             CheckpointError::Locked { holder_pid } => {
                 write!(
@@ -232,8 +222,6 @@ pub struct CampaignCheckpoint {
 #[derive(Debug)]
 pub struct CheckpointStore {
     path: PathBuf,
-    interrupt_after: Option<usize>,
-    saves: Cell<usize>,
     /// The file the last successful save wrote, for the next save that
     /// extends it.
     log: RefCell<Option<Log>>,
@@ -256,21 +244,8 @@ impl CheckpointStore {
     pub fn new(path: impl Into<PathBuf>) -> Self {
         CheckpointStore {
             path: path.into(),
-            interrupt_after: None,
-            saves: Cell::new(0),
             log: RefCell::new(None),
         }
-    }
-
-    /// Test hook simulating a crash: after `bands` successful saves, the
-    /// next save completes on disk and then returns
-    /// [`CheckpointError::Interrupted`], aborting the campaign with a
-    /// valid, resumable checkpoint behind — exactly what a kill between
-    /// two bands leaves.
-    #[must_use]
-    pub fn with_interrupt_after(mut self, bands: usize) -> Self {
-        self.interrupt_after = Some(bands);
-        self
     }
 
     /// The checkpoint file path.
@@ -306,33 +281,20 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Io`] when the file cannot be written and
-    /// [`CheckpointError::Interrupted`] when the
-    /// [`with_interrupt_after`](Self::with_interrupt_after) test hook
-    /// fires.
+    /// Returns [`CheckpointError::Io`] when the file cannot be written.
     pub fn save(&self, checkpoint: &CampaignCheckpoint) -> Result<u64, CheckpointError> {
         let mut log = self.log.borrow_mut();
-        let written = match log.as_mut().filter(|log| log.extended_by(checkpoint)) {
-            Some(log) => log.append(checkpoint)?,
-            None => {
-                let fresh = Log::create(&self.path, checkpoint)?;
-                let written = fresh.len;
-                *log = Some(fresh);
-                written
-            }
-        };
-        if self.saves.get() == 0 {
-            // Best-effort: the sidecar lets a resuming process link its
-            // trace back to this run's; losing it only costs the link,
-            // never the checkpoint.
-            let _ = std::fs::write(self.run_sidecar_path(), fastmon_obs::run_id());
+        if let Some(log) = log.as_mut().filter(|log| log.extended_by(checkpoint)) {
+            return log.append(checkpoint);
         }
-        let saves = self.saves.get() + 1;
-        self.saves.set(saves);
-        match self.interrupt_after {
-            Some(n) if saves >= n => Err(CheckpointError::Interrupted { bands: saves }),
-            _ => Ok(written),
-        }
+        let fresh = Log::create(&self.path, checkpoint)?;
+        let written = fresh.len;
+        *log = Some(fresh);
+        // Best-effort: the sidecar lets a resuming process link its trace
+        // back to this run's; losing it only costs the link, never the
+        // checkpoint.
+        let _ = std::fs::write(self.run_sidecar_path(), fastmon_obs::run_id());
+        Ok(written)
     }
 
     /// Loads and validates the checkpoint.
@@ -424,9 +386,8 @@ const WRITE_BACKOFF_CAP: std::time::Duration = std::time::Duration::from_millis(
 /// Runs a save `write` of `path` (an atomic replace or an append),
 /// retrying transient I/O failures (`CheckpointError::Io` — which
 /// injected `checkpoint_write` / `checkpoint_rename` failures mimic) with
-/// capped exponential backoff. Non-I/O errors (e.g. the test-only
-/// interruption hook) are never retried. Every retry increments
-/// `robustness.checkpoint_retries`.
+/// capped exponential backoff. Other errors are never retried. Every
+/// retry increments `robustness.checkpoint_retries`.
 pub(crate) fn write_with_retry<T>(
     path: &Path,
     metrics: &fastmon_obs::MetricsRegistry,
@@ -721,6 +682,24 @@ impl JobStore {
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Empties the job directory for a fresh start: removes every file
+    /// but the lock, and drops the file the store holds open.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] when the directory cannot be read or a file
+    /// cannot be removed.
+    pub fn clear(&self) -> Result<(), CheckpointError> {
+        self.store.clear()?;
+        for entry in std::fs::read_dir(&self.dir).map_err(io_err("read dir"))? {
+            let entry = entry.map_err(io_err("read dir"))?;
+            if entry.file_name() != LOCK_FILE {
+                std::fs::remove_file(entry.path()).map_err(io_err("remove"))?;
+            }
+        }
+        Ok(())
     }
 
     /// Removes the job directory (checkpoint, lock file and all) after a
@@ -1393,21 +1372,6 @@ mod tests {
         store.clear().unwrap();
         assert_eq!(store.load().unwrap_err(), CheckpointError::Missing);
         store.clear().unwrap(); // idempotent
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn interrupt_hook_fires_after_n_saves() {
-        let dir = std::env::temp_dir().join(format!("fastmon-ckpt-int-{}", std::process::id()));
-        let store = CheckpointStore::new(dir.join("i.ckpt")).with_interrupt_after(2);
-        let cp = sample();
-        assert!(store.save(&cp).is_ok());
-        assert_eq!(
-            store.save(&cp).unwrap_err(),
-            CheckpointError::Interrupted { bands: 2 }
-        );
-        // the interrupted save still reached the disk
-        assert_eq!(store.load().unwrap(), cp);
         let _ = std::fs::remove_dir_all(dir);
     }
 

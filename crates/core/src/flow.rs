@@ -499,8 +499,7 @@ impl<'c> HdfTestFlow<'c> {
     /// * [`FlowError::Injected`] when the `campaign_band` failpoint fires,
     /// * [`FlowError::WorkerPanic`] when a simulation worker panics,
     /// * [`FlowError::Checkpoint`] when a checkpoint cannot be *written*
-    ///   (progress cannot be made durable) or the store's test-only
-    ///   interruption hook fires.
+    ///   (progress cannot be made durable).
     ///
     /// # Panics
     ///

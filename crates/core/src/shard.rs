@@ -1,7 +1,7 @@
 //! The shard file layout: how a campaign split into `n` contiguous fault
-//! shards lives in one directory. The in-process sharded campaign, the
-//! shard supervisor and its worker processes all go through
-//! [`ShardFiles`], so they agree on every path and fingerprint.
+//! shards lives in one directory. The shard supervisor and its worker
+//! processes both go through [`ShardFiles`], so they agree on every path
+//! and fingerprint.
 //!
 //! ```text
 //! <dir>/shard-spec.json          the campaign spec a worker rebuilds its flow from
@@ -267,40 +267,6 @@ impl ShardFiles {
         Ok(fingerprint)
     }
 
-    /// The crash-safe in-process sharded campaign: each shard of a
-    /// `shards`-way partition runs in turn, persisting (and resuming
-    /// from) its own checkpoint, so a crash only loses progress inside
-    /// the interrupted shard's current band. `observe` receives each
-    /// shard's progress tagged with the shard index. Finished shard
-    /// checkpoints are removed; the merged result is bit-identical to the
-    /// serial campaign for any shard or thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HdfTestFlow::run`].
-    pub fn run_in_process(
-        &self,
-        flow: &HdfTestFlow<'_>,
-        patterns: &TestSet,
-        shards: usize,
-        observe: &mut dyn FnMut(usize, CampaignProgress),
-    ) -> Result<DetectionAnalysis, FlowError> {
-        let mut parts = Vec::new();
-        for spec in ShardSpec::all(shards) {
-            let store = self.checkpoint(spec);
-            parts.push(flow.run(
-                patterns,
-                Campaign {
-                    shard: Some(spec),
-                    checkpoint: Some(&store),
-                    observe: Some(&mut |progress| observe(spec.shard, progress)),
-                },
-            )?);
-            store.discard();
-        }
-        DetectionAnalysis::merge(parts)
-    }
-
     /// Loads every landed shard result of a `shards`-way partition,
     /// rebuilds each shard's analysis from its raw results and merges
     /// them. Each fault's raw union is derived from its entries the way
@@ -339,19 +305,6 @@ impl ShardFiles {
             ));
         }
         DetectionAnalysis::merge(parts)
-    }
-
-    /// Removes every `shard-*` file of the directory (a fresh restart),
-    /// leaving anything else — such as a job lock — in place.
-    pub fn clear(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            if entry.file_name().to_string_lossy().starts_with("shard-") {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
     }
 
     /// Loads shard `spec`'s result file and checks that it is the

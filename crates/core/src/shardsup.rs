@@ -1,6 +1,5 @@
 //! Multi-process shard supervision: heartbeats, retry/respawn with
-//! capped backoff, an RSS watchdog, bounded concurrency and straggler
-//! re-dispatch.
+//! capped backoff, an RSS watchdog and bounded concurrency.
 //!
 //! The supervisor executes each shard of an `n`-way campaign as a
 //! separate OS child process (typically a self-exec of the driver binary
@@ -28,9 +27,7 @@
 //!   band of durable progress — the loop converges even under a limit
 //!   the worker always exceeds.
 //! * **Bounded concurrency** — at most `FASTMON_SHARD_JOBS` children run
-//!   at once (default: available parallelism), and the last unfinished
-//!   shard is re-dispatched once if it runs suspiciously long compared
-//!   to the median completed shard.
+//!   at once (default: available parallelism).
 //!
 //! The engine is agnostic of what a worker computes: callers supply the
 //! launch and completion probes. The campaign callers lay their files
@@ -190,9 +187,6 @@ pub struct SupervisorConfig {
     pub backoff: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Re-dispatch the last unfinished shard once its runtime exceeds
-    /// this multiple of the median completed-shard wall time.
-    pub straggler_factor: f64,
     /// Main-loop tick (event drain / reap / watchdog cadence).
     pub poll_interval: Duration,
     /// RSS probe cadence (coarser than the main tick — `/proc` reads are
@@ -203,7 +197,7 @@ pub struct SupervisorConfig {
 impl SupervisorConfig {
     /// Defaults for an `n`-way partition: concurrency = available
     /// parallelism, 60 s stall timeout, no RSS limit, 3 respawns with
-    /// 200 ms base backoff capped at 5 s, straggler factor 3.
+    /// 200 ms base backoff capped at 5 s.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         let parallelism = std::thread::available_parallelism()
@@ -217,7 +211,6 @@ impl SupervisorConfig {
             max_respawns: 3,
             backoff: Duration::from_millis(200),
             backoff_cap: Duration::from_secs(5),
-            straggler_factor: 3.0,
             poll_interval: Duration::from_millis(25),
             rss_poll_interval: Duration::from_millis(250),
         }
@@ -316,16 +309,6 @@ pub enum SupervisorEvent {
         /// Shard index.
         shard: usize,
     },
-    /// The last unfinished shard outlived the straggler threshold and
-    /// was killed for re-dispatch (no retry budget charged).
-    StragglerRedispatched {
-        /// Shard index.
-        shard: usize,
-        /// The killed pid.
-        pid: u32,
-        /// Its wall time at the kill.
-        elapsed: Duration,
-    },
     /// A shard's result file landed and validated.
     Completed {
         /// Shard index.
@@ -347,8 +330,6 @@ pub struct SupervisorReport {
     pub rss_evictions: u64,
     /// Evicted shards re-admitted.
     pub readmissions: u64,
-    /// Straggler re-dispatches.
-    pub stragglers_redispatched: u64,
     /// Heartbeat lines parsed.
     pub heartbeats_received: u64,
     /// Shards that landed a valid result.
@@ -364,7 +345,6 @@ struct RunningShard {
     shard: usize,
     child: Child,
     pid: u32,
-    started: Instant,
     last_event: Instant,
     last_rss_poll: Instant,
     /// A `shard_heartbeat` record arrived this tick: a band checkpoint
@@ -376,8 +356,6 @@ struct RunningShard {
     evicting: bool,
     /// SIGKILLed by the stall watchdog; the exit is charged.
     stall_killed: bool,
-    /// SIGKILLed for straggler re-dispatch; the exit is uncharged.
-    redispatch_killed: bool,
 }
 
 #[derive(Default)]
@@ -388,8 +366,6 @@ struct ShardState {
     not_before: Option<Instant>,
     /// Pending re-admission after an eviction (emit `Readmitted`).
     evicted: bool,
-    /// The one-shot straggler re-dispatch has been used.
-    redispatched: bool,
 }
 
 /// Sends `sig` to `pid`. Returns false when the signal could not be
@@ -464,8 +440,7 @@ fn render_status(status: &std::process::ExitStatus) -> String {
 ///   attempt only.
 /// * `is_complete(shard)` checks whether the shard's result file has
 ///   landed and validates — consulted before every (re)launch and after
-///   every exit, which is what makes supervisor restarts and redundant
-///   re-dispatches free.
+///   every exit, which is what makes supervisor restarts free.
 /// * `on_event` observes every [`SupervisorEvent`] (flight recorder,
 ///   progress rows, chaos assertions).
 /// * `cancel`, when tripped, SIGTERMs all children, waits for them and
@@ -493,7 +468,6 @@ pub fn run(
     let mut states: Vec<ShardState> = (0..config.shards).map(|_| ShardState::default()).collect();
     let mut running: Vec<RunningShard> = Vec::new();
     let mut completed = vec![false; config.shards];
-    let mut completed_walls: Vec<Duration> = Vec::new();
 
     let complete_shard = |shard: usize,
                           completed: &mut Vec<bool>,
@@ -615,13 +589,11 @@ pub fn run(
                 shard,
                 child,
                 pid,
-                started: now,
                 last_event: now,
                 last_rss_poll: now,
                 band_ended: false,
                 evicting: false,
                 stall_killed: false,
-                redispatch_killed: false,
             });
         }
 
@@ -689,10 +661,7 @@ pub fn run(
                 let now = Instant::now();
                 // Stall watchdog: silence past the timeout means a hung
                 // worker (armed failpoint, livelock, swapped-out host).
-                if !rs.stall_killed
-                    && !rs.redispatch_killed
-                    && now.duration_since(rs.last_event) > config.stall_timeout
-                {
+                if !rs.stall_killed && now.duration_since(rs.last_event) > config.stall_timeout {
                     let silent_for = now.duration_since(rs.last_event);
                     let _ = rs.child.kill();
                     rs.stall_killed = true;
@@ -744,19 +713,14 @@ pub fn run(
             let rs = running.swap_remove(i);
             let shard = rs.shard;
             if is_complete(shard) {
-                completed_walls.push(rs.started.elapsed());
                 complete_shard(shard, &mut completed, &mut report, on_event);
                 continue;
             }
-            let evicted_cleanly =
-                rs.evicting && status.code() == Some(EXIT_EVICTED) && !rs.stall_killed;
-            if evicted_cleanly || rs.redispatch_killed {
+            if rs.evicting && status.code() == Some(EXIT_EVICTED) && !rs.stall_killed {
                 // Uncharged requeue: cooperative eviction checkpointed at
-                // a band boundary; a straggler kill resumes from its own
-                // checkpoint (or returns instantly off the landed
-                // result). Queued at the back so other shards get the
-                // freed slot first.
-                states[shard].evicted = evicted_cleanly;
+                // a band boundary. Queued at the back so other shards get
+                // the freed slot first.
+                states[shard].evicted = true;
                 pending.push_back(shard);
                 continue;
             }
@@ -803,36 +767,6 @@ pub fn run(
                 delay,
             });
             pending.push_back(shard);
-        }
-
-        // -- straggler re-dispatch ------------------------------------
-        // Only when exactly one shard remains, it has run conspicuously
-        // longer than the median completed shard, and it has not been
-        // re-dispatched before. The respawn resumes from the shard's own
-        // checkpoint, so the kill never loses more than one band.
-        if pending.is_empty() && running.len() == 1 && !completed_walls.is_empty() {
-            let rs = &mut running[0];
-            if !states[rs.shard].redispatched && !rs.stall_killed && !rs.redispatch_killed {
-                let mut walls = completed_walls.clone();
-                walls.sort_unstable();
-                let median = walls[walls.len() / 2];
-                let threshold = median.mul_f64(config.straggler_factor.max(1.0));
-                let elapsed = rs.started.elapsed();
-                if elapsed > threshold {
-                    let _ = rs.child.kill();
-                    rs.redispatch_killed = true;
-                    states[rs.shard].redispatched = true;
-                    report.stragglers_redispatched += 1;
-                    if let Some(s) = shardsup {
-                        s.stragglers_redispatched.incr();
-                    }
-                    on_event(SupervisorEvent::StragglerRedispatched {
-                        shard: rs.shard,
-                        pid: rs.pid,
-                        elapsed,
-                    });
-                }
-            }
         }
     }
 

@@ -2,8 +2,9 @@
 //! fault shards and merged must be bit-identical (same
 //! `result_fingerprint`) to the single-process serial run, for any shard
 //! count, any thread count, and through the crash-safe per-shard
-//! checkpoint path. Also pins the shard file layout: the partition, the
-//! shard fingerprints and the shipped test set.
+//! checkpoint path the workers take (`ShardFiles::run_to_result`, then
+//! `ShardFiles::merge`). Also pins the shard file layout: the partition,
+//! the shard fingerprints and the shipped test set.
 
 use fastmon_atpg::{AtpgError, TestSet};
 use fastmon_core::shard::TEST_SET_FILE;
@@ -104,12 +105,16 @@ fn resumable_sharded_campaign_matches_and_cleans_up() {
 
     let dir = tmp("resume");
     std::fs::create_dir_all(&dir).unwrap();
+    let files = ShardFiles::new(&dir);
     let mut events_per_shard = vec![0usize; 3];
-    let merged = ShardFiles::new(&dir)
-        .run_in_process(&flow, &patterns, 3, &mut |shard, _| {
-            events_per_shard[shard] += 1;
-        })
-        .unwrap();
+    for spec in ShardSpec::all(3) {
+        files
+            .run_to_result(&flow, &patterns, spec, &mut |_| {
+                events_per_shard[spec.shard] += 1;
+            })
+            .unwrap();
+    }
+    let merged = files.merge(&flow, &patterns, 3).unwrap();
     assert_eq!(merged.result_fingerprint(), golden);
     assert!(
         events_per_shard.iter().all(|&n| n > 0),

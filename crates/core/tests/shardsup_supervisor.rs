@@ -1,7 +1,7 @@
 //! Supervisor engine tests against fake `/bin/sh` workers: crash
 //! respawn with backoff, budget exhaustion, stall detection, RSS
-//! eviction + readmission, straggler re-dispatch and restart resume —
-//! all without simulating a single fault.
+//! eviction + readmission and restart resume — all without simulating a
+//! single fault.
 
 #![cfg(unix)]
 
@@ -281,45 +281,6 @@ fn rss_eviction_is_graceful_and_uncharged() {
     assert!(events
         .iter()
         .any(|e| matches!(e, SupervisorEvent::Readmitted { shard: 0 })));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn last_shard_straggler_is_redispatched_once() {
-    let dir = tmp("straggler");
-    let mut config = fast_config(2, 2);
-    config.straggler_factor = 1.0;
-    let launches = RefCell::new([0u32; 2]);
-    let report = shardsup::run(
-        &config,
-        &mut |shard, _attempt| {
-            let n = {
-                let mut l = launches.borrow_mut();
-                l[shard] += 1;
-                l[shard]
-            };
-            if shard == 1 && n == 1 {
-                // heartbeats forever (never stalls) but never finishes
-                sh("while :; do echo '{}'; sleep 0.02; done")
-            } else {
-                sh(&format!(
-                    "echo '{{}}'; touch {}",
-                    flag(&dir, shard).display()
-                ))
-            }
-        },
-        &mut |shard| flag(&dir, shard).exists(),
-        &mut |_| {},
-        None,
-        None,
-    )
-    .unwrap();
-    assert_eq!(report.stragglers_redispatched, 1);
-    assert_eq!(
-        report.respawns, 0,
-        "a re-dispatch must not charge the budget"
-    );
-    assert_eq!(report.shards_completed, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

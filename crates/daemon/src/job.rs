@@ -14,9 +14,10 @@
 
 use std::path::Path;
 
+use fastmon_atpg::TestSet;
 use fastmon_core::{
-    Campaign, CampaignProgress, CheckpointDir, CheckpointError, FlowConfig, FlowError, HdfTestFlow,
-    JobStore, ShardFiles, ShardsupError, Solver,
+    Campaign, CampaignProgress, CheckpointDir, CheckpointError, DetectionAnalysis, FlowConfig,
+    FlowError, HdfTestFlow, JobStore, ShardsupError, Solver,
 };
 use fastmon_netlist::{bench, generate::CircuitProfile, library, Circuit};
 use fastmon_obs::{CancelToken, Record};
@@ -62,7 +63,7 @@ pub enum JobEvent {
         /// Shard index.
         shard: usize,
         /// What happened: `spawned`, `heartbeat`, `resumed`, `stalled`,
-        /// `crashed`, `rss_evicted`, `readmitted`, `straggler` or
+        /// `crashed`, `backoff`, `rss_evicted`, `readmitted` or
         /// `completed`.
         kind: &'static str,
         /// Charged respawns for this shard so far.
@@ -336,63 +337,18 @@ fn run_flow(
 
     on_event(JobEvent::Phase { phase: "analyze" });
     let store = acquire(dirs, fingerprint)?;
-    let resumed = std::cell::Cell::new(false);
-    let mut observe = |p: CampaignProgress| match p {
-        CampaignProgress::Resumed {
-            next_pattern,
-            total_patterns,
-            prev_run,
-        } => {
-            resumed.set(true);
-            on_event(JobEvent::Resumed {
-                next_pattern,
-                total_patterns,
-                prev_run,
-            });
-        }
-        CampaignProgress::BandCheckpointed {
-            next_pattern,
-            total_patterns,
-        } => on_event(JobEvent::Band {
-            next_pattern,
-            total_patterns,
-        }),
-    };
-    // Per-shard checkpoint, result and spec files live inside the job's
-    // own (locked) checkpoint directory, so crash recovery, GC and the
-    // results landing order work exactly as in the single-shard path.
-    // The merged analysis is bit-identical to an unsharded run, so the
-    // landed result_fingerprint does not depend on the shard layout.
-    let analysis = if req.shard_procs {
-        // Each shard runs as its own supervised child OS process; the
-        // children report over a pipe, so this branch streams
-        // JobEvent::Shard rows instead of Band events.
-        let mut wrapped = |e: JobEvent| {
-            if matches!(
-                e,
-                JobEvent::Shard {
+    let mut resumed = false;
+    let analysis = run_campaign(flow, &patterns, req, &store, &mut |e| {
+        resumed |= matches!(
+            e,
+            JobEvent::Resumed { .. }
+                | JobEvent::Shard {
                     kind: "resumed",
                     ..
                 }
-            ) {
-                resumed.set(true);
-            }
-            on_event(e);
-        };
-        crate::shard::run_supervised(flow, &patterns, req, store.dir(), &mut wrapped)?
-    } else if req.shards > 1 {
-        ShardFiles::new(store.dir())
-            .run_in_process(flow, &patterns, req.shards, &mut |_, p| observe(p))?
-    } else {
-        let campaign = Campaign {
-            checkpoint: Some(store.store()),
-            observe: Some(&mut observe),
-            ..Campaign::default()
-        };
-        let analysis = flow.run(&patterns, campaign)?;
-        store.store().discard();
-        analysis
-    };
+        );
+        on_event(e);
+    })?;
 
     on_event(JobEvent::Phase { phase: "schedule" });
     let schedule = flow
@@ -402,7 +358,7 @@ fn run_flow(
     let outcome = JobOutcome {
         fingerprint,
         result_fingerprint: analysis.result_fingerprint(),
-        resumed: resumed.get(),
+        resumed,
         num_patterns: analysis.num_patterns,
         num_faults: analysis.faults.len(),
         num_targets: analysis.targets.len(),
@@ -413,6 +369,64 @@ fn run_flow(
     land_result(results_dir, req, &outcome)?;
     store.complete().map_err(|e| JobError::Flow(e.into()))?;
     Ok(outcome)
+}
+
+/// Runs the campaign `req` describes — whose prepared flow and test set
+/// are `flow` and `patterns` — inside the acquired job directory `job`:
+/// `req.shards` supervised worker processes when `req.shard_procs` is set
+/// (progress streams as [`JobEvent::Shard`] rows), and otherwise one whole
+/// campaign checkpointed in the job's `campaign.ckpt` (progress streams as
+/// [`JobEvent::Resumed`] and [`JobEvent::Band`]). Either way the analysis
+/// is bit-identical to a serial run, and a rerun over the same directory
+/// resumes. `fastmond` jobs and the experiment binaries both run their
+/// campaigns here; the finished checkpoint is removed, and the caller
+/// [`complete`](JobStore::complete)s the directory once its result is
+/// safe.
+///
+/// # Errors
+///
+/// [`JobError::Flow`] when the campaign fails, cancellation included (the
+/// job's checkpoints stay resumable); [`JobError::Spec`] and
+/// [`JobError::Shardsup`] when the supervisor's settings are unusable or
+/// it fails.
+pub fn run_campaign(
+    flow: &HdfTestFlow<'_>,
+    patterns: &TestSet,
+    req: &JobRequest,
+    job: &JobStore,
+    on_event: &mut dyn FnMut(JobEvent),
+) -> Result<DetectionAnalysis, JobError> {
+    if req.shard_procs {
+        return crate::shard::run_supervised(flow, patterns, req, job.dir(), on_event);
+    }
+    let mut observe = |p: CampaignProgress| {
+        on_event(match p {
+            CampaignProgress::Resumed {
+                next_pattern,
+                total_patterns,
+                prev_run,
+            } => JobEvent::Resumed {
+                next_pattern,
+                total_patterns,
+                prev_run,
+            },
+            CampaignProgress::BandCheckpointed {
+                next_pattern,
+                total_patterns,
+            } => JobEvent::Band {
+                next_pattern,
+                total_patterns,
+            },
+        });
+    };
+    let campaign = Campaign {
+        checkpoint: Some(job.store()),
+        observe: Some(&mut observe),
+        ..Campaign::default()
+    };
+    let analysis = flow.run(patterns, campaign)?;
+    job.store().discard();
+    Ok(analysis)
 }
 
 #[cfg(test)]
@@ -507,39 +521,6 @@ mod tests {
         .unwrap();
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.result_fingerprint, b.result_fingerprint);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn sharded_jobs_land_the_same_result_fingerprint() {
-        let root = tmp("shards");
-        let dirs = CheckpointDir::new(root.join("ckpt"));
-        let cancel = CancelToken::new();
-        let serial = run_job(
-            &s27_request(),
-            &dirs,
-            &root.join("r1"),
-            &cancel,
-            None,
-            &mut |_| {},
-        )
-        .unwrap();
-        let mut req = s27_request();
-        req.shards = 3;
-        let mut bands = 0usize;
-        let sharded = run_job(&req, &dirs, &root.join("r2"), &cancel, None, &mut |e| {
-            if matches!(e, JobEvent::Band { .. }) {
-                bands += 1;
-            }
-        })
-        .unwrap();
-        assert_eq!(sharded.fingerprint, serial.fingerprint);
-        assert_eq!(sharded.result_fingerprint, serial.result_fingerprint);
-        assert_eq!(sharded.num_faults, serial.num_faults);
-        assert!(bands > 0, "sharded jobs must still stream band progress");
-        // the job's checkpoint directory (with its per-shard files) was
-        // released on success
-        assert!(!dirs.dir_for(sharded.fingerprint).exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -42,7 +42,7 @@ pub mod shard;
 pub mod signals;
 
 pub use flight::{FlightEvent, FlightRecorder};
-pub use job::{run_job, JobError, JobEvent, JobOutcome};
+pub use job::{run_campaign, run_job, JobError, JobEvent, JobOutcome};
 pub use proto::{
     parse_request, CircuitSpec, JobRequest, ProtoError, Request, MAX_LINE_BYTES, PROTO_VERSION,
 };

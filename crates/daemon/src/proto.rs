@@ -19,16 +19,16 @@
 //! {"op":"submit","proto":1,"tenant":"t0","name":"job-3",
 //!  "circuit":{"kind":"profile","name":"s9234","scale":0.05,"seed":7},
 //!  "coverage":0.95,"deadline_secs":30,"pattern_budget":64,
-//!  "max_faults":150,"seed":1,"threads":2,"shards":4,
+//!  "max_faults":150,"seed":1,"threads":2,"shards":4,"shard_procs":true,
 //!  "sdf":"(DELAYFILE ...)"}
 //! ```
 //!
 //! `circuit.kind` is `library` (named in-tree netlist), `profile`
 //! (synthetic paper-suite generator) or `bench` (inline `.bench` text);
 //! `sdf` optionally replaces the synthesized delay model with parsed SDF
-//! delays. `"shard_procs":true` additionally runs each shard as its own
-//! supervised child OS process (see [`crate::shard`]). Everything except
-//! `op` and `circuit` has a default.
+//! delays. `"shard_procs":true` runs the campaign as `shards` supervised
+//! worker processes (see [`crate::shard`]); `shards` above 1 without it
+//! is rejected. Everything except `op` and `circuit` has a default.
 
 use fastmon_obs::json::{self, Value};
 use fastmon_obs::Record;
@@ -89,15 +89,16 @@ pub struct JobRequest {
     pub seed: u64,
     /// Campaign worker threads (0 = all cores).
     pub threads: usize,
-    /// Fault-set shards (1 = single campaign). With `shards > 1` the
-    /// candidate fault set is partitioned into contiguous slices, each
-    /// slice runs as its own resumable sub-campaign, and the merged
-    /// result is bit-identical to the unsharded run.
+    /// Worker processes of a `shard_procs` campaign (1 = single
+    /// campaign): the candidate fault set is partitioned into contiguous
+    /// slices, each slice runs as its own resumable sub-campaign, and the
+    /// merged result is bit-identical to the unsharded run. The wire
+    /// rejects more than 1 without `shard_procs`.
     pub shards: usize,
-    /// Execute each shard as a supervised child OS process instead of an
-    /// in-process slice: per-shard crash/stall/RSS isolation with
-    /// respawn-and-resume (see [`crate::shard`]). The merged result is
-    /// still bit-identical to the unsharded run.
+    /// Run the campaign as `shards` supervised worker processes:
+    /// per-shard crash/stall/RSS isolation with respawn-and-resume (see
+    /// [`crate::shard`]). The merged result is still bit-identical to the
+    /// unsharded run.
     pub shard_procs: bool,
 }
 
@@ -326,6 +327,7 @@ fn parse_submit(obj: &Value) -> Result<JobRequest, ProtoError> {
             "expected a non-negative number of seconds within duration range",
         ));
     }
+    let shard_procs = opt_bool(obj, "shard_procs")?.unwrap_or(false);
     Ok(JobRequest {
         tenant: opt_str(obj, "tenant")?.unwrap_or_else(|| "default".to_string()),
         name: opt_str(obj, "name")?.unwrap_or_else(|| "job".to_string()),
@@ -345,9 +347,15 @@ fn parse_submit(obj: &Value) -> Result<JobRequest, ProtoError> {
                     format!("expected at most {}", fastmon_core::MAX_SHARDS),
                 ))
             }
+            n if n > 1 && !shard_procs => {
+                return Err(bad(
+                    "shards",
+                    "more than 1 shard needs \"shard_procs\":true",
+                ))
+            }
             n => n,
         },
-        shard_procs: opt_bool(obj, "shard_procs")?.unwrap_or(false),
+        shard_procs,
     })
 }
 
@@ -486,7 +494,7 @@ mod tests {
             r#"{"op":"submit","proto":1,"tenant":"t0","name":"j1",
                 "circuit":{"kind":"profile","name":"s9234","scale":0.05,"seed":7},
                 "coverage":0.95,"deadline_secs":30,"pattern_budget":64,
-                "max_faults":150,"seed":3,"threads":2,"shards":4}"#,
+                "max_faults":150,"seed":3,"threads":2,"shards":4,"shard_procs":true}"#,
         )
         .unwrap();
         let Request::Submit(job) = req else {
@@ -506,7 +514,7 @@ mod tests {
         assert_eq!(job.pattern_budget, Some(64));
         assert_eq!(job.threads, 2);
         assert_eq!(job.shards, 4);
-        assert!(!job.shard_procs);
+        assert!(job.shard_procs);
     }
 
     #[test]
@@ -668,6 +676,15 @@ mod tests {
             kind(r#"{"op":"submit","shards":0,"circuit":{"kind":"library","name":"s27"}}"#),
             "bad_field"
         );
+        // shards are worker processes: more than one needs shard_procs
+        for procs in ["", r#","shard_procs":false"#] {
+            let line = format!(
+                r#"{{"op":"submit","shards":4{procs},"circuit":{{"kind":"library","name":"s27"}}}}"#
+            );
+            let err = parse_request(&line).unwrap_err();
+            assert_eq!(err.kind(), "bad_field", "{line}");
+            assert!(err.to_string().contains("shards"), "{err}");
+        }
         // a huge but representable deadline stays accepted
         assert!(parse_request(
             r#"{"op":"submit","deadline_secs":1e9,"circuit":{"kind":"library","name":"s27"}}"#

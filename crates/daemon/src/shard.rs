@@ -1,7 +1,7 @@
 //! Supervised multi-process shard execution: the one worker shell and the
 //! one supervised-campaign driver behind `fastmond`'s
 //! `"shard_procs":true` jobs and the experiment binaries'
-//! `FASTMON_SHARD_PROCS=1` (through `fastmon_bench::shardsup`).
+//! `FASTMON_SHARD_PROCS=1`, both run by [`crate::job::run_campaign`].
 //!
 //! [`supervise`] lays the campaign directory out with [`ShardFiles`]:
 //!
@@ -15,10 +15,10 @@
 //! (`<bin> --shard-worker i/n`, with the directory in `FASTMON_SHARD_DIR`) under
 //! the [`fastmon_core::shardsup`] supervisor: newline-JSON heartbeats
 //! over the stdout pipe, stall kills, crash respawns with capped
-//! exponential backoff, a `/proc`-based RSS watchdog with graceful
-//! eviction, and straggler re-dispatch. The supervisor's settings are the
-//! [`SupervisorConfig`] the caller passes; both callers, `fastmond` and
-//! the experiment binaries, build it with [`SupervisorConfig::from_env`].
+//! exponential backoff, and a `/proc`-based RSS watchdog with graceful
+//! eviction. The supervisor's settings are the [`SupervisorConfig`] the
+//! caller passes; the campaign runner and `fastmon_bench::shardsup` build
+//! it with [`SupervisorConfig::from_env`].
 //! Each worker rebuilds the circuit and flow from the spec and loads the
 //! test set — it never runs ATPG — then resumes from its own
 //! `shard-i-of-n.ckpt` and lands `shard-i-of-n.result`. The supervisor
@@ -274,8 +274,8 @@ pub fn supervise(
     Ok(SupervisedRun { analysis, report })
 }
 
-/// A `"shard_procs":true` job's campaign: [`supervise`] under the job's
-/// locked checkpoint directory, with supervisor observations forwarded as
+/// A `"shard_procs":true` campaign: [`supervise`] under the job's locked
+/// checkpoint directory, with supervisor observations forwarded as
 /// [`JobEvent::Shard`] rows so the flight recorder and the `observe`
 /// snapshot see per-shard progress and respawn counts.
 pub(crate) fn run_supervised(
@@ -314,7 +314,6 @@ pub(crate) fn run_supervised(
             SupervisorEvent::Backoff { shard, .. } => (*shard, "backoff"),
             SupervisorEvent::RssEvicted { shard, .. } => (*shard, "rss_evicted"),
             SupervisorEvent::Readmitted { shard, .. } => (*shard, "readmitted"),
-            SupervisorEvent::StragglerRedispatched { shard, .. } => (*shard, "straggler"),
             SupervisorEvent::Completed { shard, .. } => (*shard, "completed"),
             _ => return,
         };

@@ -26,7 +26,7 @@ use fastmon_obs::{CancelToken, MetricsRegistry};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
-        "fastmond-shard-jobs-{tag}-{}-{}",
+        "fastmond-supervised-{tag}-{}-{}",
         std::process::id(),
         fastmon_obs::run_id(),
     ));

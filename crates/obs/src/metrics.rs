@@ -281,7 +281,7 @@ metric_section! {
     /// `robustness.shardsup.*`. Owned by whoever runs a supervised
     /// campaign (an experiment binary under `FASTMON_SHARD_PROCS=1`,
     /// `fastmond` shard-procs jobs) and absorbed into the robustness
-    /// rollup. Zero when shards run in-process.
+    /// rollup. Zero outside supervised campaigns.
     ShardsupMetrics {
         /// Shard worker processes spawned (first attempts and respawns).
         workers_spawned,
@@ -295,8 +295,6 @@ metric_section! {
         rss_evictions,
         /// Evicted workers re-admitted after concurrency freed memory.
         readmissions,
-        /// Last-shard stragglers killed and re-dispatched.
-        stragglers_redispatched,
         /// Heartbeat/progress lines parsed from worker pipes.
         heartbeats_received,
         /// Shards that landed a valid result file.
@@ -321,7 +319,7 @@ pub struct MetricsRegistry {
     pub robustness: RobustnessMetrics,
     /// Daemon job-lifecycle counters (zero outside a `fastmond` process).
     pub daemon: DaemonMetrics,
-    /// Shard-supervisor counters (zero when shards run in-process).
+    /// Shard-supervisor counters (zero outside supervised campaigns).
     pub shardsup: ShardsupMetrics,
     /// Latency distributions (nanoseconds): queue-wait, job run, band,
     /// checkpoint save/load, protocol parse/handle.

@@ -2,12 +2,16 @@
 //! interrupted between pattern bands and later resumed must produce
 //! results bit-identical to an uninterrupted run.
 
+use std::path::Path;
+
+use fastmon_atpg::TestSet;
 use fastmon_core::{
-    Campaign, CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError,
+    Campaign, CampaignProgress, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError,
     HdfTestFlow,
 };
 use fastmon_netlist::generate::paper_suite;
 use fastmon_netlist::{library, Circuit};
+use fastmon_obs::CancelToken;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("fastmon-resume-{tag}-{}", std::process::id()));
@@ -26,6 +30,43 @@ fn assert_identical(a: &DetectionAnalysis, b: &DetectionAnalysis) {
     assert_eq!(a.num_patterns, b.num_patterns);
 }
 
+/// Runs the campaign of `circuit` under `config`, checkpointed at `path`,
+/// and stops it after `bands` band checkpoints the way a shard worker
+/// stops on eviction: the campaign's observer trips the flow's cancel
+/// token, which the campaign checks right after each checkpoint while
+/// bands remain. Returns how often the stopped run resumed.
+fn interrupt(
+    circuit: &Circuit,
+    config: &FlowConfig,
+    patterns: &TestSet,
+    path: &Path,
+    bands: usize,
+) -> u64 {
+    let token = CancelToken::new();
+    let flow = HdfTestFlow::prepare(circuit, config).with_cancel(token.clone());
+    let mut seen = 0;
+    let mut observe = |p| {
+        if matches!(p, CampaignProgress::BandCheckpointed { .. }) {
+            seen += 1;
+            if seen == bands {
+                token.cancel();
+            }
+        }
+    };
+    let store = CheckpointStore::new(path);
+    let campaign = Campaign {
+        checkpoint: Some(&store),
+        observe: Some(&mut observe),
+        ..Campaign::default()
+    };
+    let err = flow
+        .run(patterns, campaign)
+        .expect_err("a band must remain after the interruption point");
+    assert!(matches!(err, FlowError::Cancelled { .. }), "got {err:?}");
+    assert!(path.exists(), "a valid checkpoint must remain on disk");
+    flow.metrics().checkpoint.resumes.get()
+}
+
 /// Interrupts the campaign after `bands` checkpoint saves, then resumes it
 /// and checks the result against the uninterrupted baseline.
 fn interrupt_and_resume(circuit: &Circuit, config: &FlowConfig, tag: &str, bands: usize) {
@@ -35,24 +76,17 @@ fn interrupt_and_resume(circuit: &Circuit, config: &FlowConfig, tag: &str, bands
 
     let dir = scratch(tag);
     let path = dir.join(format!("{}-{bands}.fmck", circuit.name()));
-
-    let interrupting = CheckpointStore::new(&path).with_interrupt_after(bands);
-    let err = flow
-        .analyze_resumable(&patterns, &interrupting)
-        .expect_err("interruption hook must abort the campaign");
-    assert!(
-        matches!(
-            err,
-            FlowError::Checkpoint(CheckpointError::Interrupted { .. })
-        ),
-        "got {err:?}"
-    );
-    assert!(path.exists(), "a valid checkpoint must remain on disk");
+    interrupt(circuit, config, &patterns, &path, bands);
 
     let store = CheckpointStore::new(&path);
     let resumed = flow
         .analyze_resumable(&patterns, &store)
         .expect("resume completes");
+    assert_eq!(flow.metrics().checkpoint.resumes.get(), 1);
+    assert!(
+        flow.metrics().checkpoint.saves.get() > 0,
+        "no band was left for the resume"
+    );
     assert_identical(&resumed, &baseline);
     assert!(
         !path.exists(),
@@ -106,9 +140,7 @@ fn resume_is_thread_count_invariant() {
 
     let dir = scratch("threads");
     let path = dir.join("s27.fmck");
-    let interrupting = CheckpointStore::new(&path).with_interrupt_after(1);
-    flow.analyze_resumable(&patterns, &interrupting)
-        .expect_err("interrupted");
+    interrupt(&circuit, &base_cfg, &patterns, &path, 1);
 
     let wide_cfg = FlowConfig {
         threads: 4,
@@ -122,15 +154,14 @@ fn resume_is_thread_count_invariant() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The s9234 stand-in at 5 % scale, 150 faults: enough patterns for
-/// several bands.
-fn stand_in_flow(circuit: &Circuit, threads: usize) -> HdfTestFlow<'_> {
-    let config = FlowConfig {
+/// The flow configuration of the s9234 stand-in at 5 % scale: 150
+/// faults, enough patterns for several bands.
+fn stand_in_config(threads: usize) -> FlowConfig {
+    FlowConfig {
         threads,
         max_faults: Some(150),
         ..FlowConfig::default()
-    };
-    HdfTestFlow::prepare(circuit, &config)
+    }
 }
 
 fn stand_in() -> Circuit {
@@ -150,35 +181,26 @@ fn twice_interrupted_campaign_resumes_bit_identically() {
     // the next resume runs to completion.
     let circuit = stand_in();
     for threads in [1, 2] {
-        let flow = stand_in_flow(&circuit, threads);
+        let config = stand_in_config(threads);
+        let flow = HdfTestFlow::prepare(&circuit, &config);
         let patterns = flow.generate_patterns(None);
         let baseline = flow.analyze(&patterns);
         let dir = scratch(&format!("twice-{threads}"));
         let path = dir.join("twice.fmck");
-        for bands in [1, 2] {
-            let err = flow
-                .analyze_resumable(
-                    &patterns,
-                    &CheckpointStore::new(&path).with_interrupt_after(bands),
-                )
-                .expect_err("interruption hook must abort the campaign");
-            assert!(
-                matches!(
-                    err,
-                    FlowError::Checkpoint(CheckpointError::Interrupted { bands: b }) if b == bands
-                ),
-                "got {err:?}"
-            );
-        }
-        let saves = flow.metrics().checkpoint.saves.get();
+        assert_eq!(interrupt(&circuit, &config, &patterns, &path, 1), 0);
+        assert_eq!(
+            interrupt(&circuit, &config, &patterns, &path, 2),
+            1,
+            "threads={threads}: the second run must resume the first"
+        );
         let resumed = flow
             .analyze_resumable(&patterns, &CheckpointStore::new(&path))
             .expect("resume completes");
         assert!(
-            flow.metrics().checkpoint.saves.get() > saves,
+            flow.metrics().checkpoint.saves.get() > 0,
             "threads={threads}: no band was left for the last resume"
         );
-        assert_eq!(flow.metrics().checkpoint.resumes.get(), 2);
+        assert_eq!(flow.metrics().checkpoint.resumes.get(), 1);
         assert_identical(&resumed, &baseline);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -191,7 +213,7 @@ fn twice_interrupted_campaign_resumes_bit_identically() {
 #[test]
 fn checkpoint_bytes_written_equal_the_final_file() {
     let circuit = stand_in();
-    let flow = stand_in_flow(&circuit, 2);
+    let flow = HdfTestFlow::prepare(&circuit, &stand_in_config(2));
     let patterns = flow.generate_patterns(None);
     let dir = scratch("append");
     let path = dir.join("append.fmck");
