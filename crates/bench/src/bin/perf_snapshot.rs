@@ -1,7 +1,8 @@
 //! The CI gate on one mid-scale campaign. The s9234 stand-in at scale 0.5
 //! runs through ATPG, one serial campaign, and the same campaign as 4
-//! shards in this process, each landed by the workers' own
-//! [`ShardFiles::run_to_result`] and merged by [`ShardFiles::merge`]; with
+//! shards in this process, each run to its finished checkpoint by the
+//! workers' own [`ShardFiles::run_to_result`] and merged by
+//! [`ShardFiles::merge`]; with
 //! `FASTMON_SHARD_PROCS=1` it also runs as 4 supervised worker processes,
 //! at most `FASTMON_SHARD_JOBS` at once and under
 //! `FASTMON_SHARD_RSS_BYTES`. The run exits 1 when a merged fingerprint
@@ -22,8 +23,9 @@ use std::path::Path;
 use fastmon_atpg::TestSet;
 use fastmon_bench::rss::{format_mib, peak_rss_self_bytes};
 use fastmon_bench::ExperimentConfig;
-use fastmon_core::{HdfTestFlow, ShardFiles, ShardSpec, SupervisorConfig};
+use fastmon_core::{HdfTestFlow, ShardFiles, ShardSpec, SupervisorConfig, SupervisorEvent};
 use fastmon_netlist::generate::CircuitProfile;
+use fastmon_obs::json::Value;
 
 const CIRCUIT: &str = "s9234";
 const SCALE: f64 = 0.5;
@@ -77,6 +79,9 @@ fn supervised(
         shards: SHARDS,
         ..config.clone()
     };
+    // Each worker reports its own peak resident set in its `shard_done`
+    // record.
+    let mut worker_peak = 0;
     let run = fastmon_bench::shardsup::supervise(
         flow,
         patterns,
@@ -85,25 +90,29 @@ fn supervised(
         SCALE,
         &dir,
         None,
-        &mut |_| {},
+        &mut |event| {
+            if let SupervisorEvent::Heartbeat { value, .. } = event {
+                if let Some(peak) = value.get("peak_rss_bytes").and_then(Value::as_u64) {
+                    worker_peak = worker_peak.max(peak);
+                }
+            }
+        },
     )
     .unwrap_or_else(|e| fail(format!("supervised shard run failed: {e}")));
     let _ = std::fs::remove_dir_all(&dir);
     let shared = parity("supervised", serial, run.analysis.result_fingerprint());
-    let r = &run.report;
+    let s = &flow.metrics().shardsup;
+    let (workers, respawns) = (s.workers_spawned.get(), s.respawns.get());
     let supervisor_peak = peak_rss_self_bytes().unwrap_or(0);
     println!(
-        "  supervised: {} workers ({} respawns) over {jobs} jobs, peak RSS {} \
+        "  supervised: {workers} workers ({respawns} respawns) over {jobs} jobs, peak RSS {} \
          supervisor / {} worker",
-        r.workers_spawned,
-        r.respawns,
         format_mib(supervisor_peak),
-        format_mib(r.worker_peak_rss_bytes),
+        format_mib(worker_peak),
     );
     format!(
-        "{{{shared}, \"jobs\": {jobs}, \"workers_spawned\": {}, \"respawns\": {}, \
-         \"supervisor_peak_rss_bytes\": {supervisor_peak}, \"children_peak_rss_bytes\": {}}}",
-        r.workers_spawned, r.respawns, r.worker_peak_rss_bytes
+        "{{{shared}, \"jobs\": {jobs}, \"workers_spawned\": {workers}, \"respawns\": {respawns}, \
+         \"supervisor_peak_rss_bytes\": {supervisor_peak}, \"children_peak_rss_bytes\": {worker_peak}}}"
     )
 }
 

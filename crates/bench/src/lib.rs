@@ -18,7 +18,7 @@
 //! | `FASTMON_SEED` | master seed | `1` |
 //! | `FASTMON_ILP_SECS` | per-ILP deadline in seconds | `20` |
 //! | `FASTMON_CHECKPOINT_DIR` | root of the per-campaign checkpoint directories | `target/fastmon-checkpoints` |
-//! | `FASTMON_FRESH` | `1` empties the campaign's checkpoint directory first, `0` resumes from it | `0` |
+//! | `FASTMON_FRESH` | `1` first removes every checkpoint directory under the root that no live run holds, `0` resumes from them | `0` |
 //! | `FASTMON_SHARD_PROCS` | set to `1` to run each campaign as supervised worker processes | unset |
 //! | `FASTMON_SHARDS` | worker processes per campaign (merge is bit-identical); above 1 needs `FASTMON_SHARD_PROCS=1` | `1` |
 //! | `FASTMON_SHARD_JOBS` | concurrent shard workers under the supervisor | cores |
@@ -237,9 +237,10 @@ pub fn checkpoint_dir() -> PathBuf {
 /// The campaign is the one [`shardsup::job_request`] describes, run by
 /// [`run_campaign`] in its own locked directory under [`checkpoint_dir`]
 /// keyed by the campaign fingerprint: progress is checkpointed after
-/// every pattern band, so a killed run picks up where it stopped
-/// (`FASTMON_FRESH=1` empties the directory first), and the directory is
-/// removed once the campaign finishes. If the directory is locked by
+/// every pattern band, so a killed run picks up where it stopped, and the
+/// directory is removed once the campaign finishes. `FASTMON_FRESH=1`
+/// first removes every campaign directory under the root that no live
+/// run holds, this campaign's included. If the directory is locked by
 /// another run or cannot be written, the campaign is rerun without
 /// checkpoints rather than aborted.
 ///
@@ -271,13 +272,15 @@ pub fn with_run<R>(
     let fresh = flag_knob("FASTMON_FRESH").unwrap_or_else(|e| exit_invalid(&e));
     let req = shardsup::job_request(config, name, scale);
     let dirs = CheckpointDir::new(checkpoint_dir());
-    let campaign = dirs
-        .acquire(flow.campaign_fingerprint(&patterns))
+    let swept = if fresh {
+        dirs.gc(&[], Duration::ZERO).map(drop)
+    } else {
+        Ok(())
+    };
+    let campaign = swept
+        .and_then(|()| dirs.acquire(flow.campaign_fingerprint(&patterns)))
         .map_err(|e| e.to_string())
         .and_then(|job| {
-            if fresh {
-                job.clear().map_err(|e| e.to_string())?;
-            }
             let analysis =
                 run_campaign(&flow, &patterns, &req, &job, &mut |_| {}).map_err(|e| match e {
                     JobError::Flow(e) => exit_if_fatal(name, e),

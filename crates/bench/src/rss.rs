@@ -20,8 +20,7 @@ pub use fastmon_core::shardsup::peak_rss_self_bytes;
 ///
 /// Each child is charged at least the parent's resident set at fork
 /// time, so the figure overstates small children of a large parent; shard
-/// workers report their own `VmHWM` instead
-/// ([`fastmon_core::SupervisorReport::worker_peak_rss_bytes`]).
+/// workers report their own `VmHWM` in their `shard_done` record instead.
 #[must_use]
 pub fn peak_rss_children_bytes() -> Option<u64> {
     #[cfg(target_os = "linux")]

@@ -9,9 +9,9 @@
 //! re-executes the current binary once per shard (`<bin> --shard-worker
 //! i/n`). Every experiment binary calls [`maybe_run_worker`] first in
 //! `main`, so it doubles as its own worker: the worker rebuilds the flow
-//! from the spec, loads the test set instead of running ATPG, and lands
-//! its slice's result. See [`fastmon_daemon::shard`] for the protocol and
-//! exit codes.
+//! from the spec, loads the test set instead of running ATPG, and runs
+//! its slice to a finished checkpoint, which is the slice's result. See
+//! [`fastmon_daemon::shard`] for the protocol and exit codes.
 
 use std::path::Path;
 
@@ -50,8 +50,8 @@ pub fn job_request(config: &ExperimentConfig, profile_name: &str, scale: f64) ->
 }
 
 /// Runs the campaign for `flow`/`patterns` as `config.shards` supervised
-/// worker processes under `dir` and merges the landed results, with the
-/// supervisor settings of [`SupervisorConfig::from_env`].
+/// worker processes under `dir` and merges their finished checkpoints,
+/// with the supervisor settings of [`SupervisorConfig::from_env`].
 ///
 /// The workers rebuild the campaign from the paper-suite profile
 /// `profile_name` at `scale` with `config`'s seed and fault cap, so

@@ -154,8 +154,14 @@ fn recover_from_checkpoint(tag: &str, bands: usize, corrupt: impl Fn(&std::path:
 
     let dir = chaos::scratch_dir(tag);
     let path = dir.join("s27.fmck");
-    let stopped =
-        support::run_until_band(&c, &config, &patterns, &CheckpointStore::new(&path), bands);
+    let stopped = support::run_until_band(
+        &c,
+        &config,
+        &patterns,
+        &CheckpointStore::new(&path),
+        None,
+        bands,
+    );
     assert!(
         matches!(stopped, Err(FlowError::Cancelled { .. })),
         "a band must remain after band {bands}: {stopped:?}"

@@ -3,10 +3,11 @@
 //! `FASTMON_CHECKPOINT_DIR`. [`with_run`] resumes a campaign stopped in
 //! that directory, removes the directory once the campaign finishes, and
 //! leaves a directory another run holds alone, running its campaign
-//! without checkpoints instead.
+//! without checkpoints instead. With `FASTMON_FRESH=1` it first removes
+//! every directory under the root that no run holds.
 //!
-//! `FASTMON_CHECKPOINT_DIR` is process-global, so every scenario runs in
-//! one test body.
+//! `FASTMON_CHECKPOINT_DIR` and `FASTMON_FRESH` are process-global, so
+//! every scenario runs in one test body.
 
 use std::time::Duration;
 
@@ -40,8 +41,14 @@ fn with_run_resumes_a_stopped_campaign_and_leaves_a_held_one_alone() {
     let dirs = CheckpointDir::new(&root);
     // Stops the campaign after one band in the held job directory.
     let stop_after_one_band = |job: &fastmon_core::JobStore| {
-        let stopped =
-            support::run_until_band(&circuit, &config.flow_config(), &patterns, job.store(), 1);
+        let stopped = support::run_until_band(
+            &circuit,
+            &config.flow_config(),
+            &patterns,
+            job.store(),
+            None,
+            1,
+        );
         assert!(
             matches!(stopped, Err(FlowError::Cancelled { .. })),
             "a band must remain after the first: {stopped:?}"
@@ -76,6 +83,26 @@ fn with_run_resumes_a_stopped_campaign_and_leaves_a_held_one_alone() {
     let (result, resumes) = run();
     assert_eq!(resumes, 0);
     assert_eq!(result, serial);
+    assert_eq!(std::fs::read(held.store().path()).unwrap(), before);
+    drop(held);
+
+    // FASTMON_FRESH=1 sweeps every directory no run holds before the
+    // campaign acquires its own: another campaign's leftover directory
+    // goes, the campaign's own stopped directory is not resumed, and a
+    // directory another run holds survives byte for byte.
+    let leftover = fingerprint ^ 1;
+    drop(dirs.acquire(leftover).unwrap());
+    stop_after_one_band(&dirs.acquire(fingerprint).unwrap());
+    let held = dirs.acquire(fingerprint ^ 2).unwrap();
+    stop_after_one_band(&held);
+    let before = std::fs::read(held.store().path()).unwrap();
+    std::env::set_var("FASTMON_FRESH", "1");
+    let (result, resumes) = run();
+    std::env::remove_var("FASTMON_FRESH");
+    assert_eq!(resumes, 0, "a fresh run must not resume");
+    assert_eq!(result, serial);
+    assert!(!dirs.dir_for(leftover).exists(), "the unheld leftover goes");
+    assert!(!dirs.dir_for(fingerprint).exists());
     assert_eq!(std::fs::read(held.store().path()).unwrap(), before);
     drop(held);
 

@@ -16,7 +16,7 @@ use fastmon_atpg::{AtpgConfig, AtpgError};
 use fastmon_bench::chaos;
 use fastmon_core::{
     CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError, HdfTestFlow,
-    Solver, TestSchedule,
+    ShardFiles, ShardSpec, Solver, TestSchedule,
 };
 use fastmon_netlist::library;
 use fastmon_obs::failpoints;
@@ -140,6 +140,7 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
             &config,
             &patterns,
             &CheckpointStore::new(&path),
+            None,
             1,
         );
         assert!(
@@ -159,6 +160,51 @@ fn chaos_under_failpoints_recovers_or_types_every_error() {
             resumes_before,
             "a failed load restarts from scratch instead of resuming"
         );
+    }
+
+    // -- checkpoint_load=io@1 on a stopped shard: a shard has no load
+    //    but its own checkpoint's, so the injected read fails exactly that
+    //    one; run_to_result restarts the shard cleanly instead of resuming,
+    //    and the merge still matches the serial run.
+    {
+        let files = ShardFiles::new(dir.join("shard-load-degrade"));
+        let spec = ShardSpec {
+            shard: 0,
+            shards: 2,
+        };
+        let stopped = support::run_until_band(
+            &circuit,
+            &config,
+            &patterns,
+            &files.checkpoint(spec),
+            Some(spec),
+            1,
+        );
+        assert!(
+            matches!(stopped, Err(FlowError::Cancelled { .. })),
+            "a band must remain after band 1: {stopped:?}"
+        );
+        let resumes_before = flow.metrics().checkpoint.resumes.get();
+        failpoints::configure("checkpoint_load=io@1").unwrap();
+        files
+            .run_to_result(&flow, &patterns, spec, &mut |_| {})
+            .expect("an unreadable shard checkpoint degrades to a clean restart");
+        failpoints::clear();
+        assert_eq!(
+            flow.metrics().checkpoint.resumes.get(),
+            resumes_before,
+            "the injected read hit the shard's own checkpoint load"
+        );
+        let other = ShardSpec {
+            shard: 1,
+            shards: 2,
+        };
+        files
+            .run_to_result(&flow, &patterns, other, &mut |_| {})
+            .unwrap();
+        let merged = files.merge(&flow, &patterns, 2).unwrap();
+        assert_same_analysis(&merged, &baseline, "shard checkpoint_load=io@1");
+        assert_eq!(merged.result_fingerprint(), baseline.result_fingerprint());
     }
 
     // -- campaign_band=err@2: the campaign dies between bands with a typed

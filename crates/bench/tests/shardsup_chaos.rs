@@ -11,9 +11,11 @@
 //!
 //! The stall and RSS-eviction scenarios pass their own
 //! [`SupervisorConfig`] to the daemon's `supervise`; the others run with
-//! the defaults. `FASTMON_FAILPOINTS` is process-global and inherited by
-//! the spawned workers, so all scenarios run inside one test body,
-//! strictly serialized, with the variable cleared between scenarios.
+//! the defaults. Each scenario that checks the supervisor's counters runs
+//! on a flow of its own, whose registry holds them. `FASTMON_FAILPOINTS`
+//! is process-global and inherited by the spawned workers, so all
+//! scenarios run inside one test body, strictly serialized, with the
+//! variable cleared between scenarios.
 
 #![cfg(unix)]
 
@@ -27,6 +29,7 @@ use fastmon_core::shardsup::send_signal;
 use fastmon_core::{FlowError, HdfTestFlow, ShardsupError, SupervisorConfig, SupervisorEvent};
 use fastmon_daemon::JobError;
 use fastmon_netlist::generate::CircuitProfile;
+use fastmon_obs::json::Value;
 
 const SIGKILL: i32 = 9;
 const SIGSTOP: i32 = 19;
@@ -67,7 +70,9 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     let base = CircuitProfile::named("s9234").unwrap();
     let profile = base.scaled(scale);
     let circuit = profile.generate(config.seed).unwrap();
-    let flow = HdfTestFlow::prepare(&circuit, &config.flow_config());
+    // A flow of the campaign with all-zero supervisor counters.
+    let fresh_flow = || HdfTestFlow::prepare(&circuit, &config.flow_config());
+    let flow = fresh_flow();
     let patterns = flow
         .try_generate_patterns(Some(profile.pattern_budget))
         .unwrap();
@@ -114,8 +119,9 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             Ok(_) => {}
             Err(e) => panic!("phase A must cancel or complete, got {e}"),
         }
+        let flow_b = fresh_flow();
         let run = supervise(
-            &flow,
+            &flow_b,
             &patterns,
             &config,
             name,
@@ -130,10 +136,11 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             golden,
             "restart: merged fingerprint diverged from the serial baseline"
         );
-        assert_eq!(run.report.shards_completed, config.shards as u64);
+        let counters = &flow_b.metrics().shardsup;
+        assert_eq!(counters.shards_completed.get(), config.shards as u64);
         eprintln!(
-            "[chaos] restart: phase B finished from landed state, report {:?}",
-            run.report
+            "[chaos] restart: phase B finished from the checkpoints, counters {:?}",
+            counters.entries()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -141,6 +148,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // ---- scenario 2: two random kill -9s ----------------------------------
     {
         let dir = tmp("kill9");
+        let flow = fresh_flow();
         let mut killed: Vec<usize> = Vec::new();
         let run = supervise(
             &flow,
@@ -158,8 +166,9 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
                 } = event
                 {
                     if killed.len() < 2 && !killed.contains(shard) {
-                        // SIGKILL immediately after spawn: no result can
-                        // have landed, so the crash is always charged.
+                        // SIGKILL immediately after spawn: the shard
+                        // cannot have finished, so the crash is always
+                        // charged.
                         assert!(send_signal(*pid, SIGKILL));
                         killed.push(*shard);
                     }
@@ -167,11 +176,12 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             },
         )
         .expect("campaign must survive two kill -9s");
+        let counters = &flow.metrics().shardsup;
         assert_eq!(killed.len(), 2);
         assert!(
-            run.report.respawns >= 2,
+            counters.respawns.get() >= 2,
             "both murdered workers must be respawned: {:?}",
-            run.report
+            counters.entries()
         );
         assert_eq!(
             run.analysis.result_fingerprint(),
@@ -179,8 +189,8 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             "kill9: merged fingerprint diverged from the serial try_analyze baseline"
         );
         eprintln!(
-            "[chaos] kill9: shards {killed:?} murdered, report {:?}",
-            run.report
+            "[chaos] kill9: shards {killed:?} murdered, counters {:?}",
+            counters.entries()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -192,6 +202,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // resume, not restart.
     {
         let dir = tmp("failpoints");
+        let flow = fresh_flow();
         std::env::set_var("FASTMON_FAILPOINTS", "campaign_band=err@2");
         let mut resumed = 0u32;
         let run = supervise(
@@ -204,11 +215,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             Some(worker),
             &mut |event| {
                 if let SupervisorEvent::Heartbeat { value, .. } = event {
-                    if value
-                        .get("event")
-                        .and_then(fastmon_obs::json::Value::as_str)
-                        == Some("shard_resumed")
-                    {
+                    if value.get("event").and_then(Value::as_str) == Some("shard_resumed") {
                         resumed += 1;
                     }
                 }
@@ -216,10 +223,11 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         )
         .expect("campaign must survive the armed failpoints");
         std::env::remove_var("FASTMON_FAILPOINTS");
+        let counters = &flow.metrics().shardsup;
         assert!(
-            run.report.respawns >= 1,
+            counters.respawns.get() >= 1,
             "injected first attempts must be respawned: {:?}",
-            run.report
+            counters.entries()
         );
         assert!(
             resumed >= 1,
@@ -227,8 +235,8 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
         );
         assert_eq!(run.analysis.result_fingerprint(), golden);
         eprintln!(
-            "[chaos] failpoints: {resumed} checkpoint resumes, report {:?}",
-            run.report
+            "[chaos] failpoints: {resumed} checkpoint resumes, counters {:?}",
+            counters.entries()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -245,7 +253,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             stall_timeout: Duration::from_secs(1),
             ..SupervisorConfig::new(config.shards)
         };
-        let stall_flow = HdfTestFlow::prepare(&circuit, &config.flow_config());
+        let stall_flow = fresh_flow();
         let mut stopped = None;
         let mut stalled = Vec::new();
         let run = fastmon_daemon::shard::supervise(
@@ -274,18 +282,19 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             stalled.contains(&stopped),
             "the frozen worker {stopped} was not stall-killed: {stalled:?}"
         );
-        assert!(
-            run.report.stalls_detected >= 1,
-            "the silent worker must be detected: {:?}",
-            run.report
-        );
-        assert!(run.report.respawns >= 1, "a stall kill charges the budget");
         // the supervisor records its counters in the flow's registry
-        let shardsup = &stall_flow.metrics().shardsup;
-        assert_eq!(shardsup.respawns.get(), run.report.respawns);
-        assert_eq!(shardsup.stalls_detected.get(), run.report.stalls_detected);
+        let counters = &stall_flow.metrics().shardsup;
+        assert!(
+            counters.stalls_detected.get() >= 1,
+            "the silent worker must be detected: {:?}",
+            counters.entries()
+        );
+        assert!(
+            counters.respawns.get() >= 1,
+            "a stall kill charges the budget"
+        );
         assert_eq!(run.analysis.result_fingerprint(), golden);
-        eprintln!("[chaos] stall: report {:?}", run.report);
+        eprintln!("[chaos] stall: counters {:?}", counters.entries());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -300,6 +309,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // to keep every worker mid-campaign when the SIGTERM arrives.
     {
         let dir = tmp("rss");
+        let flow = fresh_flow();
         let mut long = TestSet::new(&circuit);
         for _ in 0..16 {
             for pattern in patterns.iter() {
@@ -323,19 +333,21 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             &mut |_| {},
         )
         .expect("campaign must survive constant RSS eviction");
+        let counters = &flow.metrics().shardsup;
         assert!(
-            run.report.rss_evictions >= 1,
+            counters.rss_evictions.get() >= 1,
             "the 1-byte ceiling must evict at least once: {:?}",
-            run.report
+            counters.entries()
         );
-        assert!(run.report.readmissions >= 1);
+        assert!(counters.readmissions.get() >= 1);
         assert_eq!(
-            run.report.respawns, 0,
+            counters.respawns.get(),
+            0,
             "evictions must not charge the respawn budget: {:?}",
-            run.report
+            counters.entries()
         );
         assert_eq!(run.analysis.result_fingerprint(), long_golden);
-        eprintln!("[chaos] rss: report {:?}", run.report);
+        eprintln!("[chaos] rss: counters {:?}", counters.entries());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -343,8 +355,12 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
     // Workers load the shipped test set instead of regenerating it, so an
     // ATPG failpoint armed in every first attempt has nothing to fire on:
     // no worker fails, none is respawned, and the merge is unchanged.
+    // Each shard's finished checkpoint is its result: it stays in the
+    // directory, and no other result file is written.
     {
         let dir = tmp("atpg");
+        let flow = fresh_flow();
+        let mut worker_peak = 0;
         std::env::set_var("FASTMON_FAILPOINTS", "atpg_grade=panic@1;atpg_podem=err@1");
         let run = supervise(
             &flow,
@@ -354,23 +370,39 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             scale,
             &dir,
             Some(worker),
-            &mut |_| {},
+            &mut |event| {
+                if let SupervisorEvent::Heartbeat { value, .. } = event {
+                    if let Some(peak) = value.get("peak_rss_bytes").and_then(Value::as_u64) {
+                        worker_peak = worker_peak.max(peak);
+                    }
+                }
+            },
         )
         .expect("workers must not run ATPG");
         std::env::remove_var("FASTMON_FAILPOINTS");
+        let counters = &flow.metrics().shardsup;
         assert_eq!(
-            run.report.respawns, 0,
+            counters.respawns.get(),
+            0,
             "a worker ran ATPG and hit the armed failpoint: {:?}",
-            run.report
+            counters.entries()
         );
-        assert_eq!(run.report.workers_spawned, config.shards as u64);
+        assert_eq!(counters.workers_spawned.get(), config.shards as u64);
         assert!(
-            run.report.worker_peak_rss_bytes > 0,
-            "workers report their own peak RSS in shard_done: {:?}",
-            run.report
+            worker_peak > 0,
+            "workers report their own peak RSS in shard_done"
         );
         assert_eq!(run.analysis.result_fingerprint(), golden);
-        eprintln!("[chaos] atpg failpoints: report {:?}", run.report);
+        for shard in 0..config.shards {
+            assert!(dir.join(format!("shard-{shard}-of-3.ckpt")).exists());
+        }
+        assert!(
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .all(|entry| entry.unwrap().path().extension() != Some("result".as_ref())),
+            "no shard lands a .result file"
+        );
+        eprintln!("[chaos] atpg failpoints: counters {:?}", counters.entries());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -435,7 +467,7 @@ fn supervised_chaos_converges_to_the_serial_fingerprint() {
             &mut |_| {},
         )
         .expect("a seed above 2^53 must survive the spec");
-        assert_eq!(run.report.respawns, 0);
+        assert_eq!(flow.metrics().shardsup.respawns.get(), 0);
         assert_eq!(run.analysis.result_fingerprint(), golden);
         let _ = std::fs::remove_dir_all(&dir);
     }

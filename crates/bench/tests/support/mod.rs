@@ -3,13 +3,14 @@
 use fastmon_atpg::TestSet;
 use fastmon_core::{
     Campaign, CampaignProgress, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError,
-    HdfTestFlow,
+    HdfTestFlow, ShardSpec,
 };
 use fastmon_netlist::Circuit;
 use fastmon_obs::CancelToken;
 
-/// Runs the campaign of `circuit` under `config` over `patterns`,
-/// checkpointed in `store`, and stops it after `bands` band checkpoints
+/// Runs the campaign of `circuit` under `config` over `patterns` — only
+/// `shard`'s slice of it, when given — checkpointed in `store`, and stops
+/// it after `bands` band checkpoints
 /// the way a shard worker stops on eviction: the campaign's observer
 /// trips the flow's cancel token, which the campaign checks right after
 /// each checkpoint while bands remain. So the result is
@@ -20,6 +21,7 @@ pub fn run_until_band(
     config: &FlowConfig,
     patterns: &TestSet,
     store: &CheckpointStore,
+    shard: Option<ShardSpec>,
     bands: usize,
 ) -> Result<DetectionAnalysis, FlowError> {
     let token = CancelToken::new();
@@ -34,9 +36,9 @@ pub fn run_until_band(
         }
     };
     let campaign = Campaign {
+        shard,
         checkpoint: Some(store),
         observe: Some(&mut observe),
-        ..Campaign::default()
     };
     flow.run(patterns, campaign)
 }

@@ -303,7 +303,7 @@ impl DetectionAnalysis {
     ///
     /// This is the (purely derived, simulation-free) tail of the
     /// campaign, exposed so a shard supervisor can
-    /// reconstruct a worker's analysis from its landed result file
+    /// reconstruct a worker's analysis from its finished checkpoint
     /// without re-simulating anything — the reconstruction is
     /// bit-identical because every derived field is a deterministic
     /// function of `raw_union` and the flow's static context.

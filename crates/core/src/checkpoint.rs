@@ -684,24 +684,6 @@ impl JobStore {
         &self.dir
     }
 
-    /// Empties the job directory for a fresh start: removes every file
-    /// but the lock, and drops the file the store holds open.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] when the directory cannot be read or a file
-    /// cannot be removed.
-    pub fn clear(&self) -> Result<(), CheckpointError> {
-        self.store.clear()?;
-        for entry in std::fs::read_dir(&self.dir).map_err(io_err("read dir"))? {
-            let entry = entry.map_err(io_err("read dir"))?;
-            if entry.file_name() != LOCK_FILE {
-                std::fs::remove_file(entry.path()).map_err(io_err("remove"))?;
-            }
-        }
-        Ok(())
-    }
-
     /// Removes the job directory (checkpoint, lock file and all) after a
     /// successful campaign, still holding the lock.
     ///

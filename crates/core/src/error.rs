@@ -94,14 +94,15 @@ pub enum FlowError {
         /// The pattern count of shard 0.
         expected: usize,
     },
-    /// A landed shard result file is missing, belongs to a different
-    /// campaign/partition, or does not describe a completed shard run.
+    /// A shard's checkpoint, which is its result once complete, is
+    /// missing, belongs to a different campaign or partition, or is
+    /// incomplete.
     ShardResult {
         /// Index of the shard whose result failed to load.
         shard: usize,
         /// Shard count of the partition.
         shards: usize,
-        /// What was wrong with the file.
+        /// What was wrong with the checkpoint.
         reason: String,
     },
 }
@@ -139,7 +140,7 @@ impl fmt::Display for FlowError {
             } => {
                 write!(
                     f,
-                    "shard {shard} of {shards} has no usable result file: {reason}"
+                    "shard {shard} of {shards} has no finished checkpoint: {reason}"
                 )
             }
         }

@@ -75,6 +75,5 @@ pub use flow::{Campaign, CampaignProgress, FlowCounts, HdfTestFlow};
 pub use schedule::{FrequencySelection, ScheduleEntry, Solver, TestSchedule, TestTimeModel};
 pub use shard::{ShardFiles, ShardSpec};
 pub use shardsup::{
-    parse_shard_count, ShardsupError, SupervisorConfig, SupervisorEvent, SupervisorReport,
-    MAX_SHARDS,
+    parse_shard_count, ShardsupError, SupervisorConfig, SupervisorEvent, MAX_SHARDS,
 };

@@ -6,16 +6,17 @@
 //! ```text
 //! <dir>/shard-spec.json          the campaign spec a worker rebuilds its flow from
 //! <dir>/test-set.fmts            the prepared test set, keyed by the campaign fingerprint
-//! <dir>/shard-<i>-of-<n>.ckpt    shard i's resumable checkpoint
-//! <dir>/shard-<i>-of-<n>.result  shard i's landed raw results
+//! <dir>/shard-<i>-of-<n>.ckpt    shard i's checkpoint; once complete, its result
 //! ```
 //!
-//! Checkpoints and results use the `FMCK` codec and the test set its
-//! `FMTS` sibling (see [`crate::CheckpointStore`]): versioned,
-//! checksummed and written atomically. The spec is plain text landed by
-//! the same atomic write. Shard files are keyed by
-//! [`ShardSpec::fingerprint`], so a repartitioned rerun never resumes or
-//! merges a foreign slice.
+//! Checkpoints use the `FMCK` codec and the test set its `FMTS` sibling
+//! (see [`crate::CheckpointStore`]): versioned and checksummed. The
+//! test set and the spec, which is plain text, are written atomically.
+//! A shard's checkpoint that has simulated every pattern is the shard's
+//! result: it stays in the directory for [`ShardFiles::merge`], and the
+//! caller removes the directory once the merged result is safe. Shard
+//! files are keyed by [`ShardSpec::fingerprint`], so a repartitioned
+//! rerun never resumes or merges a foreign slice.
 
 use std::io::Write as _;
 use std::ops::Range;
@@ -87,8 +88,8 @@ impl ShardSpec {
         (self.shard * faults / self.shards)..((self.shard + 1) * faults / self.shards)
     }
 
-    /// The fingerprint keying this shard's checkpoint and result files:
-    /// the `campaign` fingerprint combined with the shard coordinates.
+    /// The fingerprint keying this shard's checkpoint: the `campaign`
+    /// fingerprint combined with the shard coordinates.
     #[must_use]
     pub fn fingerprint(&self, campaign: u64) -> u64 {
         let mut hash = Fnv1a::new();
@@ -154,21 +155,14 @@ impl ShardFiles {
         std::fs::read_to_string(self.spec_path())
     }
 
-    /// Shard `spec`'s resumable checkpoint.
+    /// Shard `spec`'s checkpoint: resumable while patterns remain, the
+    /// shard's result once it has simulated them all.
     #[must_use]
     pub fn checkpoint(&self, spec: ShardSpec) -> CheckpointStore {
-        CheckpointStore::new(self.shard_path(spec, "ckpt"))
-    }
-
-    /// Where shard `spec` lands its completed raw results.
-    #[must_use]
-    pub fn result_path(&self, spec: ShardSpec) -> PathBuf {
-        self.shard_path(spec, "result")
-    }
-
-    fn shard_path(&self, spec: ShardSpec, ext: &str) -> PathBuf {
-        self.dir
-            .join(format!("shard-{}-of-{}.{ext}", spec.shard, spec.shards))
+        CheckpointStore::new(
+            self.dir
+                .join(format!("shard-{}-of-{}.ckpt", spec.shard, spec.shards)),
+        )
     }
 
     /// Lands `patterns` as the campaign's shipped test set, keyed by
@@ -215,28 +209,28 @@ impl ShardFiles {
         Ok((record.fingerprint, set))
     }
 
-    /// Whether shard `spec`'s result has landed and validates for this
-    /// exact campaign and partition (the supervisor's completion probe —
-    /// cheap: no finalization).
+    /// Whether shard `spec`'s checkpoint is complete and validates for
+    /// this exact campaign and partition (the supervisor's completion
+    /// probe — cheap: no finalization).
     #[must_use]
     pub fn landed(&self, flow: &HdfTestFlow<'_>, patterns: &TestSet, spec: ShardSpec) -> bool {
         let campaign = flow.campaign_fingerprint(patterns);
         self.load_raw(flow, patterns, spec, campaign).is_ok()
     }
 
-    /// Runs shard `spec` (resuming from its checkpoint if one exists) and
-    /// lands its raw results, returning the shard fingerprint the result
-    /// file is keyed by — the shard worker's whole job.
+    /// Runs shard `spec` on its checkpoint, resuming from it if one
+    /// exists, and returns the shard fingerprint the checkpoint is keyed
+    /// by — the shard worker's whole job. The finished checkpoint is the
+    /// shard's result and stays on disk.
     ///
-    /// Idempotent: a shard whose valid result already landed returns at
-    /// once, so a supervisor can blindly re-dispatch a worker that died
-    /// after landing. The result lands *before* the checkpoint is
-    /// removed, so a crash between the two loses nothing.
+    /// Idempotent: a complete checkpoint resumes with no band left to
+    /// run, so a supervisor can blindly re-dispatch a worker that died
+    /// after finishing.
     ///
     /// # Errors
     ///
     /// Same as [`HdfTestFlow::run`], plus [`FlowError::Checkpoint`] when
-    /// the result cannot be written.
+    /// a campaign without patterns cannot write its checkpoint.
     pub fn run_to_result(
         &self,
         flow: &HdfTestFlow<'_>,
@@ -244,11 +238,7 @@ impl ShardFiles {
         spec: ShardSpec,
         observe: &mut dyn FnMut(CampaignProgress),
     ) -> Result<u64, FlowError> {
-        let campaign = flow.campaign_fingerprint(patterns);
-        let fingerprint = spec.fingerprint(campaign);
-        if self.load_raw(flow, patterns, spec, campaign).is_ok() {
-            return Ok(fingerprint);
-        }
+        let fingerprint = spec.fingerprint(flow.campaign_fingerprint(patterns));
         let store = self.checkpoint(spec);
         let analysis = flow.run(
             patterns,
@@ -258,16 +248,19 @@ impl ShardFiles {
                 observe: Some(observe),
             },
         )?;
-        CheckpointStore::new(self.result_path(spec)).save(&CampaignCheckpoint {
-            fingerprint,
-            next_pattern: patterns.len(),
-            per_pattern: analysis.per_pattern,
-        })?;
-        store.discard();
+        if patterns.is_empty() {
+            // No band ran, so no band saved the checkpoint that is the
+            // shard's result.
+            store.save(&CampaignCheckpoint {
+                fingerprint,
+                next_pattern: 0,
+                per_pattern: analysis.per_pattern,
+            })?;
+        }
         Ok(fingerprint)
     }
 
-    /// Loads every landed shard result of a `shards`-way partition,
+    /// Loads every finished shard checkpoint of a `shards`-way partition,
     /// rebuilds each shard's analysis from its raw results and merges
     /// them. Each fault's raw union is derived from its entries the way
     /// the campaign derives it, then [`DetectionAnalysis::finalize`] runs,
@@ -276,8 +269,9 @@ impl ShardFiles {
     ///
     /// # Errors
     ///
-    /// [`FlowError::ShardResult`] when any shard's file is missing or
-    /// does not belong to this campaign, partition and test set, and
+    /// [`FlowError::ShardResult`] when any shard's checkpoint is missing,
+    /// incomplete or does not belong to this campaign, partition and test
+    /// set, and
     /// [`FlowError::WorkerPanic`] when deriving a raw union panics.
     pub fn merge(
         &self,
@@ -307,7 +301,7 @@ impl ShardFiles {
         DetectionAnalysis::merge(parts)
     }
 
-    /// Loads shard `spec`'s result file and checks that it is the
+    /// Loads shard `spec`'s checkpoint and checks that it is the
     /// complete result of this campaign's slice.
     fn load_raw(
         &self,
@@ -323,7 +317,8 @@ impl ShardFiles {
         };
         let fingerprint = spec.fingerprint(campaign);
         let faults = spec.range(flow.candidate_faults().len()).len();
-        let cp = CheckpointStore::new(self.result_path(spec))
+        let cp = self
+            .checkpoint(spec)
             .load()
             .map_err(|e| bad(e.to_string()))?;
         if cp.fingerprint != fingerprint {

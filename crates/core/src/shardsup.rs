@@ -31,13 +31,13 @@
 //!
 //! The engine is agnostic of what a worker computes: callers supply the
 //! launch and completion probes. The campaign callers lay their files
-//! out with [`crate::ShardFiles`] — completed shards land
-//! `shard-i-of-n.result` files (same atomic tmp+rename, FNV-checksummed
-//! `FMCK` codec as checkpoints); landing is idempotent, so the supervisor
-//! itself can be killed and restarted mid-campaign and only the
-//! unfinished shards re-run, and the deterministic merge
-//! ([`crate::ShardFiles::merge`]) is bit-identical to the serial
-//! campaign.
+//! out with [`crate::ShardFiles`] — a shard whose checkpoint has
+//! simulated every pattern is complete, and that checkpoint is its
+//! result; a worker re-dispatched on a complete checkpoint has no band
+//! left to run, so the supervisor itself can be killed and restarted
+//! mid-campaign and only the unfinished shards re-run, and the
+//! deterministic merge ([`crate::ShardFiles::merge`]) is bit-identical to
+//! the serial campaign.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader};
@@ -46,7 +46,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use fastmon_obs::json::{self, Value};
-use fastmon_obs::{CancelToken, MetricsRegistry};
+use fastmon_obs::{CancelToken, ShardsupMetrics};
 
 /// Hard ceiling on shard and job counts: values above this are a config
 /// error, not an invitation to fork-bomb the host.
@@ -88,7 +88,7 @@ pub enum ShardsupError {
         /// The OS error message.
         message: String,
     },
-    /// A shard exhausted its respawn budget without landing a result.
+    /// A shard exhausted its respawn budget without finishing.
     ShardFailed {
         /// The failed shard.
         shard: usize,
@@ -243,8 +243,7 @@ impl SupervisorConfig {
 }
 
 /// What happened inside the supervisor, for flight recorders and
-/// progress displays. `Heartbeat` carries the worker's raw line plus
-/// its parsed form, so forwarding costs no re-serialization.
+/// progress displays.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum SupervisorEvent {
@@ -261,8 +260,6 @@ pub enum SupervisorEvent {
     Heartbeat {
         /// Shard index.
         shard: usize,
-        /// The raw line as the worker wrote it.
-        line: String,
         /// The parsed record.
         value: Value,
     },
@@ -275,7 +272,7 @@ pub enum SupervisorEvent {
         /// How long the pipe had been silent.
         silent_for: Duration,
     },
-    /// A worker died (or exited) without landing its result.
+    /// A worker died (or exited) without finishing its shard.
     Crashed {
         /// Shard index.
         shard: usize,
@@ -309,34 +306,11 @@ pub enum SupervisorEvent {
         /// Shard index.
         shard: usize,
     },
-    /// A shard's result file landed and validated.
+    /// A shard's finished checkpoint validated.
     Completed {
         /// Shard index.
         shard: usize,
     },
-}
-
-/// Counters of one supervised campaign (also mirrored into
-/// `robustness.shardsup.*` when a [`MetricsRegistry`] is supplied).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SupervisorReport {
-    /// Worker processes spawned (first attempts and respawns).
-    pub workers_spawned: u64,
-    /// Charged respawns (crashes, nonzero exits, stall kills).
-    pub respawns: u64,
-    /// Stall-timeout kills.
-    pub stalls_detected: u64,
-    /// RSS-watchdog SIGTERMs.
-    pub rss_evictions: u64,
-    /// Evicted shards re-admitted.
-    pub readmissions: u64,
-    /// Heartbeat lines parsed.
-    pub heartbeats_received: u64,
-    /// Shards that landed a valid result.
-    pub shards_completed: u64,
-    /// Largest peak resident set (`VmHWM`) any worker reported in its
-    /// `shard_done` record, in bytes.
-    pub worker_peak_rss_bytes: u64,
 }
 
 // -- child bookkeeping -------------------------------------------------
@@ -438,14 +412,16 @@ fn render_status(status: &std::process::ExitStatus) -> String {
 ///   **stdout piped** (the heartbeat channel); `attempt` is the charged
 ///   attempt number, so chaos harnesses can arm failpoints on the first
 ///   attempt only.
-/// * `is_complete(shard)` checks whether the shard's result file has
-///   landed and validates — consulted before every (re)launch and after
-///   every exit, which is what makes supervisor restarts free.
+/// * `is_complete(shard)` checks whether the shard has finished —
+///   consulted before every (re)launch and after every exit, which is
+///   what makes supervisor restarts free.
 /// * `on_event` observes every [`SupervisorEvent`] (flight recorder,
 ///   progress rows, chaos assertions).
 /// * `cancel`, when tripped, SIGTERMs all children, waits for them and
 ///   returns [`ShardsupError::Cancelled`] — every shard's checkpoint
 ///   stays resumable.
+/// * `metrics` counts spawns, respawns, stalls, evictions,
+///   readmissions, heartbeats and completed shards.
 ///
 /// # Errors
 ///
@@ -459,29 +435,22 @@ pub fn run(
     is_complete: &mut dyn FnMut(usize) -> bool,
     on_event: &mut dyn FnMut(SupervisorEvent),
     cancel: Option<&CancelToken>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<SupervisorReport, ShardsupError> {
-    let mut report = SupervisorReport::default();
-    let shardsup = metrics.map(|m| &m.shardsup);
+    metrics: &ShardsupMetrics,
+) -> Result<(), ShardsupError> {
     let (tx, rx) = mpsc::channel::<(usize, String)>();
     let mut pending: VecDeque<usize> = (0..config.shards).collect();
     let mut states: Vec<ShardState> = (0..config.shards).map(|_| ShardState::default()).collect();
     let mut running: Vec<RunningShard> = Vec::new();
     let mut completed = vec![false; config.shards];
 
-    let complete_shard = |shard: usize,
-                          completed: &mut Vec<bool>,
-                          report: &mut SupervisorReport,
-                          on_event: &mut dyn FnMut(SupervisorEvent)| {
-        if !completed[shard] {
-            completed[shard] = true;
-            report.shards_completed += 1;
-            if let Some(s) = shardsup {
-                s.shards_completed.incr();
+    let complete_shard =
+        |shard: usize, completed: &mut Vec<bool>, on_event: &mut dyn FnMut(SupervisorEvent)| {
+            if !completed[shard] {
+                completed[shard] = true;
+                metrics.shards_completed.incr();
+                on_event(SupervisorEvent::Completed { shard });
             }
-            on_event(SupervisorEvent::Completed { shard });
-        }
-    };
+        };
 
     let terminate_all = |running: &mut Vec<RunningShard>| {
         for rs in running.iter() {
@@ -533,16 +502,13 @@ pub fn run(
             if is_complete(shard) {
                 // Landed by an earlier attempt (or a previous supervisor
                 // incarnation) — nothing to run.
-                complete_shard(shard, &mut completed, &mut report, on_event);
+                complete_shard(shard, &mut completed, on_event);
                 continue;
             }
             let attempt = states[shard].attempt;
             if states[shard].evicted {
                 states[shard].evicted = false;
-                report.readmissions += 1;
-                if let Some(s) = shardsup {
-                    s.readmissions.incr();
-                }
+                metrics.readmissions.incr();
                 on_event(SupervisorEvent::Readmitted { shard });
             }
             let mut child = launch(shard, attempt).map_err(|e| {
@@ -575,10 +541,7 @@ pub fn run(
                     }
                 }
             });
-            report.workers_spawned += 1;
-            if let Some(s) = shardsup {
-                s.workers_spawned.incr();
-            }
+            metrics.workers_spawned.incr();
             on_event(SupervisorEvent::Spawned {
                 shard,
                 attempt,
@@ -621,21 +584,13 @@ pub fn run(
         for (shard, line) in lines {
             match json::parse(&line) {
                 Ok(value) => {
-                    report.heartbeats_received += 1;
-                    if let Some(s) = shardsup {
-                        s.heartbeats_received.incr();
-                    }
+                    metrics.heartbeats_received.incr();
                     let event = value.get("event").and_then(Value::as_str);
                     if let Some(rs) = running.iter_mut().find(|rs| rs.shard == shard) {
                         rs.last_event = Instant::now();
                         rs.band_ended |= event == Some("shard_heartbeat");
                     }
-                    if event == Some("shard_done") {
-                        if let Some(peak) = value.get("peak_rss_bytes").and_then(Value::as_u64) {
-                            report.worker_peak_rss_bytes = report.worker_peak_rss_bytes.max(peak);
-                        }
-                    }
-                    on_event(SupervisorEvent::Heartbeat { shard, line, value });
+                    on_event(SupervisorEvent::Heartbeat { shard, value });
                 }
                 Err(_) => {
                     // Non-protocol noise on the pipe is not liveness: a
@@ -665,10 +620,7 @@ pub fn run(
                     let silent_for = now.duration_since(rs.last_event);
                     let _ = rs.child.kill();
                     rs.stall_killed = true;
-                    report.stalls_detected += 1;
-                    if let Some(s) = shardsup {
-                        s.stalls_detected.incr();
-                    }
+                    metrics.stalls_detected.incr();
                     on_event(SupervisorEvent::Stalled {
                         shard: rs.shard,
                         pid: rs.pid,
@@ -692,10 +644,7 @@ pub fn run(
                             if rss > limit {
                                 send_signal(rs.pid, SIGTERM);
                                 rs.evicting = true;
-                                report.rss_evictions += 1;
-                                if let Some(s) = shardsup {
-                                    s.rss_evictions.incr();
-                                }
+                                metrics.rss_evictions.incr();
                                 on_event(SupervisorEvent::RssEvicted {
                                     shard: rs.shard,
                                     pid: rs.pid,
@@ -713,7 +662,7 @@ pub fn run(
             let rs = running.swap_remove(i);
             let shard = rs.shard;
             if is_complete(shard) {
-                complete_shard(shard, &mut completed, &mut report, on_event);
+                complete_shard(shard, &mut completed, on_event);
                 continue;
             }
             if rs.evicting && status.code() == Some(EXIT_EVICTED) && !rs.stall_killed {
@@ -738,10 +687,7 @@ pub fn run(
             // or a "clean" exit that landed nothing.
             states[shard].attempt += 1;
             let attempt = states[shard].attempt;
-            report.respawns += 1;
-            if let Some(s) = shardsup {
-                s.respawns.incr();
-            }
+            metrics.respawns.incr();
             on_event(SupervisorEvent::Crashed {
                 shard,
                 attempt,
@@ -770,7 +716,7 @@ pub fn run(
         }
     }
 
-    Ok(report)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -4,13 +4,14 @@
 //! count, any thread count, and through the crash-safe per-shard
 //! checkpoint path the workers take (`ShardFiles::run_to_result`, then
 //! `ShardFiles::merge`). Also pins the shard file layout: the partition,
-//! the shard fingerprints and the shipped test set.
+//! the shard fingerprints, the finished checkpoints that are the shards'
+//! results, and the shipped test set.
 
 use fastmon_atpg::{AtpgError, TestSet};
 use fastmon_core::shard::TEST_SET_FILE;
 use fastmon_core::{
-    Campaign, CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig, FlowError,
-    HdfTestFlow, ShardFiles, ShardSpec,
+    Campaign, CampaignProgress, CheckpointError, CheckpointStore, DetectionAnalysis, FlowConfig,
+    FlowError, HdfTestFlow, ShardFiles, ShardSpec,
 };
 use fastmon_netlist::generate::GeneratorConfig;
 use fastmon_netlist::Circuit;
@@ -97,7 +98,7 @@ fn sharded_runs_match_serial_for_any_shard_and_thread_count() {
 }
 
 #[test]
-fn resumable_sharded_campaign_matches_and_cleans_up() {
+fn a_stopped_shard_is_incomplete_until_it_resumes_to_the_serial_result() {
     let circuit = random_circuit(9);
     let flow = HdfTestFlow::prepare(&circuit, &FlowConfig::default());
     let patterns = flow.generate_patterns(Some(8));
@@ -106,6 +107,38 @@ fn resumable_sharded_campaign_matches_and_cleans_up() {
     let dir = tmp("resume");
     std::fs::create_dir_all(&dir).unwrap();
     let files = ShardFiles::new(&dir);
+    // Shard 0 stops after its first band, the way an evicted worker does.
+    // One thread makes bands of 4 patterns, so a band remains.
+    let token = fastmon_obs::CancelToken::new();
+    let stopping = HdfTestFlow::prepare(
+        &circuit,
+        &FlowConfig {
+            threads: 1,
+            ..FlowConfig::default()
+        },
+    )
+    .with_cancel(token.clone());
+    let first = ShardSpec {
+        shard: 0,
+        shards: 3,
+    };
+    let stopped = files.run_to_result(&stopping, &patterns, first, &mut |p| {
+        if matches!(p, CampaignProgress::BandCheckpointed { .. }) {
+            token.cancel();
+        }
+    });
+    assert!(
+        matches!(stopped, Err(FlowError::Cancelled { .. })),
+        "a band must remain after the first: {stopped:?}"
+    );
+    assert!(!files.landed(&flow, &patterns, first));
+    match files.merge(&flow, &patterns, 3) {
+        Err(FlowError::ShardResult {
+            shard: 0, reason, ..
+        }) => assert!(reason.contains("incomplete"), "got {reason}"),
+        other => panic!("expected shard 0 to be incomplete, got {other:?}"),
+    }
+
     let mut events_per_shard = vec![0usize; 3];
     for spec in ShardSpec::all(3) {
         files
@@ -114,19 +147,37 @@ fn resumable_sharded_campaign_matches_and_cleans_up() {
             })
             .unwrap();
     }
+    assert_eq!(
+        flow.metrics().checkpoint.resumes.get(),
+        1,
+        "the stopped shard resumes"
+    );
     let merged = files.merge(&flow, &patterns, 3).unwrap();
     assert_eq!(merged.result_fingerprint(), golden);
     assert!(
         events_per_shard.iter().all(|&n| n > 0),
         "every shard must surface progress events: {events_per_shard:?}"
     );
-    // finished shard checkpoints are removed
-    for shard in 0..3 {
-        assert!(
-            !dir.join(format!("shard-{shard}-of-3.ckpt")).exists(),
-            "shard {shard} left its checkpoint behind"
-        );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_campaign_without_patterns_lands_and_merges() {
+    let circuit = random_circuit(3);
+    let flow = HdfTestFlow::prepare(&circuit, &FlowConfig::default());
+    let patterns = TestSet::new(&circuit);
+    let serial = flow.try_analyze(&patterns).unwrap();
+    let dir = tmp("no-patterns");
+    let files = ShardFiles::new(&dir);
+    for spec in ShardSpec::all(3) {
+        files
+            .run_to_result(&flow, &patterns, spec, &mut |_| {})
+            .unwrap();
+        assert!(files.landed(&flow, &patterns, spec));
     }
+    let merged = files.merge(&flow, &patterns, 3).unwrap();
+    assert_eq!(merged.num_faults(), serial.num_faults());
+    assert_eq!(merged.result_fingerprint(), serial.result_fingerprint());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -175,25 +226,39 @@ fn landed_shard_results_merge_bit_identical_and_are_idempotent() {
             .unwrap();
         assert_eq!(fp, spec.fingerprint(flow.campaign_fingerprint(&patterns)));
         assert!(files.landed(&flow, &patterns, spec));
-        // the finished checkpoint is cleared, the result file remains
-        assert!(!files.checkpoint(spec).path().exists());
-        // re-dispatch after landing is free: nothing is re-simulated
+        // the finished checkpoint stays: it is the shard's result
+        assert!(files.checkpoint(spec).path().exists());
+        // re-dispatch after landing is free: no band is re-simulated
+        let mut bands = 0;
         let again = files
-            .run_to_result(&flow, &patterns, spec, &mut |_| {})
+            .run_to_result(&flow, &patterns, spec, &mut |p| {
+                bands += usize::from(matches!(p, CampaignProgress::BandCheckpointed { .. }));
+            })
             .unwrap();
         assert_eq!(again, fp);
+        assert_eq!(bands, 0);
     }
+    assert!(
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .all(|entry| entry.unwrap().path().extension() != Some("result".as_ref())),
+        "no shard lands a .result file"
+    );
     let merged = files.merge(&flow, &patterns, 3).unwrap();
     assert_eq!(
         merged.result_fingerprint(),
         golden,
         "merge of landed shard results diverged from the serial run"
     );
-    // a missing shard result is a typed, shard-attributed error
-    std::fs::remove_file(files.result_path(ShardSpec {
-        shard: 1,
-        shards: 3,
-    }))
+    // a missing shard checkpoint is a typed, shard-attributed error
+    std::fs::remove_file(
+        files
+            .checkpoint(ShardSpec {
+                shard: 1,
+                shards: 3,
+            })
+            .path(),
+    )
     .unwrap();
     match files.merge(&flow, &patterns, 3) {
         Err(FlowError::ShardResult { shard: 1, .. }) => {}

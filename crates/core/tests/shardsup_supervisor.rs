@@ -12,7 +12,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use fastmon_core::shardsup::{self, ShardsupError, SupervisorConfig, SupervisorEvent};
-use fastmon_obs::MetricsRegistry;
+use fastmon_obs::json::Value;
+use fastmon_obs::ShardsupMetrics;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -52,8 +53,8 @@ fn fast_config(shards: usize, jobs: usize) -> SupervisorConfig {
 #[test]
 fn happy_path_completes_every_shard_once() {
     let dir = tmp("happy");
-    let metrics = MetricsRegistry::new();
-    let report = shardsup::run(
+    let metrics = ShardsupMetrics::new();
+    shardsup::run(
         &fast_config(4, 2),
         &mut |shard, _attempt| {
             sh(&format!(
@@ -65,23 +66,22 @@ fn happy_path_completes_every_shard_once() {
         &mut |shard| flag(&dir, shard).exists(),
         &mut |_| {},
         None,
-        Some(&metrics),
+        &metrics,
     )
     .unwrap();
-    assert_eq!(report.workers_spawned, 4);
-    assert_eq!(report.shards_completed, 4);
-    assert_eq!(report.respawns, 0);
-    assert!(report.heartbeats_received >= 4);
-    assert_eq!(metrics.shardsup.workers_spawned.get(), 4);
-    assert_eq!(metrics.shardsup.shards_completed.get(), 4);
+    assert_eq!(metrics.workers_spawned.get(), 4);
+    assert_eq!(metrics.shards_completed.get(), 4);
+    assert_eq!(metrics.respawns.get(), 0);
+    assert!(metrics.heartbeats_received.get() >= 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn crashed_shard_is_respawned_and_the_rest_keep_running() {
     let dir = tmp("crash");
+    let metrics = ShardsupMetrics::new();
     let mut events = Vec::new();
-    let report = shardsup::run(
+    shardsup::run(
         &fast_config(2, 2),
         &mut |shard, attempt| {
             if shard == 1 && attempt == 0 {
@@ -97,12 +97,12 @@ fn crashed_shard_is_respawned_and_the_rest_keep_running() {
         &mut |shard| flag(&dir, shard).exists(),
         &mut |e| events.push(e),
         None,
-        None,
+        &metrics,
     )
     .unwrap();
-    assert_eq!(report.shards_completed, 2);
-    assert_eq!(report.respawns, 1);
-    assert_eq!(report.workers_spawned, 3);
+    assert_eq!(metrics.shards_completed.get(), 2);
+    assert_eq!(metrics.respawns.get(), 1);
+    assert_eq!(metrics.workers_spawned.get(), 3);
     assert!(events
         .iter()
         .any(|e| matches!(e, SupervisorEvent::Crashed { shard: 1, .. })));
@@ -122,7 +122,7 @@ fn respawn_budget_exhaustion_fails_the_shard() {
         &mut |_| false,
         &mut |_| {},
         None,
-        None,
+        &ShardsupMetrics::new(),
     )
     .unwrap_err();
     match err {
@@ -141,7 +141,7 @@ fn respawn_budget_exhaustion_fails_the_shard() {
 
 #[test]
 fn refused_shard_fails_the_campaign_without_a_respawn() {
-    let metrics = MetricsRegistry::new();
+    let metrics = ShardsupMetrics::new();
     let mut backoffs = 0u32;
     let err = shardsup::run(
         &fast_config(1, 1),
@@ -159,7 +159,7 @@ fn refused_shard_fails_the_campaign_without_a_respawn() {
             }
         },
         None,
-        Some(&metrics),
+        &metrics,
     )
     .unwrap_err();
     assert!(
@@ -174,14 +174,16 @@ fn refused_shard_fails_the_campaign_without_a_respawn() {
         "got {err}"
     );
     assert_eq!(backoffs, 0);
-    assert_eq!(metrics.shardsup.workers_spawned.get(), 1);
-    assert_eq!(metrics.shardsup.respawns.get(), 0);
+    assert_eq!(metrics.workers_spawned.get(), 1);
+    assert_eq!(metrics.respawns.get(), 0);
 }
 
 #[test]
 fn worker_peak_rss_is_the_largest_shard_done_report() {
     let dir = tmp("peak");
-    let report = shardsup::run(
+    let metrics = ShardsupMetrics::new();
+    let mut peak = 0;
+    shardsup::run(
         &fast_config(3, 3),
         &mut |shard, _| {
             sh(&format!(
@@ -191,13 +193,19 @@ fn worker_peak_rss_is_the_largest_shard_done_report() {
             ))
         },
         &mut |shard| flag(&dir, shard).exists(),
-        &mut |_| {},
+        &mut |e| {
+            if let SupervisorEvent::Heartbeat { value, .. } = e {
+                if let Some(bytes) = value.get("peak_rss_bytes").and_then(Value::as_u64) {
+                    peak = u64::max(peak, bytes);
+                }
+            }
+        },
         None,
-        None,
+        &metrics,
     )
     .unwrap();
-    assert_eq!(report.shards_completed, 3);
-    assert_eq!(report.worker_peak_rss_bytes, 3000);
+    assert_eq!(metrics.shards_completed.get(), 3);
+    assert_eq!(peak, 3000);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -206,9 +214,9 @@ fn silent_worker_is_stall_killed_and_the_respawn_finishes() {
     let dir = tmp("stall");
     let mut config = fast_config(1, 1);
     config.stall_timeout = Duration::from_millis(300);
-    let metrics = MetricsRegistry::new();
+    let metrics = ShardsupMetrics::new();
     let mut events = Vec::new();
-    let report = shardsup::run(
+    shardsup::run(
         &config,
         &mut |shard, attempt| {
             if attempt == 0 {
@@ -224,13 +232,16 @@ fn silent_worker_is_stall_killed_and_the_respawn_finishes() {
         &mut |shard| flag(&dir, shard).exists(),
         &mut |e| events.push(e),
         None,
-        Some(&metrics),
+        &metrics,
     )
     .unwrap();
-    assert_eq!(report.stalls_detected, 1);
-    assert_eq!(report.respawns, 1, "a stall kill charges the retry budget");
-    assert_eq!(report.shards_completed, 1);
-    assert_eq!(metrics.shardsup.stalls_detected.get(), 1);
+    assert_eq!(metrics.stalls_detected.get(), 1);
+    assert_eq!(
+        metrics.respawns.get(),
+        1,
+        "a stall kill charges the retry budget"
+    );
+    assert_eq!(metrics.shards_completed.get(), 1);
     assert!(events
         .iter()
         .any(|e| matches!(e, SupervisorEvent::Stalled { shard: 0, .. })));
@@ -243,8 +254,9 @@ fn rss_eviction_is_graceful_and_uncharged() {
     let mut config = fast_config(1, 1);
     config.rss_limit_bytes = Some(1); // any live process exceeds this
     let launches = RefCell::new(0u32);
+    let metrics = ShardsupMetrics::new();
     let mut events = Vec::new();
-    let report = shardsup::run(
+    shardsup::run(
         &config,
         &mut |shard, _attempt| {
             let n = {
@@ -255,7 +267,7 @@ fn rss_eviction_is_graceful_and_uncharged() {
             if n == 1 {
                 // Cooperative worker: on SIGTERM it "checkpoints"
                 // (nothing here) and exits with the eviction code —
-                // without landing a result, so it must be re-admitted.
+                // without finishing, so it must be re-admitted.
                 sh("trap 'exit 75' TERM; echo '{}'; while :; do sleep 0.05; done")
             } else {
                 // Re-admitted attempt lands before the next RSS poll.
@@ -268,13 +280,17 @@ fn rss_eviction_is_graceful_and_uncharged() {
         &mut |shard| flag(&dir, shard).exists(),
         &mut |e| events.push(e),
         None,
-        None,
+        &metrics,
     )
     .unwrap();
-    assert!(report.rss_evictions >= 1);
-    assert_eq!(report.readmissions, 1);
-    assert_eq!(report.respawns, 0, "an eviction must not charge the budget");
-    assert_eq!(report.shards_completed, 1);
+    assert!(metrics.rss_evictions.get() >= 1);
+    assert_eq!(metrics.readmissions.get(), 1);
+    assert_eq!(
+        metrics.respawns.get(),
+        0,
+        "an eviction must not charge the budget"
+    );
+    assert_eq!(metrics.shards_completed.get(), 1);
     assert!(events
         .iter()
         .any(|e| matches!(e, SupervisorEvent::RssEvicted { shard: 0, .. })));
@@ -286,17 +302,18 @@ fn rss_eviction_is_graceful_and_uncharged() {
 
 #[test]
 fn already_landed_shards_are_not_respawned_after_a_supervisor_restart() {
-    let report = shardsup::run(
+    let metrics = ShardsupMetrics::new();
+    shardsup::run(
         &fast_config(3, 3),
         &mut |_, _| panic!("nothing should be launched"),
         &mut |_| true,
         &mut |_| {},
         None,
-        None,
+        &metrics,
     )
     .unwrap();
-    assert_eq!(report.workers_spawned, 0);
-    assert_eq!(report.shards_completed, 3);
+    assert_eq!(metrics.workers_spawned.get(), 0);
+    assert_eq!(metrics.shards_completed.get(), 3);
 }
 
 #[test]
@@ -309,7 +326,7 @@ fn cancellation_terminates_children_and_surfaces_typed() {
         &mut |_| false,
         &mut |_| {},
         Some(&token),
-        None,
+        &ShardsupMetrics::new(),
     )
     .unwrap_err();
     assert!(matches!(err, ShardsupError::Cancelled { .. }));

@@ -38,24 +38,9 @@ pub enum JobEvent {
         /// Campaign fingerprint.
         fingerprint: u64,
     },
-    /// The campaign resumed from a durable checkpoint.
-    Resumed {
-        /// First pattern that still needs simulation.
-        next_pattern: usize,
-        /// Total patterns in the campaign.
-        total_patterns: usize,
-        /// Trace run id of the interrupted run that wrote the
-        /// checkpoint, when its sidecar survived.
-        prev_run: Option<u64>,
-    },
-    /// A band finished and its checkpoint reached disk — this boundary
-    /// is a durable resume point.
-    Band {
-        /// First pattern that still needs simulation.
-        next_pattern: usize,
-        /// Total patterns in the campaign.
-        total_patterns: usize,
-    },
+    /// Progress of a whole (unsharded) campaign: it resumed from a
+    /// durable checkpoint, or a band's checkpoint reached disk.
+    Progress(CampaignProgress),
     /// Supervised multi-process shard execution progress
     /// (`"shard_procs":true`): one event per supervisor observation,
     /// forwarded from the [`fastmon_core::shardsup`] engine.
@@ -101,6 +86,24 @@ pub struct JobOutcome {
     pub periods: Vec<f64>,
     /// Whether the ILP proved optimality.
     pub optimal: bool,
+}
+
+impl JobOutcome {
+    /// Appends the fields the `completed` terminal record and the landed
+    /// result line share: the job `name`, then the outcome without its
+    /// periods.
+    pub(crate) fn fields(&self, record: Record, name: &str) -> Record {
+        record
+            .str("name", name)
+            .fingerprint("fingerprint", self.fingerprint)
+            .fingerprint("result_fingerprint", self.result_fingerprint)
+            .bool("resumed", self.resumed)
+            .u64("num_patterns", self.num_patterns as u64)
+            .u64("num_faults", self.num_faults as u64)
+            .u64("num_targets", self.num_targets as u64)
+            .u64("covered", self.covered as u64)
+            .bool("optimal", self.optimal)
+    }
 }
 
 /// Why a job failed. `Locked` and `Flow(Cancelled)` leave a durable
@@ -264,18 +267,9 @@ fn land_result(results_dir: &Path, req: &JobRequest, outcome: &JobOutcome) -> Re
         periods.push_str(&format!("{p}"));
     }
     periods.push(']');
-    let line = Record::new()
-        .str("tenant", &req.tenant)
-        .str("name", &req.name)
-        .fingerprint("fingerprint", outcome.fingerprint)
-        .fingerprint("result_fingerprint", outcome.result_fingerprint)
-        .bool("resumed", outcome.resumed)
-        .u64("num_patterns", outcome.num_patterns as u64)
-        .u64("num_faults", outcome.num_faults as u64)
-        .u64("num_targets", outcome.num_targets as u64)
-        .u64("covered", outcome.covered as u64)
+    let line = outcome
+        .fields(Record::new().str("tenant", &req.tenant), &req.name)
         .raw("periods", &periods)
-        .bool("optimal", outcome.optimal)
         .finish();
     let path = results_dir.join(format!("{:016x}.json", outcome.fingerprint));
     let tmp = results_dir.join(format!(
@@ -341,7 +335,7 @@ fn run_flow(
     let analysis = run_campaign(flow, &patterns, req, &store, &mut |e| {
         resumed |= matches!(
             e,
-            JobEvent::Resumed { .. }
+            JobEvent::Progress(CampaignProgress::Resumed { .. })
                 | JobEvent::Shard {
                     kind: "resumed",
                     ..
@@ -376,10 +370,10 @@ fn run_flow(
 /// `req.shards` supervised worker processes when `req.shard_procs` is set
 /// (progress streams as [`JobEvent::Shard`] rows), and otherwise one whole
 /// campaign checkpointed in the job's `campaign.ckpt` (progress streams as
-/// [`JobEvent::Resumed`] and [`JobEvent::Band`]). Either way the analysis
-/// is bit-identical to a serial run, and a rerun over the same directory
-/// resumes. `fastmond` jobs and the experiment binaries both run their
-/// campaigns here; the finished checkpoint is removed, and the caller
+/// [`JobEvent::Progress`]). Either way the analysis is bit-identical to a
+/// serial run, and a rerun over the same directory resumes. `fastmond`
+/// jobs and the experiment binaries both run their campaigns here; the
+/// whole campaign's finished checkpoint is removed, and the caller
 /// [`complete`](JobStore::complete)s the directory once its result is
 /// safe.
 ///
@@ -399,29 +393,9 @@ pub fn run_campaign(
     if req.shard_procs {
         return crate::shard::run_supervised(flow, patterns, req, job.dir(), on_event);
     }
-    let mut observe = |p: CampaignProgress| {
-        on_event(match p {
-            CampaignProgress::Resumed {
-                next_pattern,
-                total_patterns,
-                prev_run,
-            } => JobEvent::Resumed {
-                next_pattern,
-                total_patterns,
-                prev_run,
-            },
-            CampaignProgress::BandCheckpointed {
-                next_pattern,
-                total_patterns,
-            } => JobEvent::Band {
-                next_pattern,
-                total_patterns,
-            },
-        });
-    };
     let campaign = Campaign {
         checkpoint: Some(job.store()),
-        observe: Some(&mut observe),
+        observe: Some(&mut |p| on_event(JobEvent::Progress(p))),
         ..Campaign::default()
     };
     let analysis = flow.run(patterns, campaign)?;

@@ -28,7 +28,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use fastmon_core::CheckpointDir;
+use fastmon_core::{CampaignProgress, CheckpointDir};
 use fastmon_obs::{CancelToken, MetricsRegistry, Record};
 
 use crate::flight::FlightRecorder;
@@ -415,11 +415,11 @@ fn run_one(shared: &Arc<Shared>, job: &QueuedJob) {
                         .finish(),
                 );
             }
-            JobEvent::Resumed {
+            JobEvent::Progress(CampaignProgress::Resumed {
                 next_pattern,
                 total_patterns,
                 prev_run,
-            } => {
+            }) => {
                 flight.note(
                     "resumed",
                     match prev_run {
@@ -445,10 +445,10 @@ fn run_one(shared: &Arc<Shared>, job: &QueuedJob) {
                 }
                 send(rec.finish());
             }
-            JobEvent::Band {
+            JobEvent::Progress(CampaignProgress::BandCheckpointed {
                 next_pattern,
                 total_patterns,
-            } => {
+            }) => {
                 note_failpoints();
                 flight.note(
                     "band",
@@ -543,18 +543,13 @@ fn run_one(shared: &Arc<Shared>, job: &QueuedJob) {
             if outcome.resumed {
                 metrics.jobs_resumed.incr();
             }
-            let line = Record::new()
-                .str("event", "terminal")
-                .str("status", "completed")
-                .str("name", &job.req.name)
-                .fingerprint("fingerprint", outcome.fingerprint)
-                .fingerprint("result_fingerprint", outcome.result_fingerprint)
-                .bool("resumed", outcome.resumed)
-                .u64("num_patterns", outcome.num_patterns as u64)
-                .u64("num_faults", outcome.num_faults as u64)
-                .u64("num_targets", outcome.num_targets as u64)
-                .u64("covered", outcome.covered as u64)
-                .bool("optimal", outcome.optimal)
+            let line = outcome
+                .fields(
+                    Record::new()
+                        .str("event", "terminal")
+                        .str("status", "completed"),
+                    &job.req.name,
+                )
                 .finish();
             (line, None)
         }

@@ -20,12 +20,13 @@
 //! caller passes; the campaign runner and `fastmon_bench::shardsup` build
 //! it with [`SupervisorConfig::from_env`].
 //! Each worker rebuilds the circuit and flow from the spec and loads the
-//! test set — it never runs ATPG — then resumes from its own
-//! `shard-i-of-n.ckpt` and lands `shard-i-of-n.result`. The supervisor
-//! merges the landed results into an analysis bit-identical to the
-//! serial run.
+//! test set — it never runs ATPG — then runs its shard on its own
+//! `shard-i-of-n.ckpt`, resuming from it, until the checkpoint holds
+//! every pattern: the finished checkpoint is the shard's result. The
+//! supervisor merges the finished checkpoints into an analysis
+//! bit-identical to the serial run.
 //!
-//! Worker exit codes: `0` result landed, [`EXIT_EVICTED`] cooperative
+//! Worker exit codes: `0` shard finished, [`EXIT_EVICTED`] cooperative
 //! stop with a resumable checkpoint, `1` error (respawned),
 //! [`EXIT_REFUSED`] the spec is unusable or rebuilds a different campaign
 //! than the test set was prepared for (the supervisor fails the campaign
@@ -40,7 +41,7 @@ use fastmon_atpg::TestSet;
 use fastmon_core::shardsup::{self, EXIT_EVICTED, EXIT_REFUSED};
 use fastmon_core::{
     CampaignProgress, DetectionAnalysis, FlowError, HdfTestFlow, ShardFiles, ShardSpec,
-    ShardsupError, SupervisorConfig, SupervisorEvent, SupervisorReport,
+    ShardsupError, SupervisorConfig, SupervisorEvent,
 };
 use fastmon_obs::events::shard as shard_events;
 use fastmon_obs::json::Value;
@@ -55,14 +56,12 @@ const ENV_DIR: &str = "FASTMON_SHARD_DIR";
 /// re-enter the test harness instead).
 pub const ENV_WORKER_BIN: &str = "FASTMOND_SHARD_WORKER_BIN";
 
-/// A supervised multi-process campaign that finished.
+/// A supervised multi-process campaign that finished. The supervisor's
+/// counters are in the flow's registry (`robustness.shardsup.*`).
 #[derive(Debug)]
 pub struct SupervisedRun {
     /// The merged analysis (bit-identical to the serial run).
     pub analysis: DetectionAnalysis,
-    /// Supervisor counters (spawns, respawns, evictions, worker peak
-    /// RSS, ...).
-    pub report: SupervisorReport,
 }
 
 /// Routes a process that was exec'd as a shard worker into the worker
@@ -118,7 +117,7 @@ fn read_spec(files: &ShardFiles) -> Result<Box<JobRequest>, String> {
 }
 
 /// The worker process: rebuild the flow from the spec, load the shipped
-/// test set, run this shard to a landed result file, stream
+/// test set, run this shard to its finished checkpoint, stream
 /// band-granularity heartbeats on stdout.
 fn worker_main(spec: ShardSpec) -> ! {
     // Handlers go in before any expensive work: a SIGTERM that lands
@@ -201,8 +200,8 @@ fn worker_main(spec: ShardSpec) -> ! {
 
 /// Runs the campaign `req` describes — whose prepared flow and test set
 /// are `flow` and `patterns` — as `req.shards` supervised worker
-/// processes under `dir`, and merges the landed results (bit-identical
-/// to the serial run).
+/// processes under `dir`, and merges the shards' finished checkpoints
+/// (bit-identical to the serial run).
 ///
 /// `config` holds the supervisor's settings; its shard count must be
 /// `req.shards`. `worker_bin` is the worker executable (default: the
@@ -217,7 +216,7 @@ fn worker_main(spec: ShardSpec) -> ! {
 /// # Errors
 ///
 /// [`JobError::Flow`] when the spec or test set cannot be landed (after
-/// the checkpoint-save retries) or a landed result cannot be merged,
+/// the checkpoint-save retries) or a finished shard cannot be merged,
 /// `JobError::Flow(FlowError::Cancelled)` when the token trips (every
 /// shard checkpoint stays resumable) and [`JobError::Shardsup`] when a
 /// worker cannot be launched, refuses its shard or exhausts its respawn
@@ -262,16 +261,16 @@ pub fn supervise(
         cmd.spawn()
     };
     let mut is_complete = |shard: usize| files.landed(flow, patterns, ShardSpec { shard, shards });
-    let report = shardsup::run(
+    shardsup::run(
         config,
         &mut launch,
         &mut is_complete,
         &mut |event| on_event(&event),
         flow.cancel_token(),
-        Some(flow.metrics()),
+        &flow.metrics().shardsup,
     )?;
     let analysis = files.merge(flow, patterns, shards)?;
-    Ok(SupervisedRun { analysis, report })
+    Ok(SupervisedRun { analysis })
 }
 
 /// A `"shard_procs":true` campaign: [`supervise`] under the job's locked

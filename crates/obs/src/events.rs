@@ -2,18 +2,14 @@
 //!
 //! The daemon (and any other long-running driver) streams progress back
 //! to clients as JSONL: one self-contained JSON object per line, built
-//! with [`Record`] and written through a [`StreamSink`]. Both halves
-//! reuse the in-house [`crate::json`] escaping/parsing so the emitted
-//! lines round-trip through the same parser the test suite validates
-//! with — no serde, offline build.
+//! with [`Record`]. It reuses the in-house [`crate::json`] escaping, so
+//! the emitted lines round-trip through the same parser the test suite
+//! validates with — no serde, offline build.
 //!
 //! [`Record`] is an ordered object builder: fields appear on the wire in
 //! insertion order, which keeps golden-line assertions and `grep`-based
 //! debugging stable. It never fails — keys are expected to be plain
 //! ASCII identifiers, values are escaped.
-
-use std::io::{self, Write};
-use std::sync::{Mutex, PoisonError};
 
 /// An ordered single-line JSON object under construction.
 ///
@@ -156,7 +152,7 @@ pub mod shard {
             .finish()
     }
 
-    /// The worker landed its result file (fingerprint is the shard's own
+    /// The worker finished its shard (fingerprint is the shard's own
     /// checkpoint fingerprint, not the merged campaign's) and reports its
     /// own peak resident set (`VmHWM`, 0 when unknown).
     #[must_use]
@@ -182,47 +178,6 @@ pub mod shard {
             .str("kind", kind)
             .str("message", message)
             .finish()
-    }
-}
-
-/// A line-at-a-time JSONL writer shared between threads.
-///
-/// Each [`emit`](StreamSink::emit) appends exactly one `line + '\n'` and
-/// flushes under a mutex, so records from concurrent workers never
-/// interleave mid-line — the framing invariant the protocol fuzz suite
-/// leans on.
-#[derive(Debug)]
-pub struct StreamSink<W: Write> {
-    inner: Mutex<W>,
-}
-
-impl<W: Write> StreamSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
-        StreamSink {
-            inner: Mutex::new(writer),
-        }
-    }
-
-    /// Writes one record line atomically and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying writer's I/O error (a disconnected
-    /// client socket surfaces here — Rust ignores `SIGPIPE`, so the
-    /// caller sees an `Err`, not a dead process).
-    pub fn emit(&self, line: &str) -> io::Result<()> {
-        let mut guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        guard.write_all(line.as_bytes())?;
-        guard.write_all(b"\n")?;
-        guard.flush()
-    }
-
-    /// Consumes the sink and returns the writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -268,18 +223,5 @@ mod tests {
     #[test]
     fn empty_record_is_an_empty_object() {
         assert_eq!(Record::new().finish(), "{}");
-    }
-
-    #[test]
-    fn sink_emits_one_line_per_record_and_flushes() {
-        let sink = StreamSink::new(Vec::new());
-        sink.emit(&Record::new().u64("a", 1).finish()).unwrap();
-        sink.emit(&Record::new().u64("b", 2).finish()).unwrap();
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text, "{\"a\":1}\n{\"b\":2}\n");
-        for line in text.lines() {
-            json::parse(line).unwrap();
-        }
     }
 }

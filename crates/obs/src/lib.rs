@@ -51,7 +51,7 @@ pub mod profile;
 pub mod trace;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use events::{Record, StreamSink};
+pub use events::Record;
 pub use failpoints::{InjectedFailure, SpecError, SpecErrorKind};
 pub use hist::{Histogram, HistogramSet, Quantiles};
 pub use metrics::{

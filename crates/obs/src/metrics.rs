@@ -297,7 +297,7 @@ metric_section! {
         readmissions,
         /// Heartbeat/progress lines parsed from worker pipes.
         heartbeats_received,
-        /// Shards that landed a valid result file.
+        /// Shards whose finished checkpoint validated.
         shards_completed,
     }
 }
