@@ -1,5 +1,5 @@
 //! Wall-clock benches for the two dominant campaign phases: the
-//! word-parallel band loop of `analyze()` (1 vs 4 worker threads on a
+//! pattern-parallel band loop of `analyze()` (1 vs 4 worker threads on a
 //! scaled `p89k` stand-in) and the testability-guided PODEM inside
 //! `generate()` (1 vs 2 worker threads).
 //!

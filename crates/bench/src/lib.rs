@@ -277,20 +277,18 @@ pub fn with_run<R>(
     } else {
         Ok(())
     };
-    let campaign = swept
-        .and_then(|()| dirs.acquire(flow.campaign_fingerprint(&patterns)))
-        .map_err(|e| e.to_string())
-        .and_then(|job| {
-            let analysis =
-                run_campaign(&flow, &patterns, &req, &job, &mut |_| {}).map_err(|e| match e {
-                    JobError::Flow(e) => exit_if_fatal(name, e),
-                    e => e.to_string(),
-                })?;
-            if let Err(e) = job.complete() {
-                eprintln!("[bench] {name}: cannot remove finished checkpoint dir: {e}");
-            }
-            Ok(analysis)
-        });
+    let campaign = swept.map_err(|e| e.to_string()).and_then(|()| {
+        let fingerprint = flow.campaign_fingerprint(&patterns);
+        let (analysis, job) = run_campaign(&flow, &patterns, &req, &dirs, fingerprint, &mut |_| {})
+            .map_err(|e| match e {
+                JobError::Flow(e) => exit_if_fatal(name, e),
+                e => e.to_string(),
+            })?;
+        if let Err(e) = job.complete() {
+            eprintln!("[bench] {name}: cannot remove finished checkpoint dir: {e}");
+        }
+        Ok(analysis)
+    });
     let analysis = campaign.unwrap_or_else(|e| {
         eprintln!("[bench] {name}: checkpointing unavailable ({e}); rerunning without checkpoints");
         flow.try_analyze(&patterns)

@@ -150,39 +150,20 @@ impl DetectionAnalysis {
         )
         .map_err(contained(metrics))?;
 
-        // Two-axis fan-out: work items are (pattern, chunk of faults)
-        // pairs, so even a handful of patterns keeps every thread busy and
-        // the pool's shrinking claims rebalance wildly uneven cone sizes.
-        // Patterns are processed in bands so the shared fault-free results
-        // stay memory-bounded: within a band, each pattern is simulated
-        // fault-free exactly once and read by all its chunks.
+        // One work item per pattern: the worker simulates the pattern
+        // fault-free, walks every fault against that result and drops it,
+        // so a band holds at most one fault-free result per worker.
         let num_patterns = patterns.len();
-        // The chunk partition exists to load-balance faults across *real*
-        // workers; on a host where the campaign runs serially it is pure
-        // per-item overhead, so it is sized from the effective worker
-        // count, not the requested thread count. The fixed-order merge
-        // below keeps results bit-identical for any chunk count.
-        let num_chunks = if workers > 1 {
-            fault_plans.len().clamp(1, workers * 2)
-        } else {
-            1
-        };
-        // Bands want to be as coarse as memory allows: every band pays two
-        // scoped-thread spawn rounds plus a checkpoint write, which at the
-        // old `threads * 2` sizing dominated the campaign on machines where
-        // workers mostly run serially. An eighth of the test set keeps the
-        // band count (and hence spawn/checkpoint overhead) constant across
-        // thread counts, the memory cap bounds the band's resident
-        // fault-free waveforms on full-scale circuits, and the
-        // `threads * 2` floor keeps every worker busy on small sets.
-        // Written as max-then-min (not `clamp`) because the lower bound can
-        // exceed the upper bound on small pattern sets, which `clamp`
-        // rejects with a panic.
-        let mem_cap = (4_000_000 / circuit.len().max(1)).max(threads * 2).max(4);
+        // Bands want to be coarse: every band pays a scoped-thread spawn
+        // round plus a checkpoint write. An eighth of the test set keeps
+        // the band count (and hence spawn/checkpoint overhead) constant
+        // across thread counts, and the `threads * 2` floor keeps every
+        // worker busy on small sets. Written as max-then-min (not `clamp`)
+        // because the lower bound can exceed the upper bound on small
+        // pattern sets, which `clamp` rejects with a panic.
         let band_size = (num_patterns / 8)
             .max(threads * 2)
             .max(4)
-            .min(mem_cap)
             .min(num_patterns.max(1));
 
         // Campaign-lifetime worker state: each worker's scratch, including
@@ -201,39 +182,26 @@ impl DetectionAnalysis {
             fastmon_obs::failpoints::fire("campaign_band")?;
             let t_band = std::time::Instant::now();
             let band_len = band_size.min(num_patterns - band_start);
-            // fault-free responses of the band, computed once, shared
-            // read-only by every fault chunk
-            let bases = try_parallel_map_with(
+            let batches = try_parallel_map_with(
                 band_len,
                 workers,
-                || (),
-                |(), i| engine.simulate(&patterns.stimulus(circuit, band_start + i)),
-            )
-            .map_err(contained(metrics))?;
-
-            let chunk_results = try_parallel_map_with(
-                band_len * num_chunks,
-                workers,
                 || Lease::take(&worker_pool, || ConeScratch::new(circuit)),
-                |lease, item| {
+                |lease, i| {
                     // Worker bodies have no error channel; both failpoint
                     // actions surface as a contained panic.
                     if let Err(injected) = fastmon_obs::failpoints::fire("sim_worker") {
                         panic!("{injected}");
                     }
+                    let base = engine.simulate(&patterns.stimulus(circuit, band_start + i));
                     let scratch = lease.get();
-                    let base = &bases[item / num_chunks];
-                    let chunk = item % num_chunks;
-                    let lo = chunk * fault_plans.len() / num_chunks;
-                    let hi = (chunk + 1) * fault_plans.len() / num_chunks;
                     // the walk appends each fault's raw diffs, and `close`
                     // clips and glitch-filters them in place
                     let mut found = RangeBatch::new();
-                    for &(fidx, entry) in &fault_plans[lo..hi] {
+                    for &(fidx, entry) in &fault_plans {
                         let fault = faults.fault(fastmon_faults::FaultId::from_index(fidx));
                         let (points, intervals) = found.buffers();
                         engine.response_diff_planned_into(
-                            base,
+                            &base,
                             fault,
                             &plans[entry],
                             scratch,
@@ -251,13 +219,13 @@ impl DetectionAnalysis {
             )
             .map_err(contained(metrics))?;
 
-            // merge in fixed (pattern, chunk) order — the result is
-            // bit-identical for any thread count — into rows grown once, by
+            // merge in pattern order — the result is bit-identical for any
+            // thread count and band partition — into rows grown once, by
             // exactly the band's ranges
-            progress.per_pattern.reserve_exact(&chunk_results);
-            for (item, found) in chunk_results.into_iter().enumerate() {
-                let p = band_start + item / num_chunks;
-                let p = u32::try_from(p).unwrap_or_else(|_| unreachable!("pattern count fits u32"));
+            progress.per_pattern.reserve_exact(&batches);
+            for (i, found) in batches.into_iter().enumerate() {
+                let p = u32::try_from(band_start + i)
+                    .unwrap_or_else(|_| unreachable!("pattern count fits u32"));
                 progress.per_pattern.append(p, &found);
             }
             // Simulation time only — checkpoint save latency is its own
@@ -587,22 +555,32 @@ mod tests {
         // Regression: band sizing used `(threads * 2).clamp(4, num_patterns)`,
         // which panics ("assert min <= max") whenever the test set holds
         // fewer than 4 patterns. Truncated and empty test sets are valid
-        // inputs and must not crash, at any thread count.
+        // inputs and must not crash, at any thread count. A work item is
+        // one pattern, so these bands have fewer items than workers, and
+        // the analysis must still be the single-thread one.
         let c = fastmon_netlist::library::s27();
-        for threads in [1, 8] {
+        let flow_at = |threads| {
             let cfg = FlowConfig {
                 threads,
                 ..FlowConfig::default()
             };
-            let flow = HdfTestFlow::prepare(&c, &cfg);
-            for budget in [0, 1, 2, 3] {
-                let patterns = flow.generate_patterns(Some(budget));
-                assert!(patterns.len() <= budget);
-                let analysis = flow.analyze(&patterns);
-                assert_eq!(analysis.num_patterns, patterns.len());
-                if budget == 0 {
-                    assert!((0..analysis.num_faults()).all(|f| analysis.per_pattern.len(f) == 0));
-                }
+            HdfTestFlow::prepare(&c, &cfg)
+        };
+        let (serial, wide) = (flow_at(1), flow_at(8));
+        for budget in [0, 1, 2, 3] {
+            let patterns = serial.generate_patterns(Some(budget));
+            assert!(patterns.len() <= budget);
+            assert_eq!(wide.generate_patterns(Some(budget)), patterns);
+            let expected = serial.analyze(&patterns);
+            let analysis = wide.analyze(&patterns);
+            assert_eq!(analysis.num_patterns, patterns.len());
+            assert_eq!(
+                analysis.result_fingerprint(),
+                expected.result_fingerprint(),
+                "{budget} patterns at 8 threads"
+            );
+            if budget == 0 {
+                assert!((0..analysis.num_faults()).all(|f| analysis.per_pattern.len(f) == 0));
             }
         }
     }

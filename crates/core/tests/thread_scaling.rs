@@ -6,8 +6,8 @@
 //!
 //! 1. **Bit-identity**: `analyze()` at 1, 2, 4 and 8 threads produces the
 //!    same verdicts, detection ranges and target set. The band loop's
-//!    fixed `(pattern, chunk)` merge order guarantees this by
-//!    construction; this test keeps it true.
+//!    fixed pattern merge order guarantees this by construction; this
+//!    test keeps it true.
 //! 2. **Allocation flatness**: `waveform_allocs` counts the transition
 //!    buffers the cone walk created because its worker's pool was empty
 //!    (not heap allocations; `alloc_budget.rs` counts those). Every walk

@@ -17,7 +17,7 @@ use std::path::Path;
 use fastmon_atpg::TestSet;
 use fastmon_core::{
     Campaign, CampaignProgress, CheckpointDir, CheckpointError, DetectionAnalysis, FlowConfig,
-    FlowError, HdfTestFlow, JobStore, ShardsupError, Solver,
+    FlowError, HdfTestFlow, JobStore, ShardsupError, Solver, SupervisorConfig,
 };
 use fastmon_netlist::{bench, generate::CircuitProfile, library, Circuit};
 use fastmon_obs::{CancelToken, Record};
@@ -330,9 +330,8 @@ fn run_flow(
     on_event(JobEvent::Campaign { fingerprint });
 
     on_event(JobEvent::Phase { phase: "analyze" });
-    let store = acquire(dirs, fingerprint)?;
     let mut resumed = false;
-    let analysis = run_campaign(flow, &patterns, req, &store, &mut |e| {
+    let (analysis, store) = run_campaign(flow, &patterns, req, dirs, fingerprint, &mut |e| {
         resumed |= matches!(
             e,
             JobEvent::Progress(CampaignProgress::Resumed { .. })
@@ -366,32 +365,42 @@ fn run_flow(
 }
 
 /// Runs the campaign `req` describes — whose prepared flow and test set
-/// are `flow` and `patterns` — inside the acquired job directory `job`:
-/// `req.shards` supervised worker processes when `req.shard_procs` is set
-/// (progress streams as [`JobEvent::Shard`] rows), and otherwise one whole
-/// campaign checkpointed in the job's `campaign.ckpt` (progress streams as
-/// [`JobEvent::Progress`]). Either way the analysis is bit-identical to a
-/// serial run, and a rerun over the same directory resumes. `fastmond`
-/// jobs and the experiment binaries both run their campaigns here; the
-/// whole campaign's finished checkpoint is removed, and the caller
-/// [`complete`](JobStore::complete)s the directory once its result is
-/// safe.
+/// are `flow` and `patterns` — in the job directory under `dirs` it
+/// acquires for `fingerprint`: `req.shards` supervised worker processes
+/// when `req.shard_procs` is set (progress streams as [`JobEvent::Shard`]
+/// rows), and otherwise one whole campaign checkpointed in the job's
+/// `campaign.ckpt` (progress streams as [`JobEvent::Progress`]). Either
+/// way the analysis is bit-identical to a serial run, and a rerun over
+/// the same directory resumes. `fastmond` jobs and the experiment
+/// binaries both run their campaigns here; the whole campaign's finished
+/// checkpoint is removed, and the caller
+/// [`complete`](JobStore::complete)s the returned directory once its
+/// result is safe.
 ///
 /// # Errors
 ///
-/// [`JobError::Flow`] when the campaign fails, cancellation included (the
-/// job's checkpoints stay resumable); [`JobError::Spec`] and
-/// [`JobError::Shardsup`] when the supervisor's settings are unusable or
-/// it fails.
+/// [`JobError::Spec`] when the supervisor's settings are unusable, read
+/// before any directory is acquired; [`JobError::Locked`] when another
+/// process runs the campaign; [`JobError::Flow`] when the campaign fails,
+/// cancellation included (the job's checkpoints stay resumable);
+/// [`JobError::Shardsup`] when the supervisor fails.
 pub fn run_campaign(
     flow: &HdfTestFlow<'_>,
     patterns: &TestSet,
     req: &JobRequest,
-    job: &JobStore,
+    dirs: &CheckpointDir,
+    fingerprint: u64,
     on_event: &mut dyn FnMut(JobEvent),
-) -> Result<DetectionAnalysis, JobError> {
-    if req.shard_procs {
-        return crate::shard::run_supervised(flow, patterns, req, job.dir(), on_event);
+) -> Result<(DetectionAnalysis, JobStore), JobError> {
+    let supervisor = req
+        .shard_procs
+        .then(|| SupervisorConfig::from_env(req.shards))
+        .transpose()?;
+    let job = acquire(dirs, fingerprint)?;
+    if let Some(config) = supervisor {
+        let analysis =
+            crate::shard::run_supervised(flow, patterns, req, &config, job.dir(), on_event)?;
+        return Ok((analysis, job));
     }
     let campaign = Campaign {
         checkpoint: Some(job.store()),
@@ -400,7 +409,7 @@ pub fn run_campaign(
     };
     let analysis = flow.run(patterns, campaign)?;
     job.store().discard();
-    Ok(analysis)
+    Ok((analysis, job))
 }
 
 #[cfg(test)]

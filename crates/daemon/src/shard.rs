@@ -273,18 +273,19 @@ pub fn supervise(
     Ok(SupervisedRun { analysis })
 }
 
-/// A `"shard_procs":true` campaign: [`supervise`] under the job's locked
-/// checkpoint directory, with supervisor observations forwarded as
-/// [`JobEvent::Shard`] rows so the flight recorder and the `observe`
-/// snapshot see per-shard progress and respawn counts.
+/// A `"shard_procs":true` campaign: [`supervise`] with the settings
+/// `config` under the job's locked checkpoint directory, with supervisor
+/// observations forwarded as [`JobEvent::Shard`] rows so the flight
+/// recorder and the `observe` snapshot see per-shard progress and
+/// respawn counts.
 pub(crate) fn run_supervised(
     flow: &HdfTestFlow<'_>,
     patterns: &TestSet,
     req: &JobRequest,
+    config: &SupervisorConfig,
     dir: &Path,
     on_event: &mut dyn FnMut(JobEvent),
 ) -> Result<DetectionAnalysis, JobError> {
-    let config = SupervisorConfig::from_env(req.shards)?;
     let worker_bin = std::env::var_os(ENV_WORKER_BIN).map(PathBuf::from);
     // Per-shard accounting the observe snapshot renders: last reported
     // progress and charged respawns, carried on every forwarded event.
@@ -329,7 +330,7 @@ pub(crate) fn run_supervised(
         flow,
         patterns,
         req,
-        &config,
+        config,
         dir,
         worker_bin.as_deref(),
         &mut forward,

@@ -135,6 +135,13 @@ fn supervised_jobs_match_the_serial_result_and_stream_shard_rows() {
     std::env::remove_var("FASTMON_SHARD_JOBS");
     assert!(matches!(err, JobError::Spec { .. }), "got {err:?}");
     assert!(err.to_string().contains("zero"), "got {err}");
+    // the settings are read before the job directory is acquired, so the
+    // rejected job leaves no campaign directory behind
+    let left: Vec<_> = std::fs::read_dir(dirs.root())
+        .map(|entries| entries.map(|e| e.unwrap().file_name()).collect())
+        .unwrap_or_default();
+    assert!(left.is_empty(), "the rejected job left {left:?}");
+    let _ = std::fs::remove_dir_all(&root);
 
     // ---- part 2: live daemon, children crash on an armed failpoint ----
     // Every first-attempt worker dies at band 2; the supervisor backs

@@ -376,30 +376,30 @@ impl<'c> SimEngine<'c> {
     }
 }
 
-/// Precomputed propagation plan for faults seated at one gate: the fanout
-/// cone pruned to the nodes that can actually reach an observation point,
-/// and the observation points the seed reaches.
+/// Precomputed propagation plan for faults seated at one gate: the seed
+/// and the size of its fanout cone pruned to the nodes that can actually
+/// reach an observation point.
 ///
 /// Fault-simulation campaigns touch every gate with several faults (one per
-/// pin and polarity) and every pattern; computing the cone once per gate
+/// pin and polarity) and every pattern; counting the cone once per gate
 /// amortizes the traversal.
 ///
 /// # Pruning
 ///
 /// A fanout-cone node that reaches no observation point
 /// ([`Circuit::reaches_observe_point`]) can never contribute to a
-/// detection range, so it is dropped at plan-build time. The retained set
-/// is closed under in-cone fanins (if a node reaches an observer, so does
-/// every cone node feeding it), so the cone walk, which queues only
-/// retained fanouts, stays bit-identical to a walk over the full cone.
+/// detection range, so the cone walk never queues it. The retained set is
+/// closed under in-cone fanins (if a node reaches an observer, so does
+/// every cone node feeding it), so that walk stays bit-identical to one
+/// over the full cone. The plan keeps only the retained node count, which
+/// the walk reads for its early exit and its `nodes_converged` counter,
+/// and counts the dropped nodes.
 #[derive(Debug, Clone)]
 pub struct ConePlan {
     seed: NodeId,
-    /// pruned cone in topological order (seed first; empty if the seed
-    /// reaches no observation point)
-    cone: Vec<NodeId>,
-    /// indices into [`Circuit::observe_points`] reachable from the seed
-    ops: Vec<(usize, NodeId)>,
+    /// nodes in the pruned cone, seed included (0 if the seed reaches no
+    /// observation point)
+    cone_len: usize,
     /// cone nodes dropped because they reach no observation point
     pruned: usize,
 }
@@ -432,10 +432,8 @@ impl ConePlan {
     /// campaign building one plan per gate reuses one level queue.
     ///
     /// The build walks the seed's combinational fanouts level by level with
-    /// a [`LevelQueue`], so it costs the cone, not the circuit. Sorting each
-    /// level by id yields [`Circuit::topo_order`], and the circuit's
-    /// observation tables decide which nodes stay and which observation
-    /// points the seed reaches.
+    /// a [`LevelQueue`], so it costs the cone, not the circuit, and counts
+    /// the visited nodes that [`Circuit::reaches_observe_point`] keeps.
     #[must_use]
     pub fn new_with_scratch(
         circuit: &Circuit,
@@ -445,22 +443,11 @@ impl ConePlan {
     ) -> Self {
         let PlanScratch { queue, level } = scratch;
         queue.push(circuit, seed);
-        let mut cone = Vec::new();
-        let mut ops: Vec<(usize, NodeId)> = Vec::new();
-        let mut full = 0usize;
+        let (mut cone_len, mut full) = (0usize, 0usize);
         while queue.pop_level(level) {
-            level.sort_unstable(); // topological order within the level
             for &id in level.iter() {
                 full += 1;
-                if circuit.reaches_observe_point(id) {
-                    cone.push(id);
-                    ops.extend(
-                        circuit
-                            .driven_observe_points(id)
-                            .iter()
-                            .map(|&k| (k as usize, id)),
-                    );
-                }
+                cone_len += usize::from(circuit.reaches_observe_point(id));
                 for &fo in circuit.fanouts(id) {
                     if circuit.kind(fo).is_combinational() {
                         queue.push(circuit, fo);
@@ -468,8 +455,7 @@ impl ConePlan {
                 }
             }
         }
-        ops.sort_unstable_by_key(|&(k, _)| k);
-        let pruned = full - cone.len();
+        let pruned = full - cone_len;
         let m = match metrics {
             Some(m) => m,
             None => stats::global(),
@@ -478,8 +464,7 @@ impl ConePlan {
         m.cone_plans_built.incr();
         ConePlan {
             seed,
-            cone,
-            ops,
+            cone_len,
             pruned,
         }
     }
@@ -490,16 +475,11 @@ impl ConePlan {
         self.seed
     }
 
-    /// The pruned cone in topological order (seed first).
+    /// Number of nodes in the pruned cone, seed included; 0 if the seed
+    /// reaches no observation point.
     #[must_use]
-    pub fn cone(&self) -> &[NodeId] {
-        &self.cone
-    }
-
-    /// The observation points the seed reaches, by ascending index.
-    #[must_use]
-    pub fn observers(&self) -> &[(usize, NodeId)] {
-        &self.ops
+    pub fn cone_len(&self) -> usize {
+        self.cone_len
     }
 
     /// Number of fanout-cone nodes dropped by observer-reach pruning.
@@ -702,7 +682,7 @@ impl<'c> SimEngine<'c> {
         intervals: &mut Vec<Interval>,
     ) {
         debug_assert_eq!(plan.seed, fault.site.node(), "plan/fault mismatch");
-        if plan.cone.is_empty() {
+        if plan.cone_len == 0 {
             return; // the seed reaches no observation point
         }
         let site = match fault.site {
@@ -804,7 +784,7 @@ impl<'c> SimEngine<'c> {
         }
         tally.cones_simulated += 1;
         tally.nodes_evaluated += evaluated;
-        tally.nodes_converged += (plan.cone.len() - 1) as u64 - evaluated;
+        tally.nodes_converged += (plan.cone_len - 1) as u64 - evaluated;
     }
 
     /// Publishes the cone-walk counters accumulated in `scratch` into this
@@ -1037,11 +1017,15 @@ mod tests {
         let c = b.finish().unwrap();
         let n1 = c.find("n1").unwrap();
         let plan = ConePlan::new(&c, n1);
-        assert_eq!(plan.pruned_nodes(), 2);
-        assert_eq!(plan.cone()[0], n1, "seed stays first");
-        assert!(plan.cone().contains(&c.find("po").unwrap()));
-        assert!(!plan.cone().contains(&c.find("d1").unwrap()));
-        assert!(!plan.cone().contains(&c.find("d2").unwrap()));
+        let full = c.fanout_cone(n1);
+        let kept: Vec<&str> = full
+            .iter()
+            .filter(|&&id| c.reaches_observe_point(id))
+            .map(|&id| c.node_name(id))
+            .collect();
+        assert_eq!(kept, ["n1", "po"], "the reference drops d1 and d2");
+        assert_eq!(plan.cone_len(), kept.len());
+        assert_eq!(plan.pruned_nodes(), full.len() - kept.len());
 
         // the pruned plan still yields the exact direct-diff response
         let (annot, ()) = unit_engine(&c);
@@ -1058,8 +1042,8 @@ mod tests {
 
     #[test]
     fn plan_is_the_fanout_cone_filtered_by_observer_reach() {
-        // the level-queue build must keep `fanout_cone`'s topological
-        // order and drop exactly the nodes that reach no observe point
+        // the level-queue build must count exactly the nodes of
+        // `fanout_cone` that reach an observe point, and prune the rest
         let mut b = CircuitBuilder::new("dead_ends");
         b.add("a", GateKind::Input, &[]);
         b.add("c", GateKind::Input, &[]);
@@ -1084,21 +1068,12 @@ mod tests {
             for seed in c.node_ids() {
                 let plan = ConePlan::new_with_scratch(&c, seed, None, &mut scratch);
                 let full = c.fanout_cone(seed);
-                let kept: Vec<NodeId> = full
+                let kept = full
                     .iter()
-                    .copied()
-                    .filter(|&id| c.reaches_observe_point(id))
-                    .collect();
-                assert_eq!(plan.cone(), kept.as_slice(), "{}", c.node_name(seed));
-                assert_eq!(plan.pruned_nodes(), full.len() - kept.len());
-                let observers: Vec<(usize, NodeId)> = c
-                    .observe_points()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, op)| full.contains(&op.driver))
-                    .map(|(k, op)| (k, op.driver))
-                    .collect();
-                assert_eq!(plan.observers(), observers.as_slice());
+                    .filter(|&&id| c.reaches_observe_point(id))
+                    .count();
+                assert_eq!(plan.cone_len(), kept, "{}", c.node_name(seed));
+                assert_eq!(plan.pruned_nodes(), full.len() - kept);
             }
         }
     }
@@ -1223,7 +1198,7 @@ mod tests {
         let longest = plans
             .iter()
             .flatten()
-            .map(|p| p.cone().len())
+            .map(ConePlan::cone_len)
             .max()
             .unwrap();
         let bases: Vec<SimResult> = (0..4u64)

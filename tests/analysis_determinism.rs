@@ -1,5 +1,5 @@
 //! The fault-simulation campaign must be bit-identical for any worker
-//! thread count: work items are merged in fixed (pattern, chunk) order, so
+//! thread count: work items are merged in fixed pattern order, so
 //! `threads = 8` and `threads = 1` produce exactly the same analysis.
 
 use fastmon::core::{DetectionAnalysis, FlowConfig, HdfTestFlow};
